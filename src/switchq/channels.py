@@ -65,17 +65,6 @@ def sample_initial(model: ChannelModel, rng: np.random.Generator) -> tuple[int, 
     return int(rng.random() < 0.5), int(rng.random() < 0.5)
 
 
-def step(model: ChannelModel, current: tuple[int, int], rng: np.random.Generator) -> tuple[int, int]:
-    """Advance the channel pair by one slot."""
-    c1, c2 = current
-    if model.kind == IID:
-        return int(rng.random() < model.p1), int(rng.random() < model.p2)
-    e = model.epsilon
-    c1 = c1 ^ int(rng.random() < e)
-    c2 = c2 ^ int(rng.random() < e)
-    return c1, c2
-
-
 def predict(model: ChannelModel, c: int, tau: int) -> float:
     """Expected channel state tau slots ahead given the current state.
 

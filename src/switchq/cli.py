@@ -110,6 +110,10 @@ def _cmd_saturated(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    if not args.eps_step > 0:
+        raise ValueError(f"--eps-step must be positive, got {args.eps_step}")
+    if args.ratio_points < 1:
+        raise ValueError(f"--ratio-points must be at least 1, got {args.ratio_points}")
     report = exp.verify_psi(args.eps_step, args.ratio_points)
     header = ("case", "region", "bound", "minimum", "argmin_epsilon", "argmin_ratio")
     _write(args.out, exp.rows_to_csv(header, report.rows()))
@@ -123,7 +127,10 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    t_list = tuple(int(x) for x in args.T_list.split(","))
+    parts = args.T_list.split(",")
+    if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
+        raise ValueError(f"--T-list needs comma-separated frame lengths >= 1, got {args.T_list!r}")
+    t_list = tuple(int(x) for x in parts)
     rows = exp.throughput_gap(args.epsilon, t_list, args.corner, slots_per_t=args.horizon, seed=args.seed)
     _write(args.out, exp.rows_to_csv(("T", "rate_deficit"), rows))
     return 0

@@ -22,7 +22,6 @@ from .region import (
     closed_form_region,
     contains,
     corner_points,
-    fbdc_corner_map,
     iid_region,
     myopic_corner_map,
     no_switchover_region,
@@ -32,8 +31,8 @@ SWEEP_HEADER = ("epsilon", "lambda1", "lambda2", "policy", "T", "k", "q_avg", "r
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy 2 scalars repr as np.float64(...)
+        return repr(float(value))
     return str(value)
 
 
@@ -67,6 +66,8 @@ class GridSpec:
             raise ValueError("grid step must be positive")
         if self.boundary_margin <= 0:
             raise ValueError("boundary margin must be positive")
+        if self.horizon - self.warmup < 4:
+            raise ValueError(f"horizon - warmup must be >= 4 slots, got {self.horizon} - {self.warmup}")
         if (self.epsilon is None) == (self.p1 is None or self.p2 is None):
             raise ValueError("give either epsilon or both p1 and p2")
 
@@ -115,7 +116,6 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
 
 def sweep(spec: GridSpec) -> list[tuple]:
     """Run every (lambda1, lambda2, policy) cell and classify stability."""
-    region = spec.region()
     channel = spec.channel()
     eps_field = spec.epsilon if spec.epsilon is not None else ""
     rows = []
@@ -134,10 +134,9 @@ def sweep(spec: GridSpec) -> list[tuple]:
                     arrival_kind=spec.arrival_kind,
                 )
             )
-            verdict = sim.stability_verdict(metrics.window_means)
             rows.append(
                 (eps_field, lam1, lam2, config.label(), config.T, config.k,
-                 metrics.q_avg, metrics.rate1, metrics.rate2, verdict)
+                 metrics.q_avg, metrics.rate1, metrics.rate2, metrics.verdict)
             )
             run_index += 1
     return rows
@@ -319,6 +318,8 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
             i = int(np.argmin(vals))
             if vals[i] < best[0]:
                 best = (vals[i], e, float(rs[i]), (float(rs[max(i - 1, 0)]), float(rs[min(i + 1, len(rs) - 1)])))
+        if best[3] is None:
+            raise ValueError(f"epsilon grid step {epsilon_grid_step} leaves band {case}/{name} without a sample")
         # refine in ratio inside the sampled bracket at the best epsilon
         e_star = best[1]
         lo_r, hi_r = best[3]
@@ -431,8 +432,7 @@ def iid_suite(
                 seed=seed + 2 * i + j,
             )
             metrics = sim.run(config)
-            verdict = sim.stability_verdict(metrics.window_means)
-            rows.append((p1, p2, rho, lam1, lam2, kind, verdict, metrics.q_avg))
+            rows.append((p1, p2, rho, lam1, lam2, kind, metrics.verdict, metrics.q_avg))
     return rows
 
 

@@ -1,11 +1,12 @@
-"""Executable scheduling policies: stay/switch decisions per slot.
+"""Scheduling policies: their configuration, corner tables and decision rules.
 
 Frame-based dynamic control picks the frontier corner maximizing
-Q1*r1 + Q2*r2 at each frame start and plays that corner's deterministic
-action table for the whole frame.  The k-lookahead myopic policy compares
-queue-weighted expected service credit over the next k slots.  Gated and
-exhaustive are the classic polling disciplines used for the iid-channel
-results.
+Q1*r1 + Q2*r2 at each frame start (fbdc_frame_start) and plays that
+corner's deterministic action table for the whole frame.  The k-lookahead
+myopic policy compares queue-weighted expected service credit over the
+next k slots (myopic_action).  Gated and exhaustive are the classic
+polling disciplines used for the iid-channel results; their one-line rules
+live in the slot loop of sim.run, which owns the gate and queue counters.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import channels as ch
-from .mdp import STAY, SWITCH, mirror_policy, state_index
+from .mdp import STATES, STAY, SWITCH, mirror_policy
 from .region import fbdc_corner_map
 
 # Corner action tables (states in the fixed order 1..8).  b2 serves the own
@@ -80,21 +81,6 @@ class PolicyConfig:
         return self.kind
 
 
-@dataclass
-class Observation:
-    """What a policy sees at the start of a slot."""
-
-    m: int
-    c1: int
-    c2: int
-    q1: int
-    q2: int
-    q1_frame: int = 0
-    q2_frame: int = 0
-    slot_in_frame: int = 0
-    gate: int = 0
-
-
 def fbdc_frame_start(epsilon: float, q1_frame: int, q2_frame: int) -> tuple[int, ...]:
     """Corner table to play for the coming frame given frame-start queues.
 
@@ -106,59 +92,32 @@ def fbdc_frame_start(epsilon: float, q1_frame: int, q2_frame: int) -> tuple[int,
     return CORNER_TABLES[fbdc_corner_map(epsilon, q1_frame, q2_frame)]
 
 
-def fbdc_decide(policy_table: tuple[int, ...], obs: Observation) -> int:
-    """Action of the frame's fixed table at the observed (m, C1, C2)."""
-    return policy_table[state_index(obs.m, obs.c1, obs.c2)]
+def myopic_credit(model: ch.ChannelModel, k: int) -> tuple[float, float]:
+    """(sigma_off, sigma_on): k-slot expected service credit of a channel now OFF / ON.
+
+    Indexed by the current channel value, so ``sigma[c]`` is the credit of
+    a channel in state c.  Raises ValueError for iid channels, where the
+    lookahead prediction is undefined.
+    """
+    return ch.lookahead_sum(model, ch.OFF, k), ch.lookahead_sum(model, ch.ON, k)
 
 
-def myopic_weights(
-    config: PolicyConfig, obs: Observation, model: ch.ChannelModel
-) -> tuple[float, float]:
-    """(W_here, W_there): weighted expected departures over the next k slots.
+def myopic_action(sigma: tuple[float, float], m: int, c1: int, c2: int, w1: float, w2: float) -> int:
+    """The k-lookahead myopic rule: stay iff the current queue's weight is at least the other's.
 
-    The current queue counts its live channel plus k predicted slots; the
-    other queue counts predictions only, reflecting the slot lost to
+    ``w1``, ``w2`` are the queue weights (frame-start or current lengths).
+    The current queue counts its live channel plus the lookahead credit;
+    the other queue counts the credit only, reflecting the slot lost to
     switching.
     """
-    if model.kind != ch.GILBERT_ELLIOTT:
-        raise ValueError("myopic policy is defined for the gilbert_elliott model")
-    q1, q2 = (obs.q1_frame, obs.q2_frame) if config.frame_based else (obs.q1, obs.q2)
-    s1 = ch.lookahead_sum(model, obs.c1, config.k)
-    s2 = ch.lookahead_sum(model, obs.c2, config.k)
-    if obs.m == 1:
-        return q1 * (obs.c1 + s1), q2 * s2
-    return q2 * (obs.c2 + s2), q1 * s1
-
-
-def myopic_decide(config: PolicyConfig, obs: Observation, model: ch.ChannelModel) -> int:
-    """Stay iff the current queue's weight is at least the other queue's."""
-    w_here, w_there = myopic_weights(config, obs, model)
+    if m == 1:
+        w_here, w_there = w1 * (c1 + sigma[c1]), w2 * sigma[c2]
+    else:
+        w_here, w_there = w2 * (c2 + sigma[c2]), w1 * sigma[c1]
     return STAY if w_here >= w_there else SWITCH
 
 
 def myopic_policy_table(model: ch.ChannelModel, k: int, q1: float, q2: float) -> tuple[int, ...]:
     """Myopic decisions at all 8 states for fixed weights (q1, q2)."""
-    config = PolicyConfig("myopic", k=k, frame_based=True)
-    table = []
-    for m in (1, 2):
-        for c1 in (1, 0):
-            for c2 in (1, 0):
-                obs = Observation(m, c1, c2, 0, 0, q1_frame=q1, q2_frame=q2)
-                table.append(myopic_decide(config, obs, model))
-    return tuple(table)
-
-
-def gated_decide(obs: Observation) -> int:
-    """Serve out the gate set on arrival at the queue, then move on.
-
-    The gate only counts packets present when the server landed; it
-    decrements on successful departures (the simulator owns the counter),
-    so the server waits through OFF slots until the gate clears.
-    """
-    return STAY if obs.gate > 0 else SWITCH
-
-
-def exhaustive_decide(obs: Observation) -> int:
-    """Stay until the current queue is empty."""
-    q_here = obs.q1 if obs.m == 1 else obs.q2
-    return STAY if q_here > 0 else SWITCH
+    sigma = myopic_credit(model, k)
+    return tuple(myopic_action(sigma, m, c1, c2, q1, q2) for m, c1, c2 in STATES)

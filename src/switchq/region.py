@@ -129,7 +129,9 @@ def closed_form_region(epsilon: float) -> RateRegion:
         x + (1-e)(3-2e) y          <= (1-e)(3-2e) / 2
         x + y                      <= 3/4 - e/2
         (1-e)(3-2e) x + y          <= (1-e)(3-2e) / 2
-    plus nonnegativity in both cases.
+    plus nonnegativity in both cases.  A facet that no corner kept by the
+    flat-corner drop touches within 1e-9 is dropped too (the x + y facet
+    for epsilon just below 1/2).
     """
     e = _check_eps(epsilon)
     mid = 0.75 - e / 2
@@ -149,6 +151,7 @@ def closed_form_region(epsilon: float) -> RateRegion:
             HalfSpace(g, 1.0, g / 2),
         ]
     corners = _drop_flat_corners([pt for _, pt in corner_points(e)])
+    facets = [h for h in facets if any(abs(h.slack(c)) <= 1e-9 for c in corners)]
     return RateRegion(corners, _dedupe_halfspaces(list(AXIS_HALFSPACES) + facets))
 
 

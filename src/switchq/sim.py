@@ -77,27 +77,13 @@ class Metrics:
     d1: int
     d2: int
     switch_count: int
-    q_avg_series: tuple[float, ...]
-    window_means: tuple[float, ...] | None
-    unstable_flag: bool | None
+    window_means: tuple[float, ...] | None  # None when saturated or under 4 post-warmup slots
+    verdict: str | None  # stability_verdict(window_means), None with it
     arrivals1: int = 0
     arrivals2: int = 0
     q1_final: int = 0
     q2_final: int = 0
     trace: tuple[tuple, ...] = field(default_factory=tuple)
-
-
-def sample_arrivals(kind: str, lam: float, rng: np.random.Generator) -> int:
-    """One slot's arrival count."""
-    if lam < 0:
-        raise ValueError("arrival rate must be nonnegative")
-    if kind == BERNOULLI:
-        if lam > 1:
-            raise ValueError("bernoulli arrivals require lambda <= 1")
-        return int(rng.random() < lam)
-    if kind == POISSON:
-        return int(rng.poisson(lam))
-    raise ValueError(f"unknown arrival kind {kind!r}")
 
 
 def _arrival_array(kind: str, lam: float, horizon: int, rng: np.random.Generator) -> np.ndarray:
@@ -107,6 +93,12 @@ def _arrival_array(kind: str, lam: float, horizon: int, rng: np.random.Generator
 
 
 def stability_verdict(window_means: tuple[float, ...]) -> str:
+    """Stable / unstable / inconclusive from the means of 4 equal post-warmup windows.
+
+    Monotone growth to >3x the first window and past 50 packets reads as
+    unstable, a flat tail as stable; runs near the region boundary can
+    legitimately come back inconclusive.
+    """
     w0, w3 = window_means[0], window_means[-1]
     increasing = all(a < b for a, b in zip(window_means, window_means[1:]))
     if increasing and w3 > 3.0 * w0 and w3 > 50.0:
@@ -129,7 +121,8 @@ def run(config: SimConfig) -> Metrics:
     kind = cfg_pol.kind
     saturated = config.saturated
     epsilon = config.channel.epsilon
-    T = cfg_pol.T
+    # per-slot myopic weighs the current queues: a frame of one slot
+    T = 1 if kind == "myopic" and not cfg_pol.frame_based else cfg_pol.T
 
     table: tuple[int, ...] | None = None
     if kind == "fixed_table":
@@ -137,9 +130,8 @@ def run(config: SimConfig) -> Metrics:
     elif kind == "fixed_corner":
         table = pol.CORNER_TABLES[cfg_pol.corner]
     if kind == "myopic":
-        # lookahead credit by current channel state; fixed per run
-        sigma = (ch.lookahead_sum(config.channel, 0, cfg_pol.k),
-                 ch.lookahead_sum(config.channel, 1, cfg_pol.k))
+        sigma = pol.myopic_credit(config.channel, cfg_pol.k)
+        myopic_action = pol.myopic_action
 
     m = config.m0
     q1 = q2 = 0
@@ -153,8 +145,6 @@ def run(config: SimConfig) -> Metrics:
 
     n_post = H - warmup
     qsum = 0
-    series: list[float] = []
-    series_stride = max(1, n_post // 100)
     win_len = n_post // 4
     win_sums = [0, 0, 0, 0]
     trace_rows: list[tuple] = []
@@ -173,13 +163,7 @@ def run(config: SimConfig) -> Metrics:
         if table is not None:
             action = table[(m - 1) * 4 + (1 - c1) * 2 + (1 - c2)]
         elif kind == "myopic":
-            w1 = q1_frame if cfg_pol.frame_based else q1
-            w2 = q2_frame if cfg_pol.frame_based else q2
-            if m == 1:
-                w_here, w_there = w1 * (c1 + sigma[c1]), w2 * sigma[c2]
-            else:
-                w_here, w_there = w2 * (c2 + sigma[c2]), w1 * sigma[c1]
-            action = STAY if w_here >= w_there else SWITCH
+            action = myopic_action(sigma, m, c1, c2, q1_frame, q2_frame)
         elif kind == "gated":
             if just_arrived:
                 gate = q1 if m == 1 else q2
@@ -194,8 +178,6 @@ def run(config: SimConfig) -> Metrics:
             k = t - warmup
             if k < 4 * win_len:
                 win_sums[k // win_len] += q1 + q2
-            if (k + 1) % series_stride == 0:
-                series.append(qsum / (k + 1))
 
         # stage 3: serve or switch
         dep1 = dep2 = 0
@@ -233,10 +215,10 @@ def run(config: SimConfig) -> Metrics:
             arrivals2 += a2
 
     window_means: tuple[float, ...] | None = None
-    unstable: bool | None = None
+    verdict: str | None = None
     if not saturated and win_len >= 1:
         window_means = tuple(s / win_len for s in win_sums)
-        unstable = stability_verdict(window_means) == "unstable"
+        verdict = stability_verdict(window_means)
     return Metrics(
         q_avg=qsum / n_post,
         rate1=d1_post / n_post,
@@ -244,9 +226,8 @@ def run(config: SimConfig) -> Metrics:
         d1=d1,
         d2=d2,
         switch_count=switch_count,
-        q_avg_series=tuple(series),
         window_means=window_means,
-        unstable_flag=unstable,
+        verdict=verdict,
         arrivals1=arrivals1,
         arrivals2=arrivals2,
         q1_final=q1,
@@ -311,19 +292,3 @@ def saturated_rates_batch(
                 acc2 += stay & (m == 2)
         m = np.where(stay, m, 3 - m)
     return np.stack([acc1, acc2], axis=1) / float(horizon)
-
-
-def stability_probe(config: SimConfig) -> str:
-    """Classify a run as stable / unstable / inconclusive from windowed queue growth.
-
-    The post-warmup horizon splits into 4 equal windows; monotone growth of
-    the window means to >3x the first window and past an absolute floor of
-    50 packets reads as unstable, a flat tail as stable.  Probe points near
-    the region boundary can legitimately come back inconclusive.
-    """
-    if config.saturated:
-        raise ValueError("stability probe applies to the unsaturated system")
-    if config.horizon - config.warmup < 4000:
-        raise ValueError("probe needs at least 4000 post-warmup slots")
-    metrics = run(config)
-    return stability_verdict(metrics.window_means)

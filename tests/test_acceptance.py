@@ -111,7 +111,7 @@ def _probe(lam, policy, seed):
         lambda1=lam[0], lambda2=lam[1], channel=ch.gilbert_elliott(0.25),
         policy=policy, horizon=100_000, seed=seed,
     )
-    return sim.stability_probe(config)
+    return sim.run(config).verdict
 
 
 def test_criterion_5_fbdc_stability():

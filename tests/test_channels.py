@@ -43,14 +43,16 @@ def test_sample_initial_iid_joint_uniform():
     assert np.all(np.abs(counts / n - 0.25) < 0.01)
 
 
+def _on_after(path, state):
+    """Frequency of ON in the slot after each slot in `state`."""
+    return path[1:][path[:-1] == state].mean()
+
+
 def test_step_half_epsilon_is_memoryless():
     rng = np.random.default_rng(3)
-    model = ch.gilbert_elliott(0.5)
-    n = 100_000
-    on_from_on = sum(ch.step(model, (1, 1), rng)[0] for _ in range(n))
-    on_from_off = sum(ch.step(model, (0, 0), rng)[0] for _ in range(n))
-    assert abs(on_from_on / n - 0.5) < 0.01
-    assert abs(on_from_off / n - 0.5) < 0.01
+    for path in ch.generate_paths(ch.gilbert_elliott(0.5), 200_000, rng):
+        assert abs(_on_after(path, 1) - 0.5) < 0.01
+        assert abs(_on_after(path, 0) - 0.5) < 0.01
 
 
 def test_step_stay_probability():
@@ -64,12 +66,10 @@ def test_step_stay_probability():
 
 def test_step_iid_independent_of_input():
     rng = np.random.default_rng(5)
-    model = ch.iid(0.3, 0.7)
-    n = 50_000
-    from_on = sum(ch.step(model, (1, 1), rng)[0] for _ in range(n)) / n
-    from_off = sum(ch.step(model, (0, 0), rng)[0] for _ in range(n)) / n
-    assert abs(from_on - 0.3) < 0.01
-    assert abs(from_off - 0.3) < 0.01
+    c1, c2 = ch.generate_paths(ch.iid(0.3, 0.7), 200_000, rng)
+    for path, p in ((c1, 0.3), (c2, 0.7)):
+        assert abs(_on_after(path, 1) - p) < 0.01
+        assert abs(_on_after(path, 0) - p) < 0.01
 
 
 def test_predict_one_step():

@@ -13,7 +13,8 @@ def test_region_command_writes_sections(tmp_path):
 
 def test_region_check_passes(tmp_path):
     out = tmp_path / "region.csv"
-    assert main(["region", "--epsilon", "0.3", "--out", str(out), "--check"]) == 0
+    for eps in ("0.3", "0.4999999974"):
+        assert main(["region", "--epsilon", eps, "--out", str(out), "--check"]) == 0, eps
 
 
 def test_sweep_command_deterministic_bytes(tmp_path):
@@ -74,9 +75,20 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert len(out.read_text().splitlines()) == 101
 
 
-def test_config_errors_exit_one(tmp_path):
-    assert main(["sweep", "--policy", "mystery", "--epsilon", "0.3"]) == 1
-    assert main(["saturated", "--epsilon", "0.25"]) == 1  # no corner or policy id
+def test_config_errors_exit_one(tmp_path, capsys):
+    # each bad input exits 1 with one stderr line that names the offending flag
+    for argv, flag in (
+        (["sweep", "--policy", "mystery", "--epsilon", "0.3"], "policy"),
+        (["saturated", "--epsilon", "0.25"], "--corner"),  # no corner or policy id
+        (["sweep", "--epsilon", "0.25", "--horizon", "3", "--step", "0.2"], "horizon"),
+        (["gap", "--epsilon", "0.25", "--T-list", "0"], "--T-list"),
+        (["gap", "--epsilon", "0.25", "--T-list", "10,x"], "--T-list"),
+        (["psi", "--eps-step", "0"], "--eps-step"),
+        (["psi", "--ratio-points", "0"], "--ratio-points"),
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err, (argv, err)
     missing = tmp_path / "nope.cfg"
     assert main(["trace", "--config", str(missing), "--lambda1", "0", "--lambda2", "0"]) == 1
 
@@ -88,3 +100,6 @@ def test_psi_command_small_grid(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "case,region,bound,minimum,argmin_epsilon,argmin_ratio"
     assert len(lines) == 8
+    for line in lines[1:]:
+        for field in line.split(",")[2:]:
+            float(field)  # every numeric field parses

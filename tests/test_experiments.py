@@ -28,6 +28,9 @@ def test_gridspec_validation():
         exp.GridSpec(policies=())  # neither epsilon nor p1/p2
     with pytest.raises(ValueError):
         exp.GridSpec(policies=(), epsilon=0.3, p1=0.5, p2=0.5)
+    with pytest.raises(ValueError):
+        exp.GridSpec(policies=(), epsilon=0.3, horizon=10, warmup=7)  # no room for 4 windows
+    exp.GridSpec(policies=(), epsilon=0.3, horizon=10, warmup=6)
 
 
 def test_grid_points_cover_region_and_rim():
@@ -180,5 +183,5 @@ def test_parse_config():
 
 
 def test_float_formatting_roundtrips():
-    for x in (0.1, 1 / 3, 0.25, 1e-9):
+    for x in (0.1, 1 / 3, 0.25, 1e-9, np.float64(0.9002)):
         assert float(exp._fmt(x)) == x

@@ -4,6 +4,7 @@ import pytest
 from switchq import channels as ch
 from switchq import mdp
 from switchq import policies as pol
+from switchq import sim
 from switchq.mdp import STAY, SWITCH
 from switchq.region import EPS_CRITICAL, myopic_corner_map
 
@@ -64,73 +65,93 @@ def test_fbdc_frame_start_matches_weighted_argmax():
         assert table == pol.CORNER_TABLES[best] or fbdc_corner_map(eps, q1, q2) == best
 
 
+def _trace_rows(policy, channel=GE, lam=(0.25, 0.25), horizon=4000, seed=3):
+    config = sim.SimConfig(lambda1=lam[0], lambda2=lam[1], channel=channel, policy=policy,
+                           horizon=horizon, seed=seed, trace_every=1)
+    return sim.run(config).trace
+
+
+def _frame_start_queues(rows, T):
+    """(q1, q2) read at the first slot of each row's frame."""
+    return [(rows[t - t % T][4], rows[t - t % T][5]) for t in range(len(rows))]
+
+
 def test_fbdc_decide_reads_the_frame_table():
-    obs = pol.Observation(m=1, c1=1, c2=1, q1=3, q2=9)
-    assert pol.fbdc_decide(pol.CORNER_TABLES["b0"], obs) == SWITCH
-    assert pol.fbdc_decide(pol.CORNER_TABLES["b2"], obs) == STAY
-    assert pol.fbdc_decide(pol.CORNER_TABLES["b1"], obs) == SWITCH
+    # every fbdc action is the frame-start corner table's entry at the row's state
+    rows = _trace_rows(pol.PolicyConfig("fbdc", T=10))
+    tables = [pol.fbdc_frame_start(0.25, f1, f2) for f1, f2 in _frame_start_queues(rows, 10)]
+    for (t, m, c1, c2, q1, q2, action, _, _), table in zip(rows, tables):
+        assert action == table[mdp.state_index(m, c1, c2)], t
+    assert len(set(tables)) >= 2
 
 
 def test_fbdc_is_channel_measurable_within_a_frame():
-    table = pol.fbdc_frame_start(0.25, 4, 7)
-    for m in (1, 2):
-        for c1 in (0, 1):
-            for c2 in (0, 1):
-                base = pol.Observation(m, c1, c2, q1=4, q2=7)
-                perturbed = pol.Observation(m, c1, c2, q1=400, q2=0)
-                assert pol.fbdc_decide(table, base) == pol.fbdc_decide(table, perturbed)
+    # inside a frame the action depends on (m, C1, C2) only, not on the live queues
+    rows = _trace_rows(pol.PolicyConfig("fbdc", T=25), lam=(0.3, 0.3))
+    first_seen = {}
+    queues_moved = False
+    for t, m, c1, c2, q1, q2, action, _, _ in rows:
+        seen_action, seen_q1, seen_q2 = first_seen.setdefault((t // 25, m, c1, c2), (action, q1, q2))
+        assert action == seen_action, t
+        queues_moved |= (q1, q2) != (seen_q1, seen_q2)
+    assert queues_moved
 
 
 def test_myopic_weights_worked_examples():
-    config = pol.PolicyConfig("myopic", k=1, frame_based=False)
-    obs = pol.Observation(m=1, c1=1, c2=0, q1=3, q2=10)
-    w_here, w_there = pol.myopic_weights(config, obs, GE)
-    assert w_here == pytest.approx(5.25)
-    assert w_there == pytest.approx(2.5)
-    assert pol.myopic_decide(config, obs, GE) == STAY
-
-    obs = pol.Observation(m=1, c1=0, c2=1, q1=1, q2=1)
-    w_here, w_there = pol.myopic_weights(config, obs, GE)
-    assert (w_here, w_there) == (pytest.approx(0.25), pytest.approx(0.75))
-    assert pol.myopic_decide(config, obs, GE) == SWITCH
+    sigma = pol.myopic_credit(GE, 1)
+    assert sigma == (pytest.approx(0.25), pytest.approx(0.75))
+    # W_here = 3 * (1 + 0.75) = 5.25 against W_there = q2 * 0.25
+    assert pol.myopic_action(sigma, 1, 1, 0, 3, 10) == STAY
+    assert pol.myopic_action(sigma, 1, 1, 0, 3, 21.001) == SWITCH
+    # W_here = 1 * (0 + 0.25) against W_there = 1 * 0.75
+    assert pol.myopic_action(sigma, 1, 0, 1, 1, 1) == SWITCH
+    assert pol.myopic_action(sigma, 1, 0, 1, 3.001, 1) == STAY
 
 
 def test_myopic_exact_tie_stays():
     # q2/q1 = (2-e)/(1-e) = 7/3 at e=1/4 makes W1 == W2 exactly
-    config = pol.PolicyConfig("myopic", k=1, frame_based=False)
-    obs = pol.Observation(m=1, c1=1, c2=1, q1=3, q2=7)
-    w_here, w_there = pol.myopic_weights(config, obs, GE)
-    assert w_here == w_there
-    assert pol.myopic_decide(config, obs, GE) == STAY
+    sigma = pol.myopic_credit(GE, 1)
+    assert 3 * (1 + sigma[1]) == 7 * sigma[1]
+    assert pol.myopic_action(sigma, 1, 1, 1, 3, 7) == STAY
+    assert pol.myopic_action(sigma, 1, 1, 1, 3, 7.001) == SWITCH
 
 
 def test_myopic_two_step_lookahead_values():
-    config = pol.PolicyConfig("myopic", k=2, frame_based=False)
-    obs = pol.Observation(m=1, c1=1, c2=0, q1=1, q2=1)
-    w_here, w_there = pol.myopic_weights(config, obs, GE)
-    assert w_here == pytest.approx(1 + 0.75 + 0.625)
-    assert w_there == pytest.approx(0.25 + 0.375)
+    sigma = pol.myopic_credit(GE, 2)
+    assert sigma == (pytest.approx(0.25 + 0.375), pytest.approx(0.75 + 0.625))
+    # W_here = 1 + 0.75 + 0.625 = 2.375 against W_there = q2 * 0.625, even at q2 = 3.8
+    assert pol.myopic_action(sigma, 1, 1, 0, 1, 3.7) == STAY
+    assert pol.myopic_action(sigma, 1, 1, 0, 1, 3.9) == SWITCH
 
 
 def test_myopic_frame_weights_come_from_frame_start():
-    config = pol.PolicyConfig("myopic", k=1, frame_based=True)
-    obs = pol.Observation(m=1, c1=1, c2=0, q1=0, q2=999, q1_frame=3, q2_frame=10)
-    assert pol.myopic_decide(config, obs, GE) == STAY  # uses (3, 10), not (0, 999)
+    # frame myopic weighs the frame-start queues, not the live ones
+    rows = _trace_rows(pol.PolicyConfig("myopic", T=25, k=1), lam=(0.3, 0.3))
+    sigma = pol.myopic_credit(GE, 1)
+    live_rule_differs = 0
+    for (t, m, c1, c2, q1, q2, action, _, _), (f1, f2) in zip(rows, _frame_start_queues(rows, 25)):
+        assert action == pol.myopic_action(sigma, m, c1, c2, f1, f2), t
+        live_rule_differs += action != pol.myopic_action(sigma, m, c1, c2, q1, q2)
+    assert live_rule_differs > 0
 
 
 def test_myopic_rejects_iid_channels():
-    config = pol.PolicyConfig("myopic")
-    obs = pol.Observation(m=1, c1=1, c2=1, q1=1, q2=1)
     with pytest.raises(ValueError):
-        pol.myopic_decide(config, obs, ch.iid(0.5, 0.5))
+        pol.myopic_credit(ch.iid(0.5, 0.5), 1)
+    with pytest.raises(ValueError):
+        sim.SimConfig(lambda1=0.1, lambda2=0.1, channel=ch.iid(0.5, 0.5),
+                      policy=pol.PolicyConfig("myopic"), horizon=100, seed=0)
 
 
 def test_myopic_at_queue_two_mirrors():
-    config = pol.PolicyConfig("myopic", k=1, frame_based=False)
-    obs = pol.Observation(m=2, c1=0, c2=1, q1=10, q2=3)
-    w_here, w_there = pol.myopic_weights(config, obs, GE)
-    assert w_here == pytest.approx(5.25)
-    assert w_there == pytest.approx(2.5)
+    sigma = pol.myopic_credit(GE, 1)
+    assert pol.myopic_action(sigma, 2, 0, 1, 10, 3) == STAY
+    assert pol.myopic_action(sigma, 2, 0, 1, 21.001, 3) == SWITCH
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        w1, w2 = rng.integers(0, 50, 2)
+        for m, c1, c2 in mdp.STATES:
+            assert pol.myopic_action(sigma, m, c1, c2, w1, w2) == pol.myopic_action(sigma, 3 - m, c2, c1, w2, w1)
 
 
 def _thresholds(eps):
@@ -179,11 +200,24 @@ def test_corner_table_stationary_rates_equal_corner_points(eps):
 
 
 def test_gated_decide():
-    assert pol.gated_decide(pol.Observation(1, 0, 0, 5, 0, gate=3)) == STAY
-    assert pol.gated_decide(pol.Observation(1, 1, 1, 5, 0, gate=0)) == SWITCH
+    # each visit serves exactly the packets present when the server landed, then leaves
+    rows = _trace_rows(pol.PolicyConfig("gated"), channel=ch.iid(0.5, 0.7), lam=(0.2, 0.3))
+    gate = None
+    served_visits = 0
+    for t, m, c1, c2, q1, q2, action, d1, d2 in rows:
+        if gate is None:
+            gate = q1 if m == 1 else q2
+            served_visits += gate > 0
+        assert (action == STAY) == (gate > 0), t
+        gate -= d1 + d2
+        if action == SWITCH:
+            gate = None
+    assert served_visits > 100
 
 
 def test_exhaustive_decide():
-    assert pol.exhaustive_decide(pol.Observation(1, 0, 1, 5, 0)) == STAY
-    assert pol.exhaustive_decide(pol.Observation(1, 1, 1, 0, 9)) == SWITCH
-    assert pol.exhaustive_decide(pol.Observation(2, 1, 1, 9, 0)) == SWITCH
+    # stay iff the queue at the server is non-empty
+    rows = _trace_rows(pol.PolicyConfig("exhaustive"), channel=ch.iid(0.5, 0.7), lam=(0.2, 0.3))
+    for t, m, c1, c2, q1, q2, action, _, _ in rows:
+        assert (action == STAY) == ((q1 if m == 1 else q2) > 0), t
+    assert {r[6] for r in rows} == {STAY, SWITCH}
