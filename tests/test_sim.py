@@ -83,9 +83,16 @@ def test_warmup_defaults_to_a_tenth_of_the_horizon():
 def test_unstable_flag_set_on_overloaded_run():
     metrics = sim.run(make_config(lambda1=0.4, lambda2=0.4, horizon=60_000))
     assert metrics.verdict == "unstable"
-    assert metrics.verdict == sim.stability_verdict(metrics.window_means)
     calm = sim.run(make_config(lambda1=0.1, lambda2=0.1))
     assert calm.verdict == "stable"
+
+
+def test_stability_probe_overloaded_system():
+    metrics = sim.run(make_config(lambda1=0.4, lambda2=0.4, horizon=60_000))
+    means = metrics.window_means
+    assert len(means) == 4
+    assert all(a < b for a, b in zip(means, means[1:]))
+    assert sim.stability_verdict(means) == "unstable"
 
 
 def test_switch_everywhere_serves_nothing():
