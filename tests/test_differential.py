@@ -1,16 +1,20 @@
-"""Pinned sha256 digests of small CSVs.
+"""Pinned sha256 digests of small CSVs, saturated rates and counters.
 
 The same config and seed must keep producing the same CSV bytes, so a
-refactor of the slot loop or of a policy rule has to leave every digest
-below unchanged.
+refactor of the slot loop, of a policy rule or of the saturated engine
+has to leave every digest below unchanged.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from switchq import channels as ch
 from switchq import experiments as exp
+from switchq import mdp
 from switchq import policies as pol
+from switchq import sim
 from switchq.cli import main
 
 
@@ -54,3 +58,87 @@ def test_trace_csv_digest(flags, tmp_path):
             "--trace-every", "3", "--seed", "5", "--out", str(out), *flags]
     assert main(args) == 0
     assert _sha(out.read_text(encoding="utf-8")) == TRACE_DIGESTS[flags]
+
+
+# -- saturated engine ------------------------------------------------------
+# Digests of the saturated rates, CSVs and counters; a rewrite of the
+# saturated engine must reproduce every one.  The cases cover horizons that
+# are not a multiple of a block length, horizons shorter than one block,
+# warmup 0 and a start at queue 2.
+
+def _rates_sha(rates) -> str:
+    return hashlib.sha256(np.ascontiguousarray(rates, dtype=np.float64).tobytes()).hexdigest()
+
+
+BATCH_DIGESTS = {
+    # (epsilon, seed, horizon, warmup, m0)
+    (0.1, 11, 5003, 200, 1): "600e158a9ce07a4a036cfd5c0aa331c8d13ccde67d687c05c82f978fc6c46fdb",
+    (0.4, 12, 5, 0, 1): "d1c9725d46756ba24f6be18703030bafa83cb0451a3985270ad7220af5beb97f",
+    (0.25, 13, 3, 7, 2): "2848e924a2905beb66498304f2b2d8d49951e7167653923abcafcd1528a6b78b",
+    (0.5, 14, 6000, 0, 2): "c17625d44b2e10eee531218efe071f4d40318e81fb1d5748f1c489d32a5ccc06",
+    (0.05, 15, 4001, 1999, 1): "7b9516a6442b372371fa64dbc5131f0543987e4ff6392e95cb20cba0e3a59bcf",
+    (0.3, 16, 1, 1, 2): "ad7facb2586fc6e966c004d7d1d16b024f5805ff7cb47c7a85dabd8b48892ca7",
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_DIGESTS), ids=str)
+def test_saturated_batch_digest(case):
+    eps, seed, horizon, warmup, m0 = case
+    rates = sim.saturated_rates_batch(mdp.all_policies(), eps, horizon=horizon, seed=seed, warmup=warmup, m0=m0)
+    assert rates.shape == (256, 2)
+    assert _rates_sha(rates) == BATCH_DIGESTS[case]
+
+
+SATURATED_CLI_DIGESTS = {
+    "b0": "f37d112dcd5b728aa514148b2f4d9b2b3881e9d591096117496672bc156b4fa0",
+    "b1": "deb6e2a514ae11c08eb1cf997acb4894a63a53cbe9925a939323859da173d0ab",
+    "b2": "0dcabbb2710f5420c857180f8424dcb2cd7cf0b5efe859cd00da9d9333c0fc21",
+    "b3": "57f4886d07a400ecfec4dc5ee7615d0b86ab78c58760391c2ea43043d69ca583",
+    "b4": "ae07c6a67f3635a9f5d20ef883bf152c4234bfdeba9e9ef8f7e93963e2bcd95f",
+    "b5": "b230b2d369c65fbcbdf8b7cbab529d12ae3f7dc91a9fcefdbd3284ab12cd9c22",
+}
+
+
+@pytest.mark.parametrize("corner", list(SATURATED_CLI_DIGESTS))
+def test_saturated_csv_digest(corner, tmp_path):
+    out = tmp_path / "sat.csv"
+    assert main(["saturated", "--epsilon", "0.3", "--corner", corner, "--horizon", "20001",
+                 "--seed", "17", "--out", str(out)]) == 0
+    assert _sha(out.read_text(encoding="utf-8")) == SATURATED_CLI_DIGESTS[corner]
+
+
+GAP_DIGESTS = {
+    ("0.25", "b2"): "71c104d9dc29fc9b8590d86c1843456801c3805e5fa341ab7552f46e0dab6a59",
+    ("0.1", "b4"): "46767f3c2cf0e8509f0e79b511fc4902952c91bf3d3eb4e5e6885925ece858cd",
+}
+
+
+@pytest.mark.parametrize("eps_corner", list(GAP_DIGESTS), ids="-".join)
+def test_gap_csv_digest(eps_corner, tmp_path):
+    eps, corner = eps_corner
+    out = tmp_path / "gap.csv"
+    assert main(["gap", "--epsilon", eps, "--corner", corner, "--T-list", "1,2,7,25,1000",
+                 "--horizon", "20000", "--seed", "19", "--out", str(out)]) == 0
+    assert _sha(out.read_text(encoding="utf-8")) == GAP_DIGESTS[eps_corner]
+
+
+SATURATED_RUN_DIGESTS = {
+    # (policy id, epsilon, horizon, warmup, m0)
+    (255, 0.25, 7, 3, 2): "dc238be50c61311337df4a8447327cd14be150900c2f95aba9d123221c89d995",
+    (37, 0.2, 10_007, 0, 1): "4e67ea2056f1d9922adc48b9c20007fdd5cea457d2f874cb7e2deff2a68f4725",
+    (200, 0.45, 5, 4, 1): "e296dfdc52070a056a3503d0e8436c69ea09413da83aa396a700523977e8aaa9",
+    (75, 0.3, 12_345, 678, 2): "7eff75c153b5f12dc342dca9c0cda2ed8ac9df366fe28b0990cecd35e4ac95c0",  # corner b1
+}
+
+
+@pytest.mark.parametrize("case", list(SATURATED_RUN_DIGESTS), ids=str)
+def test_saturated_run_counters_digest(case):
+    pid, eps, horizon, warmup, m0 = case
+    config = sim.SimConfig(
+        lambda1=0.0, lambda2=0.0, channel=ch.gilbert_elliott(eps),
+        policy=pol.PolicyConfig("fixed_table", table=mdp.policy_from_id(pid)),
+        horizon=horizon, warmup=warmup, seed=pid + horizon, saturated=True, m0=m0,
+    )
+    m = sim.run(config)
+    counters = (m.rate1, m.rate2, m.d1, m.d2, m.switch_count)
+    assert _sha(repr(counters)) == SATURATED_RUN_DIGESTS[case]
