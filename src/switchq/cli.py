@@ -93,6 +93,8 @@ def _cmd_saturated(args) -> int:
         label = f"policy_{args.policy_id}"
     else:
         raise ValueError("give --corner or --policy-id")
+    if args.horizon < 1:
+        raise ValueError(f"--horizon must be at least 1, got {args.horizon}")
     emp = sim.saturated_rate(table, args.epsilon, args.horizon, args.seed, warmup=2000)
     kernel = mdp.build_kernel(args.epsilon)
     pi = mdp.stationary_distribution(kernel, table)
@@ -130,6 +132,8 @@ def _cmd_gap(args) -> int:
     parts = args.T_list.split(",")
     if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
         raise ValueError(f"--T-list needs comma-separated frame lengths >= 1, got {args.T_list!r}")
+    if args.horizon < 1:
+        raise ValueError(f"--horizon must be at least 1, got {args.horizon}")
     t_list = tuple(int(x) for x in parts)
     rows = exp.throughput_gap(args.epsilon, t_list, args.corner, slots_per_t=args.horizon, seed=args.seed)
     _write(args.out, exp.rows_to_csv(("T", "rate_deficit"), rows))
@@ -137,7 +141,10 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_iid(args) -> int:
-    rho_points = tuple(float(x) for x in args.rho.split(","))
+    try:
+        rho_points = tuple(float(x) for x in args.rho.split(","))
+    except ValueError:
+        raise ValueError(f"--rho needs comma-separated loads, got {args.rho!r}") from None
     rows = exp.iid_suite(args.p1, args.p2, rho_points, horizon=args.horizon, seed=args.seed)
     _write(args.out, exp.rows_to_csv(exp.IID_HEADER, rows))
     if args.check:

@@ -372,9 +372,9 @@ def throughput_gap(
     total rate.  The deficit shrinks as T grows past the chain's mixing
     time.
     """
-    from .mdp import build_kernel, policy_rates, stationary_distribution
+    from .mdp import build_kernel, policy_rates, state_index, stationary_distribution
 
-    table = np.asarray(pol.CORNER_TABLES[corner], dtype=np.int64)
+    luts = sim._saturated_luts([pol.CORNER_TABLES[corner]])
     kernel = build_kernel(epsilon)
     pi = stationary_distribution(kernel, pol.CORNER_TABLES[corner])
     r1, r2 = policy_rates(pi, pol.CORNER_TABLES[corner])
@@ -385,17 +385,16 @@ def throughput_gap(
         m = rng.integers(1, 3, size=n_frames)
         c1 = rng.integers(0, 2, size=n_frames)
         c2 = rng.integers(0, 2, size=n_frames)
-        flips1 = rng.random((n_frames, T)) < epsilon
-        flips2 = rng.random((n_frames, T)) < epsilon
+        flips1 = (rng.random((n_frames, T)) < epsilon).T.copy()  # time first, frames as rows
+        flips2 = (rng.random((n_frames, T)) < epsilon).T.copy()
+        flips1[0] = flips2[0] = False  # slot 0 is the drawn start state
+        c1s = np.logical_xor.accumulate(flips1) ^ (c1 == 1)
+        c2s = np.logical_xor.accumulate(flips2) ^ (c2 == 1)
+        x = state_index(1, c1s.astype(np.int8), c2s.astype(np.int8))
         departures = 0
-        for t in range(T):
-            if t > 0:
-                c1 = c1 ^ flips1[:, t]
-                c2 = c2 ^ flips2[:, t]
-            s = (m - 1) * 4 + (1 - c1) * 2 + (1 - c2)
-            stay = table[s] == 1
-            departures += int(np.count_nonzero(stay & (((m == 1) & (c1 == 1)) | ((m == 2) & (c2 == 1)))))
-            m = np.where(stay, m, 3 - m)
+        for f in range(0, n_frames, sim._ROWS):
+            _, counts = sim._saturated_steps(luts, m[f : f + sim._ROWS] - 1, x[:, f : f + sim._ROWS])
+            departures += int(counts[:2].sum())
         deficit = (r1 + r2) - departures / (n_frames * T)
         out.append((T, deficit))
     return out

@@ -14,12 +14,13 @@ Slot contract, in order within slot t:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
 from . import channels as ch
 from . import policies as pol
-from .mdp import STAY, SWITCH
+from .mdp import STAY, SWITCH, state_index
 
 BERNOULLI = "bernoulli"
 POISSON = "poisson"
@@ -63,6 +64,8 @@ class SimConfig:
             raise ValueError("m0 must be 1 or 2")
         if self.saturated and self.policy.kind not in ("fixed_table", "fixed_corner"):
             raise ValueError("saturated mode supports fixed_table/fixed_corner policies only")
+        if self.saturated and self.trace_every:
+            raise ValueError("saturated runs write no trace rows")
         if self.policy.kind in ("fbdc", "myopic") and self.channel.kind != ch.GILBERT_ELLIOTT:
             raise ValueError(f"{self.policy.kind} policy requires the gilbert_elliott channel model")
 
@@ -113,13 +116,9 @@ def run(config: SimConfig) -> Metrics:
     H, warmup = config.horizon, config.warmup
     rng = np.random.default_rng(config.seed)
     c1s, c2s = ch.generate_paths(config.channel, H, rng)
-    a1s = _arrival_array(config.arrival_kind, config.lambda1, H, rng)
-    a2s = _arrival_array(config.arrival_kind, config.lambda2, H, rng)
-    c1s, c2s, a1s, a2s = c1s.tolist(), c2s.tolist(), a1s.tolist(), a2s.tolist()
 
     cfg_pol = config.policy
     kind = cfg_pol.kind
-    saturated = config.saturated
     epsilon = config.channel.epsilon
     # per-slot myopic weighs the current queues: a frame of one slot
     T = 1 if kind == "myopic" and not cfg_pol.frame_based else cfg_pol.T
@@ -129,6 +128,18 @@ def run(config: SimConfig) -> Metrics:
         table = cfg_pol.table
     elif kind == "fixed_corner":
         table = pol.CORNER_TABLES[cfg_pol.corner]
+    if config.saturated:  # infinite backlog: the saturated engine below replaces the slot loop
+        luts, x = _saturated_luts([table]), state_index(1, c1s, c2s)
+        state, warm = _saturated_path(luts, x[:warmup], np.array([config.m0 - 1]))
+        post = _saturated_path(luts, x[warmup:], state)[1][:, 0].tolist()
+        d1, d2, switches = (warm[:, 0] + post).tolist()
+        n_post = H - warmup
+        return Metrics(q_avg=0 / n_post, rate1=post[0] / n_post, rate2=post[1] / n_post, d1=d1, d2=d2,
+                       switch_count=switches, window_means=None, verdict=None)
+    a1s = _arrival_array(config.arrival_kind, config.lambda1, H, rng)
+    a2s = _arrival_array(config.arrival_kind, config.lambda2, H, rng)
+    c1s, c2s, a1s, a2s = c1s.tolist(), c2s.tolist(), a1s.tolist(), a2s.tolist()
+
     if kind == "myopic":
         sigma = pol.myopic_credit(config.channel, cfg_pol.k)
         myopic_action = pol.myopic_action
@@ -182,9 +193,9 @@ def run(config: SimConfig) -> Metrics:
         # stage 3: serve or switch
         dep1 = dep2 = 0
         if action == STAY:
-            if m == 1 and c1 == 1 and (saturated or q1 > 0):
+            if m == 1 and c1 == 1 and q1 > 0:
                 dep1 = 1
-            elif m == 2 and c2 == 1 and (saturated or q2 > 0):
+            elif m == 2 and c2 == 1 and q2 > 0:
                 dep2 = 1
         if trace_every and t % trace_every == 0:
             trace_rows.append((t, m, c1, c2, q1, q2, action, dep1, dep2))
@@ -194,9 +205,8 @@ def run(config: SimConfig) -> Metrics:
             if post:
                 d1_post += dep1
                 d2_post += dep2
-            if not saturated:
-                q1 -= dep1
-                q2 -= dep2
+            q1 -= dep1
+            q2 -= dep2
             if kind == "gated":
                 gate -= 1
         if action != STAY:
@@ -206,17 +216,16 @@ def run(config: SimConfig) -> Metrics:
                 just_arrived = True
 
         # stage 4: arrivals
-        if not saturated:
-            a1 = a1s[t]
-            a2 = a2s[t]
-            q1 += a1
-            q2 += a2
-            arrivals1 += a1
-            arrivals2 += a2
+        a1 = a1s[t]
+        a2 = a2s[t]
+        q1 += a1
+        q2 += a2
+        arrivals1 += a1
+        arrivals2 += a2
 
     window_means: tuple[float, ...] | None = None
     verdict: str | None = None
-    if not saturated and win_len >= 1:
+    if win_len >= 1:
         window_means = tuple(s / win_len for s in win_sums)
         verdict = stability_verdict(window_means)
     return Metrics(
@@ -265,30 +274,78 @@ def saturated_rates_batch(
     """Empirical saturated rates of many tables over one shared channel path.
 
     The channels are exogenous, so a single path drives every table; only
-    the server position differs per table.  Vectorizing across tables keeps
-    the 256-policy oracle check within its runtime budget.
+    the server position differs per table.  The saturated engine below
+    steps all tables side by side, a block of slots per lookup.
     """
     rng = np.random.default_rng(seed)
-    total = warmup + horizon
-    c1s, c2s = ch.generate_paths(ch.gilbert_elliott(epsilon), total, rng)
-    cidx = ((1 - c1s.astype(np.int64)) * 2 + (1 - c2s.astype(np.int64))).tolist()
-    c1_list = c1s.tolist()
-    c2_list = c2s.tolist()
+    c1s, c2s = ch.generate_paths(ch.gilbert_elliott(epsilon), warmup + horizon, rng)
+    x, luts = state_index(1, c1s, c2s), _saturated_luts(tables)
+    state, _ = _saturated_path(luts, x[:warmup], 2 * np.arange(len(tables)) + (m0 - 1))
+    return np.stack(_saturated_path(luts, x[warmup:], state)[1][:2], axis=1) / float(horizon)
 
-    tab = np.asarray(tables, dtype=np.int64)
-    n = tab.shape[0]
-    rows = np.arange(n)
-    m = np.full(n, m0, dtype=np.int64)
-    acc1 = np.zeros(n, dtype=np.int64)
-    acc2 = np.zeros(n, dtype=np.int64)
 
-    for t in range(total):
-        s = (m - 1) * 4 + cidx[t]
-        stay = tab[rows, s] == 1
-        if t >= warmup:
-            if c1_list[t]:
-                acc1 += stay & (m == 1)
-            if c2_list[t]:
-                acc2 += stay & (m == 2)
-        m = np.where(stay, m, 3 - m)
-    return np.stack([acc1, acc2], axis=1) / float(horizon)
+# ---------------------------------------------------------------------------
+# saturated engine
+#
+# The channels never depend on the server, so under a fixed table the server
+# position is a 2-state automaton driven by the channel symbol
+# state_index(1, c1, c2) = (1-c1)*2 + (1-c2).  A state j*2 + m-1 is table j
+# at queue m.  For every code of _BLOCK symbols (first slot most significant)
+# and every state, the lookup tables give the state after the block and its
+# counts packed as d1 + 2**8*d2 + 2**16*switches.
+
+_BLOCK = 4
+_ROWS = 4096  # states stepped side by side
+_FLUSH = 16  # lookups between count unpackings; _FLUSH * _BLOCK < 2**8
+
+
+def _saturated_luts(tables: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables indexed code * n_states + state; code 4**_BLOCK + symbol steps one slot."""
+    stay = np.asarray(tables).reshape(-1, 2, 4).transpose(2, 0, 1) == STAY  # [symbol, table, m-1]
+    m, x = np.arange(2), np.arange(4)[:, None, None]
+    nxt1 = (2 * np.arange(stay.shape[1])[:, None] + np.where(stay, m, 1 - m)).reshape(4, -1).astype(np.int16)
+    cnt1 = (stay & (m == 0) & (x < 2)) + (stay & (m == 1) & (x % 2 == 0)) * 2**8 + ~stay * 2**16
+    cnt1 = cnt1.reshape(4, -1).astype(np.int32)
+    nxt, cnt = nxt1, cnt1
+    for _ in range(_BLOCK - 1):  # one slot more: code -> code * 4 + symbol
+        cnt = (cnt[:, None] + cnt1[:, nxt].swapaxes(0, 1)).reshape(-1, nxt.shape[1])
+        nxt = nxt1[:, nxt].swapaxes(0, 1).reshape(cnt.shape)
+    return np.concatenate([nxt.ravel(), nxt1.ravel()]), np.concatenate([cnt.ravel(), cnt1.ravel()])
+
+
+def _saturated_steps(luts, state: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Step every state through its symbols x (time first); return end states and (d1, d2, switches)."""
+    nxt, cnt = luts
+    n_blocks = len(x) // _BLOCK
+    code = np.zeros((n_blocks, *x.shape[1:]), dtype=np.int64)
+    for i in range(_BLOCK):
+        code = code * 4 + x[i : n_blocks * _BLOCK : _BLOCK]
+    offsets = np.concatenate([code, 4**_BLOCK + x[n_blocks * _BLOCK :].astype(np.int64)])
+    offsets *= len(nxt) // (4**_BLOCK + 4)
+    counts = np.zeros((3, *state.shape), dtype=np.int64)
+    for k in range(0, len(offsets), _FLUSH):
+        span = offsets[k : k + _FLUSH]
+        idx = np.empty((len(span), *state.shape), dtype=np.int64)
+        for offset, row in zip(span, idx):
+            np.add(state, offset, out=row)
+            state = nxt[row]
+        packed = cnt[idx].sum(axis=0)
+        counts += np.stack([packed & 255, packed >> 8 & 255, packed >> 16])
+    return state, counts
+
+
+def _saturated_path(luts, x: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run one symbol path from each start state: chunks stepped side by side from every state, then chained."""
+    n_states = len(luts[0]) // (4**_BLOCK + 4)
+    n_chunks = max(1, min(isqrt(len(x) // _BLOCK), _ROWS // n_states))
+    length = len(x) // n_chunks // _BLOCK * _BLOCK
+    every = np.repeat(np.arange(n_states)[None, :], n_chunks, axis=0)  # [chunk, state]
+    chunks = x[: n_chunks * length].reshape(n_chunks, length).T[..., None]  # [slot, chunk, 1]
+    ends, chunk_counts = _saturated_steps(luts, every, chunks)
+    state, counts = start, np.zeros((3, len(start)), dtype=np.int64)
+    for c in range(n_chunks):
+        counts += chunk_counts[:, c, state]
+        state = ends[c, state]
+    state, rest = _saturated_steps(luts, state, x[n_chunks * length :])
+    return state, counts + rest
+

@@ -85,6 +85,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["gap", "--epsilon", "0.25", "--T-list", "10,x"], "--T-list"),
         (["psi", "--eps-step", "0"], "--eps-step"),
         (["psi", "--ratio-points", "0"], "--ratio-points"),
+        (["iid", "--rho", "0.5,x"], "--rho"),
+        (["gap", "--epsilon", "0.25", "--horizon", "-5"], "--horizon"),
+        (["saturated", "--epsilon", "0.25", "--corner", "b2", "--horizon", "0"], "--horizon"),
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
