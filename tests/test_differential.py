@@ -142,3 +142,31 @@ def test_saturated_run_counters_digest(case):
     m = sim.run(config)
     counters = (m.rate1, m.rate2, m.d1, m.d2, m.switch_count)
     assert _sha(repr(counters)) == SATURATED_RUN_DIGESTS[case]
+
+
+# -- psi check ---------------------------------------------------------------
+# Digests of the psi CSV (the `switchq psi` header over `verify_psi` rows):
+# the default grid of `psi --check` and two smaller ones.  A rewrite of the
+# psi minimisation must keep the sampled points, the argmin and the
+# golden-section refinement, and so every byte.
+
+PSI_HEADER = ("case", "region", "bound", "minimum", "argmin_epsilon", "argmin_ratio")
+
+PSI_DIGESTS = {
+    # (epsilon grid step, ratio grid points)
+    (1e-3, 400): "4b2d0be63f9d86e81a65ff27ad91f844e29380385ed35f63f5040e1f62436c46",
+    (5e-3, 7): "0cc4f709fa2145e6bb6b884f7ce64476738ca31cfebb4b3e0c938e9a90d3fdba",
+    (2.5e-3, 64): "53773225ea961f7b57e62f7820be5336d8c5ba8c0950ac125437073ce4e10e0a",
+}
+
+
+@pytest.mark.parametrize("grid", list(PSI_DIGESTS), ids=str)
+def test_psi_csv_digest(grid):
+    report = exp.verify_psi(*grid)
+    assert _sha(exp.rows_to_csv(PSI_HEADER, report.rows())) == PSI_DIGESTS[grid]
+
+
+def test_psi_cli_csv_digest(tmp_path):
+    out = tmp_path / "psi.csv"
+    assert main(["psi", "--check", "--out", str(out)]) == 0
+    assert _sha(out.read_text(encoding="utf-8")) == PSI_DIGESTS[(1e-3, 400)]
