@@ -59,9 +59,9 @@ def gilbert_elliott(epsilon: float) -> ChannelModel:
 
 
 def sample_initial(model: ChannelModel, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw the slot-0 channel pair from the stationary law of the model."""
-    if model.kind == IID:
-        return int(rng.random() < model.p1), int(rng.random() < model.p2)
+    """Draw the slot-0 channel pair from the Markov model's stationary law (ON w.p. 1/2)."""
+    if model.kind != GILBERT_ELLIOTT:
+        raise ValueError("the slot-0 draw is only defined for the gilbert_elliott model")
     return int(rng.random() < 0.5), int(rng.random() < 0.5)
 
 
@@ -89,9 +89,9 @@ def lookahead_sum(model: ChannelModel, c: int, k: int) -> float:
 def generate_paths(model: ChannelModel, horizon: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Pre-draw both channel paths C(t) for t = 0..horizon-1.
 
-    Slot 0 follows the stationary law (same as sample_initial); later slots
-    follow the one-step dynamics.  Vectorized so simulation loops never pay
-    per-slot RNG overhead.
+    Slot 0 follows the stationary law (sample_initial for the Markov
+    model); later slots follow the one-step dynamics.  Vectorized so
+    simulation loops never pay per-slot RNG overhead.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")

@@ -22,9 +22,11 @@ from .region import (
     closed_form_region,
     contains,
     corner_points,
+    fbdc_corner_map,
     iid_region,
     myopic_corner_map,
     no_switchover_region,
+    _thresholds,
 )
 
 SWEEP_HEADER = ("epsilon", "lambda1", "lambda2", "policy", "T", "k", "q_avg", "rate1", "rate2", "stable")
@@ -230,24 +232,20 @@ PSI_REGIONS: tuple[tuple[str, str, tuple[float, float], object, float], ...] = (
 PSI_GLOBAL_BOUND = 0.9002
 
 
-def optimal_corner(epsilon: float, q1: float, q2: float) -> str:
-    """Weighted argmax over the frontier corners, ties to the lower-ratio corner."""
-    best, best_v = None, -1.0
-    for cid, (x, y) in corner_points(epsilon):
-        v = q1 * x + q2 * y
-        if v > best_v + 1e-15 * max(1.0, q1 + q2):
-            best, best_v = cid, v
-    return best
-
-
-def psi_value(epsilon: float, ratio: float) -> tuple[float, str, str]:
-    """Myopic-to-optimal weighted departure rate ratio at weights (1, ratio)."""
-    pts = dict(corner_points(epsilon))
-    my = myopic_corner_map(epsilon, 1.0, ratio)
-    opt = optimal_corner(epsilon, 1.0, ratio)
-    num = pts[my][0] + ratio * pts[my][1]
-    den = pts[opt][0] + ratio * pts[opt][1]
-    return num / den, my, opt
+def psi_value(epsilon: float, ratio):
+    """(psi, myopic corner, optimal corner) at weights (1, ratio); psi is the weighted departure
+    rate ratio, the optimum fbdc_corner_map's weighted argmax.  An array of ratios takes one
+    numpy pass at one epsilon (arrays back, the scalar floats elementwise)."""
+    ids, xy = zip(*sorted(corner_points(epsilon)))  # ids ascending, for searchsorted
+    ids, xy = np.array(ids), np.array(xy)
+    ratios = np.atleast_1d(np.asarray(ratio, dtype=float))
+    my = myopic_corner_map(epsilon, 1.0, ratios)
+    opt = fbdc_corner_map(epsilon, 1.0, ratios)
+    (x_my, y_my), (x_opt, y_opt) = xy[np.searchsorted(ids, my)].T, xy[np.searchsorted(ids, opt)].T
+    psi = (x_my + ratios * y_my) / (x_opt + ratios * y_opt)
+    if np.ndim(ratio) == 0:
+        return float(psi[0]), str(my[0]), str(opt[0])
+    return psi, my, opt
 
 
 @dataclass(frozen=True)
@@ -300,7 +298,8 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
     band's interval, the ratio at log-spaced points excluding the
     endpoints.  Golden-section refinement then sharpens the minimum inside
     the bracket of neighbouring samples; it never extrapolates to the open
-    boundary, where the maps change corner.
+    boundary, where the maps change corner.  Each epsilon's ratio grid is
+    one array pass of psi_value; the refinement calls it on scalars.
     """
     results = []
     global_min = math.inf
@@ -312,9 +311,8 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
             e = k * epsilon_grid_step
             if not (eps_lo < e < eps_hi):
                 continue
-            r_lo, r_hi = ratio_iv(e)
-            rs = np.geomspace(r_lo, r_hi, ratio_grid_points + 2)[1:-1]
-            vals = [psi_value(e, r)[0] for r in rs]
+            rs = np.geomspace(*ratio_iv(e), ratio_grid_points + 2)[1:-1]
+            vals = psi_value(e, rs)[0]
             i = int(np.argmin(vals))
             if vals[i] < best[0]:
                 best = (vals[i], e, float(rs[i]), (float(rs[max(i - 1, 0)]), float(rs[min(i + 1, len(rs) - 1)])))
@@ -322,8 +320,7 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
             raise ValueError(f"epsilon grid step {epsilon_grid_step} leaves band {case}/{name} without a sample")
         # refine in ratio inside the sampled bracket at the best epsilon
         e_star = best[1]
-        lo_r, hi_r = best[3]
-        x, v = _golden_min(lambda r: psi_value(e_star, r)[0], lo_r, hi_r)
+        x, v = _golden_min(lambda r: psi_value(e_star, r)[0], *best[3])
         if v < best[0]:
             best = (v, e_star, x, best[3])
         results.append(PsiRegionResult(case, name, bound, best[0], best[1], best[2]))
@@ -338,18 +335,13 @@ def corner_map_partition(epsilon: float) -> list[tuple[float, float, str, str]]:
     check that the discrepant bands above are exactly where the maps part.
     """
     e = epsilon
-    if e < EPS_CRITICAL:
-        cuts = [e / (1 - e) ** 2, (1 - e) / (1 + e - e * e), 1.0, (1 + e - e * e) / (1 - e),
-                (1 - e) ** 2 / e, e / (1 - e), (1 - e) / (2 - e), (2 - e) / (1 - e), (1 - e) / e]
-    else:
-        g = (1 - e) * (3 - 2 * e)
-        cuts = [1 / g, 1.0, g, e / (1 - e), (1 - e) / e]
-    cuts = sorted(set(cuts))
+    _, fbdc, myopic = _thresholds(e)
+    cuts = sorted(set(fbdc + myopic))
     edges = [0.0] + cuts + [cuts[-1] * 4.0]
     atoms = []
     for lo, hi in zip(edges, edges[1:]):
         mid = math.sqrt(lo * hi) if lo > 0 else hi / 2
-        atoms.append((lo, hi, myopic_corner_map(e, 1.0, mid), optimal_corner(e, 1.0, mid)))
+        atoms.append((lo, hi, myopic_corner_map(e, 1.0, mid), fbdc_corner_map(e, 1.0, mid)))
     return atoms
 
 

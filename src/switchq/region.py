@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 EPS_CRITICAL = 1.0 - math.sqrt(2.0) / 2.0
 
@@ -129,9 +132,10 @@ def closed_form_region(epsilon: float) -> RateRegion:
         x + (1-e)(3-2e) y          <= (1-e)(3-2e) / 2
         x + y                      <= 3/4 - e/2
         (1-e)(3-2e) x + y          <= (1-e)(3-2e) / 2
-    plus nonnegativity in both cases.  A facet that no corner kept by the
-    flat-corner drop touches within 1e-9 is dropped too (the x + y facet
-    for epsilon just below 1/2).
+    plus nonnegativity in both cases.  A facet stays only where it is tight
+    (normalized, within 1e-9) at both ends of an edge between corners kept
+    by the flat-corner drop; an edge over a dropped corner (epsilon a few
+    1e-9 below 1/2 or EPS_CRITICAL) gets its chord, so both forms agree.
     """
     e = _check_eps(epsilon)
     mid = 0.75 - e / 2
@@ -151,7 +155,11 @@ def closed_form_region(epsilon: float) -> RateRegion:
             HalfSpace(g, 1.0, g / 2),
         ]
     corners = _drop_flat_corners([pt for _, pt in corner_points(e)])
-    facets = [h for h in facets if any(abs(h.slack(c)) <= 1e-9 for c in corners)]
+    edges = list(zip(corners, corners[1:]))
+    tight = lambda h, u, v: abs(h.slack(u)) <= 1e-9 and abs(h.slack(v)) <= 1e-9
+    facets = [h for h in map(HalfSpace.normalized, facets) if any(tight(h, u, v) for u, v in edges)]
+    facets += [HalfSpace(v[1] - u[1], u[0] - v[0], u[0] * v[1] - u[1] * v[0])
+               for u, v in edges if not any(tight(h, u, v) for h in facets)]
     return RateRegion(corners, _dedupe_halfspaces(list(AXIS_HALFSPACES) + facets))
 
 
@@ -271,7 +279,17 @@ def hausdorff_distance(a: RateRegion, b: RateRegion) -> float:
     return max(d_ab, d_ba)
 
 
-def _map_from_thresholds(thresholds, corners_low_to_high, q1: float, q2: float) -> str:
+def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
+    """Corner between the ascending positive thresholds holding q2/q1; arrays map elementwise."""
+    if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
+        q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+        if ((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))).any():
+            raise ValueError("queue lengths must be nonnegative and not both zero")
+        with np.errstate(over="ignore"):  # inf, as in the scalar division
+            ratio = q2 / np.where(q1 == 0, 1.0, q1)
+        # side="left" is the scalar rule below: a ratio on a threshold takes the lower interval
+        index = np.searchsorted(thresholds, ratio, side="left")
+        return np.asarray(corners_low_to_high)[np.where(q1 == 0, len(thresholds), index)]
     if q1 < 0 or q2 < 0 or (q1 == 0 and q2 == 0):
         raise ValueError("queue lengths must be nonnegative and not both zero")
     if q1 == 0:
@@ -286,36 +304,28 @@ def _map_from_thresholds(thresholds, corners_low_to_high, q1: float, q2: float) 
     return corners_low_to_high[-1]
 
 
-def fbdc_corner_map(epsilon: float, q1: float, q2: float) -> str:
-    """Frontier corner maximizing q1*r1 + q2*r2, via the queue-ratio thresholds.
+@lru_cache(maxsize=64)
+def _thresholds(epsilon: float):
+    """Corners low to high, then the ascending FBDC and myopic queue-ratio thresholds.
 
-    The thresholds are the negative reciprocal slopes of the frontier edges,
-    so the map coincides with the weighted argmax over corner_points.
-    """
+    The FBDC thresholds are the negative reciprocal slopes of the frontier
+    edges, so fbdc_corner_map is the weighted argmax over corner_points."""
     e = _check_eps(epsilon)
     if e < EPS_CRITICAL:
-        thresholds = [
-            e / (1 - e) ** 2,
-            (1 - e) / (1 + e - e * e),
-            1.0,
-            (1 + e - e * e) / (1 - e),
-            (1 - e) ** 2 / e,
-        ]
-        corners = ["b5", "b4", "b3", "b2", "b1", "b0"]
-    else:
-        g = (1 - e) * (3 - 2 * e)
-        thresholds = [1.0 / g, 1.0, g]
-        corners = ["b5", "b3", "b2", "b0"]
+        return (("b5", "b4", "b3", "b2", "b1", "b0"),
+                (e / (1 - e) ** 2, (1 - e) / (1 + e - e * e), 1.0, (1 + e - e * e) / (1 - e), (1 - e) ** 2 / e),
+                (e / (1 - e), (1 - e) / (2 - e), 1.0, (2 - e) / (1 - e), (1 - e) / e))
+    g = (1 - e) * (3 - 2 * e)
+    return ("b5", "b3", "b2", "b0"), (1.0 / g, 1.0, g), (e / (1 - e), 1.0, (1 - e) / e)
+
+
+def fbdc_corner_map(epsilon: float, q1, q2):
+    """Frontier corner maximizing q1*r1 + q2*r2 (arrays of queues map elementwise)."""
+    corners, thresholds, _ = _thresholds(epsilon)
     return _map_from_thresholds(thresholds, corners, q1, q2)
 
 
-def myopic_corner_map(epsilon: float, q1: float, q2: float) -> str:
-    """Frontier corner the one-step-lookahead weight comparison drives toward."""
-    e = _check_eps(epsilon)
-    if e < EPS_CRITICAL:
-        thresholds = [e / (1 - e), (1 - e) / (2 - e), 1.0, (2 - e) / (1 - e), (1 - e) / e]
-        corners = ["b5", "b4", "b3", "b2", "b1", "b0"]
-    else:
-        thresholds = [e / (1 - e), 1.0, (1 - e) / e]
-        corners = ["b5", "b3", "b2", "b0"]
+def myopic_corner_map(epsilon: float, q1, q2):
+    """Frontier corner the one-step-lookahead weight comparison drives toward (arrays too)."""
+    corners, _, thresholds = _thresholds(epsilon)
     return _map_from_thresholds(thresholds, corners, q1, q2)

@@ -17,10 +17,10 @@ def test_model_validation():
     ch.iid(0.0, 1.0)
 
 
-def test_sample_initial_degenerate_iid():
+def test_generate_paths_degenerate_iid():
     rng = np.random.default_rng(0)
-    model = ch.iid(1.0, 0.0)
-    assert all(ch.sample_initial(model, rng) == (1, 0) for _ in range(100))
+    c1, c2 = ch.generate_paths(ch.iid(1.0, 0.0), 100, rng)
+    assert np.all(c1 == 1) and np.all(c2 == 0)
 
 
 def test_sample_initial_ge_marginal():
@@ -29,17 +29,16 @@ def test_sample_initial_ge_marginal():
     n = 100_000
     on = sum(ch.sample_initial(model, rng)[0] for _ in range(n))
     assert abs(on / n - 0.5) < 0.01
+    with pytest.raises(ValueError):  # iid paths draw slot 0 inside generate_paths
+        ch.sample_initial(ch.iid(0.5, 0.5), rng)
 
 
-def test_sample_initial_iid_joint_uniform():
+def test_generate_paths_iid_joint_uniform():
     # p1 = p2 = 0.5 makes the four channel pairs equally likely
     rng = np.random.default_rng(2)
-    model = ch.iid(0.5, 0.5)
     n = 1_000_000
-    counts = np.zeros(4)
-    for _ in range(n):
-        c1, c2 = ch.sample_initial(model, rng)
-        counts[2 * c1 + c2] += 1
+    c1, c2 = ch.generate_paths(ch.iid(0.5, 0.5), n, rng)
+    counts = np.bincount(2 * c1 + c2, minlength=4)
     assert np.all(np.abs(counts / n - 0.25) < 0.01)
 
 

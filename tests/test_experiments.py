@@ -5,6 +5,7 @@ import pytest
 
 from switchq import experiments as exp
 from switchq import policies as pol
+from switchq import region as rg
 from switchq.region import EPS_CRITICAL, contains
 
 
@@ -99,6 +100,19 @@ def test_psi_value_is_one_on_agreement_atoms():
                 assert value == 1.0
             else:
                 assert 0.89 < value < 1.0
+
+
+def test_psi_value_array_matches_scalar():
+    # one array pass per epsilon gives the scalar floats and corners, thresholds included
+    for eps in (0.001, 0.1, exp.EPS_T, 0.25, EPS_CRITICAL, 0.35, 0.5):
+        _, fbdc, myopic = rg._thresholds(eps)
+        edges = fbdc + myopic
+        rs = np.concatenate([np.geomspace(0.05, 20.0, 301), edges])
+        psi, my, opt = exp.psi_value(eps, rs)
+        assert psi.shape == my.shape == opt.shape == rs.shape
+        for r, value, a, b in zip(rs, psi, my, opt):
+            scalar = exp.psi_value(eps, float(r))
+            assert type(scalar[0]) is float and scalar == (value, a, b)
 
 
 def test_corner_map_partition_tiles_the_ratio_axis():
