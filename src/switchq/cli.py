@@ -150,7 +150,10 @@ def _cmd_iid(args) -> int:
     if args.check:
         for row in rows:
             rho, verdict = row[2], row[6]
-            if (rho < 1.0 and verdict != "stable") or (rho > 1.0 and verdict != "unstable"):
+            if rho < 1.0 and verdict != "stable":
+                print(f"iid check FAILED: rho={rho} came back {verdict}", file=sys.stderr)
+                return 2
+            if rho > 1.0 and verdict != "unstable":
                 print(f"iid check FAILED: rho={rho} came back {verdict}", file=sys.stderr)
                 return 2
         print("iid check ok")

@@ -294,8 +294,6 @@ def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
         raise ValueError("queue lengths must be nonnegative and not both zero")
     if q1 == 0:
         return corners_low_to_high[-1]
-    if q2 == 0:
-        return corners_low_to_high[0]
     ratio = q2 / q1
     # A ratio exactly on a threshold resolves to the lower interval.
     for t, corner in zip(thresholds, corners_low_to_high):
