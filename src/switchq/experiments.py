@@ -233,9 +233,12 @@ PSI_GLOBAL_BOUND = 0.9002
 
 
 def psi_value(epsilon: float, ratio):
-    """(psi, myopic corner, optimal corner) at weights (1, ratio); psi is the weighted departure
-    rate ratio, the optimum fbdc_corner_map's weighted argmax.  An array of ratios takes one
-    numpy pass at one epsilon (arrays back, the scalar floats elementwise)."""
+    """Myopic-to-optimal weighted departure rate ratio at weights (1, ratio).
+
+    Returns (psi, myopic corner, optimal corner), the optimum from
+    fbdc_corner_map.  An array of ratios takes one numpy pass at one
+    epsilon and returns arrays, elementwise equal to scalar calls.
+    """
     ids, xy = zip(*sorted(corner_points(epsilon)))  # ids ascending, for searchsorted
     ids, xy = np.array(ids), np.array(xy)
     ratios = np.atleast_1d(np.asarray(ratio, dtype=float))

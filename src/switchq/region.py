@@ -304,10 +304,7 @@ def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
 
 @lru_cache(maxsize=64)
 def _thresholds(epsilon: float):
-    """Corners low to high, then the ascending FBDC and myopic queue-ratio thresholds.
-
-    The FBDC thresholds are the negative reciprocal slopes of the frontier
-    edges, so fbdc_corner_map is the weighted argmax over corner_points."""
+    """Corners low to high, ascending FBDC (frontier edges' negative reciprocal slopes) and myopic thresholds."""
     e = _check_eps(epsilon)
     if e < EPS_CRITICAL:
         return (("b5", "b4", "b3", "b2", "b1", "b0"),

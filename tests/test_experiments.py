@@ -106,8 +106,7 @@ def test_psi_value_array_matches_scalar():
     # one array pass per epsilon gives the scalar floats and corners, thresholds included
     for eps in (0.001, 0.1, exp.EPS_T, 0.25, EPS_CRITICAL, 0.35, 0.5):
         _, fbdc, myopic = rg._thresholds(eps)
-        edges = fbdc + myopic
-        rs = np.concatenate([np.geomspace(0.05, 20.0, 301), edges])
+        rs = np.concatenate([np.geomspace(0.05, 20.0, 301), fbdc + myopic])
         psi, my, opt = exp.psi_value(eps, rs)
         assert psi.shape == my.shape == opt.shape == rs.shape
         for r, value, a, b in zip(rs, psi, my, opt):

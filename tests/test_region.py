@@ -173,7 +173,6 @@ def test_fbdc_map_equals_weighted_argmax():
         assert corner == best, (eps, q1, q2)
 
 
-# just below 1/2 and EPS_CRITICAL the flat-corner drop removes a corner
 # The array path of the corner maps (np.searchsorted over the thresholds)
 # must pick the corner the scalar loop picks, ratios exactly on a threshold
 # and queues at zero included.
@@ -190,16 +189,16 @@ MAPS = ((rg.fbdc_corner_map, 1), (rg.myopic_corner_map, 2))  # index into rg._th
 @given(EPSILONS, st.lists(st.tuples(QUEUES, QUEUES), max_size=30))
 def test_array_corner_maps_match_scalar(eps, pairs):
     for corner_map, index in MAPS:
-        corners, thresholds = rg._thresholds(eps)[0], rg._thresholds(eps)[index]
+        table = rg._thresholds(eps)
+        corners, thresholds = table[0], table[index]
         assert list(thresholds) == sorted(thresholds)  # searchsorted relies on it
         assert thresholds[0] > 0  # so q2 == 0 takes the first corner
         assert len(corners) == len(thresholds) + 1
-        on_edges = [(1.0, f(t)) for t in thresholds for f in (float, lambda t: math.nextafter(t, 0.0),
-                                                               lambda t: math.nextafter(t, math.inf))]
+        on_edges = [(1.0, r) for t in thresholds for r in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf))]
         cases = [(q1, q2) for q1, q2 in pairs + on_edges + [(0.0, 3.0), (3.0, 0.0)] if q1 or q2]
         q1, q2 = np.array(cases, dtype=float).T
         assert list(corner_map(eps, q1, q2)) == [corner_map(eps, a, b) for a, b in cases]
-        ratios = np.array([b for a, b in on_edges])
+        ratios = np.array([r for _, r in on_edges])
         assert list(corner_map(eps, 1.0, ratios)) == [corner_map(eps, 1.0, r) for r in ratios]
         with pytest.raises(ValueError):
             corner_map(eps, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
@@ -207,6 +206,7 @@ def test_array_corner_maps_match_scalar(eps, pairs):
             corner_map(eps, 0.0, 0.0)
 
 
+# just below 1/2 and EPS_CRITICAL the flat-corner drop removes a corner
 @pytest.mark.parametrize("eps", EPS_GRID + (0.4999999974, rg.EPS_CRITICAL - 3e-9))
 def test_closed_form_halfspaces_tight_at_corners(eps):
     region = rg.closed_form_region(eps)
