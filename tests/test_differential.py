@@ -14,6 +14,7 @@ from switchq import channels as ch
 from switchq import experiments as exp
 from switchq import mdp
 from switchq import policies as pol
+from switchq import region as rg
 from switchq import sim
 from switchq.cli import main
 
@@ -170,3 +171,50 @@ def test_psi_cli_csv_digest(tmp_path):
     out = tmp_path / "psi.csv"
     assert main(["psi", "--check", "--out", str(out)]) == 0
     assert _sha(out.read_text(encoding="utf-8")) == PSI_DIGESTS[(1e-3, 400)]
+
+
+# -- region export -------------------------------------------------------------
+# Digests of `export_regions` at the acceptance epsilons and just below 1/2
+# and EPS_CRITICAL, where the flat-corner drop removes corners: the corner
+# rows alone, then the whole CSV (corners and halfspaces of all three
+# regions).
+
+REGION_DIGESTS = {
+    # epsilon: (corner rows, whole CSV)
+    0.05: ("31169e29729bc9739e4dbc2e3e1ec46b7e859baf92212cfd02083635e2adcdc5",
+        "dbcaf009dbab21fb96e8bd66e81e628c719368f053d4c746c8342a38998cbc1c"),
+    0.1: ("1bdedc877f734460b16f55028a82779d6830b7dd8f9646f2db7d4da5289c3360",
+        "6ff3619d76a45dd3d21386f0ae712fec63beb3fe532903cb8c433609f319147f"),
+    0.25: ("09f9b185785cdfa6eebf635f11971099c42a53abbfd5774688bb99003a921a79",
+        "b3a54705ac7f3bd699aa0c476f798d5193dd4be70299fd637731e831a25a0c32"),
+    0.29: ("c13cbad012df90654ae246b85c614bb0c53e117d63d4028ad18a6f594def1f4e",
+        "c7daa7a9b328d1081e1e35b4985d4358099de617e653d975e3c70decdc9534b6"),
+    0.3: ("430240e0c2dec1f4089ccac11cf08db9b30f041fc9e23e87446bd374b99eaa33",
+        "92eb1669b416359b920a0cf51d8c341c92420846feba4979cd2bccca109d6ac7"),
+    0.4: ("a68bede5e109664f1de204b4a42c2c1f6aa6e5348f79d53f4bd65fc0deaee3aa",
+        "083aaf55308f9a92e7e33503972f525a1969c0f94f76df683fea8444bf52916f"),
+    0.45: ("4fecc530d74f36af573c9e6dabe3264bfeaae118be2a95f6de314575fbbdef47",
+        "51e3a50452bfbb90b303141a407c4fed2910e1831a5b828a4694906d7fddcfdd"),
+    0.5: ("1c17f19d06123c30157d49035b0be14762273043a904a6f4bcea883506d00fe3",
+        "e11353a734e176a97effd847e5f520fbc41241755299eeda08f3a251bcd3cd3c"),
+    0.4999999974: ("64f9b8f506ed7c8bd93b3d920b16460ee801fcad5de6111621beb2712bb126d2",
+        "d081a3cb745e1e6a599596837e7112c3b4ed9e908f70840ef40971cab863eb54"),
+    rg.EPS_CRITICAL - 3e-9: ("9c3392a85a21200e928c888638ebd674f616b72b237b4082e11ac45f54be5cd6",
+        "9c7686683d57b98be944a426e49ad0cd0495c9b9f21e85a1780fbe87e913c82f"),
+}
+
+
+def _corner_rows(text: str) -> str:
+    rows, inside = [], False
+    for line in text.splitlines():
+        if line in ("corner_id,r1,r2", "a1,a2,b"):
+            inside = line == "corner_id,r1,r2"
+        elif inside:
+            rows.append(line)
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("eps", list(REGION_DIGESTS), ids=repr)
+def test_region_csv_digest(eps):
+    text = exp.export_regions(eps)
+    assert (_sha(_corner_rows(text)), _sha(text)) == REGION_DIGESTS[eps]
