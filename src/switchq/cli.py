@@ -289,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"switchq: error: {err}", file=sys.stderr)
         return 1
+    except mdp.ChainSolveError as err:  # every chain solve here is at --epsilon
+        print(f"switchq: error: --epsilon too close to 0 for the exact chain solve ({err})", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from .region import (
     iid_region,
     myopic_corner_map,
     no_switchover_region,
-    _thresholds,
 )
 
 SWEEP_HEADER = ("epsilon", "lambda1", "lambda2", "policy", "T", "k", "q_avg", "rate1", "rate2", "stable")
@@ -329,23 +328,6 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
         results.append(PsiRegionResult(case, name, bound, best[0], best[1], best[2]))
         global_min = min(global_min, best[0])
     return PsiReport(tuple(results), global_min)
-
-
-def corner_map_partition(epsilon: float) -> list[tuple[float, float, str, str]]:
-    """Atomic ratio intervals with the corner each map picks inside them.
-
-    The union of agreement and discrepant atoms tiles (0, inf); used to
-    check that the discrepant bands above are exactly where the maps part.
-    """
-    e = epsilon
-    _, fbdc, myopic = _thresholds(e)
-    cuts = sorted(set(fbdc + myopic))
-    edges = [0.0] + cuts + [cuts[-1] * 4.0]
-    atoms = []
-    for lo, hi in zip(edges, edges[1:]):
-        mid = math.sqrt(lo * hi) if lo > 0 else hi / 2
-        atoms.append((lo, hi, myopic_corner_map(e, 1.0, mid), fbdc_corner_map(e, 1.0, mid)))
-    return atoms
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ switch (0).  States are enumerated in the fixed order
 and a departure reward accrues for queue 1 in states 1, 2 under stay, and
 for queue 2 in states 5, 7 under stay.  Every stationary deterministic
 policy is a vertex of the state-action frequency polytope, so the rate
-region is the convex hull of the 256 policy rate pairs; the weighted LP is
-solved exactly by enumerating them.
+region is the convex hull of the 256 policy rate pairs, and a weighted LP
+max a1*r1 + a2*r2 over it is solved exactly by enumerating them.  Here the
+pairs are enumerated once per epsilon to check the closed-form region;
+FBDC takes the LP's optimum over the frontier corners (region.fbdc_corner_map).
 """
 
 from __future__ import annotations
@@ -51,15 +53,8 @@ def mirror_policy(policy: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(policy[MIRROR[i]] for i in range(N_STATES))
 
 
-def policy_id(policy: tuple[int, ...]) -> int:
-    """Bit pattern of a policy, state 1 most significant, stay = 1."""
-    pid = 0
-    for a in policy:
-        pid = (pid << 1) | a
-    return pid
-
-
 def policy_from_id(pid: int) -> tuple[int, ...]:
+    """The policy whose bit pattern is pid: state 1 most significant, stay = 1."""
     if not 0 <= pid < 256:
         raise ValueError(f"policy id must be in 0..255, got {pid}")
     return tuple((pid >> (7 - i)) & 1 for i in range(N_STATES))
@@ -127,6 +122,10 @@ def recurrent_class(P: np.ndarray) -> list[int]:
     return min(closed, key=min)
 
 
+class ChainSolveError(ArithmeticError):
+    """A chain solve lost its accuracy, as it does for epsilon too close to 0."""
+
+
 def stationary_distribution(kernel: np.ndarray, policy: tuple[int, ...]) -> np.ndarray:
     """The stationary law pi of the policy-induced chain, transient states at 0."""
     P = policy_matrix(kernel, policy)
@@ -137,12 +136,15 @@ def stationary_distribution(kernel: np.ndarray, policy: tuple[int, ...]) -> np.n
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    pr = np.linalg.solve(A, b)
+    try:
+        pr = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as err:
+        raise ChainSolveError(f"stationary solve failed: {err}") from None
     pi = np.zeros(N_STATES)
     pi[rec] = pr
     residual = np.max(np.abs(pi @ P - pi))
     if residual > 1e-12 or pi.min() < -1e-13:
-        raise ArithmeticError(f"stationary solve failed, residual {residual:.3e}")
+        raise ChainSolveError(f"stationary solve failed, residual {residual:.3e}, min pi {pi.min():.3e}")
     return np.maximum(pi, 0.0)
 
 
@@ -153,28 +155,12 @@ def policy_rates(pi: np.ndarray, policy: tuple[int, ...]) -> tuple[float, float]
     return float(r1), float(r2)
 
 
-def saf_from_policy(pi: np.ndarray, policy: tuple[int, ...]) -> np.ndarray:
-    """State-action frequencies x(s; a) as an (8, 2) array, x(s;a) = pi(s) 1{policy(s)=a}."""
-    x = np.zeros((N_STATES, 2))
-    for s in range(N_STATES):
-        x[s, policy[s]] = pi[s]
-    return x
-
-
-def balance_residual(x: np.ndarray, kernel: np.ndarray) -> float:
-    """Max violation of the flow-balance equations by a state-action frequency vector."""
-    marginal = x.sum(axis=1)
-    inflow = np.einsum("sa,saj->j", x, kernel)
-    return float(np.max(np.abs(marginal - inflow)))
-
-
 @dataclass(frozen=True)
 class PolicyVertex:
-    """One deterministic policy with its stationary rates and frequencies."""
+    """One deterministic policy with its stationary rates."""
 
     policy: tuple[int, ...]
     rates: tuple[float, float]
-    saf: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -183,33 +169,13 @@ def _enumerate_cached(epsilon: float) -> tuple[PolicyVertex, ...]:
     out = []
     for policy in all_policies():
         pi = stationary_distribution(kernel, policy)
-        out.append(PolicyVertex(policy, policy_rates(pi, policy), saf_from_policy(pi, policy)))
+        out.append(PolicyVertex(policy, policy_rates(pi, policy)))
     return tuple(out)
 
 
 def enumerate_vertices(epsilon: float) -> list[PolicyVertex]:
     """All 256 deterministic policies with exact stationary rates, by policy id."""
     return list(_enumerate_cached(float(epsilon)))
-
-
-def solve_weighted_lp(epsilon: float, alpha1: float, alpha2: float) -> tuple[tuple[float, float], tuple[int, ...]]:
-    """Maximize alpha1*r1 + alpha2*r2 over the rate polytope.
-
-    The optimum is attained at a deterministic policy, so the LP reduces to
-    an argmax over the 256 enumerated vertices.  Ties within 1e-12 resolve
-    to the numerically largest policy bit pattern (prefers staying).
-    """
-    if alpha1 < 0 or alpha2 < 0 or (alpha1 == 0 and alpha2 == 0):
-        raise ValueError("weights must be nonnegative and not both zero")
-    tol = 1e-12 * max(1.0, alpha1 + alpha2)
-    vertices = enumerate_vertices(epsilon)
-    values = [alpha1 * v.rates[0] + alpha2 * v.rates[1] for v in vertices]
-    vmax = max(values)
-    best = max(
-        (v for v, value in zip(vertices, values) if value >= vmax - tol),
-        key=lambda v: policy_id(v.policy),
-    )
-    return best.rates, best.policy
 
 
 def rate_asymptotic_std(kernel: np.ndarray, policy: tuple[int, ...], horizon: int) -> tuple[float, float]:

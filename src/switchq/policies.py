@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import channels as ch
-from .mdp import STATES, STAY, SWITCH, mirror_policy
+from .mdp import STAY, SWITCH, mirror_policy
 from .region import fbdc_corner_map
 
 # Corner action tables (states in the fixed order 1..8).  b2 serves the own
@@ -115,9 +115,3 @@ def myopic_action(sigma: tuple[float, float], m: int, c1: int, c2: int, w1: floa
     else:
         w_here, w_there = w2 * (c2 + sigma[c2]), w1 * sigma[c1]
     return STAY if w_here >= w_there else SWITCH
-
-
-def myopic_policy_table(model: ch.ChannelModel, k: int, q1: float, q2: float) -> tuple[int, ...]:
-    """Myopic decisions at all 8 states for fixed weights (q1, q2)."""
-    sigma = myopic_credit(model, k)
-    return tuple(myopic_action(sigma, m, c1, c2, q1, q2) for m, c1, c2 in STATES)

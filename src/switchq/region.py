@@ -5,7 +5,8 @@ flip probability: six frontier corners b0..b5 below the critical value
 EPS_CRITICAL = 1 - sqrt(2)/2, four corners (b1, b4 vanish) at or above it.
 Regions are kept in both corner form (counterclockwise along the Pareto
 frontier from (1/2, 0) to (0, 1/2)) and halfspace form (a1*x + a2*y <= b,
-including the two axis constraints).
+including the two axis constraints).  The closed-form region's facets and
+the FBDC corner map both come from corner_points alone.
 """
 
 from __future__ import annotations
@@ -119,47 +120,23 @@ def _drop_flat_corners(pts: list[tuple[float, float]], tol: float = 1e-9) -> tup
     return tuple(kept)
 
 
-def closed_form_region(epsilon: float) -> RateRegion:
-    """The saturated-system rate region in explicit halfspace form.
+def _edge_halfspace(u: tuple[float, float], v: tuple[float, float]) -> HalfSpace:
+    """The halfspace bounded by the line through u and v, outward on the right of u -> v."""
+    n1, n2 = v[1] - u[1], u[0] - v[0]
+    return HalfSpace(n1, n2, n1 * u[0] + n2 * u[1])
 
-    Below EPS_CRITICAL the frontier has five facets:
-        e x + (1-e)^2 y            <= (1-e)^2 / 2
-        (1-e) x + (1+e-e^2) y      <= 3/4 - e/2
-        x + y                      <= 3/4 - e/2
-        (1+e-e^2) x + (1-e) y      <= 3/4 - e/2
-        (1-e)^2 x + e y            <= (1-e)^2 / 2
-    at or above it, three:
-        x + (1-e)(3-2e) y          <= (1-e)(3-2e) / 2
-        x + y                      <= 3/4 - e/2
-        (1-e)(3-2e) x + y          <= (1-e)(3-2e) / 2
-    plus nonnegativity in both cases.  A facet stays only where it is tight
-    (normalized, within 1e-9) at both ends of an edge between corners kept
-    by the flat-corner drop; an edge over a dropped corner (epsilon a few
-    1e-9 below 1/2 or EPS_CRITICAL) gets its chord, so both forms agree.
+
+def closed_form_region(epsilon: float) -> RateRegion:
+    """The saturated-system rate region, its facets taken from its corners.
+
+    The corners are those of corner_points that survive the flat-corner
+    drop (which removes b2, b3 a few 1e-9 below 1/2 and b1, b4 a few 1e-9
+    below EPS_CRITICAL).  Each edge between consecutive corners, walked from
+    b0 to b5, gives one frontier facet after the two axis constraints:
+    the paper's five facets below EPS_CRITICAL, its three at or above it.
     """
-    e = _check_eps(epsilon)
-    mid = 0.75 - e / 2
-    if e < EPS_CRITICAL:
-        facets = [
-            HalfSpace(e, (1 - e) ** 2, (1 - e) ** 2 / 2),
-            HalfSpace(1 - e, 1 + e - e * e, mid),
-            HalfSpace(1.0, 1.0, mid),
-            HalfSpace(1 + e - e * e, 1 - e, mid),
-            HalfSpace((1 - e) ** 2, e, (1 - e) ** 2 / 2),
-        ]
-    else:
-        g = (1 - e) * (3 - 2 * e)
-        facets = [
-            HalfSpace(1.0, g, g / 2),
-            HalfSpace(1.0, 1.0, mid),
-            HalfSpace(g, 1.0, g / 2),
-        ]
-    corners = _drop_flat_corners([pt for _, pt in corner_points(e)])
-    edges = list(zip(corners, corners[1:]))
-    tight = lambda h, u, v: abs(h.slack(u)) <= 1e-9 and abs(h.slack(v)) <= 1e-9
-    facets = [h for h in map(HalfSpace.normalized, facets) if any(tight(h, u, v) for u, v in edges)]
-    facets += [HalfSpace(v[1] - u[1], u[0] - v[0], u[0] * v[1] - u[1] * v[0])
-               for u, v in edges if not any(tight(h, u, v) for h in facets)]
+    corners = _drop_flat_corners([pt for _, pt in corner_points(epsilon)])
+    facets = [_edge_halfspace(u, v) for u, v in zip(corners, corners[1:])][::-1]
     return RateRegion(corners, _dedupe_halfspaces(list(AXIS_HALFSPACES) + facets))
 
 
@@ -240,87 +217,82 @@ def region_from_vertices(points: list[tuple[float, float]], tol: float = 1e-9) -
         if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in hull)
     ]
     pareto.sort(key=lambda p: (-p[0], p[1]))
-    halfspaces = []
-    if len(hull) >= 3:
-        for i, u in enumerate(hull):
-            v = hull[(i + 1) % len(hull)]
-            n1, n2 = v[1] - u[1], u[0] - v[0]
-            halfspaces.append(HalfSpace(n1, n2, n1 * u[0] + n2 * u[1]))
-    return RateRegion(tuple(pareto), _dedupe_halfspaces(halfspaces))
+    edges = zip(hull, hull[1:] + hull[:1]) if len(hull) >= 3 else ()
+    return RateRegion(tuple(pareto), _dedupe_halfspaces(_edge_halfspace(u, v) for u, v in edges))
 
 
-def _point_segment_distance(p, a, b) -> float:
-    ax, ay = b[0] - a[0], b[1] - a[1]
-    denom = ax * ax + ay * ay
-    if denom == 0.0:
-        return _dist(p, a)
-    t = ((p[0] - a[0]) * ax + (p[1] - a[1]) * ay) / denom
-    t = min(1.0, max(0.0, t))
-    return _dist(p, (a[0] + t * ax, a[1] + t * ay))
+def _check_queues(q1, q2):
+    """The queue lengths, as float arrays broadcast together if either is an array."""
+    if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
+        q1, q2 = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
+        bad = ((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))).any()
+    else:
+        bad = q1 < 0 or q2 < 0 or (q1 == 0 and q2 == 0)
+    if bad:
+        raise ValueError("queue lengths must be nonnegative and not both zero")
+    return q1, q2
 
 
-def _point_polygon_distance(p, poly: list[tuple[float, float]]) -> float:
-    if len(poly) >= 3:
-        inside = all(
-            _cross(poly[i], poly[(i + 1) % len(poly)], p) >= -1e-12 for i in range(len(poly))
-        )
-        if inside:
-            return 0.0
-    return min(
-        _point_segment_distance(p, poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))
-    )
-
-
-def hausdorff_distance(a: RateRegion, b: RateRegion) -> float:
-    """Hausdorff distance between two convex regions (polygons through the origin)."""
-    pa, pb = a.polygon(), b.polygon()
-    d_ab = max(_point_polygon_distance(p, pb) for p in pa)
-    d_ba = max(_point_polygon_distance(p, pa) for p in pb)
-    return max(d_ab, d_ba)
+@lru_cache(maxsize=64)
+def _corner_table(epsilon: float):
+    """corner_points as (id, x, y) triples and as ids and an (n, 2) array, and the ascending myopic thresholds."""
+    e = _check_eps(epsilon)
+    named = corner_points(e)
+    if e < EPS_CRITICAL:
+        myopic = (e / (1 - e), (1 - e) / (2 - e), 1.0, (2 - e) / (1 - e), (1 - e) / e)
+    else:
+        myopic = (e / (1 - e), 1.0, (1 - e) / e)
+    ids = tuple(cid for cid, _ in named)
+    return tuple((cid, x, y) for cid, (x, y) in named), ids, np.array([pt for _, pt in named]), myopic
 
 
 def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
     """Corner between the ascending positive thresholds holding q2/q1; arrays map elementwise."""
-    if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
-        if ((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))).any():
-            raise ValueError("queue lengths must be nonnegative and not both zero")
+    q1, q2 = _check_queues(q1, q2)
+    if isinstance(q1, np.ndarray):
         with np.errstate(over="ignore"):  # inf, as in the scalar division
             ratio = q2 / np.where(q1 == 0, 1.0, q1)
         # side="left" is the scalar rule below: a ratio on a threshold takes the lower interval
         index = np.searchsorted(thresholds, ratio, side="left")
         return np.asarray(corners_low_to_high)[np.where(q1 == 0, len(thresholds), index)]
-    if q1 < 0 or q2 < 0 or (q1 == 0 and q2 == 0):
-        raise ValueError("queue lengths must be nonnegative and not both zero")
     if q1 == 0:
         return corners_low_to_high[-1]
     ratio = q2 / q1
-    # A ratio exactly on a threshold resolves to the lower interval.
     for t, corner in zip(thresholds, corners_low_to_high):
         if ratio <= t:
             return corner
     return corners_low_to_high[-1]
 
 
-@lru_cache(maxsize=64)
-def _thresholds(epsilon: float):
-    """Corners low to high, ascending FBDC (frontier edges' negative reciprocal slopes) and myopic thresholds."""
-    e = _check_eps(epsilon)
-    if e < EPS_CRITICAL:
-        return (("b5", "b4", "b3", "b2", "b1", "b0"),
-                (e / (1 - e) ** 2, (1 - e) / (1 + e - e * e), 1.0, (1 + e - e * e) / (1 - e), (1 - e) ** 2 / e),
-                (e / (1 - e), (1 - e) / (2 - e), 1.0, (2 - e) / (1 - e), (1 - e) / e))
-    g = (1 - e) * (3 - 2 * e)
-    return ("b5", "b3", "b2", "b0"), (1.0 / g, 1.0, g), (e / (1 - e), 1.0, (1 - e) / e)
+# Queues both below _TINY are scaled up by a power of two, which is exact,
+# so that q1*x + q2*y does not underflow to a tie of every corner.
+_TINY, _UNDERFLOW_SCALE = 2.0**-900, 2.0**600
 
 
 def fbdc_corner_map(epsilon: float, q1, q2):
-    """Frontier corner maximizing q1*r1 + q2*r2 (arrays of queues map elementwise)."""
-    corners, thresholds, _ = _thresholds(epsilon)
-    return _map_from_thresholds(thresholds, corners, q1, q2)
+    """Frontier corner maximizing q1*r1 + q2*r2 (arrays of queues map elementwise).
+
+    The first maximum in corner_points order wins, so a tie between two
+    corners goes to the one of lower queue ratio q2/q1.
+    """
+    triples, ids, xy, _ = _corner_table(epsilon)
+    if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
+        q1, q2 = _check_queues(q1, q2)
+        scale = np.where(np.maximum(q1, q2) < _TINY, _UNDERFLOW_SCALE, 1.0)
+        values = np.multiply.outer(q1 * scale, xy[:, 0]) + np.multiply.outer(q2 * scale, xy[:, 1])
+        return np.asarray(ids)[values.argmax(axis=-1)]
+    if (q1 < _TINY and q2 < _TINY) or q1 < 0 or q2 < 0:  # the scalar hot path skips _check_queues
+        q1, q2 = _check_queues(q1, q2)
+        q1, q2 = q1 * _UNDERFLOW_SCALE, q2 * _UNDERFLOW_SCALE
+    best, best_value = None, -1.0
+    for cid, x, y in triples:
+        value = q1 * x + q2 * y
+        if value > best_value:
+            best, best_value = cid, value
+    return best
 
 
 def myopic_corner_map(epsilon: float, q1, q2):
     """Frontier corner the one-step-lookahead weight comparison drives toward (arrays too)."""
-    corners, _, thresholds = _thresholds(epsilon)
-    return _map_from_thresholds(thresholds, corners, q1, q2)
+    _, ids, _, thresholds = _corner_table(epsilon)
+    return _map_from_thresholds(thresholds, ids, q1, q2)

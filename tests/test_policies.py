@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import myopic_policy_table
 from switchq import channels as ch
 from switchq import mdp
 from switchq import policies as pol
@@ -180,7 +181,7 @@ def test_myopic_decisions_reproduce_the_corner_map_on_recurrent_states():
         table = pol.CORNER_TABLES[corner]
         kernel = mdp.build_kernel(eps)
         recurrent = mdp.recurrent_class(mdp.policy_matrix(kernel, table))
-        myopic_table = pol.myopic_policy_table(model, 1, q1, q2)
+        myopic_table = myopic_policy_table(model, 1, q1, q2)
         for s in recurrent:
             assert myopic_table[s] == table[s], (eps, q1, q2, corner, s)
         checked += 1

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import fbdc_thresholds, hausdorff_distance, threshold_map
 from switchq import mdp
 from switchq import region as rg
 
@@ -50,17 +52,73 @@ def test_closed_form_halfspace_lists():
     assert len(non_axis) == 3
 
 
+def paper_facets(e):
+    """The paper's frontier facets, each with the two corners it joins, from b0 to b5."""
+    mid = 0.75 - e / 2
+    if e < rg.EPS_CRITICAL:
+        return {
+            ("b0", "b1"): rg.HalfSpace(e, (1 - e) ** 2, (1 - e) ** 2 / 2),
+            ("b1", "b2"): rg.HalfSpace(1 - e, 1 + e - e * e, mid),
+            ("b2", "b3"): rg.HalfSpace(1.0, 1.0, mid),
+            ("b3", "b4"): rg.HalfSpace(1 + e - e * e, 1 - e, mid),
+            ("b4", "b5"): rg.HalfSpace((1 - e) ** 2, e, (1 - e) ** 2 / 2),
+        }
+    g = (1 - e) * (3 - 2 * e)
+    return {
+        ("b0", "b2"): rg.HalfSpace(1.0, g, g / 2),
+        ("b2", "b3"): rg.HalfSpace(1.0, 1.0, mid),
+        ("b3", "b5"): rg.HalfSpace(g, 1.0, g / 2),
+    }
+
+
+def check_facets_against_paper(eps):
+    # One facet per edge between kept corners, from b0 to b5.  An edge between
+    # adjacent corners carries the paper's facet; an edge over corners the
+    # flat-corner drop removed carries the chord, within 1e-9 of those corners.
+    region = rg.closed_form_region(eps)
+    named = rg.corner_points(eps)[::-1]  # b0 to b5
+    kept = [i for i, (_, pt) in enumerate(named) if pt in region.corners]
+    assert [named[i][1] for i in kept] == list(region.corners)[::-1]
+    facets = [h for h in region.halfspaces if h not in rg.AXIS_HALFSPACES]
+    assert region.halfspaces[:2] == rg.AXIS_HALFSPACES and len(facets) == len(kept) - 1
+    formulas = paper_facets(eps)
+    for (i, j), h in zip(zip(kept, kept[1:]), facets):
+        (u, pu), (v, pv) = named[i], named[j]
+        if j == i + 1:
+            want = formulas[(u, v)].normalized()
+            assert (h.a1, h.a2, h.b) == pytest.approx((want.a1, want.a2, want.b), abs=1e-12), (eps, u, v)
+        else:
+            assert abs(h.slack(pu)) < 1e-12 and abs(h.slack(pv)) < 1e-12
+            norm = math.hypot(h.a1, h.a2)  # slack / norm is the distance to the chord
+            assert all(abs(h.slack(pt)) <= 1e-9 * norm for _, pt in named[i + 1 : j]), (eps, u, v)
+
+
+@pytest.mark.parametrize("eps", EPS_GRID + (0.4999999974, rg.EPS_CRITICAL - 3e-9))
+def test_derived_facets_match_paper_formulas(eps):
+    check_facets_against_paper(eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.floats(0.0, 0.5, exclude_min=True),
+    st.floats(0.5 - 1e-8, 0.5),
+    st.floats(rg.EPS_CRITICAL - 1e-8, rg.EPS_CRITICAL + 1e-8),
+))
+def test_derived_facets_match_paper_formulas_everywhere(eps):
+    check_facets_against_paper(eps)
+
+
 def test_region_continuity_across_critical_epsilon():
     below = rg.closed_form_region(rg.EPS_CRITICAL - 1e-6)
     above = rg.closed_form_region(rg.EPS_CRITICAL + 1e-6)
-    assert rg.hausdorff_distance(below, above) < 1e-3
+    assert hausdorff_distance(below, above) < 1e-3
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)
 def test_hull_of_enumerated_rates_matches_closed_form(eps):
     hull = rg.region_from_vertices([v.rates for v in mdp.enumerate_vertices(eps)])
     closed = rg.closed_form_region(eps)
-    assert rg.hausdorff_distance(hull, closed) < 1e-9
+    assert hausdorff_distance(hull, closed) < 1e-9
     assert len(hull.corners) == len(closed.corners)
     for got, want in zip(hull.corners, closed.corners):
         assert got == pytest.approx(want, abs=1e-9)
@@ -173,37 +231,64 @@ def test_fbdc_map_equals_weighted_argmax():
         assert corner == best, (eps, q1, q2)
 
 
-# The array path of the corner maps (np.searchsorted over the thresholds)
-# must pick the corner the scalar loop picks, ratios exactly on a threshold
-# and queues at zero included.
+# The array path of each corner map must pick the corner its scalar path
+# picks, ratios exactly on a threshold and queues at zero included.  The
+# FBDC map must also agree with the paper's threshold map wherever the
+# queue direction (q1, q2) is more than 1e-9 rad from every tie direction
+# (1, t); nearer, the two corners tie up to the rounding of their
+# coordinates (which at epsilon ~ 1e-300 puts b4 and b5 both at x = 1/2).
 
 EPSILONS = st.one_of(
     st.floats(0.0, 0.5, exclude_min=True),
     st.sampled_from([rg.EPS_CRITICAL, math.nextafter(rg.EPS_CRITICAL, 0.0), 0.5, math.nextafter(0.5, 0.0)]),
 )
 QUEUES = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.integers(0, 50))
-MAPS = ((rg.fbdc_corner_map, 1), (rg.myopic_corner_map, 2))  # index into rg._thresholds
+
+
+def _on_and_beside(thresholds):
+    # queue lengths are finite: at epsilon near 5e-324 the top threshold (1-e)^2/e overflows
+    return [(1.0, r) for t in thresholds if math.isfinite(t)
+            for r in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf))]
 
 
 @settings(max_examples=200, deadline=None)
 @given(EPSILONS, st.lists(st.tuples(QUEUES, QUEUES), max_size=30))
 def test_array_corner_maps_match_scalar(eps, pairs):
-    for corner_map, index in MAPS:
-        table = rg._thresholds(eps)
-        corners, thresholds = table[0], table[index]
-        assert list(thresholds) == sorted(thresholds)  # searchsorted relies on it
-        assert thresholds[0] > 0  # so q2 == 0 takes the first corner
-        assert len(corners) == len(thresholds) + 1
-        on_edges = [(1.0, r) for t in thresholds for r in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf))]
-        cases = [(q1, q2) for q1, q2 in pairs + on_edges + [(0.0, 3.0), (3.0, 0.0)] if q1 or q2]
-        q1, q2 = np.array(cases, dtype=float).T
+    corners = [cid for cid, _ in rg.corner_points(eps)]  # ascending queue ratio
+    fbdc = fbdc_thresholds(eps)
+    myopic = rg._corner_table(eps)[3]
+    assert list(myopic) == sorted(myopic)  # searchsorted relies on it
+    assert myopic[0] > 0  # so q2 == 0 takes the first corner
+    assert len(corners) == len(fbdc) + 1 == len(myopic) + 1
+    edges = _on_and_beside(fbdc) + _on_and_beside(myopic)
+    cases = [(q1, q2) for q1, q2 in pairs + edges + [(0.0, 3.0), (3.0, 0.0)] if q1 or q2]
+    q1, q2 = np.array(cases, dtype=float).T
+    for corner_map in (rg.fbdc_corner_map, rg.myopic_corner_map):
         assert list(corner_map(eps, q1, q2)) == [corner_map(eps, a, b) for a, b in cases]
-        ratios = np.array([r for _, r in on_edges])
+        ratios = np.array([r for _, r in edges])
         assert list(corner_map(eps, 1.0, ratios)) == [corner_map(eps, 1.0, r) for r in ratios]
         with pytest.raises(ValueError):
             corner_map(eps, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         with pytest.raises(ValueError):
             corner_map(eps, 0.0, 0.0)
+    tie_angles = [math.atan(t) for t in fbdc]
+    for a, b in cases:
+        if all(abs(math.atan2(b, a) - phi) > 1e-9 for phi in tie_angles):
+            assert rg.fbdc_corner_map(eps, a, b) == threshold_map(fbdc, corners, a, b), (eps, a, b)
+
+
+@pytest.mark.parametrize("eps", EPS_GRID)
+def test_fbdc_corner_map_exact_ties(eps):
+    # Queues up to 60 whose ratio is exactly a threshold of the decimal epsilon
+    # (such as q = (33, 25) at 0.4, where b5 and b3 tie) take the lower interval.
+    exact = fbdc_thresholds(Fraction(repr(eps)))
+    corners = [cid for cid, _ in rg.corner_points(eps)]
+    ties = [(q1, q2) for q1 in range(1, 61) for q2 in range(1, 61) if Fraction(q2, q1) in exact]
+    want = [threshold_map(exact, corners, Fraction(q1), q2) for q1, q2 in ties]
+    assert [rg.fbdc_corner_map(eps, q1, q2) for q1, q2 in ties] == want
+    assert list(rg.fbdc_corner_map(eps, *np.array(ties, dtype=float).T)) == want
+    if eps == 0.4:
+        assert rg.fbdc_corner_map(eps, 33, 25) == "b5" and rg.fbdc_corner_map(eps, 25, 33) == "b2"
 
 
 # just below 1/2 and EPS_CRITICAL the flat-corner drop removes a corner
@@ -218,7 +303,7 @@ def test_closed_form_halfspaces_tight_at_corners(eps):
 
 def test_hausdorff_basic_properties():
     a = rg.closed_form_region(0.25)
-    assert rg.hausdorff_distance(a, a) == 0.0
+    assert hausdorff_distance(a, a) == 0.0
     b = rg.iid_region(0.5, 0.5)
-    assert rg.hausdorff_distance(a, b) == pytest.approx(rg.hausdorff_distance(b, a), abs=1e-15)
-    assert rg.hausdorff_distance(a, b) > 0.05
+    assert hausdorff_distance(a, b) == pytest.approx(hausdorff_distance(b, a), abs=1e-15)
+    assert hausdorff_distance(a, b) > 0.05

@@ -1,0 +1,46 @@
+"""Every top-level function and class in src/switchq is used by the program.
+
+A name counts as used when some module of src/ or benchmarks/ refers to it
+outside the lines of its own definition: as a bare name, in a from-import,
+or as an attribute of a switchq module (``mdp.build_kernel``, not
+``args.policy_id``).  Code that only the tests call belongs in the tests.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "switchq"
+
+
+def _references(path: Path, tree: ast.AST):
+    """(name, file, line) of each bare name, from-import and attribute of a switchq module."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.module == "switchq" or (node.level and node.module is None)) for alias in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, path, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            yield node.attr, path, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, path, node.lineno) for alias in node.names)
+
+
+def unused_names() -> list[str]:
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for d in (ROOT / "src", ROOT / "benchmarks") for p in sorted(d.rglob("*.py"))}
+    references = [ref for path, tree in trees.items() for ref in _references(path, tree)]
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and not (where == path and line in own)
+                       for name, where, line in references):
+                unused.append(f"{path.stem}.{node.name}")
+    return unused
+
+
+def test_every_top_level_name_in_src_is_used_outside_the_tests():
+    assert unused_names() == []
