@@ -11,9 +11,8 @@ and a departure reward accrues for queue 1 in states 1, 2 under stay, and
 for queue 2 in states 5, 7 under stay.  Every stationary deterministic
 policy is a vertex of the state-action frequency polytope, so the rate
 region is the convex hull of the 256 policy rate pairs, and a weighted LP
-max a1*r1 + a2*r2 over it is solved exactly by enumerating them.  Here the
-pairs are enumerated once per epsilon to check the closed-form region;
-FBDC takes the LP's optimum over the frontier corners (region.fbdc_corner_map).
+over it is attained at one of them: FBDC takes that optimum over the
+frontier corners (region.fbdc_corner_map).
 """
 
 from __future__ import annotations

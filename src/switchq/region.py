@@ -264,9 +264,7 @@ def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
     return corners_low_to_high[-1]
 
 
-# Queues both below _TINY are scaled up by a power of two, which is exact,
-# so that q1*x + q2*y does not underflow to a tie of every corner.
-_TINY, _UNDERFLOW_SCALE = 2.0**-900, 2.0**600
+_TINY, _UNDERFLOW_SCALE = 2.0**-900, 2.0**600  # exact scaling, so q1*x + q2*y of tiny queues cannot underflow
 
 
 def fbdc_corner_map(epsilon: float, q1, q2):

@@ -261,7 +261,8 @@ def test_array_corner_maps_match_scalar(eps, pairs):
     assert myopic[0] > 0  # so q2 == 0 takes the first corner
     assert len(corners) == len(fbdc) + 1 == len(myopic) + 1
     edges = _on_and_beside(fbdc) + _on_and_beside(myopic)
-    cases = [(q1, q2) for q1, q2 in pairs + edges + [(0.0, 3.0), (3.0, 0.0)] if q1 or q2]
+    tiny = [(0.0, 5e-324), (5e-324, 0.0), (1e-310, 3e-310)]  # products that underflow unless scaled
+    cases = [(q1, q2) for q1, q2 in pairs + edges + tiny + [(0.0, 3.0), (3.0, 0.0)] if q1 or q2]
     q1, q2 = np.array(cases, dtype=float).T
     for corner_map in (rg.fbdc_corner_map, rg.myopic_corner_map):
         assert list(corner_map(eps, q1, q2)) == [corner_map(eps, a, b) for a, b in cases]
