@@ -222,9 +222,9 @@ def region_from_vertices(points: list[tuple[float, float]], tol: float = 1e-9) -
 
 
 def _check_queues(q1, q2):
-    """The queue lengths, as float arrays broadcast together if either is an array."""
+    """The queue lengths, as float arrays if either is an array."""
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        q1, q2 = np.broadcast_arrays(np.asarray(q1, dtype=float), np.asarray(q2, dtype=float))
+        q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
         bad = ((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))).any()
     else:
         bad = q1 < 0 or q2 < 0 or (q1 == 0 and q2 == 0)
@@ -235,7 +235,7 @@ def _check_queues(q1, q2):
 
 @lru_cache(maxsize=64)
 def _corner_table(epsilon: float):
-    """corner_points as (id, x, y) triples and as ids and an (n, 2) array, and the ascending myopic thresholds."""
+    """corner_points as (id, x, y) triples, as ids and as an x row over a y row; the ascending myopic thresholds."""
     e = _check_eps(epsilon)
     named = corner_points(e)
     if e < EPS_CRITICAL:
@@ -243,7 +243,7 @@ def _corner_table(epsilon: float):
     else:
         myopic = (e / (1 - e), 1.0, (1 - e) / e)
     ids = tuple(cid for cid, _ in named)
-    return tuple((cid, x, y) for cid, (x, y) in named), ids, np.array([pt for _, pt in named]), myopic
+    return tuple((cid, x, y) for cid, (x, y) in named), ids, np.array([pt for _, pt in named]).T, myopic
 
 
 def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
@@ -277,7 +277,7 @@ def fbdc_corner_map(epsilon: float, q1, q2):
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
         q1, q2 = _check_queues(q1, q2)
         scale = np.where(np.maximum(q1, q2) < _TINY, _UNDERFLOW_SCALE, 1.0)
-        values = np.multiply.outer(q1 * scale, xy[:, 0]) + np.multiply.outer(q2 * scale, xy[:, 1])
+        values = np.multiply.outer(q1 * scale, xy[0]) + np.multiply.outer(q2 * scale, xy[1])
         return np.asarray(ids)[values.argmax(axis=-1)]
     if (q1 < _TINY and q2 < _TINY) or q1 < 0 or q2 < 0:  # the scalar hot path skips _check_queues
         q1, q2 = _check_queues(q1, q2)
