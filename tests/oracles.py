@@ -4,11 +4,9 @@ The paper's FBDC queue-ratio thresholds, the Hausdorff distance between two
 regions, and the myopic decisions at all eight states for fixed weights.
 """
 
-import math
-
 from switchq import policies as pol
 from switchq.mdp import STATES
-from switchq.region import EPS_CRITICAL
+from switchq.region import EPS_CRITICAL, _cross, _dist
 
 
 def fbdc_thresholds(e):
@@ -28,14 +26,6 @@ def threshold_map(thresholds, corners_low_to_high, q1, q2):
         return corners_low_to_high[-1]
     ratio = q2 / q1
     return next((c for t, c in zip(thresholds, corners_low_to_high) if ratio <= t), corners_low_to_high[-1])
-
-
-def _dist(p, q):
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def _point_segment_distance(p, a, b):
