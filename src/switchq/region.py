@@ -130,10 +130,11 @@ def closed_form_region(epsilon: float) -> RateRegion:
     """The saturated-system rate region, its facets taken from its corners.
 
     The corners are those of corner_points that survive the flat-corner
-    drop (which removes b2, b3 a few 1e-9 below 1/2 and b1, b4 a few 1e-9
-    below EPS_CRITICAL).  Each edge between consecutive corners, walked from
-    b0 to b5, gives one frontier facet after the two axis constraints:
-    the paper's five facets below EPS_CRITICAL, its three at or above it.
+    drop, which removes a corner within 1e-9 of the chord of its neighbours
+    (b2 and b3 at and just below 1/2, b1 and b4 just below EPS_CRITICAL).
+    Each edge between consecutive corners, walked from b0 to b5, gives one
+    frontier facet after the two axis constraints: the paper's five facets
+    below EPS_CRITICAL, its three at or above it.
     """
     corners = _drop_flat_corners([pt for _, pt in corner_points(epsilon)])
     facets = [_edge_halfspace(u, v) for u, v in zip(corners, corners[1:])][::-1]
