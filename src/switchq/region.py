@@ -222,29 +222,29 @@ def region_from_vertices(points: list[tuple[float, float]], tol: float = 1e-9) -
     return RateRegion(tuple(pareto), _dedupe_halfspaces(_edge_halfspace(u, v) for u, v in edges))
 
 
-def _check_queues(q1, q2):
-    """The queue lengths, as float arrays if either is an array."""
+def _check_queues(q1, q2, finite=False):
+    """The queue lengths, as float arrays if either is an array; finite=True also rejects inf and nan."""
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
         q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
-        bad = ((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))).any()
-    else:
-        bad = q1 < 0 or q2 < 0 or (q1 == 0 and q2 == 0)
-    if bad:
-        raise ValueError("queue lengths must be nonnegative and not both zero")
+    if np.any((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))) or (
+        finite and not (np.isfinite(q1).all() and np.isfinite(q2).all())
+    ):
+        raise ValueError(f"queue lengths must be{' finite,' if finite else ''} nonnegative and not both zero")
     return q1, q2
 
 
 @lru_cache(maxsize=64)
-def _corner_table(epsilon: float):
-    """corner_points as (id, x, y) triples, as ids and as an x row over a y row; the ascending myopic thresholds."""
+def _corner_table(epsilon: float) -> tuple[tuple[str, float, float], ...]:
+    """corner_points as (id, x, y) triples."""
+    return tuple((cid, x, y) for cid, (x, y) in corner_points(epsilon))
+
+
+@lru_cache(maxsize=64)
+def _myopic_thresholds(epsilon: float) -> tuple[float, ...]:
+    """Ascending queue ratios q2/q1 at which the myopic map moves one corner up from b5."""
     e = _check_eps(epsilon)
-    named = corner_points(e)
-    if e < EPS_CRITICAL:
-        myopic = (e / (1 - e), (1 - e) / (2 - e), 1.0, (2 - e) / (1 - e), (1 - e) / e)
-    else:
-        myopic = (e / (1 - e), 1.0, (1 - e) / e)
-    ids = tuple(cid for cid, _ in named)
-    return tuple((cid, x, y) for cid, (x, y) in named), ids, np.array([pt for _, pt in named]).T, myopic
+    middle = ((1 - e) / (2 - e), 1.0, (2 - e) / (1 - e)) if e < EPS_CRITICAL else (1.0,)
+    return (e / (1 - e), *middle, (1 - e) / e)
 
 
 def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
@@ -265,33 +265,37 @@ def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
     return corners_low_to_high[-1]
 
 
-_TINY, _UNDERFLOW_SCALE = 2.0**-900, 2.0**600  # exact scaling, so q1*x + q2*y of tiny queues cannot underflow
+_TIED = 1.0 - 2.0**-48  # tied values q1*x + q2*y part by at most 14 roundings of 2**-53
 
 
 def fbdc_corner_map(epsilon: float, q1, q2):
     """Frontier corner maximizing q1*r1 + q2*r2 (arrays of queues map elementwise).
 
-    The first maximum in corner_points order wins, so a tie between two
-    corners goes to the one of lower queue ratio q2/q1.
+    The corners are scanned in corner_points order, and one displaces the
+    best so far only if its value is larger by more than a relative 2**-48.
+    So a tie between two corners goes to the one of lower queue ratio q2/q1
+    whichever way their values round.  The queue lengths must be finite.
     """
-    triples, ids, xy, _ = _corner_table(epsilon)
+    triples = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        q1, q2 = _check_queues(q1, q2)
-        scale = np.where(np.maximum(q1, q2) < _TINY, _UNDERFLOW_SCALE, 1.0)
-        values = np.multiply.outer(q1 * scale, xy[0]) + np.multiply.outer(q2 * scale, xy[1])
-        return np.asarray(ids)[values.argmax(axis=-1)]
-    if (q1 < _TINY and q2 < _TINY) or q1 < 0 or q2 < 0:  # the scalar hot path skips _check_queues
-        q1, q2 = _check_queues(q1, q2)
-        q1, q2 = q1 * _UNDERFLOW_SCALE, q2 * _UNDERFLOW_SCALE
+        q1, q2 = _check_queues(q1, q2, finite=True)
+        best, best_value = np.full(np.broadcast(q1, q2).shape, triples[0][0]), -1.0
+        for cid, x, y in triples:
+            value = q1 * x + q2 * y
+            better = value * _TIED > best_value
+            best, best_value = np.where(better, cid, best), np.where(better, value, best_value)
+        return best
+    if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:  # the hot path skips _check_queues
+        _check_queues(q1, q2, finite=True)  # raises
     best, best_value = None, -1.0
     for cid, x, y in triples:
         value = q1 * x + q2 * y
-        if value > best_value:
+        if value * _TIED > best_value:
             best, best_value = cid, value
     return best
 
 
 def myopic_corner_map(epsilon: float, q1, q2):
     """Frontier corner the one-step-lookahead weight comparison drives toward (arrays too)."""
-    _, ids, _, thresholds = _corner_table(epsilon)
-    return _map_from_thresholds(thresholds, ids, q1, q2)
+    ids = [cid for cid, _, _ in _corner_table(epsilon)]
+    return _map_from_thresholds(_myopic_thresholds(epsilon), ids, q1, q2)

@@ -100,7 +100,7 @@ def corner_map_partition(epsilon):
     maps part.
     """
     e = epsilon
-    cuts = sorted(set(fbdc_thresholds(e)) | set(rg._corner_table(e)[3]))
+    cuts = sorted(set(fbdc_thresholds(e)) | set(rg._myopic_thresholds(e)))
     edges = [0.0] + cuts + [cuts[-1] * 4.0]
     atoms = []
     for lo, hi in zip(edges, edges[1:]):
@@ -123,7 +123,7 @@ def test_psi_value_is_one_on_agreement_atoms():
 def test_psi_value_array_matches_scalar():
     # one array pass per epsilon gives the scalar floats and corners, thresholds included
     for eps in (0.001, 0.1, exp.EPS_T, 0.25, EPS_CRITICAL, 0.35, 0.5):
-        fbdc, myopic = fbdc_thresholds(eps), rg._corner_table(eps)[3]
+        fbdc, myopic = fbdc_thresholds(eps), rg._myopic_thresholds(eps)
         rs = np.concatenate([np.geomspace(0.05, 20.0, 301), fbdc, myopic])
         psi, my, opt = exp.psi_value(eps, rs)
         assert psi.shape == my.shape == opt.shape == rs.shape

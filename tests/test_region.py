@@ -233,10 +233,11 @@ def test_fbdc_map_equals_weighted_argmax():
 
 # The array path of each corner map must pick the corner its scalar path
 # picks, ratios exactly on a threshold and queues at zero included.  The
-# FBDC map must also agree with the paper's threshold map wherever the
-# queue direction (q1, q2) is more than 1e-9 rad from every tie direction
-# (1, t); nearer, the two corners tie up to the rounding of their
-# coordinates (which at epsilon ~ 1e-300 puts b4 and b5 both at x = 1/2).
+# FBDC map takes finite queue lengths only and must also agree with the
+# paper's threshold map wherever one corner's value beats every other's by
+# more than a relative 1e-12 and each queue length is zero or in the normal
+# range; elsewhere the corners tie up to the rounding of their values (at
+# epsilon ~ 1e-300 b4 and b5 are both at x = 1/2) or the values underflow.
 
 EPSILONS = st.one_of(
     st.floats(0.0, 0.5, exclude_min=True),
@@ -246,9 +247,15 @@ QUEUES = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.integers(0, 50))
 
 
 def _on_and_beside(thresholds):
-    # queue lengths are finite: at epsilon near 5e-324 the top threshold (1-e)^2/e overflows
-    return [(1.0, r) for t in thresholds if math.isfinite(t)
-            for r in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf))]
+    # at epsilon near 5e-324 the top thresholds overflow: (1, inf) and (1, max float)
+    return [(1.0, r) for t in thresholds for r in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf))]
+
+
+def _clear_winner(eps, q1, q2):
+    if not all(q == 0 or q > 1e-300 for q in (q1, q2)):
+        return False
+    values = sorted((q1 * x + q2 * y for _, (x, y) in rg.corner_points(eps)), reverse=True)
+    return values[0] - values[1] > 1e-12 * values[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,40 +263,58 @@ def _on_and_beside(thresholds):
 def test_array_corner_maps_match_scalar(eps, pairs):
     corners = [cid for cid, _ in rg.corner_points(eps)]  # ascending queue ratio
     fbdc = fbdc_thresholds(eps)
-    myopic = rg._corner_table(eps)[3]
+    myopic = rg._myopic_thresholds(eps)
     assert list(myopic) == sorted(myopic)  # searchsorted relies on it
     assert myopic[0] > 0  # so q2 == 0 takes the first corner
     assert len(corners) == len(fbdc) + 1 == len(myopic) + 1
     edges = _on_and_beside(fbdc) + _on_and_beside(myopic)
-    tiny = [(0.0, 5e-324), (5e-324, 0.0), (1e-310, 3e-310)]  # products that underflow unless scaled
-    cases = [(q1, q2) for q1, q2 in pairs + edges + tiny + [(0.0, 3.0), (3.0, 0.0)] if q1 or q2]
-    q1, q2 = np.array(cases, dtype=float).T
-    for corner_map in (rg.fbdc_corner_map, rg.myopic_corner_map):
-        assert list(corner_map(eps, q1, q2)) == [corner_map(eps, a, b) for a, b in cases]
-        ratios = np.array([r for _, r in edges])
+    cases = [(q1, q2) for q1, q2 in pairs + edges + [(0.0, 3.0), (3.0, 0.0)] if q1 or q2]
+    finite = [(q1, q2) for q1, q2 in cases if math.isfinite(q2)]
+    for corner_map, mapped in ((rg.fbdc_corner_map, finite), (rg.myopic_corner_map, cases)):
+        q1, q2 = np.array(mapped, dtype=float).T
+        assert list(corner_map(eps, q1, q2)) == [corner_map(eps, a, b) for a, b in mapped]
+        ratios = q2[q1 == 1.0]
         assert list(corner_map(eps, 1.0, ratios)) == [corner_map(eps, 1.0, r) for r in ratios]
         with pytest.raises(ValueError):
             corner_map(eps, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         with pytest.raises(ValueError):
             corner_map(eps, 0.0, 0.0)
-    tie_angles = [math.atan(t) for t in fbdc]
-    for a, b in cases:
-        if all(abs(math.atan2(b, a) - phi) > 1e-9 for phi in tie_angles):
+    for a, b in [(1.0, math.inf), (math.inf, 1.0), (math.inf, 0.0), (1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            rg.fbdc_corner_map(eps, a, b)
+        with pytest.raises(ValueError):
+            rg.fbdc_corner_map(eps, np.array([1.0, a]), np.array([1.0, b]))
+    for a, b in finite:
+        if _clear_winner(eps, a, b):
             assert rg.fbdc_corner_map(eps, a, b) == threshold_map(fbdc, corners, a, b), (eps, a, b)
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)
 def test_fbdc_corner_map_exact_ties(eps):
-    # Queues up to 60 whose ratio is exactly a threshold of the decimal epsilon
-    # (such as q = (33, 25) at 0.4, where b5 and b3 tie) take the lower interval.
+    # Queues whose ratio is exactly a threshold of the decimal epsilon (such
+    # as q = (33, 25) at 0.4, where b5 and b3 tie) take the lower interval, up
+    # to queue lengths of 10**4 where the values q1*x + q2*y round either way.
     exact = fbdc_thresholds(Fraction(repr(eps)))
     corners = [cid for cid, _ in rg.corner_points(eps)]
-    ties = [(q1, q2) for q1 in range(1, 61) for q2 in range(1, 61) if Fraction(q2, q1) in exact]
-    want = [threshold_map(exact, corners, Fraction(q1), q2) for q1, q2 in ties]
+    lowest = {}  # at 1/2 all three thresholds are 1, and b5 takes the tie
+    for t, corner in zip(exact, corners):
+        lowest.setdefault(Fraction(t), corner)
+    ties, want = [], []
+    for t, lower in lowest.items():
+        step = (t.denominator, t.numerator)
+        for k in range(1, 10**4 // max(step) + 1):
+            ties.append((k * step[0], k * step[1]))
+            want.append(lower)
     assert [rg.fbdc_corner_map(eps, q1, q2) for q1, q2 in ties] == want
     assert list(rg.fbdc_corner_map(eps, *np.array(ties, dtype=float).T)) == want
+    # a relative 1e-11 beside a tie, far above the rounding, each side keeps its own corner
+    beside = [float(t) * (1 + side) for t in lowest for side in (-1e-11, 1e-11)]
+    want = [threshold_map(exact, corners, 1, r) for r in beside]
+    assert [rg.fbdc_corner_map(eps, 1.0, r) for r in beside] == want
+    assert list(rg.fbdc_corner_map(eps, 1.0, np.array(beside))) == want
     if eps == 0.4:
         assert rg.fbdc_corner_map(eps, 33, 25) == "b5" and rg.fbdc_corner_map(eps, 25, 33) == "b2"
+        assert rg.fbdc_corner_map(eps, 132, 100) == "b5" and rg.fbdc_corner_map(eps, 100, 132) == "b2"
 
 
 # just below 1/2 and EPS_CRITICAL the flat-corner drop removes a corner
