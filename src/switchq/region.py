@@ -222,21 +222,23 @@ def region_from_vertices(points: list[tuple[float, float]], tol: float = 1e-9) -
     return RateRegion(tuple(pareto), _dedupe_halfspaces(_edge_halfspace(u, v) for u, v in edges))
 
 
-def _check_queues(q1, q2, finite=False):
-    """The queue lengths, as float arrays if either is an array; finite=True also rejects inf and nan."""
+def _check_queues(q1, q2):
+    """The queue lengths, as float arrays if either is an array."""
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
         q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
-    if np.any((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))) or (
-        finite and not (np.isfinite(q1).all() and np.isfinite(q2).all())
-    ):
-        raise ValueError(f"queue lengths must be{' finite,' if finite else ''} nonnegative and not both zero")
+        bad = ((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))).any()
+    else:
+        bad = q1 < 0 or q2 < 0 or (q1 == 0 and q2 == 0)
+    if bad:
+        raise ValueError("queue lengths must be nonnegative and not both zero")
     return q1, q2
 
 
 @lru_cache(maxsize=64)
-def _corner_table(epsilon: float) -> tuple[tuple[str, float, float], ...]:
-    """corner_points as (id, x, y) triples."""
-    return tuple((cid, x, y) for cid, (x, y) in corner_points(epsilon))
+def _corner_table(epsilon: float):
+    """corner_points as (id, x, y) triples, and as an x row over a y row."""
+    named = corner_points(epsilon)
+    return tuple((cid, x, y) for cid, (x, y) in named), np.array([pt for _, pt in named]).T
 
 
 @lru_cache(maxsize=64)
@@ -269,33 +271,32 @@ _TIED = 1.0 - 2.0**-48  # tied values q1*x + q2*y part by at most 14 roundings o
 
 
 def fbdc_corner_map(epsilon: float, q1, q2):
-    """Frontier corner maximizing q1*r1 + q2*r2 (arrays of queues map elementwise).
+    """Frontier corner maximizing q1*r1 + q2*r2 (arrays of finite queues map elementwise).
 
-    The corners are scanned in corner_points order, and one displaces the
-    best so far only if its value is larger by more than a relative 2**-48.
-    So a tie between two corners goes to the one of lower queue ratio q2/q1
-    whichever way their values round.  The queue lengths must be finite.
+    The first corner in corner_points order within a relative 2**-48 of the
+    maximum wins, so a tie between two corners goes to the one of lower
+    queue ratio q2/q1 whichever way their values round.
     """
-    triples = _corner_table(epsilon)
+    triples, xy = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        q1, q2 = _check_queues(q1, q2, finite=True)
-        best, best_value = np.full(np.broadcast(q1, q2).shape, triples[0][0]), -1.0
-        for cid, x, y in triples:
-            value = q1 * x + q2 * y
-            better = value * _TIED > best_value
-            best, best_value = np.where(better, cid, best), np.where(better, value, best_value)
-        return best
+        q1, q2 = _check_queues(q1, q2)
+        x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
+        with np.errstate(invalid="ignore"):  # an infinite queue gives inf*0 = nan, rejected below
+            values = x * q1 + y * q2  # one row per corner
+        top = values.max(axis=0)
+        if not np.isfinite(top).all():
+            raise ValueError("queue lengths must be finite")
+        return np.array([cid for cid, _, _ in triples])[(values >= top * _TIED).argmax(axis=0)]
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:  # the hot path skips _check_queues
-        _check_queues(q1, q2, finite=True)  # raises
-    best, best_value = None, -1.0
-    for cid, x, y in triples:
-        value = q1 * x + q2 * y
-        if value * _TIED > best_value:
-            best, best_value = cid, value
-    return best
+        raise ValueError("queue lengths must be finite, nonnegative and not both zero")
+    values = [q1 * x + q2 * y for _, x, y in triples]
+    floor, i = max(values) * _TIED, 0
+    while values[i] < floor:
+        i += 1
+    return triples[i][0]
 
 
 def myopic_corner_map(epsilon: float, q1, q2):
     """Frontier corner the one-step-lookahead weight comparison drives toward (arrays too)."""
-    ids = [cid for cid, _, _ in _corner_table(epsilon)]
+    ids = [cid for cid, _, _ in _corner_table(epsilon)[0]]
     return _map_from_thresholds(_myopic_thresholds(epsilon), ids, q1, q2)
