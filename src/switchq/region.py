@@ -274,26 +274,26 @@ def fbdc_corner_map(epsilon: float, q1, q2):
     """Frontier corner maximizing q1*r1 + q2*r2 (arrays of finite queues map elementwise).
 
     The first corner in corner_points order within a relative 2**-48 of the
-    maximum wins, so a tie between two corners goes to the one of lower
-    queue ratio q2/q1 whichever way their values round.
+    maximum wins: a tie goes to the lower queue ratio q2/q1 however the values round.
     """
     triples, xy = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
         q1, q2 = _check_queues(q1, q2)
-        x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
-        with np.errstate(invalid="ignore"):  # an infinite queue gives inf*0 = nan, rejected below
-            values = x * q1 + y * q2  # one row per corner
-        top = values.max(axis=0)
-        if not np.isfinite(top).all():
+        if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
             raise ValueError("queue lengths must be finite")
-        return np.array([cid for cid, _, _ in triples])[(values >= top * _TIED).argmax(axis=0)]
+        x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
+        values = x * q1 + y * q2  # one row per corner
+        return np.array([cid for cid, _, _ in triples])[(values >= values.max(axis=0) * _TIED).argmax(axis=0)]
+    q1, q2 = float(q1), float(q2)  # float products are faster than int ones, and the same
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:  # the hot path skips _check_queues
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
-    values = [q1 * x + q2 * y for _, x, y in triples]
-    floor, i = max(values) * _TIED, 0
-    while values[i] < floor:
-        i += 1
-    return triples[i][0]
+    best, top, near = None, -1.0, False
+    for cid, x, y in triples:
+        value = q1 * x + q2 * y
+        if value > top:
+            best, top, near = cid, value, top >= value * _TIED
+    # near: a corner before the first maximum is within the tolerance, and the first such wins
+    return next(cid for cid, x, y in triples if q1 * x + q2 * y >= top * _TIED) if near else best
 
 
 def myopic_corner_map(epsilon: float, q1, q2):
