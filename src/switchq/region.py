@@ -222,18 +222,6 @@ def region_from_vertices(points: list[tuple[float, float]], tol: float = 1e-9) -
     return RateRegion(tuple(pareto), _dedupe_halfspaces(_edge_halfspace(u, v) for u, v in edges))
 
 
-def _check_queues(q1, q2):
-    """The queue lengths, as float arrays if either is an array."""
-    if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
-        bad = ((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))).any()
-    else:
-        bad = q1 < 0 or q2 < 0 or (q1 == 0 and q2 == 0)
-    if bad:
-        raise ValueError("queue lengths must be nonnegative and not both zero")
-    return q1, q2
-
-
 @lru_cache(maxsize=64)
 def _corner_table(epsilon: float):
     """corner_points as (id, x, y) triples, and as an x row over a y row."""
@@ -251,16 +239,21 @@ def _myopic_thresholds(epsilon: float) -> tuple[float, ...]:
 
 def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
     """Corner between the ascending positive thresholds holding q2/q1; arrays map elementwise."""
-    q1, q2 = _check_queues(q1, q2)
-    if isinstance(q1, np.ndarray):
+    if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
+        q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+        if ((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))).any():
+            raise ValueError("queue lengths must be nonnegative and not both zero")
         with np.errstate(over="ignore"):  # inf, as in the scalar division
             ratio = q2 / np.where(q1 == 0, 1.0, q1)
         # side="left" is the scalar rule below: a ratio on a threshold takes the lower interval
         index = np.searchsorted(thresholds, ratio, side="left")
         return np.asarray(corners_low_to_high)[np.where(q1 == 0, len(thresholds), index)]
+    if q1 < 0 or q2 < 0 or (q1 == 0 and q2 == 0):
+        raise ValueError("queue lengths must be nonnegative and not both zero")
     if q1 == 0:
         return corners_low_to_high[-1]
     ratio = q2 / q1
+    # A ratio exactly on a threshold resolves to the lower interval.
     for t, corner in zip(thresholds, corners_low_to_high):
         if ratio <= t:
             return corner
@@ -278,15 +271,16 @@ def fbdc_corner_map(epsilon: float, q1, q2):
     """
     triples, xy = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        q1, q2 = _check_queues(q1, q2)
-        if not (np.isfinite(q1).all() and np.isfinite(q2).all()):
-            raise ValueError("queue lengths must be finite")
+        q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+        low, high = np.minimum(q1, q2), np.maximum(q1, q2)  # a nan fails every test here
+        if not (low.min(initial=0.0) >= 0 and high.min(initial=np.inf) > 0 and high.max(initial=0.0) < np.inf):
+            raise ValueError("queue lengths must be finite, nonnegative and not both zero")
         x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
         values = x * q1 + y * q2  # one row per corner
         return np.array([cid for cid, _, _ in triples])[(values >= values.max(axis=0) * _TIED).argmax(axis=0)]
-    q1, q2 = float(q1), float(q2)  # float products are faster than int ones, and the same
-    if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:  # the hot path skips _check_queues
+    if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
+    q1, q2 = float(q1), float(q2)  # float products are faster than int ones, and the same
     best, top, near = None, -1.0, False
     for cid, x, y in triples:
         value = q1 * x + q2 * y
