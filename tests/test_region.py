@@ -279,6 +279,11 @@ def test_array_corner_maps_match_scalar(eps, pairs):
             corner_map(eps, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         with pytest.raises(ValueError):
             corner_map(eps, 0.0, 0.0)
+        for a, b in [(-1.0, 2.0), (2.0, -1.0)]:
+            with pytest.raises(ValueError):
+                corner_map(eps, a, b)
+            with pytest.raises(ValueError):
+                corner_map(eps, np.array([1.0, a]), np.array([1.0, b]))
     for a, b in [(1.0, math.inf), (math.inf, 1.0), (math.inf, 0.0), (1.0, math.nan)]:
         with pytest.raises(ValueError):
             rg.fbdc_corner_map(eps, a, b)
