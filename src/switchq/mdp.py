@@ -67,58 +67,36 @@ def all_policies() -> list[tuple[int, ...]]:
 def build_kernel(epsilon: float) -> np.ndarray:
     """Transition probabilities P(j | s, a) as an (8, 2, 8) array.
 
-    The channels flip independently with probability epsilon; the server
-    position follows the action deterministically (stay keeps m, switch
-    flips it and consumes the slot).
+    The channels flip independently with probability epsilon, so the
+    channel pair moves by the Kronecker square of the one-channel matrix;
+    the server position follows the action deterministically (stay keeps
+    m, switch flips it and consumes the slot).
     """
     if not (0.0 < epsilon <= 0.5):
         raise ValueError(f"epsilon must lie in (0, 0.5], got {epsilon}")
     q = np.array([[1.0 - epsilon, epsilon], [epsilon, 1.0 - epsilon]])  # q[c, c'] with rows ON, OFF
-    kernel = np.zeros((N_STATES, 2, N_STATES))
-    for i, (m, c1, c2) in enumerate(STATES):
-        for a in (SWITCH, STAY):
-            m_next = m if a == STAY else 3 - m
-            for c1n in (1, 0):
-                for c2n in (1, 0):
-                    j = state_index(m_next, c1n, c2n)
-                    kernel[i, a, j] = q[1 - c1, 1 - c1n] * q[1 - c2, 1 - c2n]
-    return kernel
+    pair = np.kron(q, q)  # channel pair (c1, c2) to (c1', c2'), both ON first
+    stay, switch = np.kron(np.eye(2), pair), np.kron(1.0 - np.eye(2), pair)  # server block to block
+    return np.stack([switch, stay], axis=1)  # the action axis is indexed by SWITCH = 0, STAY = 1
 
 
 def policy_matrix(kernel: np.ndarray, policy: tuple[int, ...]) -> np.ndarray:
     """Chain transition matrix induced by a deterministic policy."""
-    return np.array([kernel[s, policy[s]] for s in range(N_STATES)])
+    return kernel[range(N_STATES), policy]
 
 
-def _communicating_classes(P: np.ndarray) -> list[list[int]]:
-    support = P > 0.0
-    reach = support | np.eye(N_STATES, dtype=bool)
-    for _ in range(3):  # 2^3 >= 8 path-doubling steps
-        reach = reach | (reach @ reach)
-    comm = reach & reach.T
-    classes, seen = [], set()
-    for s in range(N_STATES):
-        if s in seen:
-            continue
-        cls = [j for j in range(N_STATES) if comm[s, j]]
-        seen.update(cls)
-        classes.append(cls)
-    return classes
+def recurrent_class(policy: tuple[int, ...]) -> list[int]:
+    """Recurrent class of the policy-induced chain.
 
-
-def recurrent_class(P: np.ndarray) -> list[int]:
-    """Recurrent class of the chain, lowest-index class if several are closed.
-
-    Every policy except stay-everywhere is unichain here; stay-everywhere
-    has two closed classes and resolves to the queue-1 block (the class
-    containing state 1), matching a queue-1 server start.
+    Every channel pair is reached in one slot, so the classes are whole
+    server blocks: a block that holds a switch is left, a block without one
+    is closed.  If neither block is closed the chain is one class;
+    stay-everywhere has both closed and resolves to the queue-1 block,
+    matching a queue-1 server start.
     """
-    closed = []
-    for cls in _communicating_classes(P):
-        outside = [j for j in range(N_STATES) if j not in cls]
-        if not outside or not P[np.ix_(cls, outside)].any():
-            closed.append(cls)
-    return min(closed, key=min)
+    blocks = (range(0, 4), range(4, N_STATES))
+    closed = [list(block) for block in blocks if all(policy[s] == STAY for s in block)]
+    return closed[0] if closed else list(range(N_STATES))
 
 
 class ChainSolveError(ArithmeticError):
@@ -128,7 +106,7 @@ class ChainSolveError(ArithmeticError):
 def stationary_distribution(kernel: np.ndarray, policy: tuple[int, ...]) -> np.ndarray:
     """The stationary law pi of the policy-induced chain, transient states at 0."""
     P = policy_matrix(kernel, policy)
-    rec = recurrent_class(P)
+    rec = recurrent_class(policy)
     Pr = P[np.ix_(rec, rec)]
     n = len(rec)
     A = Pr.T - np.eye(n)
@@ -185,9 +163,8 @@ def rate_asymptotic_std(kernel: np.ndarray, policy: tuple[int, ...], horizon: in
     the chain restricted to its recurrent class:
     sigma^2 = pi.f~^2 + 2 pi.(f~ * (Z - I) f~) with f~ = f - pi.f.
     """
-    P = policy_matrix(kernel, policy)
-    rec = recurrent_class(P)
-    Pr = P[np.ix_(rec, rec)]
+    rec = recurrent_class(policy)
+    Pr = policy_matrix(kernel, policy)[np.ix_(rec, rec)]
     pi = stationary_distribution(kernel, policy)[rec]
     n = len(rec)
     Z = np.linalg.inv(np.eye(n) - Pr + np.outer(np.ones(n), pi))

@@ -45,6 +45,8 @@ class HalfSpace:
 
 AXIS_HALFSPACES = (HalfSpace(-1.0, 0.0, 0.0), HalfSpace(0.0, -1.0, 0.0))
 
+_TOL = 1e-9  # points this close merge, and a corner this close to its neighbours' chord is flat
+
 
 @dataclass(frozen=True)
 class RateRegion:
@@ -52,11 +54,6 @@ class RateRegion:
 
     corners: tuple[tuple[float, float], ...]
     halfspaces: tuple[HalfSpace, ...]
-
-    def polygon(self) -> list[tuple[float, float]]:
-        """Closed-region polygon including the origin, counterclockwise."""
-        pts = [(0.0, 0.0)] + list(self.corners)
-        return [p for i, p in enumerate(pts) if i == 0 or _dist(p, pts[i - 1]) > 1e-15]
 
 
 def _dist(p: tuple[float, float], q: tuple[float, float]) -> float:
@@ -104,8 +101,8 @@ def _dedupe_halfspaces(halfspaces) -> tuple[HalfSpace, ...]:
     return tuple(out)
 
 
-def _drop_flat_corners(pts: list[tuple[float, float]], tol: float = 1e-9) -> tuple[tuple[float, float], ...]:
-    # Remove corners within tol of the chord of their surviving neighbours.
+def _drop_flat_corners(pts: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    # Remove corners within _TOL of the chord of their surviving neighbours.
     kept = list(pts)
     changed = True
     while changed and len(kept) > 2:
@@ -113,7 +110,7 @@ def _drop_flat_corners(pts: list[tuple[float, float]], tol: float = 1e-9) -> tup
         for i in range(1, len(kept) - 1):
             o, a, b = kept[i - 1], kept[i], kept[i + 1]
             chord = _dist(o, b)
-            if chord > 0 and abs(_cross(o, a, b)) <= tol * chord:
+            if chord > 0 and abs(_cross(o, a, b)) <= _TOL * chord:
                 del kept[i]
                 changed = True
                 break
@@ -166,15 +163,11 @@ def no_switchover_region(p1: float, p2: float) -> RateRegion:
     return RateRegion(corners, halfspaces)
 
 
-def contains(region: RateRegion, point: tuple[float, float], delta: float = 0.0) -> bool:
-    """Whether the delta-inflated point (x + delta, y + delta) lies in the region."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    x, y = point
-    if x < 0 or y < 0:
+def contains(region: RateRegion, point: tuple[float, float]) -> bool:
+    """Whether the point lies in the region."""
+    if point[0] < 0 or point[1] < 0:
         return False
-    shifted = (x + delta, y + delta)
-    return all(h.slack(shifted) >= -1e-12 for h in region.halfspaces)
+    return all(h.slack(point) >= -1e-12 for h in region.halfspaces)
 
 
 def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -186,9 +179,7 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]
     def build(seq):
         chain: list[tuple[float, float]] = []
         for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 1e-9 * max(
-                _dist(chain[-2], p), 1e-30
-            ):
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= _TOL * max(_dist(chain[-2], p), 1e-30):
                 chain.pop()
             chain.append(p)
         return chain
@@ -198,18 +189,18 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]
     return lower[:-1] + upper[:-1]
 
 
-def region_from_vertices(points: list[tuple[float, float]], tol: float = 1e-9) -> RateRegion:
+def region_from_vertices(points: list[tuple[float, float]]) -> RateRegion:
     """Convex hull of achievable rate points as a RateRegion (the brute-force oracle).
 
     Corners are the Pareto-maximal hull vertices ordered from the max-r1 end
-    to the max-r2 end; halfspaces are all hull edges.  Near-coincident points
-    merge at the given tolerance; a single point hulls to itself.
+    to the max-r2 end; halfspaces are all hull edges.  Points within _TOL
+    merge; a single point hulls to itself.
     """
     if not points:
         raise ValueError("need at least one point")
     merged: dict[tuple[int, int], tuple[float, float]] = {}
     for x, y in points:
-        merged.setdefault((round(x / tol), round(y / tol)), (float(x), float(y)))
+        merged.setdefault((round(x / _TOL), round(y / _TOL)), (float(x), float(y)))
     hull = _convex_hull(list(merged.values()))
     if len(hull) == 1:
         return RateRegion((hull[0],), ())
@@ -237,27 +228,24 @@ def _myopic_thresholds(epsilon: float) -> tuple[float, ...]:
     return (e / (1 - e), *middle, (1 - e) / e)
 
 
+def _queue_arrays(q1, q2) -> tuple[np.ndarray, np.ndarray]:
+    """Queue lengths as float arrays, checked finite, nonnegative and not both zero."""
+    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+    low, high = np.minimum(q1, q2), np.maximum(q1, q2)  # a nan fails every test here
+    if not (low.min(initial=0.0) >= 0 and high.min(initial=np.inf) > 0 and high.max(initial=0.0) < np.inf):
+        raise ValueError("queue lengths must be finite, nonnegative and not both zero")
+    return q1, q2
+
+
 def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
     """Corner between the ascending positive thresholds holding q2/q1; arrays map elementwise."""
-    if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
-        if ((q1 < 0) | (q2 < 0) | ((q1 == 0) & (q2 == 0))).any():
-            raise ValueError("queue lengths must be nonnegative and not both zero")
-        with np.errstate(over="ignore"):  # inf, as in the scalar division
-            ratio = q2 / np.where(q1 == 0, 1.0, q1)
-        # side="left" is the scalar rule below: a ratio on a threshold takes the lower interval
-        index = np.searchsorted(thresholds, ratio, side="left")
-        return np.asarray(corners_low_to_high)[np.where(q1 == 0, len(thresholds), index)]
-    if q1 < 0 or q2 < 0 or (q1 == 0 and q2 == 0):
-        raise ValueError("queue lengths must be nonnegative and not both zero")
-    if q1 == 0:
-        return corners_low_to_high[-1]
-    ratio = q2 / q1
-    # A ratio exactly on a threshold resolves to the lower interval.
-    for t, corner in zip(thresholds, corners_low_to_high):
-        if ratio <= t:
-            return corner
-    return corners_low_to_high[-1]
+    q1, q2 = _queue_arrays(q1, q2)
+    with np.errstate(over="ignore"):  # a finite q2 over a tiny q1 is an infinite ratio
+        ratio = q2 / np.where(q1 == 0, 1.0, q1)
+    # side="left": a ratio exactly on a threshold takes the lower interval
+    index = np.searchsorted(thresholds, ratio, side="left")
+    corner = np.asarray(corners_low_to_high)[np.where(q1 == 0, len(thresholds), index)]
+    return corner if corner.ndim else str(corner)
 
 
 _TIED = 1.0 - 2.0**-48  # tied values q1*x + q2*y part by at most 14 roundings of 2**-53
@@ -271,10 +259,7 @@ def fbdc_corner_map(epsilon: float, q1, q2):
     """
     triples, xy = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
-        low, high = np.minimum(q1, q2), np.maximum(q1, q2)  # a nan fails every test here
-        if not (low.min(initial=0.0) >= 0 and high.min(initial=np.inf) > 0 and high.max(initial=0.0) < np.inf):
-            raise ValueError("queue lengths must be finite, nonnegative and not both zero")
+        q1, q2 = _queue_arrays(q1, q2)
         x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
         values = x * q1 + y * q2  # one row per corner
         return np.array([cid for cid, _, _ in triples])[(values >= values.max(axis=0) * _TIED).argmax(axis=0)]
@@ -291,6 +276,9 @@ def fbdc_corner_map(epsilon: float, q1, q2):
 
 
 def myopic_corner_map(epsilon: float, q1, q2):
-    """Frontier corner the one-step-lookahead weight comparison drives toward (arrays too)."""
+    """Frontier corner the one-step-lookahead weight comparison drives toward.
+
+    Queue lengths must be finite; arrays map elementwise.
+    """
     ids = [cid for cid, _, _ in _corner_table(epsilon)[0]]
     return _map_from_thresholds(_myopic_thresholds(epsilon), ids, q1, q2)

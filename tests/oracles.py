@@ -1,12 +1,56 @@
 """Reference code the tests check the program against; the program itself does not use it.
 
-The paper's FBDC queue-ratio thresholds, the Hausdorff distance between two
-regions, and the myopic decisions at all eight states for fixed weights.
+The saturated chain's kernel filled entry by entry and its recurrent class
+by a generic reachability closure, the paper's FBDC queue-ratio thresholds,
+a region's polygon and the Hausdorff distance between two regions, and the
+myopic decisions at all eight states for fixed weights.
 """
 
+import numpy as np
+
 from switchq import policies as pol
-from switchq.mdp import STATES
+from switchq.mdp import N_STATES, STATES, STAY, SWITCH, state_index
 from switchq.region import EPS_CRITICAL, _cross, _dist
+
+
+def loop_kernel(epsilon):
+    """P(j | s, a) as an (8, 2, 8) array, one entry per state, action and channel pair."""
+    q = np.array([[1.0 - epsilon, epsilon], [epsilon, 1.0 - epsilon]])  # q[c, c'] with rows ON, OFF
+    kernel = np.zeros((N_STATES, 2, N_STATES))
+    for i, (m, c1, c2) in enumerate(STATES):
+        for a in (SWITCH, STAY):
+            m_next = m if a == STAY else 3 - m
+            for c1n in (1, 0):
+                for c2n in (1, 0):
+                    j = state_index(m_next, c1n, c2n)
+                    kernel[i, a, j] = q[1 - c1, 1 - c1n] * q[1 - c2, 1 - c2n]
+    return kernel
+
+
+def _communicating_classes(P):
+    support = P > 0.0
+    reach = support | np.eye(N_STATES, dtype=bool)
+    for _ in range(3):  # 2^3 >= 8 path-doubling steps
+        reach = reach | (reach @ reach)
+    comm = reach & reach.T
+    classes, seen = [], set()
+    for s in range(N_STATES):
+        if s in seen:
+            continue
+        cls = [j for j in range(N_STATES) if comm[s, j]]
+        seen.update(cls)
+        classes.append(cls)
+    return classes
+
+
+def closure_recurrent_class(P):
+    """Closed communicating class of the chain P holding the lowest state, from P's support alone."""
+    closed = []
+    for cls in _communicating_classes(P):
+        outside = [j for j in range(N_STATES) if j not in cls]
+        if not outside or not P[np.ix_(cls, outside)].any():
+            closed.append(cls)
+    return min(closed, key=min)
 
 
 def fbdc_thresholds(e):
@@ -50,9 +94,15 @@ def _point_polygon_distance(p, poly):
     )
 
 
+def polygon(region):
+    """Closed-region polygon including the origin, counterclockwise."""
+    pts = [(0.0, 0.0)] + list(region.corners)
+    return [p for i, p in enumerate(pts) if i == 0 or _dist(p, pts[i - 1]) > 1e-15]
+
+
 def hausdorff_distance(a, b):
     """Hausdorff distance between two convex regions (polygons through the origin)."""
-    pa, pb = a.polygon(), b.polygon()
+    pa, pb = polygon(a), polygon(b)
     d_ab = max(_point_polygon_distance(p, pb) for p in pa)
     d_ba = max(_point_polygon_distance(p, pa) for p in pb)
     return max(d_ab, d_ba)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import hausdorff_distance, myopic_policy_table
+from oracles import hausdorff_distance, myopic_policy_table, polygon
 from switchq import channels as ch
 from switchq import experiments as exp
 from switchq import mdp
@@ -35,7 +35,7 @@ def test_criterion_1_region_equivalence():
     for eps in eps_grid:
         hull = rg.region_from_vertices([v.rates for v in mdp.enumerate_vertices(eps)])
         closed = rg.closed_form_region(eps)
-        vertices = hull.polygon()  # hull vertex set including the origin
+        vertices = polygon(hull)  # hull vertex set including the origin
         for h in closed.halfspaces:
             slacks = [h.slack(v) for v in vertices]
             worst_violation = max(worst_violation, -min(slacks))
@@ -192,7 +192,7 @@ def test_criterion_8_myopic_structural_equivalence():
             continue
         corner = rg.myopic_corner_map(eps, q1, q2)
         table = pol.CORNER_TABLES[corner]
-        recurrent = mdp.recurrent_class(mdp.policy_matrix(mdp.build_kernel(eps), table))
+        recurrent = mdp.recurrent_class(table)
         myopic_table = myopic_policy_table(ch.gilbert_elliott(eps), 1, q1, q2)
         if any(myopic_table[s] != table[s] for s in recurrent):
             mismatches += 1

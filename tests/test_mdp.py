@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from oracles import closure_recurrent_class, loop_kernel
 from switchq import mdp
-from switchq.region import closed_form_region
+from switchq.region import EPS_CRITICAL, closed_form_region
 
 ALL_STAY = (1,) * 8
 ALL_SWITCH = (0,) * 8
 B2_TABLE = (1, 1, 0, 0, 1, 0, 1, 1)
+
+# from the smallest epsilon whose chains still solve up to 1/2, with the
+# regime change of the rate region at EPS_CRITICAL and a value just below 1/2
+STRUCTURE_EPS = (3e-9, 1e-5, 0.1, 0.25, EPS_CRITICAL, 0.4, 0.4999999974, 0.5)
 
 
 def policy_id(policy: tuple[int, ...]) -> int:
@@ -89,6 +94,23 @@ def test_kernel_epsilon_validation():
             mdp.build_kernel(bad)
 
 
+@pytest.mark.parametrize("eps", STRUCTURE_EPS)
+def test_kernel_equals_loop_built_kernel(eps):
+    # the Kronecker form multiplies the same two channel factors per entry
+    k, want = mdp.build_kernel(eps), loop_kernel(eps)
+    assert k.shape == want.shape and k.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("eps", STRUCTURE_EPS)
+def test_recurrent_class_equals_reachability_closure(eps):
+    # server blocks against the closure of the chain's support, all 256 policies
+    k = mdp.build_kernel(eps)
+    for policy in mdp.all_policies():
+        P = np.array([k[s, policy[s]] for s in range(mdp.N_STATES)])
+        assert mdp.policy_matrix(k, policy).tobytes() == P.tobytes()
+        assert mdp.recurrent_class(policy) == closure_recurrent_class(P), policy
+
+
 def _cesaro_power(P, start, n=4000):
     # distribution after n steps averaged over two consecutive steps,
     # which converges for the period-2 chains as well
@@ -122,7 +144,7 @@ def test_stationary_matches_power_iteration():
     for _ in range(25):
         policy = tuple(rng.integers(0, 2, 8).tolist())
         pi = mdp.stationary_distribution(k, policy)
-        start = min(mdp.recurrent_class(mdp.policy_matrix(k, policy)))
+        start = min(mdp.recurrent_class(policy))
         oracle = _cesaro_power(mdp.policy_matrix(k, policy), start=start)
         assert np.allclose(pi, oracle, atol=1e-9)
 

@@ -179,8 +179,7 @@ def test_myopic_decisions_reproduce_the_corner_map_on_recurrent_states():
         model = ch.gilbert_elliott(eps)
         corner = myopic_corner_map(eps, q1, q2)
         table = pol.CORNER_TABLES[corner]
-        kernel = mdp.build_kernel(eps)
-        recurrent = mdp.recurrent_class(mdp.policy_matrix(kernel, table))
+        recurrent = mdp.recurrent_class(table)
         myopic_table = myopic_policy_table(model, 1, q1, q2)
         for s in recurrent:
             assert myopic_table[s] == table[s], (eps, q1, q2, corner, s)

@@ -1,16 +1,22 @@
-"""Every top-level function and class in src/switchq is used by the program.
+"""Every top-level function and class in src/switchq, and every method of such a class, is used by the program.
 
 A name counts as used when some module of src/ or benchmarks/ refers to it
 outside the lines of its own definition: as a bare name, in a from-import,
 or as an attribute of a switchq module (``mdp.build_kernel``, not
-``args.policy_id``).  Code that only the tests call belongs in the tests.
+``args.policy_id``).  A method counts as used when it is read as an
+attribute of anything (``h.slack(point)``).  Dunders and overrides of a
+base-class method (``cli._Parser.error``) are called by Python or by the
+base class, so they are not checked.  Code that only the tests call belongs
+in the tests.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "switchq"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _references(path: Path, tree: ast.AST):
@@ -26,19 +32,31 @@ def _references(path: Path, tree: ast.AST):
             yield from ((alias.name, path, node.lineno) for alias in node.names)
 
 
+def _used(node: ast.AST, path: Path, references) -> bool:
+    own = range(node.lineno, node.end_lineno + 1)
+    return any(name == node.name and not (where == path and line in own) for name, where, line in references)
+
+
 def unused_names() -> list[str]:
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for d in (ROOT / "src", ROOT / "benchmarks") for p in sorted(d.rglob("*.py"))}
     references = [ref for path, tree in trees.items() for ref in _references(path, tree)]
+    attributes = [(node.attr, path, node.lineno) for path, tree in trees.items()
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"switchq.{path.stem}")
         for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
                 continue
-            own = range(node.lineno, node.end_lineno + 1)
-            if not any(name == node.name and not (where == path and line in own)
-                       for name, where, line in references):
+            if not _used(node, path, references):
                 unused.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                bases = getattr(module, node.name).__mro__[1:]
+                unused += [f"{path.stem}.{node.name}.{method.name}" for method in node.body
+                           if isinstance(method, FUNCTIONS) and not method.name.startswith("__")
+                           and not any(hasattr(base, method.name) for base in bases)
+                           and not _used(method, path, attributes)]
     return unused
 
 
