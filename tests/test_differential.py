@@ -38,6 +38,32 @@ def test_sweep_csv_digest(policy):
     assert _sha(exp.rows_to_csv(exp.SWEEP_HEADER, exp.sweep(spec))) == SWEEP_DIGESTS[policy]
 
 
+# Sweep shapes the digests above leave out: iid channels under the polling
+# policies, Poisson arrivals, a warmup, and two policies in one grid, whose
+# cells interleave the seeds.  Pinned from the per-cell slot loop.
+SWEEP_SHAPE_DIGESTS = {
+    "iid_gated": (dict(policies=(pol.PolicyConfig("gated"),), p1=0.5, p2=0.6),
+                  "132945efe05036bd0e622bf631d3140eaa9f4a30f33335d69ec70d17a0af1914"),
+    "iid_exhaustive": (dict(policies=(pol.PolicyConfig("exhaustive"),), p1=0.5, p2=0.6),
+                       "5b550976cc8b807d72aefd574906f56d39a79dfde5964f766a12936caeb7310d"),
+    "poisson_fbdc_T10": (dict(policies=(pol.PolicyConfig("fbdc", T=10),), epsilon=0.4, arrival_kind=sim.POISSON),
+                         "cc1d0b9a89a71d1789147768eb70f860f9a377b6f099abcdc62c1c9f7c9567bc"),
+    "myopic2_slot_warmup": (dict(policies=(pol.PolicyConfig("myopic", k=2, frame_based=False),), epsilon=0.4,
+                                 warmup=700),
+                            "5a1e4907159e8402ff55f3e0f7bc1b2424969c2544af10c8682d03c65e425c83"),
+    "fbdc_T7_and_myopic1_T5": (dict(policies=(pol.PolicyConfig("fbdc", T=7), pol.PolicyConfig("myopic", T=5, k=1)),
+                                    epsilon=0.4),
+                               "dd1eaa74e20b772fab60dbbb56b561c3d86a6d72921a60b489909e2de50b0f51"),
+}
+
+
+@pytest.mark.parametrize("shape", list(SWEEP_SHAPE_DIGESTS))
+def test_sweep_shape_csv_digest(shape):
+    fields, digest = SWEEP_SHAPE_DIGESTS[shape]
+    spec = exp.GridSpec(step=0.1, horizon=5000, seed=77, **fields)
+    assert _sha(exp.rows_to_csv(exp.SWEEP_HEADER, exp.sweep(spec))) == digest
+
+
 def test_iid_suite_csv_digest():
     rows = exp.iid_suite(0.5, 0.6, (0.6, 0.9, 1.2), horizon=8000, seed=21)
     assert _sha(exp.rows_to_csv(exp.IID_HEADER, rows)) == "fe3e8b967606a9f2b8a1a5b90a414ee0dcbaddb9bc893a50d5032f97fe3bc617"
