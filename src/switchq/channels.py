@@ -93,19 +93,54 @@ def generate_paths(model: ChannelModel, horizon: int, rng: np.random.Generator) 
     model); later slots follow the one-step dynamics.  Vectorized so
     simulation loops never pay per-slot RNG overhead.
     """
+    paths = next(path_chunks(model, horizon, [rng], horizon))
+    return paths[0, 0], paths[1, 0]
+
+
+def stream_at(rng: np.random.Generator, offset: int) -> np.random.Generator:
+    """A generator that reads rng's stream from `offset` draws ahead; rng does not move."""
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = rng.bit_generator.state
+    bit_generator.advance(offset)
+    return np.random.Generator(bit_generator)
+
+
+def path_chunks(model: ChannelModel, horizon: int, rngs: list[np.random.Generator], size: int):
+    """generate_paths of each generator in rngs, in consecutive chunks of at most `size` slots.
+
+    Yields int8 arrays indexed [channel, generator, slot].  Each channel
+    reads its draws from its own place in its generator's stream
+    (stream_at), so one chunk at a time is held; every generator moves at
+    once past all its draws, to where generate_paths leaves it.
+    """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if model.kind == IID:
-        c1 = (rng.random(horizon) < model.p1).astype(np.int8)
-        c2 = (rng.random(horizon) < model.p2).astype(np.int8)
-        return c1, c2
-    c1_0, c2_0 = sample_initial(model, rng)
-    e = model.epsilon
-    # flips[t] moves the chain from slot t-1 to slot t; flips[0] is unused
-    flips1 = rng.random(horizon) < e
-    flips2 = rng.random(horizon) < e
-    flips1[0] = False
-    flips2[0] = False
-    c1 = (np.cumsum(flips1) & 1).astype(np.int8) ^ c1_0
-    c2 = (np.cumsum(flips2) & 1).astype(np.int8) ^ c2_0
-    return c1, c2
+    start = [(0, 0) if model.kind == IID else sample_initial(model, rng) for rng in rngs]
+    streams = [[stream_at(rng, k * horizon) for rng in rngs] for k in (0, 1)]
+    for rng in rngs:
+        rng.bit_generator.advance(2 * horizon)
+    return _path_chunks(model, horizon, streams, np.array(start, dtype=bool).T, size)
+
+
+def bernoulli_bits(streams, probs, n: int) -> np.ndarray:
+    """bits[k, i]: whether each of the next n draws of streams[k][i] falls below probs[k][i]."""
+    bits = np.empty((len(streams), len(streams[0]), n), dtype=bool)
+    draws = np.empty(n)
+    for row_streams, row_bits, row_probs in zip(streams, bits, probs):
+        for stream, out, p in zip(row_streams, row_bits, row_probs):
+            np.less(stream.random(out=draws), p, out=out)
+    return bits
+
+
+def _path_chunks(model, horizon, streams, last, size):
+    probs = (model.p1, model.p2) if model.kind == IID else (model.epsilon,) * 2
+    probs = np.broadcast_to(np.array(probs)[:, None], last.shape)
+    for t0 in range(0, horizon, size):
+        bits = bernoulli_bits(streams, probs, min(size, horizon - t0))  # ON for iid, a flip for the Markov model
+        if model.kind == GILBERT_ELLIOTT:  # bits[t] moves the chain from slot t-1 to slot t
+            if t0 == 0:
+                bits[:, :, 0] = False  # slot 0 is the drawn start
+            np.logical_xor.accumulate(bits, axis=2, out=bits)
+            bits ^= last[:, :, None]
+            last = bits[:, :, -1].copy()
+        yield bits.view(np.int8)

@@ -19,6 +19,7 @@ from . import policies as pol
 from . import sim
 from .region import (
     EPS_CRITICAL,
+    _corner_table,
     closed_form_region,
     contains,
     corner_points,
@@ -116,31 +117,36 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
 
 
 def sweep(spec: GridSpec) -> list[tuple]:
-    """Run every (lambda1, lambda2, policy) cell and classify stability."""
+    """Run every (lambda1, lambda2, policy) cell and classify stability.
+
+    Cell i of the grid, in row order, runs with seed spec.seed + i; the
+    cells of each policy run together in one sim.run_batch.
+    """
     channel = spec.channel()
     eps_field = spec.epsilon if spec.epsilon is not None else ""
-    rows = []
-    run_index = 0
-    for lam1, lam2 in grid_points(spec):
-        for config in spec.policies:
-            metrics = sim.run(
-                sim.SimConfig(
-                    lambda1=lam1,
-                    lambda2=lam2,
-                    channel=channel,
-                    policy=config,
-                    horizon=spec.horizon,
-                    warmup=spec.warmup,
-                    seed=spec.seed + run_index,
-                    arrival_kind=spec.arrival_kind,
-                )
+    points = grid_points(spec)
+    n_policies = len(spec.policies)
+    results = []
+    for j, config in enumerate(spec.policies):
+        results.append(sim.run_batch([
+            sim.SimConfig(
+                lambda1=lam1,
+                lambda2=lam2,
+                channel=channel,
+                policy=config,
+                horizon=spec.horizon,
+                warmup=spec.warmup,
+                seed=spec.seed + i * n_policies + j,
+                arrival_kind=spec.arrival_kind,
             )
-            rows.append(
-                (eps_field, lam1, lam2, config.label(), config.T, config.k,
-                 metrics.q_avg, metrics.rate1, metrics.rate2, metrics.verdict)
-            )
-            run_index += 1
-    return rows
+            for i, (lam1, lam2) in enumerate(points)
+        ]))
+    return [
+        (eps_field, lam1, lam2, config.label(), config.T, config.k,
+         metrics.q_avg, metrics.rate1, metrics.rate2, metrics.verdict)
+        for i, (lam1, lam2) in enumerate(points)
+        for config, metrics in zip(spec.policies, (batch[i] for batch in results))
+    ]
 
 
 def sweep_membership_agreement(spec: GridSpec, rows) -> float:
@@ -238,16 +244,14 @@ def psi_value(epsilon: float, ratio):
     fbdc_corner_map.  An array of ratios takes one numpy pass at one
     epsilon and returns arrays, elementwise equal to scalar calls.
     """
-    ids, xy = zip(*sorted(corner_points(epsilon)))  # ids ascending, for searchsorted
-    ids, xy = np.array(ids), np.array(xy)
     ratios = np.atleast_1d(np.asarray(ratio, dtype=float))
-    my = myopic_corner_map(epsilon, 1.0, ratios)
-    opt = fbdc_corner_map(epsilon, 1.0, ratios)
-    (x_my, y_my), (x_opt, y_opt) = xy[np.searchsorted(ids, my)].T, xy[np.searchsorted(ids, opt)].T
-    psi = (x_my + ratios * y_my) / (x_opt + ratios * y_opt)
+    my = myopic_corner_map(epsilon, 1.0, ratios, index=True)
+    opt = fbdc_corner_map(epsilon, 1.0, ratios, index=True)
+    _, (x, y), ids = _corner_table(epsilon)
+    psi = (x[my] + ratios * y[my]) / (x[opt] + ratios * y[opt])
     if np.ndim(ratio) == 0:
-        return float(psi[0]), str(my[0]), str(opt[0])
-    return psi, my, opt
+        return float(psi[0]), str(ids[my[0]]), str(ids[opt[0]])
+    return psi, ids[my], ids[opt]
 
 
 @dataclass(frozen=True)

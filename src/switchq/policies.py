@@ -5,17 +5,23 @@ Q1*r1 + Q2*r2 at each frame start (fbdc_frame_start) and plays that
 corner's deterministic action table for the whole frame.  The k-lookahead
 myopic policy compares queue-weighted expected service credit over the
 next k slots (myopic_action).  Gated and exhaustive are the classic
-polling disciplines used for the iid-channel results; their one-line rules
-live in the slot loop of sim.run, which owns the gate and queue counters.
+polling disciplines used for the iid-channel results: both stay while a
+counter is positive (polling_action); the slot loops own the counters, the
+packets found on arrival for gated and the current queue for exhaustive.
+Every rule takes arrays elementwise, so the per-cell and the lock-step
+engines of sim share one definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from . import channels as ch
 from .mdp import STAY, SWITCH, mirror_policy
-from .region import fbdc_corner_map
+from .region import corner_points, fbdc_corner_map
 
 # Corner action tables (states in the fixed order 1..8).  b2 serves the own
 # channel when ON at queue 1 and leaves queue 2 only on (C1,C2)=(1,0); b1
@@ -81,12 +87,26 @@ class PolicyConfig:
         return self.kind
 
 
-def fbdc_frame_start(epsilon: float, q1_frame: int, q2_frame: int) -> tuple[int, ...]:
+@lru_cache(maxsize=64)
+def _corner_table_rows(epsilon: float) -> tuple[np.ndarray, int]:
+    """The corner tables in corner_points(epsilon) order as rows, and the row of b3."""
+    ids = [cid for cid, _ in corner_points(epsilon)]
+    return np.array([CORNER_TABLES[cid] for cid in ids], dtype=np.int8), ids.index("b3")
+
+
+def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
     """Corner table to play for the coming frame given frame-start queues.
 
     Both queues empty leaves the weighted objective identically zero; the
-    balanced corner b3 is applied in that case.
+    balanced corner b3 is applied in that case.  Arrays of queues map
+    elementwise to an int8 array with one table along a last axis of 8.
     """
+    if isinstance(q1_frame, np.ndarray):
+        rows, b3 = _corner_table_rows(epsilon)
+        busy = (q1_frame != 0) | (q2_frame != 0)
+        position = np.full(busy.shape, b3)
+        position[busy] = fbdc_corner_map(epsilon, q1_frame[busy], q2_frame[busy], index=True)
+        return rows[position]
     if q1_frame == 0 and q2_frame == 0:
         return CORNER_TABLES["b3"]
     return CORNER_TABLES[fbdc_corner_map(epsilon, q1_frame, q2_frame)]
@@ -102,16 +122,32 @@ def myopic_credit(model: ch.ChannelModel, k: int) -> tuple[float, float]:
     return ch.lookahead_sum(model, ch.OFF, k), ch.lookahead_sum(model, ch.ON, k)
 
 
-def myopic_action(sigma: tuple[float, float], m: int, c1: int, c2: int, w1: float, w2: float) -> int:
+def myopic_action(sigma: tuple[float, float], m, c1, c2, w1, w2):
     """The k-lookahead myopic rule: stay iff the current queue's weight is at least the other's.
 
     ``w1``, ``w2`` are the queue weights (frame-start or current lengths).
     The current queue counts its live channel plus the lookahead credit;
     the other queue counts the credit only, reflecting the slot lost to
-    switching.
+    switching.  An array ``m`` maps elementwise (the other arguments
+    broadcast against it) to an array of actions.
     """
+    if isinstance(m, np.ndarray):
+        credit, at1 = np.asarray(sigma), m == 1
+        w_here, w_there = np.where(at1, w1, w2), np.where(at1, w2, w1)
+        c_here, c_there = np.where(at1, c1, c2), np.where(at1, c2, c1)
+        return np.where(w_here * (c_here + credit[c_here]) >= w_there * credit[c_there], STAY, SWITCH)
     if m == 1:
         w_here, w_there = w1 * (c1 + sigma[c1]), w2 * sigma[c2]
     else:
         w_here, w_there = w2 * (c2 + sigma[c2]), w1 * sigma[c1]
     return STAY if w_here >= w_there else SWITCH
+
+
+def polling_action(counter):
+    """Gated and exhaustive: stay while the counter of packets left to serve here is positive.
+
+    Arrays map elementwise.
+    """
+    if isinstance(counter, np.ndarray):
+        return np.where(counter > 0, STAY, SWITCH)
+    return STAY if counter > 0 else SWITCH

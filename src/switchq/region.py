@@ -215,9 +215,10 @@ def region_from_vertices(points: list[tuple[float, float]]) -> RateRegion:
 
 @lru_cache(maxsize=64)
 def _corner_table(epsilon: float):
-    """corner_points as (id, x, y) triples, and as an x row over a y row."""
+    """corner_points as (id, x, y) triples, as an x row over a y row, and as an array of ids."""
     named = corner_points(epsilon)
-    return tuple((cid, x, y) for cid, (x, y) in named), np.array([pt for _, pt in named]).T
+    triples = tuple((cid, x, y) for cid, (x, y) in named)
+    return triples, np.array([pt for _, pt in named]).T, np.array([cid for cid, _ in named])
 
 
 @lru_cache(maxsize=64)
@@ -237,32 +238,33 @@ def _queue_arrays(q1, q2) -> tuple[np.ndarray, np.ndarray]:
     return q1, q2
 
 
-def _map_from_thresholds(thresholds, corners_low_to_high, q1, q2):
-    """Corner between the ascending positive thresholds holding q2/q1; arrays map elementwise."""
+def _map_from_thresholds(thresholds, q1, q2) -> np.ndarray:
+    """Position of the interval between the ascending positive thresholds that holds q2/q1."""
     q1, q2 = _queue_arrays(q1, q2)
     with np.errstate(over="ignore"):  # a finite q2 over a tiny q1 is an infinite ratio
         ratio = q2 / np.where(q1 == 0, 1.0, q1)
     # side="left": a ratio exactly on a threshold takes the lower interval
-    index = np.searchsorted(thresholds, ratio, side="left")
-    corner = np.asarray(corners_low_to_high)[np.where(q1 == 0, len(thresholds), index)]
-    return corner if corner.ndim else str(corner)
+    return np.where(q1 == 0, len(thresholds), np.searchsorted(thresholds, ratio, side="left"))
 
 
 _TIED = 1.0 - 2.0**-48  # tied values q1*x + q2*y part by at most 14 roundings of 2**-53
 
 
-def fbdc_corner_map(epsilon: float, q1, q2):
+def fbdc_corner_map(epsilon: float, q1, q2, *, index: bool = False):
     """Frontier corner maximizing q1*r1 + q2*r2 (arrays of finite queues map elementwise).
 
     The first corner in corner_points order within a relative 2**-48 of the
     maximum wins: a tie goes to the lower queue ratio q2/q1 however the values round.
+    With ``index=True`` an array call returns positions in corner_points(epsilon)
+    instead of ids.
     """
-    triples, xy = _corner_table(epsilon)
+    triples, xy, ids = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
         q1, q2 = _queue_arrays(q1, q2)
         x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
         values = x * q1 + y * q2  # one row per corner
-        return np.array([cid for cid, _, _ in triples])[(values >= values.max(axis=0) * _TIED).argmax(axis=0)]
+        position = (values >= values.max(axis=0) * _TIED).argmax(axis=0)
+        return position if index else ids[position]
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
     q1, q2 = float(q1), float(q2)  # float products are faster than int ones, and the same
@@ -275,10 +277,14 @@ def fbdc_corner_map(epsilon: float, q1, q2):
     return next(cid for cid, x, y in triples if q1 * x + q2 * y >= top * _TIED) if near else best
 
 
-def myopic_corner_map(epsilon: float, q1, q2):
+def myopic_corner_map(epsilon: float, q1, q2, *, index: bool = False):
     """Frontier corner the one-step-lookahead weight comparison drives toward.
 
-    Queue lengths must be finite; arrays map elementwise.
+    Queue lengths must be finite; arrays map elementwise.  With ``index=True``
+    an array call returns positions in corner_points(epsilon) instead of ids.
     """
-    ids = [cid for cid, _, _ in _corner_table(epsilon)[0]]
-    return _map_from_thresholds(_myopic_thresholds(epsilon), ids, q1, q2)
+    position = _map_from_thresholds(_myopic_thresholds(epsilon), q1, q2)
+    if index and position.ndim:
+        return position
+    corner = _corner_table(epsilon)[2][position]
+    return corner if corner.ndim else str(corner)

@@ -13,14 +13,15 @@ Slot contract, in order within slot t:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
 from . import channels as ch
 from . import policies as pol
-from .mdp import STAY, SWITCH, state_index
+from .mdp import REWARD1_STATES, REWARD2_STATES, STAY, all_policies, state_index
 
 BERNOULLI = "bernoulli"
 POISSON = "poisson"
@@ -89,10 +90,41 @@ class Metrics:
     trace: tuple[tuple, ...] = field(default_factory=tuple)
 
 
-def _arrival_array(kind: str, lam: float, horizon: int, rng: np.random.Generator) -> np.ndarray:
+def _arrival_chunks(kind: str, rates, horizon: int, rngs: list[np.random.Generator], size: int):
+    """Both arrival streams of each generator in rngs, in consecutive chunks of at most `size` slots.
+
+    ``rates`` holds (lambda1, lambda2) per generator, and each generator
+    stands where run() draws its arrivals: past its channel paths.  Yields
+    arrays indexed [queue, generator, slot]: int8 for Bernoulli arrivals,
+    int32 for Poisson ones unless a count exceeds it.  Each stream reads
+    its draws from its own place in its generator's stream
+    (channels.stream_at).  A Poisson value takes a variable number of
+    draws, so with more than one chunk the first stream is drawn through
+    once, a chunk at a time, to find where the second starts.
+    """
+    rates = np.asarray(rates, dtype=float).T  # [queue, generator]
+    first = [ch.stream_at(rng, 0) for rng in rngs]
     if kind == BERNOULLI:
-        return (rng.random(horizon) < lam).astype(np.int64)
-    return rng.poisson(lam, horizon).astype(np.int64)
+        second = [ch.stream_at(rng, horizon) for rng in rngs]
+    elif size >= horizon:  # one chunk: the second stream follows the first in each generator
+        second = first
+    else:
+        second = [ch.stream_at(rng, 0) for rng in rngs]
+        for stream, lam in zip(second, rates[0]):
+            for t0 in range(0, horizon, size):
+                stream.poisson(lam, min(size, horizon - t0))
+    return _arrival_chunk_draws(kind, rates, horizon, (first, second), size)
+
+
+def _arrival_chunk_draws(kind, rates, horizon, streams, size):
+    for t0 in range(0, horizon, size):
+        n = min(size, horizon - t0)
+        if kind == BERNOULLI:
+            yield ch.bernoulli_bits(streams, rates, n).view(np.int8)
+        else:
+            counts = np.array([[s.poisson(lam, n) for s, lam in zip(queue_streams, queue_rates)]
+                               for queue_streams, queue_rates in zip(streams, rates)])
+            yield counts.astype(np.int32) if counts.max(initial=0) <= np.iinfo(np.int32).max else counts
 
 
 def stability_verdict(window_means: tuple[float, ...]) -> str:
@@ -111,6 +143,60 @@ def stability_verdict(window_means: tuple[float, ...]) -> str:
     return "inconclusive"
 
 
+def _marks(horizon: int, warmup: int) -> list[int]:
+    """The slots before which a run notes its occupancy sum and queue lengths.
+
+    They are the end of the warmup and the ends of the four equal windows
+    after it (the first alone when a window would be empty); one more note
+    is taken at the end of the run.
+    """
+    win_len = (horizon - warmup) // 4
+    return [warmup + k * win_len for k in range(5 if win_len else 1)]
+
+
+def _metrics(n_post: int, noted, switches: int, arrivals_pre, arrivals, trace=()) -> Metrics:
+    """Metrics from a run's notes (occupancy sum, q1, q2) at its marks and at its end.
+
+    The departures are the arrivals a queue no longer holds, taken at the
+    end of the run and at the end of its warmup.
+    """
+    (sum_warm, *q_warm), (sum_end, *q_final) = noted[0], noted[-1]
+    d1, d2 = arrivals[0] - q_final[0], arrivals[1] - q_final[1]
+    d1_warm, d2_warm = arrivals_pre[0] - q_warm[0], arrivals_pre[1] - q_warm[1]
+    win_len = n_post // 4
+    window_means = None
+    if win_len >= 1:
+        window_means = tuple((b[0] - a[0]) / win_len for a, b in zip(noted[:4], noted[1:5]))
+    return Metrics(
+        q_avg=(sum_end - sum_warm) / n_post,
+        rate1=(d1 - d1_warm) / n_post,
+        rate2=(d2 - d2_warm) / n_post,
+        d1=d1,
+        d2=d2,
+        switch_count=switches,
+        window_means=window_means,
+        verdict=stability_verdict(window_means) if window_means else None,
+        arrivals1=arrivals[0],
+        arrivals2=arrivals[1],
+        q1_final=q_final[0],
+        q2_final=q_final[1],
+        trace=tuple(trace),
+    )
+
+
+def _fixed_table(policy: pol.PolicyConfig) -> tuple[int, ...] | None:
+    if policy.kind == "fixed_table":
+        return policy.table
+    if policy.kind == "fixed_corner":
+        return pol.CORNER_TABLES[policy.corner]
+    return None
+
+
+def _frame_length(policy: pol.PolicyConfig) -> int:
+    # per-slot myopic weighs the current queues: a frame of one slot
+    return 1 if policy.kind == "myopic" and not policy.frame_based else policy.T
+
+
 def run(config: SimConfig) -> Metrics:
     """Execute the slot contract for `horizon` slots."""
     H, warmup = config.horizon, config.warmup
@@ -120,14 +206,8 @@ def run(config: SimConfig) -> Metrics:
     cfg_pol = config.policy
     kind = cfg_pol.kind
     epsilon = config.channel.epsilon
-    # per-slot myopic weighs the current queues: a frame of one slot
-    T = 1 if kind == "myopic" and not cfg_pol.frame_based else cfg_pol.T
-
-    table: tuple[int, ...] | None = None
-    if kind == "fixed_table":
-        table = cfg_pol.table
-    elif kind == "fixed_corner":
-        table = pol.CORNER_TABLES[cfg_pol.corner]
+    T = _frame_length(cfg_pol)
+    table = _fixed_table(cfg_pol)
     if config.saturated:  # infinite backlog: the saturated engine below replaces the slot loop
         luts, x = _saturated_luts([table]), state_index(1, c1s, c2s)
         state, warm = _saturated_path(luts, x[:warmup], np.array([config.m0 - 1]))
@@ -136,113 +216,196 @@ def run(config: SimConfig) -> Metrics:
         n_post = H - warmup
         return Metrics(q_avg=0 / n_post, rate1=post[0] / n_post, rate2=post[1] / n_post, d1=d1, d2=d2,
                        switch_count=switches, window_means=None, verdict=None)
-    a1s = _arrival_array(config.arrival_kind, config.lambda1, H, rng)
-    a2s = _arrival_array(config.arrival_kind, config.lambda2, H, rng)
-    c1s, c2s, a1s, a2s = c1s.tolist(), c2s.tolist(), a1s.tolist(), a2s.tolist()
+    a1s, a2s = next(_arrival_chunks(config.arrival_kind, [(config.lambda1, config.lambda2)], H, [rng], H))[:, 0]
+    arrivals_pre = [int(a[:warmup].sum()) for a in (a1s, a2s)]
+    arrivals = [int(a.sum()) for a in (a1s, a2s)]
 
-    if kind == "myopic":
+    framed, myopic, gated = kind in ("fbdc", "myopic"), kind == "myopic", kind == "gated"
+    if myopic:
         sigma = pol.myopic_credit(config.channel, cfg_pol.k)
         myopic_action = pol.myopic_action
+    polling_action = pol.polling_action
 
     m = config.m0
-    q1 = q2 = 0
-    d1 = d2 = 0
-    d1_post = d2_post = 0
+    q1 = q2 = qsum = 0  # qsum: occupancy summed over every slot so far
     switch_count = 0
-    arrivals1 = arrivals2 = 0
-    gate = 0
+    gate = 0  # gated: packets found at the current queue on arrival and not yet served
     just_arrived = True
     q1_frame = q2_frame = 0
-
-    n_post = H - warmup
-    qsum = 0
-    win_len = n_post // 4
-    win_sums = [0, 0, 0, 0]
+    marks = iter(_marks(H, warmup))
+    mark, noted = next(marks), []
     trace_rows: list[tuple] = []
     trace_every = config.trace_every
 
-    for t in range(H):
-        c1 = c1s[t]
-        c2 = c2s[t]
-
-        if kind in ("fbdc", "myopic") and t % T == 0:
+    for t, c1, c2, a1, a2 in zip(range(H), c1s.tolist(), c2s.tolist(), a1s.tolist(), a2s.tolist()):
+        if t == mark:
+            noted.append((qsum, q1, q2))
+            mark = next(marks, -1)
+        if framed and t % T == 0:
             q1_frame, q2_frame = q1, q2
-            if kind == "fbdc":
+            if not myopic:
                 table = pol.fbdc_frame_start(epsilon, q1_frame, q2_frame)
 
         # stage 2: observe and decide
         if table is not None:
             action = table[(m - 1) * 4 + (1 - c1) * 2 + (1 - c2)]
-        elif kind == "myopic":
+        elif myopic:
             action = myopic_action(sigma, m, c1, c2, q1_frame, q2_frame)
-        elif kind == "gated":
+        elif gated:
             if just_arrived:
                 gate = q1 if m == 1 else q2
                 just_arrived = False
-            action = STAY if gate > 0 else SWITCH
+            action = polling_action(gate)
         else:  # exhaustive
-            action = STAY if (q1 if m == 1 else q2) > 0 else SWITCH
-
-        post = t >= warmup
-        if post:
-            qsum += q1 + q2
-            k = t - warmup
-            if k < 4 * win_len:
-                win_sums[k // win_len] += q1 + q2
+            action = polling_action(q1 if m == 1 else q2)
+        qsum += q1 + q2
 
         # stage 3: serve or switch
         dep1 = dep2 = 0
         if action == STAY:
-            if m == 1 and c1 == 1 and q1 > 0:
-                dep1 = 1
-            elif m == 2 and c2 == 1 and q2 > 0:
-                dep2 = 1
+            if m == 1:
+                dep1 = 1 if c1 and q1 else 0
+            else:
+                dep2 = 1 if c2 and q2 else 0
         if trace_every and t % trace_every == 0:
             trace_rows.append((t, m, c1, c2, q1, q2, action, dep1, dep2))
-        if dep1 or dep2:
-            d1 += dep1
-            d2 += dep2
-            if post:
-                d1_post += dep1
-                d2_post += dep2
-            q1 -= dep1
-            q2 -= dep2
-            if kind == "gated":
-                gate -= 1
         if action != STAY:
             m = 3 - m
             switch_count += 1
-            if kind == "gated":
-                just_arrived = True
+            just_arrived = True
+        gate -= dep1 + dep2
 
         # stage 4: arrivals
-        a1 = a1s[t]
-        a2 = a2s[t]
-        q1 += a1
-        q2 += a2
-        arrivals1 += a1
-        arrivals2 += a2
+        q1 += a1 - dep1
+        q2 += a2 - dep2
 
-    window_means: tuple[float, ...] | None = None
-    verdict: str | None = None
-    if win_len >= 1:
-        window_means = tuple(s / win_len for s in win_sums)
-        verdict = stability_verdict(window_means)
-    return Metrics(
-        q_avg=qsum / n_post,
-        rate1=d1_post / n_post,
-        rate2=d2_post / n_post,
-        d1=d1,
-        d2=d2,
-        switch_count=switch_count,
-        window_means=window_means,
-        verdict=verdict,
-        arrivals1=arrivals1,
-        arrivals2=arrivals2,
-        q1_final=q1,
-        q2_final=q2,
-        trace=tuple(trace_rows),
-    )
+    noted.append((qsum, q1, q2))
+    return _metrics(H - warmup, noted, switch_count, arrivals_pre, arrivals, trace_rows)
+
+
+# ---------------------------------------------------------------------------
+# lock-step engine
+#
+# run_batch steps the cells of one policy together, a slot per iteration,
+# with numpy arrays across the cells.  Each cell's server plays an action
+# table for the slot: its fixed table, the corner table of its frame
+# (fbdc), or the table that plays the slot's one action everywhere
+# (myopic, gated, exhaustive).  A table is named by its policy id
+# (mdp.policy_from_id), and the offset 8 * id + 4 * (m - 1) plus the
+# channel symbol state_index(1, c1, c2) is the cell's entry in the step
+# tables.
+
+_CHUNK_SYMBOLS = 2**16  # cells x slots of each stream held at once
+_MIN_CHUNK = 1024  # slots per chunk, however many cells
+_BLOCK_SLOTS = 64  # slots per block of int64 rows: ufuncs on equal types skip the casting
+_ID_BITS = 1 << np.arange(7, -1, -1)  # table @ _ID_BITS is its policy id: state 1 most significant, stay = 1
+_SERVER_M = np.array([1, 0, 0, 0, 2])  # server position m at the offset bit 4 * (m - 1)
+
+
+@lru_cache(maxsize=1)
+def _step_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Per state 8 * id + s of every policy: the service of queue 1 and of queue 2
+    (given a packet), and 4 where the server switches."""
+    stay = np.array(all_policies()) == STAY
+    serve = np.zeros((2, 256, 8), dtype=np.int64)
+    for row, states in zip(serve, (REWARD1_STATES, REWARD2_STATES)):
+        row[:, states] = stay[:, states]
+    return serve.reshape(2, -1), np.where(stay, 0, 4).ravel()
+
+
+def _slot_rows(t0: int, paths: np.ndarray, arrivals: np.ndarray):
+    """Slot by slot from a chunk indexed [channel or queue, cell, slot]: t, and the channel
+    symbols, channels and arrivals of every cell as int64 rows, widened a block of slots at a time."""
+    for b0 in range(0, paths.shape[2], _BLOCK_SLOTS):
+        c, a = (x[:, :, b0 : b0 + _BLOCK_SLOTS].transpose(2, 0, 1).astype(np.int64) for x in (paths, arrivals))
+        yield from zip(range(t0 + b0, t0 + b0 + len(c)), state_index(1, c[:, 0], c[:, 1]), c, a)
+
+
+def run_batch(configs: list[SimConfig]) -> list[Metrics]:
+    """run() of many configs at once: all cells step together, one slot per iteration.
+
+    The configs may differ in lambda1, lambda2 and seed only, and none may
+    trace or be saturated.  Each result equals run(config) field for field:
+    a cell draws from its own seed in run()'s order (channel paths, then
+    arrivals), in chunks of slots read at each stream's place in the seed's
+    stream, so no cells x horizon array is held; a Poisson stream is drawn
+    through once first (see _arrival_chunks).  The decisions are the rules
+    of policies, called on arrays.
+    """
+    if not configs:
+        return []
+    first = configs[0]
+    for config in configs:
+        if config.trace_every or config.saturated:
+            raise ValueError("run_batch takes no traced or saturated runs")
+        if replace(config, lambda1=first.lambda1, lambda2=first.lambda2, seed=first.seed) != first:
+            raise ValueError("batched configs may differ in lambda1, lambda2 and seed only")
+    H, warmup, n_cells = first.horizon, first.warmup, len(configs)
+    policy = first.policy
+    kind, epsilon, T = policy.kind, first.channel.epsilon, _frame_length(policy)
+    serve, switch4 = _step_tables()
+    table = _fixed_table(policy)
+    policy_id = int(np.dot(table, _ID_BITS)) if table else 0  # fbdc, myopic and polling set theirs per slot
+    offset = np.full(n_cells, 8 * policy_id + 4 * (first.m0 - 1))
+    if kind == "myopic":
+        sigma = np.array(pol.myopic_credit(first.channel, policy.k))
+    gate, just_arrived = np.zeros(n_cells, dtype=np.int64), np.ones(n_cells, dtype=bool)
+
+    size = min(H, max(_MIN_CHUNK, _CHUNK_SYMBOLS // n_cells))
+    rngs = [np.random.default_rng(config.seed) for config in configs]
+    paths = ch.path_chunks(first.channel, H, rngs, size)
+    rates = [(config.lambda1, config.lambda2) for config in configs]
+    chunks = zip(range(0, H, size), paths, _arrival_chunks(first.arrival_kind, rates, H, rngs, size))
+
+    q = np.zeros((2, n_cells), dtype=np.int64)
+    occupancy = q.copy()  # per queue, summed over every slot so far
+    arrivals, arrivals_pre = q.copy(), q.copy()
+    switches4 = np.zeros(n_cells, dtype=np.int64)
+    index, dep = np.empty(n_cells, dtype=np.int64), np.empty((2, n_cells), dtype=np.int64)
+    marks = iter(_marks(H, warmup))
+    mark, noted = next(marks), []
+
+    for t0, chunk_paths, chunk_arrivals in chunks:  # each indexed [channel or queue, cell, slot]
+        arrivals += chunk_arrivals.sum(axis=2)
+        arrivals_pre += chunk_arrivals[:, :, : max(0, warmup - t0)].sum(axis=2)
+        for t, symbol, (c1, c2), arrived in _slot_rows(t0, chunk_paths, chunk_arrivals):
+            if t == mark:
+                noted.append(np.vstack([occupancy.sum(axis=0), q]))
+                mark = next(marks, -1)
+            if kind == "fbdc":
+                if t % T == 0:
+                    offset = 8 * (pol.fbdc_frame_start(epsilon, q[0], q[1]) @ _ID_BITS) + (offset & 4)
+            elif table is None:  # one action per slot, played as the table that plays it everywhere
+                server = offset & 4
+                if kind == "myopic":
+                    if t % T == 0:
+                        weights = q.astype(float)  # the scalar rule's int * float converts the same way
+                    action = pol.myopic_action(sigma, _SERVER_M[server], c1, c2, *weights)
+                else:
+                    counter = np.where(server, q[1], q[0])
+                    if kind == "gated":
+                        counter = gate = np.where(just_arrived, counter, gate)
+                    action = pol.polling_action(counter)
+                offset = 8 * 255 * action + server  # policy 255 stays everywhere, policy 0 switches
+            occupancy += q
+
+            np.add(offset, symbol, out=index)
+            np.minimum(q, serve.take(index, axis=1), out=dep)
+            q -= dep
+            flip = switch4.take(index)
+            offset ^= flip
+            switches4 += flip
+            q += arrived
+            if kind == "gated":
+                gate -= dep[0] + dep[1]
+                just_arrived = flip != 0
+
+    noted.append(np.vstack([occupancy.sum(axis=0), q]))
+    if int(arrivals.sum(axis=0).max()) * H >= 2**63:  # the int64 sums may have wrapped; run() has no such limit
+        raise OverflowError("arrival counts too large for the lock-step engine's int64 sums")
+    columns = zip(np.stack(noted).transpose(2, 0, 1).tolist(), (switches4 // 4).tolist(),
+                  arrivals_pre.T.tolist(), arrivals.T.tolist())
+    return [_metrics(H - warmup, *column) for column in columns]
 
 
 def saturated_rate(

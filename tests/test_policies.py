@@ -221,3 +221,36 @@ def test_exhaustive_decide():
     for t, m, c1, c2, q1, q2, action, _, _ in rows:
         assert (action == STAY) == ((q1 if m == 1 else q2) > 0), t
     assert {r[6] for r in rows} == {STAY, SWITCH}
+
+
+def test_array_rules_equal_scalar_calls():
+    # the lock-step engine calls the rules on arrays; each element must be the scalar decision
+    rng = np.random.default_rng(35)
+    for eps in (0.05, 0.25, EPS_CRITICAL, 0.4, 0.5):
+        q1, q2 = rng.integers(0, 40, (2, 400))
+        q1[:20] = q2[:20] = 0  # both empty: b3
+        q1[20:40] = 0
+        tables = pol.fbdc_frame_start(eps, q1, q2)
+        assert tables.shape == (400, 8)
+        assert [tuple(t) for t in tables.tolist()] == [pol.fbdc_frame_start(eps, int(a), int(b))
+                                                       for a, b in zip(q1, q2)]
+        sigma = pol.myopic_credit(ch.gilbert_elliott(eps), int(rng.integers(1, 4)))
+        m, (c1, c2) = rng.integers(1, 3, 400), rng.integers(0, 2, (2, 400))
+        for w1, w2 in ((q1, q2), (q1.astype(float), q2.astype(float))):
+            actions = pol.myopic_action(sigma, m, c1, c2, w1, w2)
+            assert actions.tolist() == [pol.myopic_action(sigma, *args) for args in
+                                        zip(m.tolist(), c1.tolist(), c2.tolist(), w1.tolist(), w2.tolist())]
+    counters = np.array([-1, 0, 1, 7])
+    assert pol.polling_action(counters).tolist() == [pol.polling_action(int(c)) for c in counters]
+    assert [pol.polling_action(c) for c in (0, 1)] == [SWITCH, STAY]
+
+
+def test_array_myopic_action_broadcasts_over_states():
+    # one call decides all 8 states for a row of weights, as the scalar rule does state by state
+    sigma = pol.myopic_credit(GE, 2)
+    w1, w2 = np.arange(30), np.arange(30)[::-1] * 1.5
+    m, c1, c2 = np.array(mdp.STATES).T[:, :, None]
+    actions = pol.myopic_action(sigma, m, c1, c2, w1, w2)
+    assert actions.shape == (8, 30)
+    for s, (ms, a, b) in enumerate(mdp.STATES):
+        assert actions[s].tolist() == [pol.myopic_action(sigma, ms, a, b, x, y) for x, y in zip(w1, w2.tolist())]

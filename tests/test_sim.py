@@ -200,10 +200,15 @@ def test_verdict_of_empty_saturated_and_short_runs():
     assert saturated.verdict is None
 
 
+def _arrivals(kind, lam, horizon, rng):
+    """One arrival stream of horizon slots, drawn as the slot loops draw queue 1's."""
+    return next(sim._arrival_chunks(kind, [(lam, lam)], horizon, [rng], horizon))[0, 0]
+
+
 def test_sample_arrivals_bernoulli():
     rng = np.random.default_rng(14)
-    assert not sim._arrival_array("bernoulli", 0.0, 1000, rng).any()
-    draws = sim._arrival_array("bernoulli", 0.3, 1_000_000, rng)
+    assert not _arrivals("bernoulli", 0.0, 1000, rng).any()
+    draws = _arrivals("bernoulli", 0.3, 1_000_000, rng)
     assert abs(draws.mean() - 0.3) < 0.002
     with pytest.raises(ValueError):
         make_config(lambda1=1.2)
@@ -211,6 +216,98 @@ def test_sample_arrivals_bernoulli():
 
 def test_sample_arrivals_poisson():
     rng = np.random.default_rng(15)
-    draws = sim._arrival_array("poisson", 0.5, 1_000_000, rng)
+    draws = _arrivals("poisson", 0.5, 1_000_000, rng)
     assert abs(draws.var() - 0.5) < 0.01
     assert abs(draws.mean() - 0.5) < 0.005
+
+
+# -- lock-step engine ----------------------------------------------------------
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+MARKOV_POLICIES = st.one_of(
+    st.builds(pol.PolicyConfig, st.just("fbdc"), T=st.integers(1, 30)),
+    st.builds(pol.PolicyConfig, st.just("myopic"), T=st.integers(1, 30), k=st.integers(1, 2)),
+    st.builds(pol.PolicyConfig, st.just("myopic"), k=st.integers(1, 2), frame_based=st.just(False)),
+)
+ANY_CHANNEL_POLICIES = st.one_of(
+    st.builds(pol.PolicyConfig, st.sampled_from(["gated", "exhaustive"])),
+    st.builds(pol.PolicyConfig, st.just("fixed_corner"), corner=st.sampled_from(sorted(pol.CORNER_TABLES))),
+    st.builds(pol.PolicyConfig, st.just("fixed_table"), table=st.tuples(*[st.integers(0, 1)] * 8)),
+)
+GE_CHANNELS = st.builds(ch.gilbert_elliott, st.floats(0.01, 0.5))
+IID_CHANNELS = st.builds(ch.iid, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def batches(draw):
+    """Configs differing in arrival rates and seed only, as a sweep builds them."""
+    policy = draw(st.one_of(MARKOV_POLICIES, ANY_CHANNEL_POLICIES))
+    markov = policy.kind in ("fbdc", "myopic")
+    channel = draw(GE_CHANNELS if markov else st.one_of(GE_CHANNELS, IID_CHANNELS))
+    arrival_kind = draw(st.sampled_from([sim.BERNOULLI, sim.POISSON]))
+    horizon = draw(st.integers(4, 400))
+    warmup = draw(st.integers(0, horizon - 1))
+    rate = st.floats(0.0, 1.0 if arrival_kind == sim.BERNOULLI else 1.5)
+    cells = draw(st.lists(st.tuples(rate, rate, st.integers(0, 2**32)), min_size=1, max_size=5))
+    m0 = draw(st.integers(1, 2))
+    return [sim.SimConfig(lam1, lam2, channel, policy, horizon, seed, arrival_kind=arrival_kind,
+                          warmup=warmup, m0=m0) for lam1, lam2, seed in cells]
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(batches())
+def test_run_batch_equals_per_cell_runs(configs):
+    expected = [dataclasses.asdict(sim.run(c)) for c in configs]
+    assert [dataclasses.asdict(m) for m in sim.run_batch(configs)] == expected
+
+
+def test_run_batch_equals_per_cell_runs_over_several_chunks():
+    # 3000 slots of 100 cells come in chunks of 1024 slots; Poisson streams are drawn through first
+    for arrival_kind in (sim.BERNOULLI, sim.POISSON):
+        configs = [make_config(lambda1=0.004 * i, lambda2=0.2, seed=i, horizon=3000, warmup=777,
+                               policy=pol.PolicyConfig("myopic", T=7, k=2), arrival_kind=arrival_kind)
+                   for i in range(100)]
+        assert sim.run_batch(configs) == [sim.run(c) for c in configs]
+
+
+def test_run_batch_validation():
+    assert sim.run_batch([]) == []
+    base = make_config(horizon=100)
+    sim.run_batch([base, make_config(horizon=100, lambda1=0.3, lambda2=0.0, seed=7)])  # rates and seed may differ
+    for other in (dict(horizon=101), dict(warmup=20), dict(m0=2), dict(arrival_kind=sim.POISSON),
+                  dict(channel=ch.gilbert_elliott(0.3)), dict(policy=pol.PolicyConfig("gated"))):
+        with pytest.raises(ValueError):
+            sim.run_batch([base, make_config(**{"horizon": 100, **other})])
+    with pytest.raises(ValueError):
+        sim.run_batch([make_config(horizon=100, trace_every=5)])
+    saturated = make_config(horizon=100, policy=pol.PolicyConfig("fixed_corner", corner="b2"), saturated=True)
+    with pytest.raises(ValueError):
+        sim.run_batch([saturated])
+    with pytest.raises(ValueError):  # every SimConfig check runs before a batch exists
+        sim.run_batch([make_config(horizon=100, lambda1=1.5)])
+
+
+def test_run_batch_refuses_counts_its_int64_sums_cannot_hold():
+    huge = make_config(lambda1=1e15, lambda2=0.0, horizon=100, arrival_kind=sim.POISSON)
+    assert sim.run(huge).arrivals1 > 2**63 // 100  # the per-cell loop sums in Python ints
+    with pytest.raises(OverflowError):
+        sim.run_batch([huge])
+
+
+def test_run_batch_memory_does_not_grow_with_the_horizon():
+    import tracemalloc
+
+    def peak(horizon):
+        configs = [make_config(lambda1=0.005 * i, horizon=horizon, seed=i,
+                               policy=pol.PolicyConfig("fixed_corner", corner="b2")) for i in range(64)]
+        tracemalloc.start()
+        try:
+            sim.run_batch(configs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # the first run fills the caches
+    assert peak(12_000) - peak(2_000) < 64 * 10_000 / 8  # a bit per cell and slot would add 80 kB
