@@ -411,6 +411,7 @@ def iid_suite(
                 horizon=horizon,
                 seed=seed + 2 * i + j,
             )
+            # a cell at a time: a few cells per policy are too few for run_batch's per-slot numpy calls
             metrics = sim.run(config)
             rows.append((p1, p2, rho, lam1, lam2, kind, metrics.verdict, metrics.q_avg))
     return rows

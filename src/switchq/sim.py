@@ -93,14 +93,15 @@ class Metrics:
 def _arrival_chunks(kind: str, rates, horizon: int, rngs: list[np.random.Generator], size: int):
     """Both arrival streams of each generator in rngs, in consecutive chunks of at most `size` slots.
 
-    ``rates`` holds (lambda1, lambda2) per generator, and each generator
-    stands where run() draws its arrivals: past its channel paths.  Yields
-    arrays indexed [queue, generator, slot]: int8 for Bernoulli arrivals,
-    int32 for Poisson ones unless a count exceeds it.  Each stream reads
-    its draws from its own place in its generator's stream
-    (channels.stream_at).  A Poisson value takes a variable number of
-    draws, so with more than one chunk the first stream is drawn through
-    once, a chunk at a time, to find where the second starts.
+    ``rates`` holds (lambda1, lambda2) per generator.  When the first chunk
+    is taken, each generator must stand where run() draws its arrivals:
+    past its channel paths.  Yields arrays indexed [queue, generator,
+    slot]: int8 for Bernoulli arrivals, int32 for Poisson ones unless a
+    count exceeds it.  Each stream reads its draws from its own place in
+    its generator's stream (channels.stream_at).  A Poisson value takes a
+    variable number of draws, so with more than one chunk the first stream
+    is drawn through once, a chunk at a time, to find where the second
+    starts.
     """
     rates = np.asarray(rates, dtype=float).T  # [queue, generator]
     first = [ch.stream_at(rng, 0) for rng in rngs]
@@ -113,17 +114,13 @@ def _arrival_chunks(kind: str, rates, horizon: int, rngs: list[np.random.Generat
         for stream, lam in zip(second, rates[0]):
             for t0 in range(0, horizon, size):
                 stream.poisson(lam, min(size, horizon - t0))
-    return _arrival_chunk_draws(kind, rates, horizon, (first, second), size)
-
-
-def _arrival_chunk_draws(kind, rates, horizon, streams, size):
     for t0 in range(0, horizon, size):
         n = min(size, horizon - t0)
         if kind == BERNOULLI:
-            yield ch.bernoulli_bits(streams, rates, n).view(np.int8)
+            yield ch.bernoulli_bits((first, second), rates, n).view(np.int8)
         else:
             counts = np.array([[s.poisson(lam, n) for s, lam in zip(queue_streams, queue_rates)]
-                               for queue_streams, queue_rates in zip(streams, rates)])
+                               for queue_streams, queue_rates in zip((first, second), rates)])
             yield counts.astype(np.int32) if counts.max(initial=0) <= np.iinfo(np.int32).max else counts
 
 
@@ -345,7 +342,7 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     kind, epsilon, T = policy.kind, first.channel.epsilon, _frame_length(policy)
     serve, switch4 = _step_tables()
     table = _fixed_table(policy)
-    policy_id = int(np.dot(table, _ID_BITS)) if table else 0  # fbdc, myopic and polling set theirs per slot
+    policy_id = int(np.dot(table, _ID_BITS)) if table else 0  # the other policies set theirs as they decide
     offset = np.full(n_cells, 8 * policy_id + 4 * (first.m0 - 1))
     if kind == "myopic":
         sigma = np.array(pol.myopic_credit(first.channel, policy.k))
