@@ -110,29 +110,16 @@ def path_chunks(model: ChannelModel, horizon: int, rngs: list[np.random.Generato
 
     Yields int8 arrays indexed [channel, generator, slot].  Each channel
     reads its draws from its own place in its generator's stream
-    (stream_at), so one chunk at a time is held; every generator moves at
-    once past all its draws, to where generate_paths leaves it.
+    (stream_at), so one chunk at a time is held.  When the first chunk is
+    taken, every generator moves past all its draws, to where
+    generate_paths leaves it.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    start = [(0, 0) if model.kind == IID else sample_initial(model, rng) for rng in rngs]
+    last = np.array([(0, 0) if model.kind == IID else sample_initial(model, rng) for rng in rngs], dtype=bool).T
     streams = [[stream_at(rng, k * horizon) for rng in rngs] for k in (0, 1)]
     for rng in rngs:
         rng.bit_generator.advance(2 * horizon)
-    return _path_chunks(model, horizon, streams, np.array(start, dtype=bool).T, size)
-
-
-def bernoulli_bits(streams, probs, n: int) -> np.ndarray:
-    """bits[k, i]: whether each of the next n draws of streams[k][i] falls below probs[k][i]."""
-    bits = np.empty((len(streams), len(streams[0]), n), dtype=bool)
-    draws = np.empty(n)
-    for row_streams, row_bits, row_probs in zip(streams, bits, probs):
-        for stream, out, p in zip(row_streams, row_bits, row_probs):
-            np.less(stream.random(out=draws), p, out=out)
-    return bits
-
-
-def _path_chunks(model, horizon, streams, last, size):
     probs = (model.p1, model.p2) if model.kind == IID else (model.epsilon,) * 2
     probs = np.broadcast_to(np.array(probs)[:, None], last.shape)
     for t0 in range(0, horizon, size):
@@ -144,3 +131,13 @@ def _path_chunks(model, horizon, streams, last, size):
             bits ^= last[:, :, None]
             last = bits[:, :, -1].copy()
         yield bits.view(np.int8)
+
+
+def bernoulli_bits(streams, probs, n: int) -> np.ndarray:
+    """bits[k, i]: whether each of the next n draws of streams[k][i] falls below probs[k][i]."""
+    bits = np.empty((len(streams), len(streams[0]), n), dtype=bool)
+    draws = np.empty(n)
+    for row_streams, row_bits, row_probs in zip(streams, bits, probs):
+        for stream, out, p in zip(row_streams, row_bits, row_probs):
+            np.less(stream.random(out=draws), p, out=out)
+    return bits

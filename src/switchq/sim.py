@@ -352,6 +352,7 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     rngs = [np.random.default_rng(config.seed) for config in configs]
     paths = ch.path_chunks(first.channel, H, rngs, size)
     rates = [(config.lambda1, config.lambda2) for config in configs]
+    # zip takes the first path chunk before the first arrival chunk, so the arrival streams start past the paths
     chunks = zip(range(0, H, size), paths, _arrival_chunks(first.arrival_kind, rates, H, rngs, size))
 
     q = np.zeros((2, n_cells), dtype=np.int64)
