@@ -99,8 +99,9 @@ def generate_paths(model: ChannelModel, horizon: int, rng: np.random.Generator) 
 
 def stream_at(rng: np.random.Generator, offset: int) -> np.random.Generator:
     """A generator that reads rng's stream from `offset` draws ahead; rng does not move."""
-    bit_generator = type(rng.bit_generator)(0)
-    bit_generator.state = rng.bit_generator.state
+    source = rng.bit_generator
+    bit_generator = type(source)(source.seed_seq)  # rng's seed sequence, not a new one: the state is replaced next
+    bit_generator.state = source.state
     bit_generator.advance(offset)
     return np.random.Generator(bit_generator)
 
@@ -108,11 +109,11 @@ def stream_at(rng: np.random.Generator, offset: int) -> np.random.Generator:
 def path_chunks(model: ChannelModel, horizon: int, rngs: list[np.random.Generator], size: int):
     """generate_paths of each generator in rngs, in consecutive chunks of at most `size` slots.
 
-    Yields int8 arrays indexed [channel, generator, slot].  Each channel
-    reads its draws from its own place in its generator's stream
-    (stream_at), so one chunk at a time is held.  When the first chunk is
-    taken, every generator moves past all its draws, to where
-    generate_paths leaves it.
+    Yields int8 arrays indexed [channel, generator, slot], each written
+    over the last.  Each channel reads its draws from its own place in its
+    generator's stream (stream_at), so one chunk at a time is held.  When
+    the first chunk is taken, every generator moves past all its draws, to
+    where generate_paths leaves it.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -122,8 +123,9 @@ def path_chunks(model: ChannelModel, horizon: int, rngs: list[np.random.Generato
         rng.bit_generator.advance(2 * horizon)
     probs = (model.p1, model.p2) if model.kind == IID else (model.epsilon,) * 2
     probs = np.broadcast_to(np.array(probs)[:, None], last.shape)
+    buffer = np.empty((2, len(rngs), min(size, horizon)), dtype=bool)
     for t0 in range(0, horizon, size):
-        bits = bernoulli_bits(streams, probs, min(size, horizon - t0))  # ON for iid, a flip for the Markov model
+        bits = bernoulli_bits(streams, probs, buffer[:, :, : horizon - t0])  # ON for iid, a flip for the Markov model
         if model.kind == GILBERT_ELLIOTT:  # bits[t] moves the chain from slot t-1 to slot t
             if t0 == 0:
                 bits[:, :, 0] = False  # slot 0 is the drawn start
@@ -133,10 +135,9 @@ def path_chunks(model: ChannelModel, horizon: int, rngs: list[np.random.Generato
         yield bits.view(np.int8)
 
 
-def bernoulli_bits(streams, probs, n: int) -> np.ndarray:
-    """bits[k, i]: whether each of the next n draws of streams[k][i] falls below probs[k][i]."""
-    bits = np.empty((len(streams), len(streams[0]), n), dtype=bool)
-    draws = np.empty(n)
+def bernoulli_bits(streams, probs, bits: np.ndarray) -> np.ndarray:
+    """Fills and returns bits: bits[k, i] is whether each of the next draws of streams[k][i] falls below probs[k][i]."""
+    draws = np.empty(bits.shape[2])
     for row_streams, row_bits, row_probs in zip(streams, bits, probs):
         for stream, out, p in zip(row_streams, row_bits, row_probs):
             np.less(stream.random(out=draws), p, out=out)

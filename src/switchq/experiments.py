@@ -20,6 +20,9 @@ from . import sim
 from .region import (
     EPS_CRITICAL,
     _corner_table,
+    _fbdc_positions,
+    _map_from_thresholds,
+    _myopic_thresholds,
     closed_form_region,
     contains,
     corner_points,
@@ -116,19 +119,32 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
     return sorted(set(points))
 
 
+# The fewest cells of one policy that sim.run_batch runs faster than one
+# sim.run per cell; below it numpy's per-call cost outweighs the per-cell
+# slot loop.  Crossover at 20k slots on a 2-vCPU Xeon: about 24 cells for
+# fbdc, 40-48 for per-slot and frame myopic, gated and exhaustive.
+_LOCKSTEP_MIN_CELLS = 48
+
+
+def _run_cells(configs: list[sim.SimConfig]) -> list[sim.Metrics]:
+    """sim.run of each config of one policy; in one sim.run_batch from _LOCKSTEP_MIN_CELLS configs on."""
+    if len(configs) >= _LOCKSTEP_MIN_CELLS:
+        return sim.run_batch(configs)
+    return [sim.run(config) for config in configs]
+
+
 def sweep(spec: GridSpec) -> list[tuple]:
     """Run every (lambda1, lambda2, policy) cell and classify stability.
 
     Cell i of the grid, in row order, runs with seed spec.seed + i; the
-    cells of each policy run together in one sim.run_batch.
+    cells of each policy go to _run_cells together.
     """
     channel = spec.channel()
     eps_field = spec.epsilon if spec.epsilon is not None else ""
     points = grid_points(spec)
     n_policies = len(spec.policies)
-    results = []
-    for j, config in enumerate(spec.policies):
-        results.append(sim.run_batch([
+    results = [
+        _run_cells([
             sim.SimConfig(
                 lambda1=lam1,
                 lambda2=lam2,
@@ -140,7 +156,9 @@ def sweep(spec: GridSpec) -> list[tuple]:
                 arrival_kind=spec.arrival_kind,
             )
             for i, (lam1, lam2) in enumerate(points)
-        ]))
+        ])
+        for j, config in enumerate(spec.policies)
+    ]
     return [
         (eps_field, lam1, lam2, config.label(), config.T, config.k,
          metrics.q_avg, metrics.rate1, metrics.rate2, metrics.verdict)
@@ -241,16 +259,22 @@ def psi_value(epsilon: float, ratio):
     """Myopic-to-optimal weighted departure rate ratio at weights (1, ratio).
 
     Returns (psi, myopic corner, optimal corner), the optimum from
-    fbdc_corner_map.  An array of ratios takes one numpy pass at one
-    epsilon and returns arrays, elementwise equal to scalar calls.
+    fbdc_corner_map.  A scalar ratio goes through the two corner maps; an
+    array of ratios takes one numpy pass at one epsilon, with both maps as
+    positions in corner_points order, and returns arrays, elementwise equal
+    to scalar calls.
     """
-    ratios = np.atleast_1d(np.asarray(ratio, dtype=float))
-    my = myopic_corner_map(epsilon, 1.0, ratios, index=True)
-    opt = fbdc_corner_map(epsilon, 1.0, ratios, index=True)
-    _, (x, y), ids = _corner_table(epsilon)
-    psi = (x[my] + ratios * y[my]) / (x[opt] + ratios * y[opt])
+    triples, (x, y), ids = _corner_table(epsilon)
     if np.ndim(ratio) == 0:
-        return float(psi[0]), str(ids[my[0]]), str(ids[opt[0]])
+        r = float(ratio)
+        my, opt = myopic_corner_map(epsilon, 1.0, r), fbdc_corner_map(epsilon, 1.0, r)
+        point = {cid: (cx, cy) for cid, cx, cy in triples}
+        (x_my, y_my), (x_opt, y_opt) = point[my], point[opt]
+        return (x_my + r * y_my) / (x_opt + r * y_opt), my, opt
+    ratios = np.asarray(ratio, dtype=float)
+    my = _map_from_thresholds(_myopic_thresholds(epsilon), 1.0, ratios)
+    opt = _fbdc_positions(epsilon, 1.0, ratios)
+    psi = (x[my] + ratios * y[my]) / (x[opt] + ratios * y[opt])
     return psi, ids[my], ids[opt]
 
 
@@ -399,11 +423,11 @@ def iid_suite(
     """
     if horizon < 4000:
         raise ValueError("iid suite probes need at least 4000 slots")
-    rows = []
-    for i, rho in enumerate(rho_points):
-        lam1, lam2 = rho * p1 / 2, rho * p2 / 2
-        for j, kind in enumerate(("gated", "exhaustive")):
-            config = sim.SimConfig(
+    loads = [(rho, rho * p1 / 2, rho * p2 / 2) for rho in rho_points]
+    kinds = ("gated", "exhaustive")
+    results = [
+        _run_cells([
+            sim.SimConfig(
                 lambda1=lam1,
                 lambda2=lam2,
                 channel=ch.iid(p1, p2),
@@ -411,10 +435,15 @@ def iid_suite(
                 horizon=horizon,
                 seed=seed + 2 * i + j,
             )
-            # a cell at a time: a few cells per policy are too few for run_batch's per-slot numpy calls
-            metrics = sim.run(config)
-            rows.append((p1, p2, rho, lam1, lam2, kind, metrics.verdict, metrics.q_avg))
-    return rows
+            for i, (_, lam1, lam2) in enumerate(loads)
+        ])
+        for j, kind in enumerate(kinds)
+    ]
+    return [
+        (p1, p2, rho, lam1, lam2, kind, metrics.verdict, metrics.q_avg)
+        for i, (rho, lam1, lam2) in enumerate(loads)
+        for kind, metrics in zip(kinds, (batch[i] for batch in results))
+    ]
 
 
 IID_HEADER = ("p1", "p2", "rho", "lambda1", "lambda2", "policy", "stable", "q_avg")

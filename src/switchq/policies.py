@@ -15,13 +15,12 @@ engines of sim share one definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import channels as ch
 from .mdp import STAY, SWITCH, mirror_policy
-from .region import corner_points, fbdc_corner_map
+from .region import fbdc_corner_map
 
 # Corner action tables (states in the fixed order 1..8).  b2 serves the own
 # channel when ON at queue 1 and leaves queue 2 only on (C1,C2)=(1,0); b1
@@ -87,11 +86,9 @@ class PolicyConfig:
         return self.kind
 
 
-@lru_cache(maxsize=64)
-def _corner_table_rows(epsilon: float) -> tuple[np.ndarray, int]:
-    """The corner tables in corner_points(epsilon) order as rows, and the row of b3."""
-    ids = [cid for cid, _ in corner_points(epsilon)]
-    return np.array([CORNER_TABLES[cid] for cid in ids], dtype=np.int8), ids.index("b3")
+# the corner tables as int8 rows, in the order of their sorted ids
+_CORNER_IDS = np.array(sorted(CORNER_TABLES))
+_CORNER_ROWS = np.array([CORNER_TABLES[cid] for cid in _CORNER_IDS], dtype=np.int8)
 
 
 def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
@@ -102,11 +99,10 @@ def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
     elementwise to an int8 array with one table along a last axis of 8.
     """
     if isinstance(q1_frame, np.ndarray):
-        rows, b3 = _corner_table_rows(epsilon)
         busy = (q1_frame != 0) | (q2_frame != 0)
-        position = np.full(busy.shape, b3)
-        position[busy] = fbdc_corner_map(epsilon, q1_frame[busy], q2_frame[busy], index=True)
-        return rows[position]
+        corner = np.full(busy.shape, "b3")
+        corner[busy] = fbdc_corner_map(epsilon, q1_frame[busy], q2_frame[busy])
+        return _CORNER_ROWS[np.searchsorted(_CORNER_IDS, corner)]
     if q1_frame == 0 and q2_frame == 0:
         return CORNER_TABLES["b3"]
     return CORNER_TABLES[fbdc_corner_map(epsilon, q1_frame, q2_frame)]

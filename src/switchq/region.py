@@ -250,21 +250,24 @@ def _map_from_thresholds(thresholds, q1, q2) -> np.ndarray:
 _TIED = 1.0 - 2.0**-48  # tied values q1*x + q2*y part by at most 14 roundings of 2**-53
 
 
-def fbdc_corner_map(epsilon: float, q1, q2, *, index: bool = False):
+def _fbdc_positions(epsilon: float, q1, q2) -> np.ndarray:
+    """fbdc_corner_map on arrays of queues, as positions in corner_points(epsilon) order."""
+    q1, q2 = _queue_arrays(q1, q2)
+    xy = _corner_table(epsilon)[1]
+    x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
+    values = x * q1 + y * q2  # one row per corner
+    return (values >= values.max(axis=0) * _TIED).argmax(axis=0)
+
+
+def fbdc_corner_map(epsilon: float, q1, q2):
     """Frontier corner maximizing q1*r1 + q2*r2 (arrays of finite queues map elementwise).
 
     The first corner in corner_points order within a relative 2**-48 of the
     maximum wins: a tie goes to the lower queue ratio q2/q1 however the values round.
-    With ``index=True`` an array call returns positions in corner_points(epsilon)
-    instead of ids.
     """
-    triples, xy, ids = _corner_table(epsilon)
+    triples, _, ids = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        q1, q2 = _queue_arrays(q1, q2)
-        x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
-        values = x * q1 + y * q2  # one row per corner
-        position = (values >= values.max(axis=0) * _TIED).argmax(axis=0)
-        return position if index else ids[position]
+        return ids[_fbdc_positions(epsilon, q1, q2)]
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
     q1, q2 = float(q1), float(q2)  # float products are faster than int ones, and the same
@@ -277,14 +280,10 @@ def fbdc_corner_map(epsilon: float, q1, q2, *, index: bool = False):
     return next(cid for cid, x, y in triples if q1 * x + q2 * y >= top * _TIED) if near else best
 
 
-def myopic_corner_map(epsilon: float, q1, q2, *, index: bool = False):
+def myopic_corner_map(epsilon: float, q1, q2):
     """Frontier corner the one-step-lookahead weight comparison drives toward.
 
-    Queue lengths must be finite; arrays map elementwise.  With ``index=True``
-    an array call returns positions in corner_points(epsilon) instead of ids.
+    Queue lengths must be finite; arrays map elementwise.
     """
-    position = _map_from_thresholds(_myopic_thresholds(epsilon), q1, q2)
-    if index and position.ndim:
-        return position
-    corner = _corner_table(epsilon)[2][position]
+    corner = _corner_table(epsilon)[2][_map_from_thresholds(_myopic_thresholds(epsilon), q1, q2)]
     return corner if corner.ndim else str(corner)

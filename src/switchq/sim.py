@@ -96,17 +96,19 @@ def _arrival_chunks(kind: str, rates, horizon: int, rngs: list[np.random.Generat
     ``rates`` holds (lambda1, lambda2) per generator.  When the first chunk
     is taken, each generator must stand where run() draws its arrivals:
     past its channel paths.  Yields arrays indexed [queue, generator,
-    slot]: int8 for Bernoulli arrivals, int32 for Poisson ones unless a
-    count exceeds it.  Each stream reads its draws from its own place in
-    its generator's stream (channels.stream_at).  A Poisson value takes a
+    slot]: int8 for Bernoulli arrivals, each written over the last, and
+    int32 for Poisson ones unless a count exceeds it.  The first stream
+    is drawn from each generator itself, the second from its own place in
+    the generator's stream (channels.stream_at).  A Poisson value takes a
     variable number of draws, so with more than one chunk the first stream
     is drawn through once, a chunk at a time, to find where the second
     starts.
     """
     rates = np.asarray(rates, dtype=float).T  # [queue, generator]
-    first = [ch.stream_at(rng, 0) for rng in rngs]
+    first = rngs
     if kind == BERNOULLI:
         second = [ch.stream_at(rng, horizon) for rng in rngs]
+        buffer = np.empty((2, len(rngs), min(size, horizon)), dtype=bool)
     elif size >= horizon:  # one chunk: the second stream follows the first in each generator
         second = first
     else:
@@ -117,7 +119,7 @@ def _arrival_chunks(kind: str, rates, horizon: int, rngs: list[np.random.Generat
     for t0 in range(0, horizon, size):
         n = min(size, horizon - t0)
         if kind == BERNOULLI:
-            yield ch.bernoulli_bits((first, second), rates, n).view(np.int8)
+            yield ch.bernoulli_bits((first, second), rates, buffer[:, :, :n]).view(np.int8)
         else:
             counts = np.array([[s.poisson(lam, n) for s, lam in zip(queue_streams, queue_rates)]
                                for queue_streams, queue_rates in zip((first, second), rates)])
@@ -214,8 +216,9 @@ def run(config: SimConfig) -> Metrics:
         return Metrics(q_avg=0 / n_post, rate1=post[0] / n_post, rate2=post[1] / n_post, d1=d1, d2=d2,
                        switch_count=switches, window_means=None, verdict=None)
     a1s, a2s = next(_arrival_chunks(config.arrival_kind, [(config.lambda1, config.lambda2)], H, [rng], H))[:, 0]
-    arrivals_pre = [int(a[:warmup].sum()) for a in (a1s, a2s)]
-    arrivals = [int(a.sum()) for a in (a1s, a2s)]
+    a1s, a2s = a1s.tolist(), a2s.tolist()
+    arrivals_pre = [sum(a[:warmup]) for a in (a1s, a2s)]  # Python ints: exact at any rate
+    arrivals = [sum(a) for a in (a1s, a2s)]
 
     framed, myopic, gated = kind in ("fbdc", "myopic"), kind == "myopic", kind == "gated"
     if myopic:
@@ -234,7 +237,7 @@ def run(config: SimConfig) -> Metrics:
     trace_rows: list[tuple] = []
     trace_every = config.trace_every
 
-    for t, c1, c2, a1, a2 in zip(range(H), c1s.tolist(), c2s.tolist(), a1s.tolist(), a2s.tolist()):
+    for t, c1, c2, a1, a2 in zip(range(H), c1s.tolist(), c2s.tolist(), a1s, a2s):
         if t == mark:
             noted.append((qsum, q1, q2))
             mark = next(marks, -1)
@@ -294,7 +297,7 @@ def run(config: SimConfig) -> Metrics:
 
 _CHUNK_SYMBOLS = 2**16  # cells x slots of each stream held at once
 _MIN_CHUNK = 1024  # slots per chunk, however many cells
-_BLOCK_SLOTS = 64  # slots per block of int64 rows: ufuncs on equal types skip the casting
+_BLOCK_SYMBOLS = 2**13  # cells x slots per block of int64 rows, at least a slot: equal types skip ufunc casts
 _ID_BITS = 1 << np.arange(7, -1, -1)  # table @ _ID_BITS is its policy id: state 1 most significant, stay = 1
 _SERVER_M = np.array([1, 0, 0, 0, 2])  # server position m at the offset bit 4 * (m - 1)
 
@@ -313,8 +316,9 @@ def _step_tables() -> tuple[np.ndarray, np.ndarray]:
 def _slot_rows(t0: int, paths: np.ndarray, arrivals: np.ndarray):
     """Slot by slot from a chunk indexed [channel or queue, cell, slot]: t, and the channel
     symbols, channels and arrivals of every cell as int64 rows, widened a block of slots at a time."""
-    for b0 in range(0, paths.shape[2], _BLOCK_SLOTS):
-        c, a = (x[:, :, b0 : b0 + _BLOCK_SLOTS].transpose(2, 0, 1).astype(np.int64) for x in (paths, arrivals))
+    block = max(1, _BLOCK_SYMBOLS // paths.shape[1])
+    for b0 in range(0, paths.shape[2], block):
+        c, a = (x[:, :, b0 : b0 + block].transpose(2, 0, 1).astype(np.int64) for x in (paths, arrivals))
         yield from zip(range(t0 + b0, t0 + b0 + len(c)), state_index(1, c[:, 0], c[:, 1]), c, a)
 
 
@@ -364,6 +368,9 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     mark, noted = next(marks), []
 
     for t0, chunk_paths, chunk_arrivals in chunks:  # each indexed [channel or queue, cell, slot]
+        # no count or sum below exceeds 2 * H * H times the largest arrival count; run() has no such limit
+        if 2 * H * H * int(chunk_arrivals.max(initial=0)) >= 2**63:
+            raise OverflowError("arrival counts too large for the lock-step engine's int64 sums")
         arrivals += chunk_arrivals.sum(axis=2)
         arrivals_pre += chunk_arrivals[:, :, : max(0, warmup - t0)].sum(axis=2)
         for t, symbol, (c1, c2), arrived in _slot_rows(t0, chunk_paths, chunk_arrivals):
@@ -399,8 +406,6 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
                 just_arrived = flip != 0
 
     noted.append(np.vstack([occupancy.sum(axis=0), q]))
-    if int(arrivals.sum(axis=0).max()) * H >= 2**63:  # the int64 sums may have wrapped; run() has no such limit
-        raise OverflowError("arrival counts too large for the lock-step engine's int64 sums")
     columns = zip(np.stack(noted).transpose(2, 0, 1).tolist(), (switches4 // 4).tolist(),
                   arrivals_pre.T.tolist(), arrivals.T.tolist())
     return [_metrics(H - warmup, *column) for column in columns]

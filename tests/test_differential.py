@@ -69,6 +69,19 @@ def test_iid_suite_csv_digest():
     assert _sha(exp.rows_to_csv(exp.IID_HEADER, rows)) == "fe3e8b967606a9f2b8a1a5b90a414ee0dcbaddb9bc893a50d5032f97fe3bc617"
 
 
+def test_sweep_and_iid_digests_on_the_lockstep_engine(monkeypatch):
+    # the grids above are too small for sim.run_batch by default; here it runs every one of them
+    monkeypatch.setattr(exp, "_LOCKSTEP_MIN_CELLS", 1)
+    for policy, digest in SWEEP_DIGESTS.items():
+        spec = exp.GridSpec(policies=(policy,), epsilon=0.4, step=0.1, horizon=5000, seed=77)
+        assert _sha(exp.rows_to_csv(exp.SWEEP_HEADER, exp.sweep(spec))) == digest, policy.label()
+    for shape, (fields, digest) in SWEEP_SHAPE_DIGESTS.items():
+        spec = exp.GridSpec(step=0.1, horizon=5000, seed=77, **fields)
+        assert _sha(exp.rows_to_csv(exp.SWEEP_HEADER, exp.sweep(spec))) == digest, shape
+    rows = exp.iid_suite(0.5, 0.6, (0.6, 0.9, 1.2), horizon=8000, seed=21)
+    assert _sha(exp.rows_to_csv(exp.IID_HEADER, rows)) == "fe3e8b967606a9f2b8a1a5b90a414ee0dcbaddb9bc893a50d5032f97fe3bc617"
+
+
 TRACE_DIGESTS = {
     ("--epsilon", "0.25", "--policy", "fbdc", "--T", "10"): "f6691ee2985e262d1ecaee0f56e9bc24bc1f2217e077f960a40eac19afe397d8",
     ("--epsilon", "0.25", "--policy", "myopic", "--T", "10", "--k", "2"): "f8ec4e950ea13d1c368669f8e73ae819d90c1c5cfd7d8b078beef1010045813a",

@@ -289,9 +289,10 @@ def test_run_batch_validation():
         sim.run_batch([make_config(horizon=100, lambda1=1.5)])
 
 
-def test_run_batch_refuses_counts_its_int64_sums_cannot_hold():
-    huge = make_config(lambda1=1e15, lambda2=0.0, horizon=100, arrival_kind=sim.POISSON)
-    assert sim.run(huge).arrivals1 > 2**63 // 100  # the per-cell loop sums in Python ints
+@pytest.mark.parametrize("lam, horizon", [(1e15, 100), (5e16, 200)])  # the second's arrival total passes 2**63
+def test_run_batch_refuses_counts_its_int64_sums_cannot_hold(lam, horizon):
+    huge = make_config(lambda1=lam, lambda2=0.0, horizon=horizon, arrival_kind=sim.POISSON)
+    assert sim.run(huge).arrivals1 * horizon > 2**63  # the per-cell loop sums in Python ints
     with pytest.raises(OverflowError):
         sim.run_batch([huge])
 
