@@ -110,22 +110,15 @@ def path_chunks(model: ChannelModel, horizon: int, rngs: list[np.random.Generato
     """generate_paths of each generator in rngs, in consecutive chunks of at most `size` slots.
 
     Yields int8 arrays indexed [channel, generator, slot], each written
-    over the last.  Each channel reads its draws from its own place in its
-    generator's stream (stream_at), so one chunk at a time is held.  When
-    the first chunk is taken, every generator moves past all its draws, to
-    where generate_paths leaves it.
+    over the last.  The two channels are streams 0 and 1 of bit_chunks,
+    read after the slot-0 draw.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     last = np.array([(0, 0) if model.kind == IID else sample_initial(model, rng) for rng in rngs], dtype=bool).T
-    streams = [[stream_at(rng, k * horizon) for rng in rngs] for k in (0, 1)]
-    for rng in rngs:
-        rng.bit_generator.advance(2 * horizon)
     probs = (model.p1, model.p2) if model.kind == IID else (model.epsilon,) * 2
-    probs = np.broadcast_to(np.array(probs)[:, None], last.shape)
-    buffer = np.empty((2, len(rngs), min(size, horizon)), dtype=bool)
-    for t0 in range(0, horizon, size):
-        bits = bernoulli_bits(streams, probs, buffer[:, :, : horizon - t0])  # ON for iid, a flip for the Markov model
+    chunks = bit_chunks(rngs, np.broadcast_to(np.array(probs)[:, None], last.shape), horizon, size)
+    for t0, bits in zip(range(0, horizon, size), chunks):  # ON for iid, a flip for the Markov model
         if model.kind == GILBERT_ELLIOTT:  # bits[t] moves the chain from slot t-1 to slot t
             if t0 == 0:
                 bits[:, :, 0] = False  # slot 0 is the drawn start
@@ -135,10 +128,23 @@ def path_chunks(model: ChannelModel, horizon: int, rngs: list[np.random.Generato
         yield bits.view(np.int8)
 
 
-def bernoulli_bits(streams, probs, bits: np.ndarray) -> np.ndarray:
-    """Fills and returns bits: bits[k, i] is whether each of the next draws of streams[k][i] falls below probs[k][i]."""
-    draws = np.empty(bits.shape[2])
-    for row_streams, row_bits, row_probs in zip(streams, bits, probs):
-        for stream, out, p in zip(row_streams, row_bits, row_probs):
-            np.less(stream.random(out=draws), p, out=out)
-    return bits
+def bit_chunks(rngs: list[np.random.Generator], probs, horizon: int, size: int):
+    """Bernoulli streams of each generator in rngs, in consecutive chunks of at most `size` slots.
+
+    Yields bool arrays indexed [stream, generator, slot], each written over
+    the last: entry [k, i, t] is whether draw t of stream k of rngs[i]
+    falls below probs[k][i].  Stream k is read from k * horizon draws ahead
+    (stream_at), so one chunk at a time is held.  When the first chunk is
+    taken, every generator moves past all its draws.
+    """
+    streams = [[stream_at(rng, k * horizon) for rng in rngs] for k in range(len(probs))]
+    for rng in rngs:
+        rng.bit_generator.advance(len(probs) * horizon)
+    buffer = np.empty((len(probs), len(rngs), min(size, horizon)), dtype=bool)
+    for t0 in range(0, horizon, size):
+        bits = buffer[:, :, : horizon - t0]
+        draws = np.empty(bits.shape[2])
+        for row_streams, row_bits, row_probs in zip(streams, bits, probs):
+            for stream, out, p in zip(row_streams, row_bits, row_probs):
+                np.less(stream.random(out=draws), p, out=out)
+        yield bits

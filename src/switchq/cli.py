@@ -145,6 +145,8 @@ def _cmd_iid(args) -> int:
         rho_points = tuple(float(x) for x in args.rho.split(","))
     except ValueError:
         raise ValueError(f"--rho needs comma-separated loads, got {args.rho!r}") from None
+    if not all(rho >= 0 for rho in rho_points):  # false for nan too
+        raise ValueError(f"--rho needs nonnegative loads, got {args.rho!r}")
     rows = exp.iid_suite(args.p1, args.p2, rho_points, horizon=args.horizon, seed=args.seed)
     _write(args.out, exp.rows_to_csv(exp.IID_HEADER, rows))
     if args.check:
@@ -161,6 +163,8 @@ def _cmd_iid(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    if args.trace_every < 1:
+        raise ValueError(f"--trace-every must be at least 1, got {args.trace_every}")
     config = sim.SimConfig(
         lambda1=args.lambda1,
         lambda2=args.lambda2,
@@ -169,7 +173,7 @@ def _cmd_trace(args) -> int:
         horizon=args.horizon,
         warmup=args.warmup,
         seed=args.seed,
-        trace_every=max(args.trace_every, 1),
+        trace_every=args.trace_every,
     )
     metrics = sim.run(config)
     header = ("slot", "m", "c1", "c2", "q1", "q2", "action", "departed1", "departed2")

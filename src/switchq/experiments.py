@@ -64,13 +64,12 @@ class GridSpec:
     horizon: int = 100_000
     warmup: int = 0
     seed: int = 0
-    arrival_kind: str = sim.BERNOULLI
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
-        if self.boundary_margin <= 0:
-            raise ValueError("boundary margin must be positive")
+        if not self.step > 0:  # false for nan too
+            raise ValueError(f"step must be positive, got {self.step}")
+        if not self.boundary_margin > 0:
+            raise ValueError(f"boundary_margin must be positive, got {self.boundary_margin}")
         if self.horizon - self.warmup < 4:
             raise ValueError(f"horizon - warmup must be >= 4 slots, got {self.horizon} - {self.warmup}")
         if (self.epsilon is None) == (self.p1 is None or self.p2 is None):
@@ -153,7 +152,6 @@ def sweep(spec: GridSpec) -> list[tuple]:
                 horizon=spec.horizon,
                 warmup=spec.warmup,
                 seed=spec.seed + i * n_policies + j,
-                arrival_kind=spec.arrival_kind,
             )
             for i, (lam1, lam2) in enumerate(points)
         ])

@@ -19,9 +19,6 @@ import numpy as np
 
 EPS_CRITICAL = 1.0 - math.sqrt(2.0) / 2.0
 
-CORNER_IDS = ("b0", "b1", "b2", "b3", "b4", "b5")
-MIRROR_CORNER = {"b0": "b5", "b1": "b4", "b2": "b3", "b3": "b2", "b4": "b1", "b5": "b0"}
-
 
 @dataclass(frozen=True)
 class HalfSpace:

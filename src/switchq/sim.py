@@ -23,9 +23,6 @@ from . import channels as ch
 from . import policies as pol
 from .mdp import REWARD1_STATES, REWARD2_STATES, STAY, all_policies, state_index
 
-BERNOULLI = "bernoulli"
-POISSON = "poisson"
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -42,7 +39,6 @@ class SimConfig:
     policy: pol.PolicyConfig
     horizon: int
     seed: int
-    arrival_kind: str = BERNOULLI
     warmup: int | None = None
     saturated: bool = False
     trace_every: int = 0
@@ -51,12 +47,8 @@ class SimConfig:
     def __post_init__(self):
         if self.warmup is None:
             object.__setattr__(self, "warmup", self.horizon // 10)
-        if self.arrival_kind not in (BERNOULLI, POISSON):
-            raise ValueError(f"unknown arrival kind {self.arrival_kind!r}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("arrival rates must be nonnegative")
-        if self.arrival_kind == BERNOULLI and (self.lambda1 > 1 or self.lambda2 > 1):
-            raise ValueError("bernoulli arrivals require lambda <= 1")
+        if not (0 <= self.lambda1 <= 1 and 0 <= self.lambda2 <= 1):  # Bernoulli arrivals; false for nan
+            raise ValueError(f"arrival rates must lie in [0, 1], got lambda1={self.lambda1}, lambda2={self.lambda2}")
         if not 0 <= self.warmup < self.horizon:
             raise ValueError("need horizon > warmup >= 0")
         if self.trace_every < 0:
@@ -88,42 +80,6 @@ class Metrics:
     q1_final: int = 0
     q2_final: int = 0
     trace: tuple[tuple, ...] = field(default_factory=tuple)
-
-
-def _arrival_chunks(kind: str, rates, horizon: int, rngs: list[np.random.Generator], size: int):
-    """Both arrival streams of each generator in rngs, in consecutive chunks of at most `size` slots.
-
-    ``rates`` holds (lambda1, lambda2) per generator.  When the first chunk
-    is taken, each generator must stand where run() draws its arrivals:
-    past its channel paths.  Yields arrays indexed [queue, generator,
-    slot]: int8 for Bernoulli arrivals, each written over the last, and
-    int32 for Poisson ones unless a count exceeds it.  The first stream
-    is drawn from each generator itself, the second from its own place in
-    the generator's stream (channels.stream_at).  A Poisson value takes a
-    variable number of draws, so with more than one chunk the first stream
-    is drawn through once, a chunk at a time, to find where the second
-    starts.
-    """
-    rates = np.asarray(rates, dtype=float).T  # [queue, generator]
-    first = rngs
-    if kind == BERNOULLI:
-        second = [ch.stream_at(rng, horizon) for rng in rngs]
-        buffer = np.empty((2, len(rngs), min(size, horizon)), dtype=bool)
-    elif size >= horizon:  # one chunk: the second stream follows the first in each generator
-        second = first
-    else:
-        second = [ch.stream_at(rng, 0) for rng in rngs]
-        for stream, lam in zip(second, rates[0]):
-            for t0 in range(0, horizon, size):
-                stream.poisson(lam, min(size, horizon - t0))
-    for t0 in range(0, horizon, size):
-        n = min(size, horizon - t0)
-        if kind == BERNOULLI:
-            yield ch.bernoulli_bits((first, second), rates, buffer[:, :, :n]).view(np.int8)
-        else:
-            counts = np.array([[s.poisson(lam, n) for s, lam in zip(queue_streams, queue_rates)]
-                               for queue_streams, queue_rates in zip((first, second), rates)])
-            yield counts.astype(np.int32) if counts.max(initial=0) <= np.iinfo(np.int32).max else counts
 
 
 def stability_verdict(window_means: tuple[float, ...]) -> str:
@@ -215,10 +171,9 @@ def run(config: SimConfig) -> Metrics:
         n_post = H - warmup
         return Metrics(q_avg=0 / n_post, rate1=post[0] / n_post, rate2=post[1] / n_post, d1=d1, d2=d2,
                        switch_count=switches, window_means=None, verdict=None)
-    a1s, a2s = next(_arrival_chunks(config.arrival_kind, [(config.lambda1, config.lambda2)], H, [rng], H))[:, 0]
-    a1s, a2s = a1s.tolist(), a2s.tolist()
-    arrivals_pre = [sum(a[:warmup]) for a in (a1s, a2s)]  # Python ints: exact at any rate
-    arrivals = [sum(a) for a in (a1s, a2s)]
+    arrived = next(ch.bit_chunks([rng], [[config.lambda1], [config.lambda2]], H, H))[:, 0]
+    arrivals_pre, arrivals = arrived[:, :warmup].sum(axis=1).tolist(), arrived.sum(axis=1).tolist()
+    a1s, a2s = arrived.view(np.int8).tolist()
 
     framed, myopic, gated = kind in ("fbdc", "myopic"), kind == "myopic", kind == "gated"
     if myopic:
@@ -329,9 +284,8 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     trace or be saturated.  Each result equals run(config) field for field:
     a cell draws from its own seed in run()'s order (channel paths, then
     arrivals), in chunks of slots read at each stream's place in the seed's
-    stream, so no cells x horizon array is held; a Poisson stream is drawn
-    through once first (see _arrival_chunks).  The decisions are the rules
-    of policies, called on arrays.
+    stream, so no cells x horizon array is held.  The decisions are the
+    rules of policies, called on arrays.
     """
     if not configs:
         return []
@@ -342,6 +296,8 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
         if replace(config, lambda1=first.lambda1, lambda2=first.lambda2, seed=first.seed) != first:
             raise ValueError("batched configs may differ in lambda1, lambda2 and seed only")
     H, warmup, n_cells = first.horizon, first.warmup, len(configs)
+    if 2 * H * H >= 2**63:  # no count or sum below exceeds 2 * H * H; run() has no such limit
+        raise OverflowError("horizon too long for the lock-step engine's int64 sums")
     policy = first.policy
     kind, epsilon, T = policy.kind, first.channel.epsilon, _frame_length(policy)
     serve, switch4 = _step_tables()
@@ -355,9 +311,9 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     size = min(H, max(_MIN_CHUNK, _CHUNK_SYMBOLS // n_cells))
     rngs = [np.random.default_rng(config.seed) for config in configs]
     paths = ch.path_chunks(first.channel, H, rngs, size)
-    rates = [(config.lambda1, config.lambda2) for config in configs]
+    rates = [[config.lambda1 for config in configs], [config.lambda2 for config in configs]]
     # zip takes the first path chunk before the first arrival chunk, so the arrival streams start past the paths
-    chunks = zip(range(0, H, size), paths, _arrival_chunks(first.arrival_kind, rates, H, rngs, size))
+    chunks = zip(range(0, H, size), paths, ch.bit_chunks(rngs, rates, H, size))
 
     q = np.zeros((2, n_cells), dtype=np.int64)
     occupancy = q.copy()  # per queue, summed over every slot so far
@@ -368,9 +324,6 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     mark, noted = next(marks), []
 
     for t0, chunk_paths, chunk_arrivals in chunks:  # each indexed [channel or queue, cell, slot]
-        # no count or sum below exceeds 2 * H * H times the largest arrival count; run() has no such limit
-        if 2 * H * H * int(chunk_arrivals.max(initial=0)) >= 2**63:
-            raise OverflowError("arrival counts too large for the lock-step engine's int64 sums")
         arrivals += chunk_arrivals.sum(axis=2)
         arrivals_pre += chunk_arrivals[:, :, : max(0, warmup - t0)].sum(axis=2)
         for t, symbol, (c1, c2), arrived in _slot_rows(t0, chunk_paths, chunk_arrivals):

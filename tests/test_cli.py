@@ -93,6 +93,14 @@ def test_config_errors_exit_one(tmp_path, capsys):
           for eps in ("1e-9", "1e-12", "1e-15", "1e-17")),
         (["saturated", "--epsilon", "1e-17", "--corner", "b2", "--horizon", "100"], "--epsilon"),
         (["gap", "--epsilon", "5e-324", "--T-list", "2", "--horizon", "100"], "--epsilon"),
+        # nan fails every range check, so no run goes ahead on it
+        (["trace", "--epsilon", "0.25", "--lambda1", "nan", "--lambda2", "0.1"], "lambda1"),
+        (["iid", "--rho", "nan,0.6", "--check"], "--rho"),
+        (["iid", "--rho", "-1"], "--rho"),
+        (["sweep", "--epsilon", "0.25", "--step", "nan"], "step"),
+        (["sweep", "--epsilon", "0.25", "--boundary-margin", "nan"], "boundary_margin"),
+        (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--trace-every", "-3"],
+         "--trace-every"),
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

@@ -39,15 +39,13 @@ def test_sweep_csv_digest(policy):
 
 
 # Sweep shapes the digests above leave out: iid channels under the polling
-# policies, Poisson arrivals, a warmup, and two policies in one grid, whose
-# cells interleave the seeds.  Pinned from the per-cell slot loop.
+# policies, a warmup, and two policies in one grid, whose cells interleave
+# the seeds.  Pinned from the per-cell slot loop.
 SWEEP_SHAPE_DIGESTS = {
     "iid_gated": (dict(policies=(pol.PolicyConfig("gated"),), p1=0.5, p2=0.6),
                   "132945efe05036bd0e622bf631d3140eaa9f4a30f33335d69ec70d17a0af1914"),
     "iid_exhaustive": (dict(policies=(pol.PolicyConfig("exhaustive"),), p1=0.5, p2=0.6),
                        "5b550976cc8b807d72aefd574906f56d39a79dfde5964f766a12936caeb7310d"),
-    "poisson_fbdc_T10": (dict(policies=(pol.PolicyConfig("fbdc", T=10),), epsilon=0.4, arrival_kind=sim.POISSON),
-                         "cc1d0b9a89a71d1789147768eb70f860f9a377b6f099abcdc62c1c9f7c9567bc"),
     "myopic2_slot_warmup": (dict(policies=(pol.PolicyConfig("myopic", k=2, frame_based=False),), epsilon=0.4,
                                  warmup=700),
                             "5a1e4907159e8402ff55f3e0f7bc1b2424969c2544af10c8682d03c65e425c83"),

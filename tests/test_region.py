@@ -10,6 +10,7 @@ from switchq import mdp
 from switchq import region as rg
 
 EPS_GRID = (0.05, 0.10, 0.25, 0.29, 0.30, 0.40, 0.45, 0.50)
+MIRROR_CORNER = {"b0": "b5", "b1": "b4", "b2": "b3", "b3": "b2", "b4": "b1", "b5": "b0"}
 
 
 def corners_dict(eps):
@@ -205,7 +206,7 @@ def test_myopic_corner_map_mirror_symmetry():
             continue
         a = rg.myopic_corner_map(eps, 1.0, ratio)
         b = rg.myopic_corner_map(eps, ratio, 1.0)
-        assert b == rg.MIRROR_CORNER[a]
+        assert b == MIRROR_CORNER[a]
 
 
 def test_fbdc_map_equals_weighted_argmax():

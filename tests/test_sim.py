@@ -28,16 +28,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         make_config(lambda1=1.5)  # bernoulli cap
     with pytest.raises(ValueError):
-        make_config(warmup=20_000)
+        make_config(lambda2=float("nan"))
     with pytest.raises(ValueError):
-        make_config(arrival_kind="uniform")
+        make_config(warmup=20_000)
     with pytest.raises(ValueError):
         make_config(saturated=True)  # needs a fixed table
     with pytest.raises(ValueError):
         make_config(policy=pol.PolicyConfig("fbdc", T=25), channel=ch.iid(0.5, 0.5))
     with pytest.raises(ValueError):
         make_config(m0=3)
-    make_config(lambda1=1.5, arrival_kind="poisson")
 
 
 def test_determinism_bitwise():
@@ -61,7 +60,7 @@ def test_seed_changes_the_run():
     pol.PolicyConfig("fixed_corner", corner="b2"),
 ])
 def test_queue_conservation(policy):
-    metrics = sim.run(make_config(policy=policy, lambda2=0.3, arrival_kind="poisson"))
+    metrics = sim.run(make_config(policy=policy, lambda2=0.3))
     assert metrics.q1_final == metrics.arrivals1 - metrics.d1
     assert metrics.q2_final == metrics.arrivals2 - metrics.d2
     assert metrics.q1_final >= 0 and metrics.q2_final >= 0
@@ -200,25 +199,18 @@ def test_verdict_of_empty_saturated_and_short_runs():
     assert saturated.verdict is None
 
 
-def _arrivals(kind, lam, horizon, rng):
-    """One arrival stream of horizon slots, drawn as the slot loops draw queue 1's."""
-    return next(sim._arrival_chunks(kind, [(lam, lam)], horizon, [rng], horizon))[0, 0]
+def _arrivals(lam, horizon, rng):
+    """One arrival stream of horizon slots, drawn as the slot loops draw each queue's."""
+    return next(ch.bit_chunks([rng], [[lam]], horizon, horizon))[0, 0]
 
 
 def test_sample_arrivals_bernoulli():
     rng = np.random.default_rng(14)
-    assert not _arrivals("bernoulli", 0.0, 1000, rng).any()
-    draws = _arrivals("bernoulli", 0.3, 1_000_000, rng)
+    assert not _arrivals(0.0, 1000, rng).any()
+    draws = _arrivals(0.3, 1_000_000, rng)
     assert abs(draws.mean() - 0.3) < 0.002
     with pytest.raises(ValueError):
         make_config(lambda1=1.2)
-
-
-def test_sample_arrivals_poisson():
-    rng = np.random.default_rng(15)
-    draws = _arrivals("poisson", 0.5, 1_000_000, rng)
-    assert abs(draws.var() - 0.5) < 0.01
-    assert abs(draws.mean() - 0.5) < 0.005
 
 
 # -- lock-step engine ----------------------------------------------------------
@@ -246,14 +238,13 @@ def batches(draw):
     policy = draw(st.one_of(MARKOV_POLICIES, ANY_CHANNEL_POLICIES))
     markov = policy.kind in ("fbdc", "myopic")
     channel = draw(GE_CHANNELS if markov else st.one_of(GE_CHANNELS, IID_CHANNELS))
-    arrival_kind = draw(st.sampled_from([sim.BERNOULLI, sim.POISSON]))
     horizon = draw(st.integers(4, 400))
     warmup = draw(st.integers(0, horizon - 1))
-    rate = st.floats(0.0, 1.0 if arrival_kind == sim.BERNOULLI else 1.5)
+    rate = st.floats(0.0, 1.0)
     cells = draw(st.lists(st.tuples(rate, rate, st.integers(0, 2**32)), min_size=1, max_size=5))
     m0 = draw(st.integers(1, 2))
-    return [sim.SimConfig(lam1, lam2, channel, policy, horizon, seed, arrival_kind=arrival_kind,
-                          warmup=warmup, m0=m0) for lam1, lam2, seed in cells]
+    return [sim.SimConfig(lam1, lam2, channel, policy, horizon, seed, warmup=warmup, m0=m0)
+            for lam1, lam2, seed in cells]
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
@@ -264,19 +255,17 @@ def test_run_batch_equals_per_cell_runs(configs):
 
 
 def test_run_batch_equals_per_cell_runs_over_several_chunks():
-    # 3000 slots of 100 cells come in chunks of 1024 slots; Poisson streams are drawn through first
-    for arrival_kind in (sim.BERNOULLI, sim.POISSON):
-        configs = [make_config(lambda1=0.004 * i, lambda2=0.2, seed=i, horizon=3000, warmup=777,
-                               policy=pol.PolicyConfig("myopic", T=7, k=2), arrival_kind=arrival_kind)
-                   for i in range(100)]
-        assert sim.run_batch(configs) == [sim.run(c) for c in configs]
+    # 3000 slots of 100 cells come in chunks of 1024 slots
+    configs = [make_config(lambda1=0.004 * i, lambda2=0.2, seed=i, horizon=3000, warmup=777,
+                           policy=pol.PolicyConfig("myopic", T=7, k=2)) for i in range(100)]
+    assert sim.run_batch(configs) == [sim.run(c) for c in configs]
 
 
 def test_run_batch_validation():
     assert sim.run_batch([]) == []
     base = make_config(horizon=100)
     sim.run_batch([base, make_config(horizon=100, lambda1=0.3, lambda2=0.0, seed=7)])  # rates and seed may differ
-    for other in (dict(horizon=101), dict(warmup=20), dict(m0=2), dict(arrival_kind=sim.POISSON),
+    for other in (dict(horizon=101), dict(warmup=20), dict(m0=2),
                   dict(channel=ch.gilbert_elliott(0.3)), dict(policy=pol.PolicyConfig("gated"))):
         with pytest.raises(ValueError):
             sim.run_batch([base, make_config(**{"horizon": 100, **other})])
@@ -289,12 +278,11 @@ def test_run_batch_validation():
         sim.run_batch([make_config(horizon=100, lambda1=1.5)])
 
 
-@pytest.mark.parametrize("lam, horizon", [(1e15, 100), (5e16, 200)])  # the second's arrival total passes 2**63
-def test_run_batch_refuses_counts_its_int64_sums_cannot_hold(lam, horizon):
-    huge = make_config(lambda1=lam, lambda2=0.0, horizon=horizon, arrival_kind=sim.POISSON)
-    assert sim.run(huge).arrivals1 * horizon > 2**63  # the per-cell loop sums in Python ints
+def test_run_batch_refuses_horizons_its_int64_sums_cannot_hold(monkeypatch):
+    # occupancy sums reach 2 * H * H, which is 2**63 at H = 2**31
+    monkeypatch.setattr(ch, "bit_chunks", None)  # drawing a stream would raise TypeError instead
     with pytest.raises(OverflowError):
-        sim.run_batch([huge])
+        sim.run_batch([make_config(horizon=2**31)])
 
 
 def test_run_batch_memory_does_not_grow_with_the_horizon():

@@ -1,13 +1,13 @@
-"""Every top-level function and class in src/switchq, and every method of such a class, is used by the program.
+"""Every top-level function, class and assigned name in src/switchq, and every method of such a class, is used by the program.
 
 A name counts as used when some module of src/ or benchmarks/ refers to it
 outside the lines of its own definition: as a bare name, in a from-import,
 or as an attribute of a switchq module (``mdp.build_kernel``, not
 ``args.policy_id``).  A method counts as used when it is read as an
-attribute of anything (``h.slack(point)``).  Dunders and overrides of a
-base-class method (``cli._Parser.error``) are called by Python or by the
-base class, so they are not checked.  Code that only the tests call belongs
-in the tests.
+attribute of anything (``h.slack(point)``).  Dunders (``__version__``) and
+overrides of a base-class method (``cli._Parser.error``) are read by Python,
+by tools or by the base class, so they are not checked.  Code and constants
+that only the tests read belong in the tests.
 """
 
 import ast
@@ -32,9 +32,18 @@ def _references(path: Path, tree: ast.AST):
             yield from ((alias.name, path, node.lineno) for alias in node.names)
 
 
-def _used(node: ast.AST, path: Path, references) -> bool:
+def _used(node: ast.AST, name: str, path: Path, references) -> bool:
     own = range(node.lineno, node.end_lineno + 1)
-    return any(name == node.name and not (where == path and line in own) for name, where, line in references)
+    return any(ref == name and not (where == path and line in own) for ref, where, line in references)
+
+
+def _assigned(node: ast.AST) -> list[str]:
+    """The names a module-level assignment binds, dunders left out."""
+    if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and not n.id.startswith("__")]
 
 
 def unused_names() -> list[str]:
@@ -47,16 +56,14 @@ def unused_names() -> list[str]:
     for path in sorted(PACKAGE.glob("*.py")):
         module = importlib.import_module(f"switchq.{path.stem}")
         for node in trees[path].body:
-            if not isinstance(node, FUNCTIONS + (ast.ClassDef,)):
-                continue
-            if not _used(node, path, references):
-                unused.append(f"{path.stem}.{node.name}")
+            names = [node.name] if isinstance(node, FUNCTIONS + (ast.ClassDef,)) else _assigned(node)
+            unused += [f"{path.stem}.{name}" for name in names if not _used(node, name, path, references)]
             if isinstance(node, ast.ClassDef):
                 bases = getattr(module, node.name).__mro__[1:]
                 unused += [f"{path.stem}.{node.name}.{method.name}" for method in node.body
                            if isinstance(method, FUNCTIONS) and not method.name.startswith("__")
                            and not any(hasattr(base, method.name) for base in bases)
-                           and not _used(method, path, attributes)]
+                           and not _used(method, method.name, path, attributes)]
     return unused
 
 
