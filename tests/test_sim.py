@@ -278,6 +278,18 @@ def test_run_batch_validation():
         sim.run_batch([make_config(horizon=100, lambda1=1.5)])
 
 
+@pytest.mark.parametrize("lam, horizon", [(1e15, 100), (5e16, 200)])  # totals near or past 2**63
+def test_run_batch_refuses_counts_its_int64_sums_cannot_hold(lam, horizon):
+    # arrivals are Bernoulli: a rate above 1 is refused before a batch exists, so no
+    # cell brings more than one arrival a slot and its total stays within the horizon
+    with pytest.raises(ValueError):
+        sim.run_batch([make_config(lambda1=lam, lambda2=0.0, horizon=horizon)])
+    full = make_config(lambda1=1.0, lambda2=1.0, horizon=horizon)
+    [metrics] = sim.run_batch([full])
+    assert metrics == sim.run(full)
+    assert metrics.arrivals1 == metrics.arrivals2 == horizon
+
+
 def test_run_batch_refuses_horizons_its_int64_sums_cannot_hold(monkeypatch):
     # occupancy sums reach 2 * H * H, which is 2**63 at H = 2**31
     monkeypatch.setattr(ch, "bit_chunks", None)  # drawing a stream would raise TypeError instead
