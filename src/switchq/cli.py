@@ -147,6 +147,10 @@ def _cmd_iid(args) -> int:
         raise ValueError(f"--rho needs comma-separated loads, got {args.rho!r}") from None
     if not all(rho >= 0 for rho in rho_points):  # false for nan too
         raise ValueError(f"--rho needs nonnegative loads, got {args.rho!r}")
+    ch.iid(args.p1, args.p2)  # names a bad --p1 or --p2 before the loads are checked against them
+    if not all(rho * p / 2 <= 1 for rho in rho_points for p in (args.p1, args.p2)):  # iid_suite's rates
+        raise ValueError(f"--rho gives an arrival rate rho * p / 2 above 1 at p1={args.p1}, p2={args.p2}, "
+                         f"got {args.rho!r}")
     rows = exp.iid_suite(args.p1, args.p2, rho_points, horizon=args.horizon, seed=args.seed)
     _write(args.out, exp.rows_to_csv(exp.IID_HEADER, rows))
     if args.check:
@@ -289,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         return args.handler(args)
     except (ValueError, OSError) as err:
         print(f"switchq: error: {err}", file=sys.stderr)

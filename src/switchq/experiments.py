@@ -120,8 +120,9 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
 
 # The fewest cells of one policy that sim.run_batch runs faster than one
 # sim.run per cell; below it numpy's per-call cost outweighs the per-cell
-# slot loop.  Crossover at 20k slots on a 2-vCPU Xeon: about 24 cells for
-# fbdc, 40-48 for per-slot and frame myopic, gated and exhaustive.
+# slot loop.  Crossover at 20k slots on a 2-vCPU Xeon: 16-24 cells for
+# fbdc, about 32 for per-slot and frame myopic, 40-48 for exhaustive and
+# 48 for gated, the last policy to cross (table in README).
 _LOCKSTEP_MIN_CELLS = 48
 
 

@@ -4,12 +4,14 @@ Frame-based dynamic control picks the frontier corner maximizing
 Q1*r1 + Q2*r2 at each frame start (fbdc_frame_start) and plays that
 corner's deterministic action table for the whole frame.  The k-lookahead
 myopic policy compares queue-weighted expected service credit over the
-next k slots (myopic_action).  Gated and exhaustive are the classic
-polling disciplines used for the iid-channel results: both stay while a
-counter is positive (polling_action); the slot loops own the counters, the
-packets found on arrival for gated and the current queue for exhaustive.
-Every rule takes arrays elementwise, so the per-cell and the lock-step
-engines of sim share one definition.
+next k slots, read from a signed credit table per state (myopic_action).
+Gated and exhaustive are the classic polling disciplines used for the
+iid-channel results: both stay while a counter is positive
+(polling_action); the slot loops own the counters, the packets found on
+arrival for gated and the current queue for exhaustive.  Both per-slot
+rules are one expression that takes Python scalars and numpy arrays
+alike, so the per-cell and the lock-step engines of sim share one
+definition.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from .mdp import STAY, SWITCH, mirror_policy
+from .mdp import STATES, STAY, SWITCH, mirror_policy
 from .region import fbdc_corner_map
 
 # Corner action tables (states in the fixed order 1..8).  b2 serves the own
@@ -118,32 +120,36 @@ def myopic_credit(model: ch.ChannelModel, k: int) -> tuple[float, float]:
     return ch.lookahead_sum(model, ch.OFF, k), ch.lookahead_sum(model, ch.ON, k)
 
 
-def myopic_action(sigma: tuple[float, float], m, c1, c2, w1, w2):
-    """The k-lookahead myopic rule: stay iff the current queue's weight is at least the other's.
+def myopic_table(model: ch.ChannelModel, k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The signed credit (u, v) of myopic_action, one entry per state in the fixed order.
 
-    ``w1``, ``w2`` are the queue weights (frame-start or current lengths).
-    The current queue counts its live channel plus the lookahead credit;
-    the other queue counts the credit only, reflecting the slot lost to
-    switching.  An array ``m`` maps elementwise (the other arguments
-    broadcast against it) to an array of actions.
+    State (1, c1, c2) has (c1 + sigma[c1], sigma[c2]): the current queue
+    counts its live channel plus the lookahead credit, the other queue the
+    credit only, reflecting the slot lost to switching.  State (2, c1, c2)
+    has (-sigma[c1], -(c2 + sigma[c2])), the same comparison with the
+    queues' roles swapped, negated so that queue 1's weight stays on the
+    left.  Negation is exact, so every tie goes the same way as unnegated.
     """
-    if isinstance(m, np.ndarray):
-        credit, at1 = np.asarray(sigma), m == 1
-        w_here, w_there = np.where(at1, w1, w2), np.where(at1, w2, w1)
-        c_here, c_there = np.where(at1, c1, c2), np.where(at1, c2, c1)
-        return np.where(w_here * (c_here + credit[c_here]) >= w_there * credit[c_there], STAY, SWITCH)
-    if m == 1:
-        w_here, w_there = w1 * (c1 + sigma[c1]), w2 * sigma[c2]
-    else:
-        w_here, w_there = w2 * (c2 + sigma[c2]), w1 * sigma[c1]
-    return STAY if w_here >= w_there else SWITCH
+    sigma = myopic_credit(model, k)
+    rows = [(c1 + sigma[c1], sigma[c2]) if m == 1 else (-sigma[c1], -(c2 + sigma[c2])) for m, c1, c2 in STATES]
+    return tuple(zip(*rows))
+
+
+def myopic_action(credit, s, w1, w2):
+    """The k-lookahead myopic rule at state index s: stay iff w1 * u[s] >= w2 * v[s].
+
+    ``credit`` is myopic_table's (u, v), as tuples or as a (2, 8) array;
+    ``w1``, ``w2`` are the queue weights (frame-start or current lengths).
+    Array states and weights map elementwise to an integer array of actions.
+    """
+    u, v = credit
+    return (w1 * u[s] >= w2 * v[s]) * STAY
 
 
 def polling_action(counter):
     """Gated and exhaustive: stay while the counter of packets left to serve here is positive.
 
-    Arrays map elementwise.
+    A Python int gives the int STAY or SWITCH; an array maps elementwise
+    to an integer array.
     """
-    if isinstance(counter, np.ndarray):
-        return np.where(counter > 0, STAY, SWITCH)
-    return STAY if counter > 0 else SWITCH
+    return (counter > 0) * STAY

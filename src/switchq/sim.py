@@ -177,7 +177,7 @@ def run(config: SimConfig) -> Metrics:
 
     framed, myopic, gated = kind in ("fbdc", "myopic"), kind == "myopic", kind == "gated"
     if myopic:
-        sigma = pol.myopic_credit(config.channel, cfg_pol.k)
+        credit = pol.myopic_table(config.channel, cfg_pol.k)
         myopic_action = pol.myopic_action
     polling_action = pol.polling_action
 
@@ -205,7 +205,7 @@ def run(config: SimConfig) -> Metrics:
         if table is not None:
             action = table[(m - 1) * 4 + (1 - c1) * 2 + (1 - c2)]
         elif myopic:
-            action = myopic_action(sigma, m, c1, c2, q1_frame, q2_frame)
+            action = myopic_action(credit, (m - 1) * 4 + (1 - c1) * 2 + (1 - c2), q1_frame, q2_frame)
         elif gated:
             if just_arrived:
                 gate = q1 if m == 1 else q2
@@ -248,13 +248,13 @@ def run(config: SimConfig) -> Metrics:
 # (myopic, gated, exhaustive).  A table is named by its policy id
 # (mdp.policy_from_id), and the offset 8 * id + 4 * (m - 1) plus the
 # channel symbol state_index(1, c1, c2) is the cell's entry in the step
-# tables.
+# tables.  The policies of one action per slot keep id 0 in the offset,
+# so that the entry before their decision is the state index itself.
 
 _CHUNK_SYMBOLS = 2**16  # cells x slots of each stream held at once
 _MIN_CHUNK = 1024  # slots per chunk, however many cells
 _BLOCK_SYMBOLS = 2**13  # cells x slots per block of int64 rows, at least a slot: equal types skip ufunc casts
 _ID_BITS = 1 << np.arange(7, -1, -1)  # table @ _ID_BITS is its policy id: state 1 most significant, stay = 1
-_SERVER_M = np.array([1, 0, 0, 0, 2])  # server position m at the offset bit 4 * (m - 1)
 
 
 @lru_cache(maxsize=1)
@@ -270,11 +270,11 @@ def _step_tables() -> tuple[np.ndarray, np.ndarray]:
 
 def _slot_rows(t0: int, paths: np.ndarray, arrivals: np.ndarray):
     """Slot by slot from a chunk indexed [channel or queue, cell, slot]: t, and the channel
-    symbols, channels and arrivals of every cell as int64 rows, widened a block of slots at a time."""
+    symbols and arrivals of every cell as int64 rows, widened a block of slots at a time."""
     block = max(1, _BLOCK_SYMBOLS // paths.shape[1])
     for b0 in range(0, paths.shape[2], block):
         c, a = (x[:, :, b0 : b0 + block].transpose(2, 0, 1).astype(np.int64) for x in (paths, arrivals))
-        yield from zip(range(t0 + b0, t0 + b0 + len(c)), state_index(1, c[:, 0], c[:, 1]), c, a)
+        yield from zip(range(t0 + b0, t0 + b0 + len(c)), state_index(1, c[:, 0], c[:, 1]), a)
 
 
 def run_batch(configs: list[SimConfig]) -> list[Metrics]:
@@ -302,10 +302,11 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     kind, epsilon, T = policy.kind, first.channel.epsilon, _frame_length(policy)
     serve, switch4 = _step_tables()
     table = _fixed_table(policy)
-    policy_id = int(np.dot(table, _ID_BITS)) if table else 0  # the other policies set theirs as they decide
+    policy_id = int(np.dot(table, _ID_BITS)) if table else 0  # fbdc sets its own at each frame start
+    one_action = table is None and kind != "fbdc"
     offset = np.full(n_cells, 8 * policy_id + 4 * (first.m0 - 1))
     if kind == "myopic":
-        sigma = np.array(pol.myopic_credit(first.channel, policy.k))
+        credit = np.array(pol.myopic_table(first.channel, policy.k))
     gate, just_arrived = np.zeros(n_cells, dtype=np.int64), np.ones(n_cells, dtype=bool)
 
     size = min(H, max(_MIN_CHUNK, _CHUNK_SYMBOLS // n_cells))
@@ -326,28 +327,26 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     for t0, chunk_paths, chunk_arrivals in chunks:  # each indexed [channel or queue, cell, slot]
         arrivals += chunk_arrivals.sum(axis=2)
         arrivals_pre += chunk_arrivals[:, :, : max(0, warmup - t0)].sum(axis=2)
-        for t, symbol, (c1, c2), arrived in _slot_rows(t0, chunk_paths, chunk_arrivals):
+        for t, symbol, arrived in _slot_rows(t0, chunk_paths, chunk_arrivals):
             if t == mark:
                 noted.append(np.vstack([occupancy.sum(axis=0), q]))
                 mark = next(marks, -1)
-            if kind == "fbdc":
-                if t % T == 0:
-                    offset = 8 * (pol.fbdc_frame_start(epsilon, q[0], q[1]) @ _ID_BITS) + (offset & 4)
-            elif table is None:  # one action per slot, played as the table that plays it everywhere
-                server = offset & 4
+            if kind == "fbdc" and t % T == 0:
+                offset = 8 * (pol.fbdc_frame_start(epsilon, q[0], q[1]) @ _ID_BITS) + (offset & 4)
+            np.add(offset, symbol, out=index)
+            if one_action:  # offset is 4 * (m - 1), so index is the state; the action picks its table
                 if kind == "myopic":
                     if t % T == 0:
                         weights = q.astype(float)  # the scalar rule's int * float converts the same way
-                    action = pol.myopic_action(sigma, _SERVER_M[server], c1, c2, *weights)
+                    action = pol.myopic_action(credit, index, *weights)
                 else:
-                    counter = np.where(server, q[1], q[0])
+                    counter = np.where(offset, q[1], q[0])
                     if kind == "gated":
                         counter = gate = np.where(just_arrived, counter, gate)
                     action = pol.polling_action(counter)
-                offset = 8 * 255 * action + server  # policy 255 stays everywhere, policy 0 switches
+                index += 8 * 255 * action  # policy 255 stays everywhere, policy 0 switches
             occupancy += q
 
-            np.add(offset, symbol, out=index)
             np.minimum(q, serve.take(index, axis=1), out=dep)
             q -= dep
             flip = switch4.take(index)

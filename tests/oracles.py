@@ -2,8 +2,9 @@
 
 The saturated chain's kernel filled entry by entry and its recurrent class
 by a generic reachability closure, the paper's FBDC queue-ratio thresholds,
-a region's polygon and the Hausdorff distance between two regions, and the
-myopic decisions at all eight states for fixed weights.
+a region's polygon and the Hausdorff distance between two regions, the
+myopic decisions at all eight states for fixed weights, and the myopic
+rule as two branches on the server position.
 """
 
 import numpy as np
@@ -110,5 +111,24 @@ def hausdorff_distance(a, b):
 
 def myopic_policy_table(model, k, q1, q2):
     """Myopic decisions at all 8 states for fixed weights (q1, q2)."""
-    sigma = pol.myopic_credit(model, k)
-    return tuple(pol.myopic_action(sigma, m, c1, c2, q1, q2) for m, c1, c2 in STATES)
+    credit = pol.myopic_table(model, k)
+    return tuple(pol.myopic_action(credit, s, q1, q2) for s in range(N_STATES))
+
+
+def myopic_reference(sigma, m, c1, c2, w1, w2):
+    """The myopic rule as two branches on the server position, from the credit sigma of myopic_credit.
+
+    The current queue weighs its live channel plus the lookahead credit,
+    the other queue the credit only.  An array ``m`` maps elementwise (the
+    other arguments broadcast against it) to an array of actions.
+    """
+    if isinstance(m, np.ndarray):
+        credit, at1 = np.asarray(sigma), m == 1
+        w_here, w_there = np.where(at1, w1, w2), np.where(at1, w2, w1)
+        c_here, c_there = np.where(at1, c1, c2), np.where(at1, c2, c1)
+        return np.where(w_here * (c_here + credit[c_here]) >= w_there * credit[c_there], STAY, SWITCH)
+    if m == 1:
+        w_here, w_there = w1 * (c1 + sigma[c1]), w2 * sigma[c2]
+    else:
+        w_here, w_there = w2 * (c2 + sigma[c2]), w1 * sigma[c1]
+    return STAY if w_here >= w_there else SWITCH

@@ -101,6 +101,14 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["sweep", "--epsilon", "0.25", "--boundary-margin", "nan"], "boundary_margin"),
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--trace-every", "-3"],
          "--trace-every"),
+        # numpy's generator refuses a negative seed without naming the flag; a load above 2 / p a rate above 1
+        (["gap", "--epsilon", "0.25", "--T-list", "10", "--horizon", "100", "--seed", "-1"], "--seed"),
+        (["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--seed", "-1"], "--seed"),
+        (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--seed", "-1"], "--seed"),
+        (["saturated", "--epsilon", "0.25", "--corner", "b2", "--horizon", "100", "--seed", "-1"], "--seed"),
+        (["iid", "--horizon", "4000", "--seed", "-2"], "--seed"),
+        (["iid", "--rho", "5"], "--rho"),
+        (["iid", "--p1", "5"], "p1"),
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

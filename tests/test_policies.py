@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import myopic_policy_table
+from oracles import myopic_policy_table, myopic_reference
 from switchq import channels as ch
 from switchq import mdp
 from switchq import policies as pol
 from switchq import sim
-from switchq.mdp import STAY, SWITCH
+from switchq.mdp import STAY, SWITCH, state_index
 from switchq.region import EPS_CRITICAL, myopic_corner_map
 
 GE = ch.gilbert_elliott(0.25)
@@ -99,40 +99,40 @@ def test_fbdc_is_channel_measurable_within_a_frame():
 
 
 def test_myopic_weights_worked_examples():
-    sigma = pol.myopic_credit(GE, 1)
+    sigma, credit = pol.myopic_credit(GE, 1), pol.myopic_table(GE, 1)
     assert sigma == (pytest.approx(0.25), pytest.approx(0.75))
     # W_here = 3 * (1 + 0.75) = 5.25 against W_there = q2 * 0.25
-    assert pol.myopic_action(sigma, 1, 1, 0, 3, 10) == STAY
-    assert pol.myopic_action(sigma, 1, 1, 0, 3, 21.001) == SWITCH
+    assert pol.myopic_action(credit, state_index(1, 1, 0), 3, 10) == STAY
+    assert pol.myopic_action(credit, state_index(1, 1, 0), 3, 21.001) == SWITCH
     # W_here = 1 * (0 + 0.25) against W_there = 1 * 0.75
-    assert pol.myopic_action(sigma, 1, 0, 1, 1, 1) == SWITCH
-    assert pol.myopic_action(sigma, 1, 0, 1, 3.001, 1) == STAY
+    assert pol.myopic_action(credit, state_index(1, 0, 1), 1, 1) == SWITCH
+    assert pol.myopic_action(credit, state_index(1, 0, 1), 3.001, 1) == STAY
 
 
 def test_myopic_exact_tie_stays():
     # q2/q1 = (2-e)/(1-e) = 7/3 at e=1/4 makes W1 == W2 exactly
-    sigma = pol.myopic_credit(GE, 1)
+    sigma, credit = pol.myopic_credit(GE, 1), pol.myopic_table(GE, 1)
     assert 3 * (1 + sigma[1]) == 7 * sigma[1]
-    assert pol.myopic_action(sigma, 1, 1, 1, 3, 7) == STAY
-    assert pol.myopic_action(sigma, 1, 1, 1, 3, 7.001) == SWITCH
+    assert pol.myopic_action(credit, state_index(1, 1, 1), 3, 7) == STAY
+    assert pol.myopic_action(credit, state_index(1, 1, 1), 3, 7.001) == SWITCH
 
 
 def test_myopic_two_step_lookahead_values():
-    sigma = pol.myopic_credit(GE, 2)
+    sigma, credit = pol.myopic_credit(GE, 2), pol.myopic_table(GE, 2)
     assert sigma == (pytest.approx(0.25 + 0.375), pytest.approx(0.75 + 0.625))
     # W_here = 1 + 0.75 + 0.625 = 2.375 against W_there = q2 * 0.625, even at q2 = 3.8
-    assert pol.myopic_action(sigma, 1, 1, 0, 1, 3.7) == STAY
-    assert pol.myopic_action(sigma, 1, 1, 0, 1, 3.9) == SWITCH
+    assert pol.myopic_action(credit, state_index(1, 1, 0), 1, 3.7) == STAY
+    assert pol.myopic_action(credit, state_index(1, 1, 0), 1, 3.9) == SWITCH
 
 
 def test_myopic_frame_weights_come_from_frame_start():
     # frame myopic weighs the frame-start queues, not the live ones
     rows = _trace_rows(pol.PolicyConfig("myopic", T=25, k=1), lam=(0.3, 0.3))
-    sigma = pol.myopic_credit(GE, 1)
+    credit = pol.myopic_table(GE, 1)
     live_rule_differs = 0
     for (t, m, c1, c2, q1, q2, action, _, _), (f1, f2) in zip(rows, _frame_start_queues(rows, 25)):
-        assert action == pol.myopic_action(sigma, m, c1, c2, f1, f2), t
-        live_rule_differs += action != pol.myopic_action(sigma, m, c1, c2, q1, q2)
+        assert action == pol.myopic_action(credit, state_index(m, c1, c2), f1, f2), t
+        live_rule_differs += action != pol.myopic_action(credit, state_index(m, c1, c2), q1, q2)
     assert live_rule_differs > 0
 
 
@@ -145,14 +145,15 @@ def test_myopic_rejects_iid_channels():
 
 
 def test_myopic_at_queue_two_mirrors():
-    sigma = pol.myopic_credit(GE, 1)
-    assert pol.myopic_action(sigma, 2, 0, 1, 10, 3) == STAY
-    assert pol.myopic_action(sigma, 2, 0, 1, 21.001, 3) == SWITCH
+    credit = pol.myopic_table(GE, 1)
+    assert pol.myopic_action(credit, state_index(2, 0, 1), 10, 3) == STAY
+    assert pol.myopic_action(credit, state_index(2, 0, 1), 21.001, 3) == SWITCH
     rng = np.random.default_rng(34)
     for _ in range(200):
         w1, w2 = rng.integers(0, 50, 2)
         for m, c1, c2 in mdp.STATES:
-            assert pol.myopic_action(sigma, m, c1, c2, w1, w2) == pol.myopic_action(sigma, 3 - m, c2, c1, w2, w1)
+            assert (pol.myopic_action(credit, state_index(m, c1, c2), w1, w2)
+                    == pol.myopic_action(credit, state_index(3 - m, c2, c1), w2, w1))
 
 
 def _thresholds(eps):
@@ -234,12 +235,12 @@ def test_array_rules_equal_scalar_calls():
         assert tables.shape == (400, 8)
         assert [tuple(t) for t in tables.tolist()] == [pol.fbdc_frame_start(eps, int(a), int(b))
                                                        for a, b in zip(q1, q2)]
-        sigma = pol.myopic_credit(ch.gilbert_elliott(eps), int(rng.integers(1, 4)))
-        m, (c1, c2) = rng.integers(1, 3, 400), rng.integers(0, 2, (2, 400))
+        credit = pol.myopic_table(ch.gilbert_elliott(eps), int(rng.integers(1, 4)))
+        s = rng.integers(0, 8, 400)
         for w1, w2 in ((q1, q2), (q1.astype(float), q2.astype(float))):
-            actions = pol.myopic_action(sigma, m, c1, c2, w1, w2)
-            assert actions.tolist() == [pol.myopic_action(sigma, *args) for args in
-                                        zip(m.tolist(), c1.tolist(), c2.tolist(), w1.tolist(), w2.tolist())]
+            actions = pol.myopic_action(np.array(credit), s, w1, w2)
+            assert actions.tolist() == [pol.myopic_action(credit, *args) for args in
+                                        zip(s.tolist(), w1.tolist(), w2.tolist())]
     counters = np.array([-1, 0, 1, 7])
     assert pol.polling_action(counters).tolist() == [pol.polling_action(int(c)) for c in counters]
     assert [pol.polling_action(c) for c in (0, 1)] == [SWITCH, STAY]
@@ -247,10 +248,50 @@ def test_array_rules_equal_scalar_calls():
 
 def test_array_myopic_action_broadcasts_over_states():
     # one call decides all 8 states for a row of weights, as the scalar rule does state by state
-    sigma = pol.myopic_credit(GE, 2)
+    credit = pol.myopic_table(GE, 2)
     w1, w2 = np.arange(30), np.arange(30)[::-1] * 1.5
-    m, c1, c2 = np.array(mdp.STATES).T[:, :, None]
-    actions = pol.myopic_action(sigma, m, c1, c2, w1, w2)
+    actions = pol.myopic_action(np.array(credit), np.arange(8)[:, None], w1, w2)
     assert actions.shape == (8, 30)
-    for s, (ms, a, b) in enumerate(mdp.STATES):
-        assert actions[s].tolist() == [pol.myopic_action(sigma, ms, a, b, x, y) for x, y in zip(w1, w2.tolist())]
+    for s in range(8):
+        assert actions[s].tolist() == [pol.myopic_action(credit, s, x, y) for x, y in zip(w1, w2.tolist())]
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+_WEIGHTS = st.one_of(st.integers(0, 10**6), st.floats(0, 1e6), st.just(0))
+
+
+def _tie_weights(sigma, m, c1, c2):
+    """(w1, w2) at which the current queue's weight equals the other's exactly at state (m, c1, c2)."""
+    here, there = (c1 + sigma[c1], sigma[c2]) if m == 1 else (c2 + sigma[c2], sigma[c1])
+    return (there, here) if m == 1 else (here, there)  # w_here * here == w_there * there: the same two factors
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(eps=st.floats(1e-9, 0.5), k=st.integers(1, 3),
+                  weights=st.lists(st.tuples(_WEIGHTS, _WEIGHTS), min_size=1, max_size=12))
+def test_myopic_table_rule_equals_two_branch_reference(eps, k, weights):
+    # all 8 states against random, zero and exactly tied weights, on scalars and on arrays
+    model = ch.gilbert_elliott(eps)
+    sigma, credit = pol.myopic_credit(model, k), pol.myopic_table(model, k)
+    cases = [(s, w1, w2) for s in range(8) for w1, w2 in weights + [(0, 0), _tie_weights(sigma, *mdp.STATES[s])]]
+    for s, w1, w2 in cases:
+        action = pol.myopic_action(credit, s, w1, w2)
+        assert type(action) is int and action == myopic_reference(sigma, *mdp.STATES[s], w1, w2), (s, w1, w2)
+    for s, (m, c1, c2) in enumerate(mdp.STATES):
+        assert pol.myopic_action(credit, s, *_tie_weights(sigma, m, c1, c2)) == STAY  # ties stay
+    s, w1, w2 = (np.array(x) for x in zip(*cases))
+    m, c1, c2 = np.array(mdp.STATES)[s].T
+    w1, w2 = w1.astype(float), w2.astype(float)
+    actions = pol.myopic_action(np.array(credit), s, w1, w2)
+    assert actions.tolist() == myopic_reference(sigma, m, c1, c2, w1, w2).tolist()
+
+
+def test_polling_action_returns_ints():
+    # the trace CSV writes the action, so a Python int counter gives the int 0 or 1
+    for counter in (-3, 0, 1, 7, 10**20):
+        action = pol.polling_action(counter)
+        assert type(action) is int and action == (STAY if counter > 0 else SWITCH)
+    actions = pol.polling_action(np.array([-1, 0, 1, 7]))
+    assert np.issubdtype(actions.dtype, np.integer) and actions.tolist() == [SWITCH, SWITCH, STAY, STAY]
