@@ -1,7 +1,6 @@
 """Command-line front end.
 
-Subcommands: region, sweep, saturated, psi, gap, iid, trace.  Options may
-also come from a flat key=value config file (--config); explicit flags win.
+Subcommands: region, sweep, saturated, psi, gap, iid, trace.
 Exit codes: 0 success, 1 bad configuration, 2 failed --check validation.
 """
 
@@ -20,8 +19,19 @@ from .region import closed_form_region, region_from_vertices
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # config errors exit 1, not argparse's 2
-        self.exit(1, f"{self.prog}: error: {message}\n")
+    def error(self, message):  # bad flags exit 1 through main, not argparse's 2
+        raise ValueError(message)
+
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer from low to high (no upper bound if None); an error names the flag."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            span = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+    return integer
 
 
 def _write(out: str | None, text: str) -> None:
@@ -45,11 +55,10 @@ def _policy_from_args(args) -> pol.PolicyConfig:
 
 
 def _cmd_region(args) -> int:
-    text = exp.export_regions(args.epsilon, args.p1, args.p2)
-    _write(args.out, text)
+    if args.check and args.epsilon is None:
+        raise ValueError("--check needs --epsilon")
+    _write(args.out, exp.export_regions(args.epsilon, args.p1, args.p2))
     if args.check:
-        if args.epsilon is None:
-            raise ValueError("--check needs --epsilon")
         hull = region_from_vertices([v.rates for v in mdp.enumerate_vertices(args.epsilon)])
         closed = closed_form_region(args.epsilon)
         ok = all(h.slack(c) > -1e-9 for c in hull.corners for h in closed.halfspaces) and all(
@@ -86,15 +95,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_saturated(args) -> int:
     if args.corner:
-        table = pol.CORNER_TABLES[args.corner]
-        label = f"corner_{args.corner}"
-    elif args.policy_id is not None:
-        table = mdp.policy_from_id(args.policy_id)
-        label = f"policy_{args.policy_id}"
+        table, label = pol.CORNER_TABLES[args.corner], f"corner_{args.corner}"
     else:
-        raise ValueError("give --corner or --policy-id")
-    if args.horizon < 1:
-        raise ValueError(f"--horizon must be at least 1, got {args.horizon}")
+        table, label = mdp.policy_from_id(args.policy_id), f"policy_{args.policy_id}"
     emp = sim.saturated_rate(table, args.epsilon, args.horizon, args.seed, warmup=2000)
     kernel = mdp.build_kernel(args.epsilon)
     pi = mdp.stationary_distribution(kernel, table)
@@ -114,8 +117,6 @@ def _cmd_saturated(args) -> int:
 def _cmd_psi(args) -> int:
     if not args.eps_step > 0:
         raise ValueError(f"--eps-step must be positive, got {args.eps_step}")
-    if args.ratio_points < 1:
-        raise ValueError(f"--ratio-points must be at least 1, got {args.ratio_points}")
     report = exp.verify_psi(args.eps_step, args.ratio_points)
     header = ("case", "region", "bound", "minimum", "argmin_epsilon", "argmin_ratio")
     _write(args.out, exp.rows_to_csv(header, report.rows()))
@@ -132,8 +133,6 @@ def _cmd_gap(args) -> int:
     parts = args.T_list.split(",")
     if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
         raise ValueError(f"--T-list needs comma-separated frame lengths >= 1, got {args.T_list!r}")
-    if args.horizon < 1:
-        raise ValueError(f"--horizon must be at least 1, got {args.horizon}")
     t_list = tuple(int(x) for x in parts)
     rows = exp.throughput_gap(args.epsilon, t_list, args.corner, slots_per_t=args.horizon, seed=args.seed)
     _write(args.out, exp.rows_to_csv(("T", "rate_deficit"), rows))
@@ -167,8 +166,6 @@ def _cmd_iid(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if args.trace_every < 1:
-        raise ValueError(f"--trace-every must be at least 1, got {args.trace_every}")
     config = sim.SimConfig(
         lambda1=args.lambda1,
         lambda2=args.lambda2,
@@ -185,11 +182,12 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value file with defaults for this command")
+def _add_common(p: argparse.ArgumentParser, *, seed: bool, check: bool) -> None:
     p.add_argument("--out", help="output CSV path (stdout if omitted)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--check", action="store_true", help="validate results; failures exit 2")
+    if seed:
+        p.add_argument("--seed", type=_int_in(0), default=0)
+    if check:
+        p.add_argument("--check", action="store_true", help="validate results; failures exit 2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=0.5)
     p.add_argument("--p2", type=float, default=0.5)
     p.set_defaults(handler=_cmd_region)
-    _add_common(p)
+    _add_common(p, seed=False, check=True)
 
     p = sub.add_parser("sweep", help="arrival-grid queue-occupancy sweep")
     p.add_argument("--epsilon", type=float)
@@ -216,29 +214,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=100_000)
     p.add_argument("--warmup", type=int, default=0)
     p.set_defaults(handler=_cmd_sweep)
-    _add_common(p)
+    _add_common(p, seed=True, check=True)
 
     p = sub.add_parser("saturated", help="saturated-system empirical vs analytic rates")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--corner", choices=sorted(pol.CORNER_TABLES))
-    p.add_argument("--policy-id", type=int)
-    p.add_argument("--horizon", type=int, default=1_000_000)
+    table = p.add_mutually_exclusive_group(required=True)
+    table.add_argument("--corner", choices=sorted(pol.CORNER_TABLES))
+    table.add_argument("--policy-id", type=_int_in(0, 255))
+    p.add_argument("--horizon", type=_int_in(1), default=1_000_000)
     p.set_defaults(handler=_cmd_saturated)
-    _add_common(p)
+    _add_common(p, seed=True, check=True)
 
     p = sub.add_parser("psi", help="minimize the myopic/optimal weighted-rate ratio")
     p.add_argument("--eps-step", type=float, default=1e-3)
-    p.add_argument("--ratio-points", type=int, default=400)
+    p.add_argument("--ratio-points", type=_int_in(1), default=400)
     p.set_defaults(handler=_cmd_psi)
-    _add_common(p)
+    _add_common(p, seed=False, check=True)
 
     p = sub.add_parser("gap", help="corner-rate deficit against frame length")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--corner", default="b2", choices=sorted(pol.CORNER_TABLES))
     p.add_argument("--T-list", default="10,100,1000")
-    p.add_argument("--horizon", type=int, default=200_000, help="slot budget per frame length")
+    p.add_argument("--horizon", type=_int_in(1), default=200_000, help="slot budget per frame length")
     p.set_defaults(handler=_cmd_gap)
-    _add_common(p)
+    _add_common(p, seed=True, check=False)
 
     p = sub.add_parser("iid", help="gated/exhaustive stability across loads")
     p.add_argument("--p1", type=float, default=0.5)
@@ -246,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", default="0.6,0.8,0.9,1.1,1.2")
     p.add_argument("--horizon", type=int, default=100_000)
     p.set_defaults(handler=_cmd_iid)
-    _add_common(p)
+    _add_common(p, seed=True, check=True)
 
     p = sub.add_parser("trace", help="per-slot CSV trace of one run")
     p.add_argument("--epsilon", type=float)
@@ -260,41 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-slot", action="store_true")
     p.add_argument("--horizon", type=int, default=1000)
     p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--trace-every", type=int, default=1)
+    p.add_argument("--trace-every", type=_int_in(1), default=1)
     p.set_defaults(handler=_cmd_trace)
-    _add_common(p)
+    _add_common(p, seed=True, check=False)
 
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Splice config-file values in front of the flags so flags override them."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    path = argv[idx + 1]
-    values = exp.parse_config(Path(path).read_text(encoding="utf-8"))
-    injected: list[str] = []
-    for key, value in values.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                injected.append(flag)
-        else:
-            injected.extend([flag, str(value)])
-    return argv[:1] + injected + argv[1:]
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        if args.seed < 0:
-            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ValueError, OSError) as err:
         print(f"switchq: error: {err}", file=sys.stderr)

@@ -446,36 +446,3 @@ def iid_suite(
 
 
 IID_HEADER = ("p1", "p2", "rho", "lambda1", "lambda2", "policy", "stable", "q_avg")
-
-
-# ---------------------------------------------------------------------------
-# flat key=value config files
-
-
-def parse_config(text: str) -> dict[str, object]:
-    """Parse `key=value` lines; '#' starts a comment, values are typed."""
-    out: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        out[key] = _coerce(value)
-    return out
-
-
-def _coerce(value: str):
-    low = value.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
-    return value

@@ -1,5 +1,8 @@
+import argparse
+import ast
 from pathlib import Path
 
+from switchq import cli
 from switchq.cli import main
 
 
@@ -63,23 +66,13 @@ def test_trace_command(tmp_path):
     assert len(lines) == 201
 
 
-def test_config_file_defaults_and_flag_override(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("epsilon = 0.25\nlambda1 = 0.2\nlambda2 = 0.2\npolicy = exhaustive\nhorizon = 300\n")
-    out = tmp_path / "t.csv"
-    assert main(["trace", "--config", str(cfg), "--trace-every", "1", "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 301
-    # an explicit flag beats the config value
-    assert main(["trace", "--config", str(cfg), "--horizon", "100",
-                 "--trace-every", "1", "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 101
-
-
 def test_config_errors_exit_one(tmp_path, capsys):
     # each bad input exits 1 with one stderr line that names the offending flag
     for argv, flag in (
         (["sweep", "--policy", "mystery", "--epsilon", "0.3"], "policy"),
         (["saturated", "--epsilon", "0.25"], "--corner"),  # no corner or policy id
+        (["saturated", "--epsilon", "0.25", "--corner", "b2", "--policy-id", "5"], "--policy-id"),  # both
+        (["saturated", "--epsilon", "0.25", "--policy-id", "300"], "--policy-id"),
         (["sweep", "--epsilon", "0.25", "--horizon", "3", "--step", "0.2"], "horizon"),
         (["gap", "--epsilon", "0.25", "--T-list", "0"], "--T-list"),
         (["gap", "--epsilon", "0.25", "--T-list", "10,x"], "--T-list"),
@@ -109,12 +102,46 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["iid", "--horizon", "4000", "--seed", "-2"], "--seed"),
         (["iid", "--rho", "5"], "--rho"),
         (["iid", "--p1", "5"], "p1"),
+        # a command takes only the flags it reads; there are no config files
+        (["trace", "--config", "x", "--lambda1", "0.1", "--lambda2", "0.1"], "unrecognized arguments: --config x"),
+        (["psi", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["gap", "--epsilon", "0.25", "--check"], "unrecognized arguments: --check"),
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err, (argv, err)
-    missing = tmp_path / "nope.cfg"
-    assert main(["trace", "--config", str(missing), "--lambda1", "0", "--lambda2", "0"]) == 1
+
+
+def test_region_check_without_epsilon_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "region.csv"
+    assert main(["region", "--check", "--out", str(out)]) == 1
+    assert "--epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _args_reads(function: ast.FunctionDef, functions: dict[str, ast.FunctionDef]) -> set[str]:
+    """The args.<name> reads of a handler and of every cli function it hands args to."""
+    reads = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            reads.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions
+              and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args)):
+            reads |= _args_reads(functions[node.func.id], functions)
+    return reads
+
+
+def test_every_flag_of_a_command_is_read_by_it():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    unread = {}
+    for name, parser in commands.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        missing = dests - _args_reads(functions[parser.get_default("handler").__name__], functions)
+        if missing:
+            unread[name] = sorted(missing)
+    assert unread == {}
 
 
 def test_psi_command_small_grid(tmp_path):

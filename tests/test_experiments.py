@@ -198,21 +198,6 @@ def test_iid_suite_rows():
     assert all(r[3] == r[4] == 0.15 for r in rows)
 
 
-def test_parse_config():
-    text = """
-    # a comment
-    epsilon = 0.25
-    horizon=5000   # trailing comment
-    policy = fbdc
-    frame_based = true
-    T=25
-    """
-    values = exp.parse_config(text)
-    assert values == {"epsilon": 0.25, "horizon": 5000, "policy": "fbdc", "frame_based": True, "T": 25}
-    with pytest.raises(ValueError):
-        exp.parse_config("no equals sign here")
-
-
 def test_float_formatting_roundtrips():
     for x in (0.1, 1 / 3, 0.25, 1e-9, np.float64(0.9002)):
         assert float(exp._fmt(x)) == x
