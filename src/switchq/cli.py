@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 bad configuration, 2 failed --check validation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -41,17 +42,28 @@ def _write(out: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+# The policy flags each --policy reads; giving another one is an error, not a silent no-op.
+_POLICY_FLAGS = {"fbdc": ("--T",), "myopic": ("--T", "--k", "--per-slot")}
+
+
 def _policy_from_args(args) -> pol.PolicyConfig:
     kind = args.policy
+    if kind not in ("fbdc", "myopic", "gated", "exhaustive", *pol.CORNER_TABLES):
+        raise ValueError(f"unknown policy {kind!r}")
+    given = {"--T": args.T is not None, "--k": args.k is not None, "--per-slot": args.per_slot}
+    ignored = [flag for flag, on in given.items() if on and flag not in _POLICY_FLAGS.get(kind, ())]
+    if ignored:
+        raise ValueError(f"{ignored[0]} does not apply to --policy {kind}")
+    if kind in _POLICY_FLAGS and args.epsilon is None:
+        raise ValueError(f"--policy {kind} needs the gilbert_elliott channel model: give --epsilon")
+    T = 25 if args.T is None else args.T
     if kind == "fbdc":
-        return pol.PolicyConfig("fbdc", T=args.T)
+        return pol.PolicyConfig("fbdc", T=T)
     if kind == "myopic":
-        return pol.PolicyConfig("myopic", T=args.T, k=args.k, frame_based=not args.per_slot)
+        return pol.PolicyConfig("myopic", T=T, k=1 if args.k is None else args.k, frame_based=not args.per_slot)
     if kind in ("gated", "exhaustive"):
         return pol.PolicyConfig(kind)
-    if kind.startswith("b") and kind in pol.CORNER_TABLES:
-        return pol.PolicyConfig("fixed_corner", corner=kind)
-    raise ValueError(f"unknown policy {kind!r}")
+    return pol.PolicyConfig("fixed_corner", corner=kind)
 
 
 def _cmd_region(args) -> int:
@@ -166,6 +178,8 @@ def _cmd_iid(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    if args.warmup >= args.horizon:
+        raise ValueError(f"--warmup must be below --horizon, got {args.warmup} >= {args.horizon}")
     config = sim.SimConfig(
         lambda1=args.lambda1,
         lambda2=args.lambda2,
@@ -190,6 +204,7 @@ def _add_common(p: argparse.ArgumentParser, *, seed: bool, check: bool) -> None:
         p.add_argument("--check", action="store_true", help="validate results; failures exit 2")
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="switchq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -206,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float)
     p.add_argument("--p2", type=float)
     p.add_argument("--policy", default="fbdc")
-    p.add_argument("--T", type=int, default=25)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--T", type=int, help="frame length of fbdc and frame myopic (default 25)")
+    p.add_argument("--k", type=int, help="myopic lookahead (default 1)")
     p.add_argument("--per-slot", action="store_true", help="myopic uses current queues, not frame queues")
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--boundary-margin", type=float, default=0.02)
     p.add_argument("--horizon", type=int, default=100_000)
-    p.add_argument("--warmup", type=int, default=0)
+    p.add_argument("--warmup", type=_int_in(0), default=0)
     p.set_defaults(handler=_cmd_sweep)
     _add_common(p, seed=True, check=True)
 
@@ -254,11 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda1", type=float, required=True)
     p.add_argument("--lambda2", type=float, required=True)
     p.add_argument("--policy", default="exhaustive")
-    p.add_argument("--T", type=int, default=25)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--per-slot", action="store_true")
-    p.add_argument("--horizon", type=int, default=1000)
-    p.add_argument("--warmup", type=int, default=0)
+    p.add_argument("--T", type=int, help="frame length of fbdc and frame myopic (default 25)")
+    p.add_argument("--k", type=int, help="myopic lookahead (default 1)")
+    p.add_argument("--per-slot", action="store_true", help="myopic uses current queues, not frame queues")
+    p.add_argument("--horizon", type=_int_in(1), default=1000)
+    p.add_argument("--warmup", type=_int_in(0), default=0)
     p.add_argument("--trace-every", type=_int_in(1), default=1)
     p.set_defaults(handler=_cmd_trace)
     _add_common(p, seed=True, check=False)

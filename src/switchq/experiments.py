@@ -19,10 +19,6 @@ from . import policies as pol
 from . import sim
 from .region import (
     EPS_CRITICAL,
-    _corner_table,
-    _fbdc_positions,
-    _map_from_thresholds,
-    _myopic_thresholds,
     closed_form_region,
     contains,
     corner_points,
@@ -30,6 +26,7 @@ from .region import (
     iid_region,
     myopic_corner_map,
     no_switchover_region,
+    weighted_corner_maps,
 )
 
 SWEEP_HEADER = ("epsilon", "lambda1", "lambda2", "policy", "T", "k", "q_avg", "rate1", "rate2", "stable")
@@ -254,26 +251,24 @@ PSI_REGIONS: tuple[tuple[str, str, tuple[float, float], object, float], ...] = (
 PSI_GLOBAL_BOUND = 0.9002
 
 
-def psi_value(epsilon: float, ratio):
+def psi_value(epsilon, ratio):
     """Myopic-to-optimal weighted departure rate ratio at weights (1, ratio).
 
     Returns (psi, myopic corner, optimal corner), the optimum from
-    fbdc_corner_map.  A scalar ratio goes through the two corner maps; an
-    array of ratios takes one numpy pass at one epsilon, with both maps as
-    positions in corner_points order, and returns arrays, elementwise equal
-    to scalar calls.
+    fbdc_corner_map.  A scalar ratio goes through the two corner maps.  An
+    array of ratios takes one numpy pass (region.weighted_corner_maps) and
+    returns arrays, elementwise equal to scalar calls: at one epsilon, or
+    at a 1-D array of epsilon values on one side of EPS_CRITICAL with one
+    row of ratios each.
     """
-    triples, (x, y), ids = _corner_table(epsilon)
     if np.ndim(ratio) == 0:
         r = float(ratio)
         my, opt = myopic_corner_map(epsilon, 1.0, r), fbdc_corner_map(epsilon, 1.0, r)
-        point = {cid: (cx, cy) for cid, cx, cy in triples}
+        point = dict(corner_points(epsilon))
         (x_my, y_my), (x_opt, y_opt) = point[my], point[opt]
         return (x_my + r * y_my) / (x_opt + r * y_opt), my, opt
-    ratios = np.asarray(ratio, dtype=float)
-    my = _map_from_thresholds(_myopic_thresholds(epsilon), 1.0, ratios)
-    opt = _fbdc_positions(epsilon, 1.0, ratios)
-    psi = (x[my] + ratios * y[my]) / (x[opt] + ratios * y[opt])
+    values, ids, my, opt = weighted_corner_maps(epsilon, ratio)
+    psi = np.take_along_axis(values, my[None], axis=0)[0] / np.take_along_axis(values, opt[None], axis=0)[0]
     return psi, ids[my], ids[opt]
 
 
@@ -319,6 +314,13 @@ def _golden_min(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]
     return (x, min(fc, fd))
 
 
+# Grid points per array pass of verify_psi, so a pass's memory does not grow
+# with the grid.  A whole band per pass raised the peak RSS of `psi --check`
+# by about 11 MB; at 4096 points it peaks as low as one epsilon per pass,
+# and halving the block made the check about a third slower.
+_PSI_BLOCK = 4096
+
+
 def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) -> PsiReport:
     """Numerically minimize the weighted-rate ratio over every discrepant band.
 
@@ -327,24 +329,31 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
     band's interval, the ratio at log-spaced points excluding the
     endpoints.  Golden-section refinement then sharpens the minimum inside
     the bracket of neighbouring samples; it never extrapolates to the open
-    boundary, where the maps change corner.  Each epsilon's ratio grid is
-    one array pass of psi_value; the refinement calls it on scalars.
+    boundary, where the maps change corner.  A band's epsilon x ratio grid
+    is evaluated in array passes of psi_value over blocks of epsilon rows,
+    at most _PSI_BLOCK points each (at least one row); the first minimum
+    in (epsilon, ratio) order wins, as strict < across blocks keeps it.
+    The refinement calls psi_value on scalars.
     """
+    rows = max(1, _PSI_BLOCK // ratio_grid_points)
     results = []
     global_min = math.inf
     for case, name, (eps_lo, eps_hi), ratio_iv, bound in PSI_REGIONS:
         k_lo = math.floor(eps_lo / epsilon_grid_step) + 1
-        k_hi = math.ceil(eps_hi / epsilon_grid_step) - 1
+        k_end = math.ceil(eps_hi / epsilon_grid_step)
         best = (math.inf, math.nan, math.nan, None)
-        for k in range(k_lo, k_hi + 1):
-            e = k * epsilon_grid_step
-            if not (eps_lo < e < eps_hi):
+        for k in range(k_lo, k_end, rows):
+            eps = np.arange(k, min(k + rows, k_end)) * epsilon_grid_step
+            eps = eps[(eps_lo < eps) & (eps < eps_hi)]
+            if not eps.size:
                 continue
-            rs = np.geomspace(*ratio_iv(e), ratio_grid_points + 2)[1:-1]
-            vals = psi_value(e, rs)[0]
-            i = int(np.argmin(vals))
-            if vals[i] < best[0]:
-                best = (vals[i], e, float(rs[i]), (float(rs[max(i - 1, 0)]), float(rs[min(i + 1, len(rs) - 1)])))
+            lo, hi = np.array([ratio_iv(e) for e in eps.tolist()]).T
+            rs = np.geomspace(lo, hi, ratio_grid_points + 2, axis=1)[:, 1:-1]
+            vals = psi_value(eps, rs)[0]
+            i, j = divmod(int(np.argmin(vals)), ratio_grid_points)
+            if vals[i, j] < best[0]:
+                row = rs[i].tolist()
+                best = (vals[i, j], float(eps[i]), row[j], (row[max(j - 1, 0)], row[min(j + 1, len(row) - 1)]))
         if best[3] is None:
             raise ValueError(f"epsilon grid step {epsilon_grid_step} leaves band {case}/{name} without a sample")
         # refine in ratio inside the sampled bracket at the best epsilon

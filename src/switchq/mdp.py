@@ -80,13 +80,17 @@ def build_kernel(epsilon: float) -> np.ndarray:
     return np.stack([switch, stay], axis=1)  # the action axis is indexed by SWITCH = 0, STAY = 1
 
 
-def policy_matrix(kernel: np.ndarray, policy: tuple[int, ...]) -> np.ndarray:
-    """Chain transition matrix induced by a deterministic policy."""
+def policy_matrix(kernel: np.ndarray, policy) -> np.ndarray:
+    """Chain transition matrix induced by a deterministic policy (a stack of tables gives a stack)."""
     return kernel[range(N_STATES), policy]
 
 
-def recurrent_class(policy: tuple[int, ...]) -> list[int]:
-    """Recurrent class of the policy-induced chain.
+# Recurrent classes of the policy-induced chains: the queue-1 block, the queue-2 block, all states.
+_CLASSES = (slice(0, 4), slice(4, N_STATES), slice(0, N_STATES))
+
+
+def _class_index(tables: np.ndarray) -> np.ndarray:
+    """Position in _CLASSES of the recurrent class of each table of an [n, 8] stack.
 
     Every channel pair is reached in one slot, so the classes are whole
     server blocks: a block that holds a switch is left, a block without one
@@ -94,42 +98,64 @@ def recurrent_class(policy: tuple[int, ...]) -> list[int]:
     stay-everywhere has both closed and resolves to the queue-1 block,
     matching a queue-1 server start.
     """
-    blocks = (range(0, 4), range(4, N_STATES))
-    closed = [list(block) for block in blocks if all(policy[s] == STAY for s in block)]
-    return closed[0] if closed else list(range(N_STATES))
+    closed = (tables.reshape(-1, 2, N_STATES // 2) == STAY).all(axis=2)
+    return np.where(closed[:, 0], 0, np.where(closed[:, 1], 1, 2))
+
+
+def recurrent_class(policy: tuple[int, ...]) -> list[int]:
+    """Recurrent class of the policy-induced chain (see _class_index)."""
+    return list(range(N_STATES)[_CLASSES[_class_index(np.asarray(policy))[0]]])
 
 
 class ChainSolveError(ArithmeticError):
     """A chain solve lost its accuracy, as it does for epsilon too close to 0."""
 
 
-def stationary_distribution(kernel: np.ndarray, policy: tuple[int, ...]) -> np.ndarray:
-    """The stationary law pi of the policy-induced chain, transient states at 0."""
-    P = policy_matrix(kernel, policy)
-    rec = recurrent_class(policy)
-    Pr = P[np.ix_(rec, rec)]
-    n = len(rec)
-    A = Pr.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pr = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as err:
-        raise ChainSolveError(f"stationary solve failed: {err}") from None
-    pi = np.zeros(N_STATES)
-    pi[rec] = pr
-    residual = np.max(np.abs(pi @ P - pi))
+def stationary_distribution(kernel: np.ndarray, policy) -> np.ndarray:
+    """The stationary law pi of the policy-induced chain, transient states at 0.
+
+    policy is one table or a sequence of tables; a sequence gives an [n, 8]
+    stack of laws in its order.  The tables are grouped by recurrent class,
+    and each group takes one stacked np.linalg.solve of (P^T - I) on the
+    class with its last row replaced by the normalisation sum(pi) = 1: the
+    matrices, and so the laws, of one solve per table.  Raises
+    ChainSolveError when a law misses its balance equations by more than
+    1e-12 or has an entry below -1e-13.
+    """
+    tables = np.asarray(policy)
+    stack = tables.reshape(-1, N_STATES)
+    classes = _class_index(stack)
+    pi = np.zeros(stack.shape)
+    for c in set(classes.tolist()):
+        rec, members = _CLASSES[c], np.flatnonzero(classes == c)
+        n = rec.stop - rec.start
+        A = policy_matrix(kernel, stack[members])[:, rec, rec].transpose(0, 2, 1)  # a fresh array: edit in place
+        A -= np.eye(n)
+        A[:, -1, :] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        try:
+            pi[members, rec] = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as err:
+            raise ChainSolveError(f"stationary solve failed: {err}") from None
+    # pi P, from the kernel rows of the actions taken, without an [n, 8, 8] stack of chains
+    flow = (pi * (stack == SWITCH)) @ kernel[:, SWITCH] + (pi * (stack == STAY)) @ kernel[:, STAY]
+    residual = np.abs(flow - pi).max()
     if residual > 1e-12 or pi.min() < -1e-13:
         raise ChainSolveError(f"stationary solve failed, residual {residual:.3e}, min pi {pi.min():.3e}")
-    return np.maximum(pi, 0.0)
+    return np.maximum(pi, 0.0).reshape(tables.shape)
 
 
-def policy_rates(pi: np.ndarray, policy: tuple[int, ...]) -> tuple[float, float]:
-    """Expected departures per slot (r1, r2) under the stationary law."""
-    r1 = sum(pi[s] for s in REWARD1_STATES if policy[s] == STAY)
-    r2 = sum(pi[s] for s in REWARD2_STATES if policy[s] == STAY)
-    return float(r1), float(r2)
+def policy_rates(pi: np.ndarray, policy) -> tuple:
+    """Expected departures per slot (r1, r2) under the stationary law.
+
+    A stack of laws with its tables gives two arrays.  Each rate adds its
+    two reward states in state order, as a sum over the paid states did.
+    """
+    paid = np.where(np.asarray(policy) == STAY, pi, 0.0)
+    r1 = paid[..., REWARD1_STATES[0]] + paid[..., REWARD1_STATES[1]]
+    r2 = paid[..., REWARD2_STATES[0]] + paid[..., REWARD2_STATES[1]]
+    return (r1, r2) if r1.ndim else (float(r1), float(r2))
 
 
 @dataclass(frozen=True)
@@ -142,16 +168,16 @@ class PolicyVertex:
 
 @lru_cache(maxsize=32)
 def _enumerate_cached(epsilon: float) -> tuple[PolicyVertex, ...]:
-    kernel = build_kernel(epsilon)
-    out = []
-    for policy in all_policies():
-        pi = stationary_distribution(kernel, policy)
-        out.append(PolicyVertex(policy, policy_rates(pi, policy)))
-    return tuple(out)
+    policies = all_policies()  # a list of tuples, so a tracer can hash the stack
+    r1, r2 = policy_rates(stationary_distribution(build_kernel(epsilon), policies), policies)
+    return tuple(PolicyVertex(p, rates) for p, rates in zip(policies, zip(r1.tolist(), r2.tolist())))
 
 
 def enumerate_vertices(epsilon: float) -> list[PolicyVertex]:
-    """All 256 deterministic policies with exact stationary rates, by policy id."""
+    """All 256 deterministic policies with exact stationary rates, by policy id.
+
+    The 256 laws come from one stacked stationary_distribution call.
+    """
     return list(_enumerate_cached(float(epsilon)))
 
 

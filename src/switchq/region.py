@@ -218,12 +218,22 @@ def _corner_table(epsilon: float):
     return triples, np.array([pt for _, pt in named]).T, np.array([cid for cid, _ in named])
 
 
-@lru_cache(maxsize=64)
-def _myopic_thresholds(epsilon: float) -> tuple[float, ...]:
-    """Ascending queue ratios q2/q1 at which the myopic map moves one corner up from b5."""
-    e = _check_eps(epsilon)
-    middle = ((1 - e) / (2 - e), 1.0, (2 - e) / (1 - e)) if e < EPS_CRITICAL else (1.0,)
+def _myopic_thresholds(e) -> tuple:
+    """Ascending queue ratios q2/q1 at which the myopic map moves one corner up from b5.
+
+    e is a float, or an array of values on one side of EPS_CRITICAL.
+    """
+    middle = ((1 - e) / (2 - e), 1.0, (2 - e) / (1 - e)) if np.all(e < EPS_CRITICAL) else (1.0,)
     return (e / (1 - e), *middle, (1 - e) / e)
+
+
+def _myopic_positions(e, ratio):
+    """Position in corner_points order of the myopic corner at queue ratio q2/q1 = ratio.
+
+    It counts the thresholds below the ratio, so a ratio on one takes the
+    lower interval; e broadcasts against ratio.
+    """
+    return sum(ratio > cut for cut in _myopic_thresholds(e))
 
 
 def _queue_arrays(q1, q2) -> tuple[np.ndarray, np.ndarray]:
@@ -235,16 +245,12 @@ def _queue_arrays(q1, q2) -> tuple[np.ndarray, np.ndarray]:
     return q1, q2
 
 
-def _map_from_thresholds(thresholds, q1, q2) -> np.ndarray:
-    """Position of the interval between the ascending positive thresholds that holds q2/q1."""
-    q1, q2 = _queue_arrays(q1, q2)
-    with np.errstate(over="ignore"):  # a finite q2 over a tiny q1 is an infinite ratio
-        ratio = q2 / np.where(q1 == 0, 1.0, q1)
-    # side="left": a ratio exactly on a threshold takes the lower interval
-    return np.where(q1 == 0, len(thresholds), np.searchsorted(thresholds, ratio, side="left"))
-
-
 _TIED = 1.0 - 2.0**-48  # tied values q1*x + q2*y part by at most 14 roundings of 2**-53
+
+
+def _first_near_max(values: np.ndarray) -> np.ndarray:
+    """Per column of the corner rows, the first corner within a relative 2**-48 of the maximum."""
+    return (values >= values.max(axis=0) * _TIED).argmax(axis=0)
 
 
 def _fbdc_positions(epsilon: float, q1, q2) -> np.ndarray:
@@ -252,8 +258,7 @@ def _fbdc_positions(epsilon: float, q1, q2) -> np.ndarray:
     q1, q2 = _queue_arrays(q1, q2)
     xy = _corner_table(epsilon)[1]
     x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
-    values = x * q1 + y * q2  # one row per corner
-    return (values >= values.max(axis=0) * _TIED).argmax(axis=0)
+    return _first_near_max(x * q1 + y * q2)  # one row per corner
 
 
 def fbdc_corner_map(epsilon: float, q1, q2):
@@ -282,5 +287,32 @@ def myopic_corner_map(epsilon: float, q1, q2):
 
     Queue lengths must be finite; arrays map elementwise.
     """
-    corner = _corner_table(epsilon)[2][_map_from_thresholds(_myopic_thresholds(epsilon), q1, q2)]
+    ids = _corner_table(epsilon)[2]  # checks epsilon
+    q1, q2 = _queue_arrays(q1, q2)
+    with np.errstate(divide="ignore", over="ignore"):  # q2 over a zero or tiny q1 is an infinite ratio
+        corner = ids[_myopic_positions(epsilon, np.where(q1 == 0, np.inf, q2 / q1))]
     return corner if corner.ndim else str(corner)
+
+
+def weighted_corner_maps(epsilon, ratio):
+    """Both corner maps at queues (1, ratio) over arrays, with every corner's weighted rate.
+
+    epsilon is a float, or a 1-D array of values on one side of
+    EPS_CRITICAL, so that one corner layout serves them all; ratio is an
+    array of finite positive ratios q2/q1, with one row per epsilon when
+    epsilon is an array.  Returns (values, ids, myopic, optimal):
+    values[c] = x_c + ratio * y_c for the corners c of corner_points, the
+    corner ids, and the positions that myopic_corner_map and
+    fbdc_corner_map choose, elementwise equal to theirs.
+    """
+    named = [corner_points(e) for e in np.atleast_1d(epsilon).tolist()]
+    if len({len(corners) for corners in named}) > 1:
+        raise ValueError("epsilon values lie on both sides of EPS_CRITICAL")
+    r = np.asarray(ratio, dtype=float)
+    shape = (len(named[0]),) + np.shape(epsilon) + (1,) * (r.ndim - np.ndim(epsilon))
+    xy = np.array([[pt for _, pt in corners] for corners in named]).T  # [2, corner, epsilon]
+    x, y = xy.reshape((2,) + shape).copy()  # contiguous rows, so the passes below run along them
+    values = y * r
+    values += x  # fbdc_corner_map's q1 * x + q2 * y at q1 = 1
+    myopic = _myopic_positions(np.reshape(epsilon, shape[1:]), r)
+    return values, np.array([cid for cid, _ in named[0]]), myopic, _first_near_max(values)

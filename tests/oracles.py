@@ -3,12 +3,17 @@
 The saturated chain's kernel filled entry by entry and its recurrent class
 by a generic reachability closure, the paper's FBDC queue-ratio thresholds,
 a region's polygon and the Hausdorff distance between two regions, the
-myopic decisions at all eight states for fixed weights, and the myopic
-rule as two branches on the server position.
+myopic decisions at all eight states for fixed weights, the myopic rule
+as two branches on the server position, the 256 chain laws by one solve
+per policy, and the psi minimisation by one array pass per epsilon.
 """
+
+import math
 
 import numpy as np
 
+from switchq import experiments as exp
+from switchq import mdp
 from switchq import policies as pol
 from switchq.mdp import N_STATES, STATES, STAY, SWITCH, state_index
 from switchq.region import EPS_CRITICAL, _cross, _dist
@@ -132,3 +137,66 @@ def myopic_reference(sigma, m, c1, c2, w1, w2):
     else:
         w_here, w_there = w2 * (c2 + sigma[c2]), w1 * sigma[c1]
     return STAY if w_here >= w_there else SWITCH
+
+
+def per_policy_stationary(kernel, policy):
+    """The stationary law of one table by its own solve of (P^T - I) with the normalisation row."""
+    P = kernel[range(N_STATES), policy]
+    rec = mdp.recurrent_class(policy)
+    n = len(rec)
+    A = P[np.ix_(rec, rec)].T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    try:
+        pr = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as err:
+        raise mdp.ChainSolveError(f"stationary solve failed: {err}") from None
+    pi = np.zeros(N_STATES)
+    pi[rec] = pr
+    residual = np.max(np.abs(pi @ P - pi))
+    if residual > 1e-12 or pi.min() < -1e-13:
+        raise mdp.ChainSolveError(f"stationary solve failed, residual {residual:.3e}, min pi {pi.min():.3e}")
+    return np.maximum(pi, 0.0)
+
+
+def per_policy_rates(pi, policy):
+    """(r1, r2) as a sum over the paid reward states of one law."""
+    r1 = sum(pi[s] for s in mdp.REWARD1_STATES if policy[s] == STAY)
+    r2 = sum(pi[s] for s in mdp.REWARD2_STATES if policy[s] == STAY)
+    return float(r1), float(r2)
+
+
+def per_policy_enumeration(epsilon):
+    """The 256 laws and rate pairs at epsilon, one chain solve per policy."""
+    kernel = mdp.build_kernel(epsilon)
+    laws = [per_policy_stationary(kernel, p) for p in mdp.all_policies()]
+    return np.array(laws), [per_policy_rates(pi, p) for pi, p in zip(laws, mdp.all_policies())]
+
+
+def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):
+    """verify_psi with one array pass of psi_value per epsilon, the band minimum kept on strict <."""
+    results = []
+    global_min = math.inf
+    for case, name, (eps_lo, eps_hi), ratio_iv, bound in exp.PSI_REGIONS:
+        k_lo = math.floor(eps_lo / epsilon_grid_step) + 1
+        k_hi = math.ceil(eps_hi / epsilon_grid_step) - 1
+        best = (math.inf, math.nan, math.nan, None)
+        for k in range(k_lo, k_hi + 1):
+            e = k * epsilon_grid_step
+            if not (eps_lo < e < eps_hi):
+                continue
+            rs = np.geomspace(*ratio_iv(e), ratio_grid_points + 2)[1:-1]
+            vals = exp.psi_value(e, rs)[0]
+            i = int(np.argmin(vals))
+            if vals[i] < best[0]:
+                best = (vals[i], e, float(rs[i]), (float(rs[max(i - 1, 0)]), float(rs[min(i + 1, len(rs) - 1)])))
+        if best[3] is None:
+            raise ValueError(f"epsilon grid step {epsilon_grid_step} leaves band {case}/{name} without a sample")
+        e_star = best[1]
+        x, v = exp._golden_min(lambda r: exp.psi_value(e_star, r)[0], *best[3])
+        if v < best[0]:
+            best = (v, e_star, x, best[3])
+        results.append(exp.PsiRegionResult(case, name, bound, best[0], best[1], best[2]))
+        global_min = min(global_min, best[0])
+    return exp.PsiReport(tuple(results), global_min)

@@ -106,10 +106,48 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["trace", "--config", "x", "--lambda1", "0.1", "--lambda2", "0.1"], "unrecognized arguments: --config x"),
         (["psi", "--seed", "3"], "unrecognized arguments: --seed 3"),
         (["gap", "--epsilon", "0.25", "--check"], "unrecognized arguments: --check"),
+        # a policy flag the chosen --policy does not read is refused, not dropped
+        (["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--per-slot"], "--per-slot"),
+        (["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--k", "2"], "--k"),
+        *((["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--policy", kind, *flag], flag[0])
+          for kind in ("gated", "exhaustive", "b2") for flag in (["--T", "10"], ["--k", "2"], ["--per-slot"])),
+        (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--policy", "fbdc", "--k", "2"],
+         "--k"),
+        (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--T", "5"], "--T"),
+        # the channel flag a policy needs, and the warmup, are named
+        (["sweep", "--p1", "0.5", "--p2", "0.5", "--policy", "fbdc"], "--epsilon"),
+        (["trace", "--lambda1", "0.1", "--lambda2", "0.1", "--policy", "myopic"], "--epsilon"),
+        (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--warmup", "-1"], "--warmup"),
+        (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--warmup", "1000"], "--warmup"),
+        (["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--warmup", "-3"], "--warmup"),
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err, (argv, err)
+
+
+def test_flags_a_policy_reads_still_run(tmp_path):
+    # the benchmark's sweeps: fbdc with its frame length, per-slot myopic
+    for extra in (["--policy", "fbdc", "--T", "25"], ["--policy", "myopic", "--per-slot", "--k", "2", "--T", "5"]):
+        argv = ["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", *extra]
+        assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0, extra
+
+
+def test_the_parser_is_built_once_and_a_failed_call_leaves_it_as_it_was(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    args = ["sweep", "--epsilon", "0.4", "--policy", "myopic", "--per-slot", "--step", "0.2", "--horizon", "500"]
+    outs = [tmp_path / f"{i}.csv" for i in range(3)]
+    assert main(args + ["--out", str(outs[0])]) == 0
+    assert main(["sweep", "--epsilon", "0.4", "--policy", "fbdc", "--T", "7", "--k", "3", "--step", "nan"]) == 1
+    assert main(["saturated", "--epsilon", "0.25", "--corner", "b2", "--policy-id", "5"]) == 1
+    assert main(args + ["--out", str(outs[1])]) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+    # and a call with other values between the same two leaves the defaults alone
+    assert main(["sweep", "--epsilon", "0.4", "--policy", "myopic", "--k", "2", "--T", "5", "--step", "0.2",
+                 "--horizon", "500", "--warmup", "10", "--seed", "4", "--out", str(outs[2])]) == 0
+    assert main(args + ["--out", str(outs[1])]) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes() != outs[2].read_bytes()
+    capsys.readouterr()
 
 
 def test_region_check_without_epsilon_writes_nothing(tmp_path, capsys):

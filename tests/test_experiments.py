@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import fbdc_thresholds, hausdorff_distance
+from oracles import fbdc_thresholds, hausdorff_distance, per_epsilon_verify_psi
 from switchq import experiments as exp
 from switchq import policies as pol
 from switchq import region as rg
@@ -132,6 +132,17 @@ def test_psi_value_array_matches_scalar():
             assert type(scalar[0]) is float and scalar == (value, a, b)
 
 
+def test_psi_value_over_an_epsilon_array_matches_each_epsilon():
+    for eps in (np.array([0.001, 0.1, exp.EPS_T, 0.29]), np.array([EPS_CRITICAL, 0.35, 0.5])):
+        rs = np.geomspace(0.05, 20.0, 3 * len(eps) * 50).reshape(len(eps), -1)
+        psi, my, opt = exp.psi_value(eps, rs)
+        for e, row, *got in zip(eps.tolist(), rs, psi, my, opt):
+            want = exp.psi_value(e, row)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    with pytest.raises(ValueError, match="both sides"):
+        exp.psi_value(np.array([0.25, 0.35]), np.ones((2, 3)))
+
+
 def test_corner_map_partition_tiles_the_ratio_axis():
     # discrepant atoms must be exactly the minimized bands plus their mirrors
     for eps in (0.05, 0.2, 0.26, 0.28, 0.35, 0.45):
@@ -159,6 +170,70 @@ def test_verify_psi_report_shape():
         assert 0.89 < r.minimum < 1.0
     rows = report.rows()
     assert rows[-1][0] == "global"
+
+
+def _psi_csv(verify, step, points):
+    """verify's rows as the CSV writes them (nan fields compare unequal as floats), or its error."""
+    try:
+        return exp.rows_to_csv(("",) * 6, verify(step, points).rows())
+    except ValueError as err:
+        return str(err)
+
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(step=st.floats(2e-3, 0.06), points=st.integers(1, 80), rows=st.integers(1, 40))
+def test_blocked_verify_psi_equals_one_pass_per_epsilon(step, points, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exp, "_PSI_BLOCK", rows * points)
+        got = _psi_csv(exp.verify_psi, step, points)
+    assert got == _psi_csv(per_epsilon_verify_psi, step, points)
+
+
+def test_verify_psi_with_a_block_boundary_beside_each_argmin():
+    step, points = 2.5e-3, 64
+    want = per_epsilon_verify_psi(step, points)
+    csv = exp.rows_to_csv(("",) * 6, want.rows())
+    for (_, _, (eps_lo, _), _, _), result in zip(exp.PSI_REGIONS, want.regions):
+        row = round(result.argmin_epsilon / step) - (math.floor(eps_lo / step) + 1)  # the argmin's row in its band
+        for rows in {max(row, 1), row + 1}:  # the argmin row opens a block, or it closes one
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(exp, "_PSI_BLOCK", rows * points)
+                assert _psi_csv(exp.verify_psi, step, points) == csv, rows
+
+
+def test_verify_psi_keeps_the_first_of_tied_minima():
+    # below ratio e / (1 - e) both maps pick b5, so psi is exactly 1 on the whole grid
+    band = ("agree", "R0", (EPS_CRITICAL, 0.5), lambda e: (e / 40, e / 20), 0.5)
+    for rows in (1, 3, 1000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exp, "PSI_REGIONS", (band,))
+            mp.setattr(exp, "_PSI_BLOCK", rows * 16)
+            got = exp.verify_psi(0.01, 16)
+            assert _psi_csv(exp.verify_psi, 0.01, 16) == _psi_csv(per_epsilon_verify_psi, 0.01, 16)
+        (result,) = got.regions
+        assert (result.minimum, result.argmin_epsilon) == (1.0, 0.3)
+        assert result.argmin_ratio == np.geomspace(0.3 / 40, 0.3 / 20, 18)[1]
+
+
+def test_verify_psi_memory_does_not_grow_with_the_epsilon_grid():
+    import tracemalloc
+
+    def peak(step):
+        tracemalloc.start()
+        try:
+            exp.verify_psi(step, 400)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(0.05)  # the first run fills the caches
+    # a pass over a whole band at 1e-3 would hold 245 rows of 400 ratios, 784 kB per float array;
+    # the margin is for the small objects an interpreter keeps on its free lists
+    assert peak(1e-3) - peak(1e-2) < 128 * 1024
 
 
 def test_throughput_gap_decreases_with_frame_length():

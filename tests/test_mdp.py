@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import closure_recurrent_class, loop_kernel
+from oracles import closure_recurrent_class, loop_kernel, per_policy_enumeration, per_policy_stationary
 from switchq import mdp
 from switchq.region import EPS_CRITICAL, closed_form_region
 
@@ -275,3 +275,40 @@ def test_rate_asymptotic_std_closed_form_cases():
     assert se1 == pytest.approx(np.sqrt(0.25 * (1 - eps) / eps / horizon), rel=1e-9)
     assert se2 == 0.0
     assert mdp.rate_asymptotic_std(k, ALL_SWITCH, horizon) == (0.0, 0.0)
+
+
+# The acceptance epsilons, the smallest that still solves, 1e-5, the regime
+# change, just below 1/2, and 40 uniform draws.
+STACK_EPS = (0.05, 0.10, 0.25, 0.29, 0.30, 0.40, 0.45, 0.50, 3e-9, 1e-5, EPS_CRITICAL, 0.4999999974,
+             *np.random.default_rng(41).uniform(1e-6, 0.5, 40).tolist())
+
+
+@pytest.mark.parametrize("eps", STACK_EPS)
+def test_stacked_solve_equals_one_solve_per_policy(eps):
+    laws, rates = per_policy_enumeration(eps)
+    kernel, policies = mdp.build_kernel(eps), mdp.all_policies()
+    stack = mdp.stationary_distribution(kernel, policies)
+    assert stack.shape == (256, 8) and stack.tobytes() == laws.tobytes()
+    assert [mdp.stationary_distribution(kernel, p).tobytes() for p in policies[::17]] == [
+        law.tobytes() for law in laws[::17]]
+    r1, r2 = mdp.policy_rates(stack, policies)
+    assert list(zip(r1.tolist(), r2.tolist())) == rates
+    mdp._enumerate_cached.cache_clear()
+    assert [v.rates for v in mdp.enumerate_vertices(eps)] == rates
+
+
+@pytest.mark.parametrize("eps", (1e-9, 1e-12))
+def test_stacked_solve_still_refuses_epsilon_near_zero(eps):
+    # one solve per policy fails on policies 113 and 121 alone; a stack fails when it holds one
+    kernel, policies = mdp.build_kernel(eps), mdp.all_policies()
+    for pid, policy in enumerate(policies):
+        if pid in (113, 121):
+            with pytest.raises(mdp.ChainSolveError):
+                per_policy_stationary(kernel, policy)
+        else:
+            per_policy_stationary(kernel, policy)
+    for stack in (policies, policies[100:114], policies[121:122]):
+        with pytest.raises(mdp.ChainSolveError):
+            mdp.stationary_distribution(kernel, stack)
+    laws = mdp.stationary_distribution(kernel, policies[100:113])
+    assert laws.tobytes() == np.array([per_policy_stationary(kernel, p) for p in policies[100:113]]).tobytes()
