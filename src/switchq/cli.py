@@ -43,7 +43,8 @@ def _write(out: str | None, text: str) -> None:
 
 
 # The policy flags each --policy reads; giving another one is an error, not a silent no-op.
-_POLICY_FLAGS = {"fbdc": ("--T",), "myopic": ("--T", "--k", "--per-slot")}
+# Per-slot myopic decides every slot, so it has no decision period --T.
+_POLICY_FLAGS = {"fbdc": ("--T",), "myopic": ("--T", "--k", "--per-slot"), "myopic --per-slot": ("--k", "--per-slot")}
 
 
 def _policy_from_args(args) -> pol.PolicyConfig:
@@ -51,9 +52,10 @@ def _policy_from_args(args) -> pol.PolicyConfig:
     if kind not in ("fbdc", "myopic", "gated", "exhaustive", *pol.CORNER_TABLES):
         raise ValueError(f"unknown policy {kind!r}")
     given = {"--T": args.T is not None, "--k": args.k is not None, "--per-slot": args.per_slot}
-    ignored = [flag for flag, on in given.items() if on and flag not in _POLICY_FLAGS.get(kind, ())]
+    name = f"{kind} --per-slot" if kind == "myopic" and args.per_slot else kind
+    ignored = [flag for flag, on in given.items() if on and flag not in _POLICY_FLAGS.get(name, ())]
     if ignored:
-        raise ValueError(f"{ignored[0]} does not apply to --policy {kind}")
+        raise ValueError(f"{ignored[0]} does not apply to --policy {name}")
     if kind in _POLICY_FLAGS and args.epsilon is None:
         raise ValueError(f"--policy {kind} needs the gilbert_elliott channel model: give --epsilon")
     T = 25 if args.T is None else args.T

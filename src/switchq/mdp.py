@@ -125,22 +125,21 @@ def stationary_distribution(kernel: np.ndarray, policy) -> np.ndarray:
     tables = np.asarray(policy)
     stack = tables.reshape(-1, N_STATES)
     classes = _class_index(stack)
+    P = policy_matrix(kernel, stack)
     pi = np.zeros(stack.shape)
     for c in set(classes.tolist()):
         rec, members = _CLASSES[c], np.flatnonzero(classes == c)
         n = rec.stop - rec.start
-        A = policy_matrix(kernel, stack[members])[:, rec, rec].transpose(0, 2, 1)  # a fresh array: edit in place
+        A = P[members][:, rec, rec].transpose(0, 2, 1)  # a fresh array: edit in place
         A -= np.eye(n)
         A[:, -1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
+        b = np.zeros((len(members), n, 1))  # a stack of columns, read alike by NumPy 1 and 2
+        b[:, -1] = 1.0
         try:
-            pi[members, rec] = np.linalg.solve(A, b)
+            pi[members, rec] = np.linalg.solve(A, b)[..., 0]
         except np.linalg.LinAlgError as err:
             raise ChainSolveError(f"stationary solve failed: {err}") from None
-    # pi P, from the kernel rows of the actions taken, without an [n, 8, 8] stack of chains
-    flow = (pi * (stack == SWITCH)) @ kernel[:, SWITCH] + (pi * (stack == STAY)) @ kernel[:, STAY]
-    residual = np.abs(flow - pi).max()
+    residual = np.abs((pi[:, None, :] @ P)[:, 0] - pi).max()
     if residual > 1e-12 or pi.min() < -1e-13:
         raise ChainSolveError(f"stationary solve failed, residual {residual:.3e}, min pi {pi.min():.3e}")
     return np.maximum(pi, 0.0).reshape(tables.shape)

@@ -299,7 +299,7 @@ def weighted_corner_maps(epsilon, ratio):
 
     epsilon is a float, or a 1-D array of values on one side of
     EPS_CRITICAL, so that one corner layout serves them all; ratio is an
-    array of finite positive ratios q2/q1, with one row per epsilon when
+    array of finite nonnegative ratios q2/q1, with one row per epsilon when
     epsilon is an array.  Returns (values, ids, myopic, optimal):
     values[c] = x_c + ratio * y_c for the corners c of corner_points, the
     corner ids, and the positions that myopic_corner_map and
@@ -308,7 +308,7 @@ def weighted_corner_maps(epsilon, ratio):
     named = [corner_points(e) for e in np.atleast_1d(epsilon).tolist()]
     if len({len(corners) for corners in named}) > 1:
         raise ValueError("epsilon values lie on both sides of EPS_CRITICAL")
-    r = np.asarray(ratio, dtype=float)
+    r = _queue_arrays(1.0, ratio)[1]
     shape = (len(named[0]),) + np.shape(epsilon) + (1,) * (r.ndim - np.ndim(epsilon))
     xy = np.array([[pt for _, pt in corners] for corners in named]).T  # [2, corner, epsilon]
     x, y = xy.reshape((2,) + shape).copy()  # contiguous rows, so the passes below run along them

@@ -114,6 +114,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--policy", "fbdc", "--k", "2"],
          "--k"),
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--T", "5"], "--T"),
+        (["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--policy", "myopic", "--per-slot",
+          "--T", "5"], "--T does not apply to --policy myopic --per-slot"),
         # the channel flag a policy needs, and the warmup, are named
         (["sweep", "--p1", "0.5", "--p2", "0.5", "--policy", "fbdc"], "--epsilon"),
         (["trace", "--lambda1", "0.1", "--lambda2", "0.1", "--policy", "myopic"], "--epsilon"),
@@ -127,8 +129,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
 
 
 def test_flags_a_policy_reads_still_run(tmp_path):
-    # the benchmark's sweeps: fbdc with its frame length, per-slot myopic
-    for extra in (["--policy", "fbdc", "--T", "25"], ["--policy", "myopic", "--per-slot", "--k", "2", "--T", "5"]):
+    # the benchmark's sweeps: fbdc with its frame length, per-slot myopic; and frame-based myopic with both
+    for extra in (["--policy", "fbdc", "--T", "25"], ["--policy", "myopic", "--per-slot", "--k", "2"],
+                  ["--policy", "myopic", "--k", "2", "--T", "5"]):
         argv = ["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", *extra]
         assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0, extra
 

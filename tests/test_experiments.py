@@ -141,6 +141,11 @@ def test_psi_value_over_an_epsilon_array_matches_each_epsilon():
             assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
     with pytest.raises(ValueError, match="both sides"):
         exp.psi_value(np.array([0.25, 0.35]), np.ones((2, 3)))
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite, nonnegative"):
+            exp.psi_value(0.25, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="finite, nonnegative"):
+            exp.psi_value(np.array([0.1, 0.2]), np.array([[1.0, 2.0], [3.0, bad]]))
 
 
 def test_corner_map_partition_tiles_the_ratio_axis():
