@@ -44,10 +44,16 @@ class ChannelModel:
         elif self.kind == GILBERT_ELLIOTT:
             if self.epsilon is None:
                 raise ValueError("gilbert_elliott model requires epsilon")
-            if not (0.0 < self.epsilon <= 0.5):
-                raise ValueError(f"epsilon must lie in (0, 0.5], got {self.epsilon}")
+            check_epsilon(self.epsilon)
         else:
             raise ValueError(f"unknown channel kind {self.kind!r}")
+
+
+def check_epsilon(epsilon: float) -> float:
+    """The flip probability as a float, refused outside (0, 0.5] (nan included)."""
+    if not (0.0 < epsilon <= 0.5):
+        raise ValueError(f"epsilon must lie in (0, 0.5], got {epsilon}")
+    return float(epsilon)
 
 
 def iid(p1: float, p2: float) -> ChannelModel:

@@ -43,7 +43,7 @@ def _write(out: str | None, text: str) -> None:
 
 
 # The policy flags each --policy reads; giving another one is an error, not a silent no-op.
-# Per-slot myopic decides every slot, so it has no decision period --T.
+# Per-slot myopic is myopic with --T 1, so it takes no other --T.
 _POLICY_FLAGS = {"fbdc": ("--T",), "myopic": ("--T", "--k", "--per-slot"), "myopic --per-slot": ("--k", "--per-slot")}
 
 
@@ -58,14 +58,14 @@ def _policy_from_args(args) -> pol.PolicyConfig:
         raise ValueError(f"{ignored[0]} does not apply to --policy {name}")
     if kind in _POLICY_FLAGS and args.epsilon is None:
         raise ValueError(f"--policy {kind} needs the gilbert_elliott channel model: give --epsilon")
-    T = 25 if args.T is None else args.T
+    T = 1 if args.per_slot else 25 if args.T is None else args.T
     if kind == "fbdc":
         return pol.PolicyConfig("fbdc", T=T)
     if kind == "myopic":
-        return pol.PolicyConfig("myopic", T=T, k=1 if args.k is None else args.k, frame_based=not args.per_slot)
+        return pol.PolicyConfig("myopic", T=T, k=1 if args.k is None else args.k)
     if kind in ("gated", "exhaustive"):
         return pol.PolicyConfig(kind)
-    return pol.PolicyConfig("fixed_corner", corner=kind)
+    return pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES[kind])
 
 
 def _cmd_region(args) -> int:
@@ -136,10 +136,10 @@ def _cmd_psi(args) -> int:
     _write(args.out, exp.rows_to_csv(header, report.rows()))
     if args.check:
         bad = [r for r in report.regions if r.minimum < r.bound - 1e-6]
-        if bad or report.global_minimum < report.global_bound - 1e-6:
+        if bad or report.global_minimum < exp.PSI_GLOBAL_BOUND - 1e-6:
             print("psi check FAILED", file=sys.stderr)
             return 2
-        print(f"psi check ok: global minimum {report.global_minimum:.6f} >= {report.global_bound}")
+        print(f"psi check ok: global minimum {report.global_minimum:.6f} >= {exp.PSI_GLOBAL_BOUND}")
     return 0
 
 
@@ -198,6 +198,14 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _add_policy(p: argparse.ArgumentParser, default: str) -> None:
+    """The policy flags of sweep and trace, read by _policy_from_args."""
+    p.add_argument("--policy", default=default)
+    p.add_argument("--T", type=_int_in(1), help="frame length of fbdc and frame myopic (default 25)")
+    p.add_argument("--k", type=_int_in(1), help="myopic lookahead (default 1)")
+    p.add_argument("--per-slot", action="store_true", help="myopic uses current queues, not frame queues: --T 1")
+
+
 def _add_common(p: argparse.ArgumentParser, *, seed: bool, check: bool) -> None:
     p.add_argument("--out", help="output CSV path (stdout if omitted)")
     if seed:
@@ -222,10 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--p1", type=float)
     p.add_argument("--p2", type=float)
-    p.add_argument("--policy", default="fbdc")
-    p.add_argument("--T", type=int, help="frame length of fbdc and frame myopic (default 25)")
-    p.add_argument("--k", type=int, help="myopic lookahead (default 1)")
-    p.add_argument("--per-slot", action="store_true", help="myopic uses current queues, not frame queues")
+    _add_policy(p, "fbdc")
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--boundary-margin", type=float, default=0.02)
     p.add_argument("--horizon", type=int, default=100_000)
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=0.5)
     p.add_argument("--p2", type=float, default=0.5)
     p.add_argument("--rho", default="0.6,0.8,0.9,1.1,1.2")
-    p.add_argument("--horizon", type=int, default=100_000)
+    p.add_argument("--horizon", type=_int_in(4000), default=100_000, help="slots per load; probes need 4000")
     p.set_defaults(handler=_cmd_iid)
     _add_common(p, seed=True, check=True)
 
@@ -270,10 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p2", type=float, default=0.5)
     p.add_argument("--lambda1", type=float, required=True)
     p.add_argument("--lambda2", type=float, required=True)
-    p.add_argument("--policy", default="exhaustive")
-    p.add_argument("--T", type=int, help="frame length of fbdc and frame myopic (default 25)")
-    p.add_argument("--k", type=int, help="myopic lookahead (default 1)")
-    p.add_argument("--per-slot", action="store_true", help="myopic uses current queues, not frame queues")
+    _add_policy(p, "exhaustive")
     p.add_argument("--horizon", type=_int_in(1), default=1000)
     p.add_argument("--warmup", type=_int_in(0), default=0)
     p.add_argument("--trace-every", type=_int_in(1), default=1)

@@ -65,8 +65,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.step > 0:  # false for nan too
             raise ValueError(f"step must be positive, got {self.step}")
-        if not self.boundary_margin > 0:
-            raise ValueError(f"boundary_margin must be positive, got {self.boundary_margin}")
+        if not 0 < self.boundary_margin < math.inf:
+            raise ValueError(f"boundary_margin must be positive and finite, got {self.boundary_margin}")
         if self.horizon - self.warmup < 4:
             raise ValueError(f"horizon - warmup must be >= 4 slots, got {self.horizon} - {self.warmup}")
         if (self.epsilon is None) == (self.p1 is None or self.p2 is None):
@@ -88,7 +88,8 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
 
     Covers the region on a step lattice; every column with interior points
     gets one extra point boundary_margin above the column's exact boundary
-    height, so each boundary column has an out-of-region companion.
+    height, so each boundary column has an out-of-region companion.  A
+    probe above rate 1 is left out: it is no Bernoulli arrival rate.
     """
     region = spec.region()
     step = spec.step
@@ -110,7 +111,9 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
             boundary = min(
                 (h.b - h.a1 * x) / h.a2 for h in region.halfspaces if h.a2 > 1e-12
             )
-            points.append((x, round(boundary + spec.boundary_margin, 12)))
+            probe = round(boundary + spec.boundary_margin, 12)
+            if probe <= 1.0:
+                points.append((x, probe))
         i += 1
     return sorted(set(points))
 
@@ -123,43 +126,35 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
 _LOCKSTEP_MIN_CELLS = 48
 
 
-def _run_cells(configs: list[sim.SimConfig]) -> list[sim.Metrics]:
-    """sim.run of each config of one policy; in one sim.run_batch from _LOCKSTEP_MIN_CELLS configs on."""
-    if len(configs) >= _LOCKSTEP_MIN_CELLS:
-        return sim.run_batch(configs)
-    return [sim.run(config) for config in configs]
+def _run_grid(points, policies, channel, horizon: int, seed: int, warmup: int | None = None) -> list[tuple]:
+    """sim.run of every (point, policy) cell: one row per point of (lambda1, lambda2), one Metrics per policy.
+
+    Point i runs policy j with seed seed + i * len(policies) + j.  The
+    cells of a policy go to one sim.run_batch from _LOCKSTEP_MIN_CELLS
+    points on, and to one sim.run each below.
+    """
+    by_policy = []
+    for j, policy in enumerate(policies):
+        configs = [
+            sim.SimConfig(lambda1=lam1, lambda2=lam2, channel=channel, policy=policy, horizon=horizon,
+                          warmup=warmup, seed=seed + i * len(policies) + j)
+            for i, (lam1, lam2) in enumerate(points)
+        ]
+        by_policy.append(sim.run_batch(configs) if len(configs) >= _LOCKSTEP_MIN_CELLS
+                         else [sim.run(config) for config in configs])
+    return list(zip(*by_policy))
 
 
 def sweep(spec: GridSpec) -> list[tuple]:
-    """Run every (lambda1, lambda2, policy) cell and classify stability.
-
-    Cell i of the grid, in row order, runs with seed spec.seed + i; the
-    cells of each policy go to _run_cells together.
-    """
-    channel = spec.channel()
+    """Run every (lambda1, lambda2, policy) cell of the grid, seeded as _run_grid does, and classify stability."""
     eps_field = spec.epsilon if spec.epsilon is not None else ""
     points = grid_points(spec)
-    n_policies = len(spec.policies)
-    results = [
-        _run_cells([
-            sim.SimConfig(
-                lambda1=lam1,
-                lambda2=lam2,
-                channel=channel,
-                policy=config,
-                horizon=spec.horizon,
-                warmup=spec.warmup,
-                seed=spec.seed + i * n_policies + j,
-            )
-            for i, (lam1, lam2) in enumerate(points)
-        ])
-        for j, config in enumerate(spec.policies)
-    ]
+    results = _run_grid(points, spec.policies, spec.channel(), spec.horizon, spec.seed, spec.warmup)
     return [
         (eps_field, lam1, lam2, config.label(), config.T, config.k,
          metrics.q_avg, metrics.rate1, metrics.rate2, metrics.verdict)
-        for i, (lam1, lam2) in enumerate(points)
-        for config, metrics in zip(spec.policies, (batch[i] for batch in results))
+        for (lam1, lam2), row in zip(points, results)
+        for config, metrics in zip(spec.policies, row)
     ]
 
 
@@ -285,23 +280,22 @@ class PsiRegionResult:
 @dataclass(frozen=True)
 class PsiReport:
     regions: tuple[PsiRegionResult, ...]
-    global_minimum: float
-    global_bound: float = PSI_GLOBAL_BOUND
+    global_minimum: float  # held to PSI_GLOBAL_BOUND
 
     def rows(self):
         out = [(r.case, r.region, r.bound, r.minimum, r.argmin_epsilon, r.argmin_ratio)
                for r in self.regions]
-        out.append(("global", "", self.global_bound, self.global_minimum, float("nan"), float("nan")))
+        out.append(("global", "", PSI_GLOBAL_BOUND, self.global_minimum, float("nan"), float("nan")))
         return out
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
+def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(60):  # the bracket shrinks by a factor of 0.618**60, about 3e-13
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -429,28 +423,13 @@ def iid_suite(
     The load rho = lambda1/p1 + lambda2/p2 splits evenly between the queues:
     lambda_i = rho * p_i / 2.
     """
-    if horizon < 4000:
-        raise ValueError("iid suite probes need at least 4000 slots")
     loads = [(rho, rho * p1 / 2, rho * p2 / 2) for rho in rho_points]
-    kinds = ("gated", "exhaustive")
-    results = [
-        _run_cells([
-            sim.SimConfig(
-                lambda1=lam1,
-                lambda2=lam2,
-                channel=ch.iid(p1, p2),
-                policy=pol.PolicyConfig(kind),
-                horizon=horizon,
-                seed=seed + 2 * i + j,
-            )
-            for i, (_, lam1, lam2) in enumerate(loads)
-        ])
-        for j, kind in enumerate(kinds)
-    ]
+    policies = (pol.PolicyConfig("gated"), pol.PolicyConfig("exhaustive"))
+    results = _run_grid([(lam1, lam2) for _, lam1, lam2 in loads], policies, ch.iid(p1, p2), horizon, seed)
     return [
-        (p1, p2, rho, lam1, lam2, kind, metrics.verdict, metrics.q_avg)
-        for i, (rho, lam1, lam2) in enumerate(loads)
-        for kind, metrics in zip(kinds, (batch[i] for batch in results))
+        (p1, p2, rho, lam1, lam2, policy.kind, metrics.verdict, metrics.q_avg)
+        for (rho, lam1, lam2), row in zip(loads, results)
+        for policy, metrics in zip(policies, row)
     ]
 
 

@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channels import check_epsilon
+
 STAY = 1
 SWITCH = 0
 
@@ -72,8 +74,7 @@ def build_kernel(epsilon: float) -> np.ndarray:
     the server position follows the action deterministically (stay keeps
     m, switch flips it and consumes the slot).
     """
-    if not (0.0 < epsilon <= 0.5):
-        raise ValueError(f"epsilon must lie in (0, 0.5], got {epsilon}")
+    check_epsilon(epsilon)
     q = np.array([[1.0 - epsilon, epsilon], [epsilon, 1.0 - epsilon]])  # q[c, c'] with rows ON, OFF
     pair = np.kron(q, q)  # channel pair (c1, c2) to (c1', c2'), both ON first
     stay, switch = np.kron(np.eye(2), pair), np.kron(1.0 - np.eye(2), pair)  # server block to block

@@ -42,23 +42,22 @@ CORNER_TABLES: dict[str, tuple[int, ...]] = {
     "b5": mirror_policy(_B0),
 }
 
-POLICY_KINDS = ("fbdc", "myopic", "gated", "exhaustive", "fixed_corner", "fixed_table")
+POLICY_KINDS = ("fbdc", "myopic", "gated", "exhaustive", "fixed_table")
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
     """Which policy drives the server and its parameters.
 
-    ``T`` is the frame length of fbdc and frame-based myopic; ``k`` the
-    myopic lookahead depth; ``frame_based=False`` makes myopic use the
-    current queue lengths every slot instead of the frame-start ones.
+    ``T`` is the frame length of fbdc and myopic: myopic weighs the
+    frame-start queue lengths, so T = 1 is per-slot myopic on the current
+    ones.  ``k`` is the myopic lookahead depth and ``table`` the action
+    table of fixed_table, such as a corner's from CORNER_TABLES.
     """
 
     kind: str
     T: int = 1
     k: int = 1
-    frame_based: bool = True
-    corner: str | None = None
     table: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -68,23 +67,19 @@ class PolicyConfig:
             raise ValueError("frame length T must be >= 1")
         if self.k < 1:
             raise ValueError("lookahead k must be >= 1")
-        if self.kind == "fixed_corner":
-            if self.corner not in CORNER_TABLES:
-                raise ValueError(f"unknown corner {self.corner!r}")
-        if self.kind == "fixed_table":
-            if self.table is None or len(self.table) != 8 or any(a not in (0, 1) for a in self.table):
-                raise ValueError("fixed_table requires an 8-entry stay/switch table")
+        if (self.kind == "fixed_table") != (self.table is not None):
+            raise ValueError("fixed_table, and no other kind, takes a table")
+        if self.table is not None and (len(self.table) != 8 or any(a not in (0, 1) for a in self.table)):
+            raise ValueError("fixed_table requires an 8-entry stay/switch table")
 
     def label(self) -> str:
         if self.kind == "fbdc":
             return f"fbdc_T{self.T}"
         if self.kind == "myopic":
-            frame = f"T{self.T}" if self.frame_based else "slot"
-            return f"myopic{self.k}_{frame}"
-        if self.kind == "fixed_corner":
-            return f"corner_{self.corner}"
+            return f"myopic{self.k}_{'slot' if self.T == 1 else f'T{self.T}'}"
         if self.kind == "fixed_table":
-            return f"table_{''.join(str(a) for a in self.table)}"
+            corner = next((cid for cid, table in CORNER_TABLES.items() if table == self.table), None)
+            return f"corner_{corner}" if corner else f"table_{''.join(str(a) for a in self.table)}"
         return self.kind
 
 

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .channels import check_epsilon
+
 EPS_CRITICAL = 1.0 - math.sqrt(2.0) / 2.0
 
 
@@ -68,7 +70,7 @@ def corner_points(epsilon: float) -> list[tuple[str, tuple[float, float]]]:
     b1 = ((1-e)^2/4, (2-e)/4) and its mirror b4 exist only below
     EPS_CRITICAL; b5 = (1/2, 0), b0 = (0, 1/2).
     """
-    e = _check_eps(epsilon)
+    e = check_epsilon(epsilon)
     b2 = ((1 - e) * (3 - 2 * e) / (4 * (2 - e)), (3 - 2 * e) / (4 * (2 - e)))
     out = [("b5", (0.5, 0.0))]
     if e < EPS_CRITICAL:
@@ -80,22 +82,6 @@ def corner_points(epsilon: float) -> list[tuple[str, tuple[float, float]]]:
         out.append(("b1", b1))
     out.append(("b0", (0.0, 0.5)))
     return out
-
-
-def _check_eps(epsilon: float) -> float:
-    if not (0.0 < epsilon <= 0.5):
-        raise ValueError(f"epsilon must lie in (0, 0.5], got {epsilon}")
-    return float(epsilon)
-
-
-def _dedupe_halfspaces(halfspaces) -> tuple[HalfSpace, ...]:
-    out: list[HalfSpace] = []
-    for h in halfspaces:
-        hn = h.normalized()
-        if not any(abs(hn.a1 - g.a1) < 1e-12 and abs(hn.a2 - g.a2) < 1e-12 and abs(hn.b - g.b) < 1e-12
-                   for g in out):
-            out.append(hn)
-    return tuple(out)
 
 
 def _drop_flat_corners(pts: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -132,7 +118,7 @@ def closed_form_region(epsilon: float) -> RateRegion:
     """
     corners = _drop_flat_corners([pt for _, pt in corner_points(epsilon)])
     facets = [_edge_halfspace(u, v) for u, v in zip(corners, corners[1:])][::-1]
-    return RateRegion(corners, _dedupe_halfspaces(list(AXIS_HALFSPACES) + facets))
+    return RateRegion(corners, AXIS_HALFSPACES + tuple(h.normalized() for h in facets))
 
 
 def iid_region(p1: float, p2: float) -> RateRegion:
@@ -141,7 +127,7 @@ def iid_region(p1: float, p2: float) -> RateRegion:
         raise ValueError("iid region requires p1, p2 > 0")
     if p1 > 1 or p2 > 1:
         raise ValueError("p1, p2 must be probabilities")
-    halfspaces = _dedupe_halfspaces(list(AXIS_HALFSPACES) + [HalfSpace(1 / p1, 1 / p2, 1.0)])
+    halfspaces = AXIS_HALFSPACES + (HalfSpace(1 / p1, 1 / p2, 1.0).normalized(),)
     return RateRegion(((p1, 0.0), (0.0, p2)), halfspaces)
 
 
@@ -153,10 +139,8 @@ def no_switchover_region(p1: float, p2: float) -> RateRegion:
     corners = _drop_flat_corners(
         [(p1, 0.0), (p1, p2 * (1 - p1)), (p1 * (1 - p2), p2), (0.0, p2)]
     )
-    halfspaces = _dedupe_halfspaces(
-        list(AXIS_HALFSPACES)
-        + [HalfSpace(1.0, 0.0, p1), HalfSpace(0.0, 1.0, p2), HalfSpace(1.0, 1.0, total)]
-    )
+    facets = (HalfSpace(1.0, 0.0, p1), HalfSpace(0.0, 1.0, p2), HalfSpace(1.0, 1.0, total))
+    halfspaces = AXIS_HALFSPACES + tuple(h.normalized() for h in facets)
     return RateRegion(corners, halfspaces)
 
 
@@ -207,7 +191,7 @@ def region_from_vertices(points: list[tuple[float, float]]) -> RateRegion:
     ]
     pareto.sort(key=lambda p: (-p[0], p[1]))
     edges = zip(hull, hull[1:] + hull[:1]) if len(hull) >= 3 else ()
-    return RateRegion(tuple(pareto), _dedupe_halfspaces(_edge_halfspace(u, v) for u, v in edges))
+    return RateRegion(tuple(pareto), tuple(_edge_halfspace(u, v).normalized() for u, v in edges))
 
 
 @lru_cache(maxsize=64)

@@ -42,7 +42,6 @@ class SimConfig:
     warmup: int | None = None
     saturated: bool = False
     trace_every: int = 0
-    m0: int = 1
 
     def __post_init__(self):
         if self.warmup is None:
@@ -53,10 +52,8 @@ class SimConfig:
             raise ValueError("need horizon > warmup >= 0")
         if self.trace_every < 0:
             raise ValueError("trace_every must be nonnegative")
-        if self.m0 not in (1, 2):
-            raise ValueError("m0 must be 1 or 2")
-        if self.saturated and self.policy.kind not in ("fixed_table", "fixed_corner"):
-            raise ValueError("saturated mode supports fixed_table/fixed_corner policies only")
+        if self.saturated and self.policy.kind != "fixed_table":
+            raise ValueError("saturated mode supports fixed_table policies only")
         if self.saturated and self.trace_every:
             raise ValueError("saturated runs write no trace rows")
         if self.policy.kind in ("fbdc", "myopic") and self.channel.kind != ch.GILBERT_ELLIOTT:
@@ -139,21 +136,8 @@ def _metrics(n_post: int, noted, switches: int, arrivals_pre, arrivals, trace=()
     )
 
 
-def _fixed_table(policy: pol.PolicyConfig) -> tuple[int, ...] | None:
-    if policy.kind == "fixed_table":
-        return policy.table
-    if policy.kind == "fixed_corner":
-        return pol.CORNER_TABLES[policy.corner]
-    return None
-
-
-def _frame_length(policy: pol.PolicyConfig) -> int:
-    # per-slot myopic weighs the current queues: a frame of one slot
-    return 1 if policy.kind == "myopic" and not policy.frame_based else policy.T
-
-
 def run(config: SimConfig) -> Metrics:
-    """Execute the slot contract for `horizon` slots."""
+    """Execute the slot contract for `horizon` slots, the server starting at queue 1."""
     H, warmup = config.horizon, config.warmup
     rng = np.random.default_rng(config.seed)
     c1s, c2s = ch.generate_paths(config.channel, H, rng)
@@ -161,11 +145,10 @@ def run(config: SimConfig) -> Metrics:
     cfg_pol = config.policy
     kind = cfg_pol.kind
     epsilon = config.channel.epsilon
-    T = _frame_length(cfg_pol)
-    table = _fixed_table(cfg_pol)
+    T, table = cfg_pol.T, cfg_pol.table
     if config.saturated:  # infinite backlog: the saturated engine below replaces the slot loop
         luts, x = _saturated_luts([table]), state_index(1, c1s, c2s)
-        state, warm = _saturated_path(luts, x[:warmup], np.array([config.m0 - 1]))
+        state, warm = _saturated_path(luts, x[:warmup], np.array([0]))
         post = _saturated_path(luts, x[warmup:], state)[1][:, 0].tolist()
         d1, d2, switches = (warm[:, 0] + post).tolist()
         n_post = H - warmup
@@ -181,7 +164,7 @@ def run(config: SimConfig) -> Metrics:
         myopic_action = pol.myopic_action
     polling_action = pol.polling_action
 
-    m = config.m0
+    m = 1
     q1 = q2 = qsum = 0  # qsum: occupancy summed over every slot so far
     switch_count = 0
     gate = 0  # gated: packets found at the current queue on arrival and not yet served
@@ -299,12 +282,11 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     if 2 * H * H >= 2**63:  # no count or sum below exceeds 2 * H * H; run() has no such limit
         raise OverflowError("horizon too long for the lock-step engine's int64 sums")
     policy = first.policy
-    kind, epsilon, T = policy.kind, first.channel.epsilon, _frame_length(policy)
+    kind, epsilon, T, table = policy.kind, first.channel.epsilon, policy.T, policy.table
     serve, switch4 = _step_tables()
-    table = _fixed_table(policy)
     policy_id = int(np.dot(table, _ID_BITS)) if table else 0  # fbdc sets its own at each frame start
     one_action = table is None and kind != "fbdc"
-    offset = np.full(n_cells, 8 * policy_id + 4 * (first.m0 - 1))
+    offset = np.full(n_cells, 8 * policy_id)  # every server starts at queue 1
     if kind == "myopic":
         credit = np.array(pol.myopic_table(first.channel, policy.k))
     gate, just_arrived = np.zeros(n_cells, dtype=np.int64), np.ones(n_cells, dtype=bool)
@@ -387,18 +369,17 @@ def saturated_rates_batch(
     horizon: int,
     seed: int,
     warmup: int = 0,
-    m0: int = 1,
 ) -> np.ndarray:
     """Empirical saturated rates of many tables over one shared channel path.
 
     The channels are exogenous, so a single path drives every table; only
-    the server position differs per table.  The saturated engine below
+    the server position, at queue 1 in the first slot, differs per table.  The saturated engine below
     steps all tables side by side, a block of slots per lookup.
     """
     rng = np.random.default_rng(seed)
     c1s, c2s = ch.generate_paths(ch.gilbert_elliott(epsilon), warmup + horizon, rng)
     x, luts = state_index(1, c1s, c2s), _saturated_luts(tables)
-    state, _ = _saturated_path(luts, x[:warmup], 2 * np.arange(len(tables)) + (m0 - 1))
+    state, _ = _saturated_path(luts, x[:warmup], 2 * np.arange(len(tables)))
     return np.stack(_saturated_path(luts, x[warmup:], state)[1][:2], axis=1) / float(horizon)
 
 

@@ -140,7 +140,7 @@ def _distance_to_boundary(region, lam):
 
 
 def test_criterion_6_myopic_throughput():
-    myopic = pol.PolicyConfig("myopic", T=25, k=1, frame_based=True)
+    myopic = pol.PolicyConfig("myopic", T=25, k=1)
     scaled = tuple((round(0.9 * a, 6), round(0.9 * b, 6)) for a, b in FBDC_INTERIOR)
     scaled_verdicts = [_probe(lam, myopic, seed=700 + i) for i, lam in enumerate(scaled)]
     ok = all(v == "stable" for v in scaled_verdicts)

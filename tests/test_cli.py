@@ -92,6 +92,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["iid", "--rho", "-1"], "--rho"),
         (["sweep", "--epsilon", "0.25", "--step", "nan"], "step"),
         (["sweep", "--epsilon", "0.25", "--boundary-margin", "nan"], "boundary_margin"),
+        (["sweep", "--epsilon", "0.25", "--boundary-margin", "inf"], "boundary_margin"),
+        (["iid", "--horizon", "100"], "--horizon"),  # the suite's probes need 4000 slots
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--trace-every", "-3"],
          "--trace-every"),
         # numpy's generator refuses a negative seed without naming the flag; a load above 2 / p a rate above 1
@@ -114,6 +116,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--policy", "fbdc", "--k", "2"],
          "--k"),
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--T", "5"], "--T"),
+        (["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--T", "0"], "--T"),
+        (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--policy", "myopic", "--k", "0"],
+         "--k"),
         (["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--policy", "myopic", "--per-slot",
           "--T", "5"], "--T does not apply to --policy myopic --per-slot"),
         # the channel flag a policy needs, and the warmup, are named
@@ -126,6 +131,26 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err, (argv, err)
+
+
+def test_iid_sweep_leaves_out_probes_above_rate_one(tmp_path):
+    # at p2 = 1 the column x = 0 reaches rate 1, so its probe boundary_margin above would be no rate
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--p1", "0.5", "--p2", "1.0", "--policy", "gated", "--step", "0.2",
+                 "--horizon", "100", "--out", str(out)]) == 0
+    points = {(float(r[1]), float(r[2])) for r in (line.split(",") for line in out.read_text().splitlines()[1:])}
+    assert (0.0, 1.0) in points and (0.2, 0.62) in points  # the top of column 0, the probe of column 0.2
+    assert max(y for _, y in points) == 1.0
+
+
+def test_per_slot_myopic_is_myopic_with_frames_of_one_slot(tmp_path):
+    args = ["sweep", "--epsilon", "0.4", "--policy", "myopic", "--k", "2", "--step", "0.2", "--horizon", "500"]
+    per_slot, frames_of_one = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--per-slot", "--out", str(per_slot)]) == 0
+    assert main(args + ["--T", "1", "--out", str(frames_of_one)]) == 0
+    assert per_slot.read_bytes() == frames_of_one.read_bytes()
+    rows = [line.split(",") for line in per_slot.read_text().splitlines()[1:]]
+    assert {(r[3], r[4]) for r in rows} == {("myopic2_slot", "1")}  # policy and T columns
 
 
 def test_flags_a_policy_reads_still_run(tmp_path):

@@ -27,8 +27,8 @@ SWEEP_DIGESTS = {
     pol.PolicyConfig("fbdc", T=10): "bf821faf8c0fecdade00d15d777d3224faa080088ed977d8f24106bc7ca5ddf9",
     pol.PolicyConfig("myopic", T=10, k=1): "c01b1c7d1c8812568ddb3afa3bf281ab881c587b41e39e8935c57d6c4b71e529",
     pol.PolicyConfig("myopic", T=10, k=2): "593baba4da80f1a69855b1a6dbc1faeaf0341fa427fa9053a661bc626951db24",
-    pol.PolicyConfig("myopic", k=1, frame_based=False): "dcb75c91bb87234d3594e633d5943fc170d27f0514976433c6c79749d55b1450",
-    pol.PolicyConfig("fixed_corner", corner="b2"): "5cde9720b465a05c8cb3fc015286ebaaea396af0b6af0180b82cd1af939421e4",
+    pol.PolicyConfig("myopic", T=1, k=1): "dcb75c91bb87234d3594e633d5943fc170d27f0514976433c6c79749d55b1450",
+    pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]): "5cde9720b465a05c8cb3fc015286ebaaea396af0b6af0180b82cd1af939421e4",
 }
 
 
@@ -46,7 +46,7 @@ SWEEP_SHAPE_DIGESTS = {
                   "132945efe05036bd0e622bf631d3140eaa9f4a30f33335d69ec70d17a0af1914"),
     "iid_exhaustive": (dict(policies=(pol.PolicyConfig("exhaustive"),), p1=0.5, p2=0.6),
                        "5b550976cc8b807d72aefd574906f56d39a79dfde5964f766a12936caeb7310d"),
-    "myopic2_slot_warmup": (dict(policies=(pol.PolicyConfig("myopic", k=2, frame_based=False),), epsilon=0.4,
+    "myopic2_slot_warmup": (dict(policies=(pol.PolicyConfig("myopic", T=1, k=2),), epsilon=0.4,
                                  warmup=700),
                             "5a1e4907159e8402ff55f3e0f7bc1b2424969c2544af10c8682d03c65e425c83"),
     "fbdc_T7_and_myopic1_T5": (dict(policies=(pol.PolicyConfig("fbdc", T=7), pol.PolicyConfig("myopic", T=5, k=1)),
@@ -101,28 +101,30 @@ def test_trace_csv_digest(flags, tmp_path):
 # -- saturated engine ------------------------------------------------------
 # Digests of the saturated rates, CSVs and counters; a rewrite of the
 # saturated engine must reproduce every one.  The cases cover horizons that
-# are not a multiple of a block length, horizons shorter than one block,
-# warmup 0 and a start at queue 2.
+# are not a multiple of a block length, horizons shorter than one block and
+# warmup 0.  Every run starts at queue 1, the last entry of a case's id;
+# starts at queue 2 are covered in test_saturated_engine.py.
 
 def _rates_sha(rates) -> str:
     return hashlib.sha256(np.ascontiguousarray(rates, dtype=np.float64).tobytes()).hexdigest()
 
 
+def _start_at_queue_1(case) -> str:
+    return str((*case, 1))
+
+
 BATCH_DIGESTS = {
-    # (epsilon, seed, horizon, warmup, m0)
-    (0.1, 11, 5003, 200, 1): "600e158a9ce07a4a036cfd5c0aa331c8d13ccde67d687c05c82f978fc6c46fdb",
-    (0.4, 12, 5, 0, 1): "d1c9725d46756ba24f6be18703030bafa83cb0451a3985270ad7220af5beb97f",
-    (0.25, 13, 3, 7, 2): "2848e924a2905beb66498304f2b2d8d49951e7167653923abcafcd1528a6b78b",
-    (0.5, 14, 6000, 0, 2): "c17625d44b2e10eee531218efe071f4d40318e81fb1d5748f1c489d32a5ccc06",
-    (0.05, 15, 4001, 1999, 1): "7b9516a6442b372371fa64dbc5131f0543987e4ff6392e95cb20cba0e3a59bcf",
-    (0.3, 16, 1, 1, 2): "ad7facb2586fc6e966c004d7d1d16b024f5805ff7cb47c7a85dabd8b48892ca7",
+    # (epsilon, seed, horizon, warmup)
+    (0.1, 11, 5003, 200): "600e158a9ce07a4a036cfd5c0aa331c8d13ccde67d687c05c82f978fc6c46fdb",
+    (0.4, 12, 5, 0): "d1c9725d46756ba24f6be18703030bafa83cb0451a3985270ad7220af5beb97f",
+    (0.05, 15, 4001, 1999): "7b9516a6442b372371fa64dbc5131f0543987e4ff6392e95cb20cba0e3a59bcf",
 }
 
 
-@pytest.mark.parametrize("case", list(BATCH_DIGESTS), ids=str)
+@pytest.mark.parametrize("case", list(BATCH_DIGESTS), ids=_start_at_queue_1)
 def test_saturated_batch_digest(case):
-    eps, seed, horizon, warmup, m0 = case
-    rates = sim.saturated_rates_batch(mdp.all_policies(), eps, horizon=horizon, seed=seed, warmup=warmup, m0=m0)
+    eps, seed, horizon, warmup = case
+    rates = sim.saturated_rates_batch(mdp.all_policies(), eps, horizon=horizon, seed=seed, warmup=warmup)
     assert rates.shape == (256, 2)
     assert _rates_sha(rates) == BATCH_DIGESTS[case]
 
@@ -161,21 +163,19 @@ def test_gap_csv_digest(eps_corner, tmp_path):
 
 
 SATURATED_RUN_DIGESTS = {
-    # (policy id, epsilon, horizon, warmup, m0)
-    (255, 0.25, 7, 3, 2): "dc238be50c61311337df4a8447327cd14be150900c2f95aba9d123221c89d995",
-    (37, 0.2, 10_007, 0, 1): "4e67ea2056f1d9922adc48b9c20007fdd5cea457d2f874cb7e2deff2a68f4725",
-    (200, 0.45, 5, 4, 1): "e296dfdc52070a056a3503d0e8436c69ea09413da83aa396a700523977e8aaa9",
-    (75, 0.3, 12_345, 678, 2): "7eff75c153b5f12dc342dca9c0cda2ed8ac9df366fe28b0990cecd35e4ac95c0",  # corner b1
+    # (policy id, epsilon, horizon, warmup)
+    (37, 0.2, 10_007, 0): "4e67ea2056f1d9922adc48b9c20007fdd5cea457d2f874cb7e2deff2a68f4725",
+    (200, 0.45, 5, 4): "e296dfdc52070a056a3503d0e8436c69ea09413da83aa396a700523977e8aaa9",
 }
 
 
-@pytest.mark.parametrize("case", list(SATURATED_RUN_DIGESTS), ids=str)
+@pytest.mark.parametrize("case", list(SATURATED_RUN_DIGESTS), ids=_start_at_queue_1)
 def test_saturated_run_counters_digest(case):
-    pid, eps, horizon, warmup, m0 = case
+    pid, eps, horizon, warmup = case
     config = sim.SimConfig(
         lambda1=0.0, lambda2=0.0, channel=ch.gilbert_elliott(eps),
         policy=pol.PolicyConfig("fixed_table", table=mdp.policy_from_id(pid)),
-        horizon=horizon, warmup=warmup, seed=pid + horizon, saturated=True, m0=m0,
+        horizon=horizon, warmup=warmup, seed=pid + horizon, saturated=True,
     )
     m = sim.run(config)
     counters = (m.rate1, m.rate2, m.d1, m.d2, m.switch_count)

@@ -35,11 +35,18 @@ def test_policy_config_validation():
     with pytest.raises(ValueError):
         pol.PolicyConfig("myopic", k=0)
     with pytest.raises(ValueError):
-        pol.PolicyConfig("fixed_corner", corner="b9")
-    with pytest.raises(ValueError):
         pol.PolicyConfig("fixed_table", table=(1, 0))
+    with pytest.raises(ValueError):
+        pol.PolicyConfig("fixed_table")
+    with pytest.raises(ValueError):  # only fixed_table plays a table
+        pol.PolicyConfig("gated", table=pol.CORNER_TABLES["b2"])
     assert pol.PolicyConfig("fbdc", T=25).label() == "fbdc_T25"
-    assert pol.PolicyConfig("myopic", T=10, k=2, frame_based=False).label() == "myopic2_slot"
+    # per-slot myopic is myopic with frames of one slot
+    assert pol.PolicyConfig("myopic", T=1, k=2).label() == "myopic2_slot"
+    assert pol.PolicyConfig("myopic", T=10, k=2).label() == "myopic2_T10"
+    # a fixed table is named after its corner, if it is one
+    assert pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b4"]).label() == "corner_b4"
+    assert pol.PolicyConfig("fixed_table", table=(1, 0) * 4).label() == "table_10101010"
 
 
 def test_fbdc_frame_start_examples():

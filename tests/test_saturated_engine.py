@@ -5,6 +5,8 @@ fixed table with infinite backlog, one slot at a time: look up the action
 of (m, C1, C2), serve the own queue on STAY when its channel is ON, or
 switch and serve nothing.  Every engine entry point must reproduce its
 counts exactly, for any channel path, table, start position and warm-up.
+The public entry points start every server at queue 1; the private
+``_saturated_steps`` and ``_saturated_path`` are run from both queues.
 """
 
 import numpy as np
@@ -44,26 +46,37 @@ def paths(eps, seed, horizon):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(TABLES, min_size=1, max_size=12), EPSILONS, SEEDS,
-       st.integers(1, 300), st.integers(0, 60), st.integers(1, 2))
-def test_batch_equals_per_slot_reference(tables, eps, seed, horizon, warmup, m0):
-    rates = sim.saturated_rates_batch(tables, eps, horizon=horizon, seed=seed, warmup=warmup, m0=m0)
+@given(st.lists(TABLES, min_size=1, max_size=12), EPSILONS, SEEDS, st.integers(1, 300), st.integers(0, 60))
+def test_batch_equals_per_slot_reference(tables, eps, seed, horizon, warmup):
+    rates = sim.saturated_rates_batch(tables, eps, horizon=horizon, seed=seed, warmup=warmup)
     c1s, c2s = paths(eps, seed, warmup + horizon)
     for table, row in zip(tables, rates):
-        _, (d1, d2, _) = reference(table, c1s, c2s, m0, warmup)
+        _, (d1, d2, _) = reference(table, c1s, c2s, 1, warmup)
         assert row.tolist() == [d1 / horizon, d2 / horizon]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(TABLES, min_size=1, max_size=12), EPSILONS, SEEDS, st.integers(1, 300), st.integers(0, 60))
+def test_path_from_either_queue_equals_per_slot_reference(tables, eps, seed, horizon, warmup):
+    # saturated_rates_batch's two chained paths, every table started at queue 1 and at queue 2
+    c1s, c2s = paths(eps, seed, warmup + horizon)
+    x, luts = mdp.state_index(1, np.array(c1s), np.array(c2s)), sim._saturated_luts(tables)
+    start = np.arange(2 * len(tables))  # state j * 2 + m - 1: table j at queue m
+    state, warm = sim._saturated_path(luts, x[:warmup], start)
+    _, post = sim._saturated_path(luts, x[warmup:], state)
+    for s in start.tolist():
+        assert [warm[:, s].tolist(), post[:, s].tolist()] == reference(tables[s // 2], c1s, c2s, s % 2 + 1, warmup)
 
 
 @settings(max_examples=150, deadline=None)
 @given(TABLES, EPSILONS, SEEDS, st.integers(1, 300), st.data())
 def test_saturated_run_equals_per_slot_reference(table, eps, seed, horizon, data):
     warmup = data.draw(st.integers(0, horizon - 1))
-    m0 = data.draw(st.integers(1, 2))
     config = sim.SimConfig(lambda1=0.0, lambda2=0.0, channel=ch.gilbert_elliott(eps),
                            policy=pol.PolicyConfig("fixed_table", table=table),
-                           horizon=horizon, warmup=warmup, seed=seed, saturated=True, m0=m0)
+                           horizon=horizon, warmup=warmup, seed=seed, saturated=True)
     metrics = sim.run(config)
-    warm, post = reference(table, *paths(eps, seed, horizon), m0, warmup)
+    warm, post = reference(table, *paths(eps, seed, horizon), 1, warmup)
     n_post = horizon - warmup
     assert (metrics.rate1, metrics.rate2) == (post[0] / n_post, post[1] / n_post)
     assert (metrics.d1, metrics.d2, metrics.switch_count) == tuple(w + p for w, p in zip(warm, post))
@@ -100,5 +113,5 @@ def test_mirror_policy_on_swapped_paths_swaps_rates(table, path, m0):
 def test_saturated_run_rejects_trace_rows():
     with pytest.raises(ValueError, match="trace"):
         sim.SimConfig(lambda1=0.0, lambda2=0.0, channel=ch.gilbert_elliott(0.25),
-                      policy=pol.PolicyConfig("fixed_corner", corner="b2"),
+                      policy=pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]),
                       horizon=100, seed=0, saturated=True, trace_every=1)

@@ -35,8 +35,6 @@ def test_config_validation():
         make_config(saturated=True)  # needs a fixed table
     with pytest.raises(ValueError):
         make_config(policy=pol.PolicyConfig("fbdc", T=25), channel=ch.iid(0.5, 0.5))
-    with pytest.raises(ValueError):
-        make_config(m0=3)
 
 
 def test_determinism_bitwise():
@@ -56,8 +54,8 @@ def test_seed_changes_the_run():
     pol.PolicyConfig("gated"),
     pol.PolicyConfig("fbdc", T=25),
     pol.PolicyConfig("myopic", T=25, k=1),
-    pol.PolicyConfig("myopic", k=2, frame_based=False),
-    pol.PolicyConfig("fixed_corner", corner="b2"),
+    pol.PolicyConfig("myopic", T=1, k=2),
+    pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]),
 ])
 def test_queue_conservation(policy):
     metrics = sim.run(make_config(policy=policy, lambda2=0.3))
@@ -107,7 +105,7 @@ def test_trace_rows_respect_the_slot_contract():
     metrics = sim.run(cfg)
     rows = metrics.trace
     assert len(rows) == cfg.horizon
-    prev_m = cfg.m0
+    prev_m = 1  # every run starts at queue 1
     for slot, m, c1, c2, q1, q2, action, dep1, dep2 in rows:
         assert m == prev_m  # trace reports the observed position
         if dep1:
@@ -160,13 +158,10 @@ def test_batch_engine_matches_analytics_for_all_policies():
 def test_start_position_matters_for_stay_everywhere():
     r1, r2 = sim.saturated_rate((1,) * 8, 0.25, horizon=50_000, seed=3)
     assert r1 > 0.4 and r2 == 0.0
-    cfg = sim.SimConfig(
-        lambda1=0.0, lambda2=0.0, channel=GE25,
-        policy=pol.PolicyConfig("fixed_table", table=(1,) * 8),
-        horizon=50_000, seed=3, saturated=True, m0=2,
-    )
-    metrics = sim.run(cfg)
-    assert metrics.rate1 == 0.0 and metrics.rate2 > 0.4
+    # the saturated engine from queue 2 (state 1) serves queue 2 alone
+    c1s, c2s = ch.generate_paths(GE25, 50_000, np.random.default_rng(3))
+    _, counts = sim._saturated_path(sim._saturated_luts([(1,) * 8]), mdp.state_index(1, c1s, c2s), np.array([1]))
+    assert counts[0, 0] == 0 and counts[1, 0] / 50_000 > 0.4
 
 
 def test_gated_alternates_when_empty():
@@ -221,11 +216,11 @@ st = hypothesis.strategies
 MARKOV_POLICIES = st.one_of(
     st.builds(pol.PolicyConfig, st.just("fbdc"), T=st.integers(1, 30)),
     st.builds(pol.PolicyConfig, st.just("myopic"), T=st.integers(1, 30), k=st.integers(1, 2)),
-    st.builds(pol.PolicyConfig, st.just("myopic"), k=st.integers(1, 2), frame_based=st.just(False)),
+    st.builds(pol.PolicyConfig, st.just("myopic"), T=st.just(1), k=st.integers(1, 2)),
 )
 ANY_CHANNEL_POLICIES = st.one_of(
     st.builds(pol.PolicyConfig, st.sampled_from(["gated", "exhaustive"])),
-    st.builds(pol.PolicyConfig, st.just("fixed_corner"), corner=st.sampled_from(sorted(pol.CORNER_TABLES))),
+    st.builds(pol.PolicyConfig, st.just("fixed_table"), table=st.sampled_from(list(pol.CORNER_TABLES.values()))),
     st.builds(pol.PolicyConfig, st.just("fixed_table"), table=st.tuples(*[st.integers(0, 1)] * 8)),
 )
 GE_CHANNELS = st.builds(ch.gilbert_elliott, st.floats(0.01, 0.5))
@@ -242,8 +237,7 @@ def batches(draw):
     warmup = draw(st.integers(0, horizon - 1))
     rate = st.floats(0.0, 1.0)
     cells = draw(st.lists(st.tuples(rate, rate, st.integers(0, 2**32)), min_size=1, max_size=5))
-    m0 = draw(st.integers(1, 2))
-    return [sim.SimConfig(lam1, lam2, channel, policy, horizon, seed, warmup=warmup, m0=m0)
+    return [sim.SimConfig(lam1, lam2, channel, policy, horizon, seed, warmup=warmup)
             for lam1, lam2, seed in cells]
 
 
@@ -265,13 +259,14 @@ def test_run_batch_validation():
     assert sim.run_batch([]) == []
     base = make_config(horizon=100)
     sim.run_batch([base, make_config(horizon=100, lambda1=0.3, lambda2=0.0, seed=7)])  # rates and seed may differ
-    for other in (dict(horizon=101), dict(warmup=20), dict(m0=2),
+    for other in (dict(horizon=101), dict(warmup=20),
                   dict(channel=ch.gilbert_elliott(0.3)), dict(policy=pol.PolicyConfig("gated"))):
         with pytest.raises(ValueError):
             sim.run_batch([base, make_config(**{"horizon": 100, **other})])
     with pytest.raises(ValueError):
         sim.run_batch([make_config(horizon=100, trace_every=5)])
-    saturated = make_config(horizon=100, policy=pol.PolicyConfig("fixed_corner", corner="b2"), saturated=True)
+    saturated = make_config(horizon=100, policy=pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]),
+                            saturated=True)
     with pytest.raises(ValueError):
         sim.run_batch([saturated])
     with pytest.raises(ValueError):  # every SimConfig check runs before a batch exists
@@ -302,7 +297,8 @@ def test_run_batch_memory_does_not_grow_with_the_horizon():
 
     def peak(horizon):
         configs = [make_config(lambda1=0.005 * i, horizon=horizon, seed=i,
-                               policy=pol.PolicyConfig("fixed_corner", corner="b2")) for i in range(64)]
+                               policy=pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]))
+                   for i in range(64)]
         tracemalloc.start()
         try:
             sim.run_batch(configs)

@@ -1,4 +1,7 @@
-"""Every top-level function, class and assigned name in src/switchq, and every method of such a class, is used by the program.
+"""Every name in src/switchq is used by the program, and every setting in it is set by the program.
+
+Names are the top-level functions, classes and assigned names, and the
+methods of such a class.
 
 A name counts as used when some module of src/ or benchmarks/ refers to it
 outside the lines of its own definition: as a bare name, in a from-import,
@@ -8,6 +11,12 @@ attribute of anything (``h.slack(point)``).  Dunders (``__version__``) and
 overrides of a base-class method (``cli._Parser.error``) are read by Python,
 by tools or by the base class, so they are not checked.  Code and constants
 that only the tests read belong in the tests.
+
+A setting is a defaulted parameter of a function or method, or a field of a
+dataclass.  It counts as set when some call in src/ or benchmarks/ of the
+function, method or class, found by the name it is called by, passes it by
+keyword or by position.  A ``*args`` counts as one position, and a
+``**kwargs`` sets every keyword.  A setting that only the tests set is a constant.
 """
 
 import ast
@@ -46,9 +55,13 @@ def _assigned(node: ast.AST) -> list[str]:
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and not n.id.startswith("__")]
 
 
+def _trees() -> dict[Path, ast.AST]:
+    return {p: ast.parse(p.read_text(encoding="utf-8"))
+            for d in (ROOT / "src", ROOT / "benchmarks") for p in sorted(d.rglob("*.py"))}
+
+
 def unused_names() -> list[str]:
-    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
-             for d in (ROOT / "src", ROOT / "benchmarks") for p in sorted(d.rglob("*.py"))}
+    trees = _trees()
     references = [ref for path, tree in trees.items() for ref in _references(path, tree)]
     attributes = [(node.attr, path, node.lineno) for path, tree in trees.items()
                   for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
@@ -67,5 +80,49 @@ def unused_names() -> list[str]:
     return unused
 
 
+def _calls(trees) -> dict[str, list[tuple[int, set]]]:
+    """Called name -> (positional arguments, keywords) of each call; a **kwargs is the keyword None."""
+    calls: dict[str, list[tuple[int, set]]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append((len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _settings(tree: ast.AST):
+    """(called name, setting, its position in a call or None if keyword-only) of a module's settings."""
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args]
+            bound = 1 if params[:1] in (["self"], ["cls"]) else 0  # a method call passes it before the parentheses
+            for i in range(len(params) - len(a.defaults), len(params)):
+                yield node.name, params[i], i - bound
+            yield from ((node.name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [n.target.id for n in node.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+            yield from ((node.name, f, i) for i, f in enumerate(fields))
+
+
+def unset_settings() -> list[str]:
+    trees = _trees()
+    calls = _calls(trees)
+    return [f"{path.stem}.{name}.{setting}" for path in sorted(PACKAGE.glob("*.py"))
+            for name, setting, position in _settings(trees[path])
+            if not any(setting in keywords or None in keywords or (position is not None and position < n_args)
+                       for n_args, keywords in calls.get(name, ()))]
+
+
 def test_every_top_level_name_in_src_is_used_outside_the_tests():
     assert unused_names() == []
+
+
+def test_every_setting_in_src_is_set_by_the_program():
+    assert unset_settings() == []
