@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy(p, "fbdc")
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--boundary-margin", type=float, default=0.02)
-    p.add_argument("--horizon", type=int, default=100_000)
+    p.add_argument("--horizon", type=_int_in(4, sim.MAX_BATCH_HORIZON), default=100_000)
     p.add_argument("--warmup", type=_int_in(0), default=0)
     p.set_defaults(handler=_cmd_sweep)
     _add_common(p, seed=True, check=True)
@@ -265,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=0.5)
     p.add_argument("--p2", type=float, default=0.5)
     p.add_argument("--rho", default="0.6,0.8,0.9,1.1,1.2")
-    p.add_argument("--horizon", type=_int_in(4000), default=100_000, help="slots per load; probes need 4000")
+    p.add_argument("--horizon", type=_int_in(4000, sim.MAX_BATCH_HORIZON), default=100_000,
+                   help="slots per load; probes need 4000")
     p.set_defaults(handler=_cmd_iid)
     _add_common(p, seed=True, check=True)
 

@@ -118,20 +118,20 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
     return sorted(set(points))
 
 
-# The fewest cells of one policy that sim.run_batch runs faster than one
-# sim.run per cell; below it numpy's per-call cost outweighs the per-cell
-# slot loop.  Crossover at 20k slots on a 2-vCPU Xeon: 16-24 cells for
-# fbdc, about 32 for per-slot and frame myopic, 40-48 for exhaustive and
-# 48 for gated, the last policy to cross (table in README).
-_LOCKSTEP_MIN_CELLS = 48
+# Per policy kind, the fewest cells that sim.run_batch runs faster than one
+# sim.run each; below it numpy's per-call cost outweighs the per-cell slot
+# loop.  Crossovers at 20k slots on a 2-vCPU Xeon (table in README): the
+# table-driven kinds cross first, gated, whose per-cell loop is cheapest
+# against its lock-step step, last.
+_LOCKSTEP_MIN_CELLS = {"fbdc": 40, "fixed_table": 48, "myopic": 48, "exhaustive": 56, "gated": 72}
 
 
 def _run_grid(points, policies, channel, horizon: int, seed: int, warmup: int | None = None) -> list[tuple]:
     """sim.run of every (point, policy) cell: one row per point of (lambda1, lambda2), one Metrics per policy.
 
     Point i runs policy j with seed seed + i * len(policies) + j.  The
-    cells of a policy go to one sim.run_batch from _LOCKSTEP_MIN_CELLS
-    points on, and to one sim.run each below.
+    cells of a policy go to one sim.run_batch from its kind's
+    _LOCKSTEP_MIN_CELLS points on, and to one sim.run each below.
     """
     by_policy = []
     for j, policy in enumerate(policies):
@@ -140,7 +140,7 @@ def _run_grid(points, policies, channel, horizon: int, seed: int, warmup: int | 
                           warmup=warmup, seed=seed + i * len(policies) + j)
             for i, (lam1, lam2) in enumerate(points)
         ]
-        by_policy.append(sim.run_batch(configs) if len(configs) >= _LOCKSTEP_MIN_CELLS
+        by_policy.append(sim.run_batch(configs) if len(configs) >= _LOCKSTEP_MIN_CELLS[policy.kind]
                          else [sim.run(config) for config in configs])
     return list(zip(*by_policy))
 

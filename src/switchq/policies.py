@@ -17,12 +17,13 @@ definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import channels as ch
 from .mdp import STATES, STAY, SWITCH, mirror_policy
-from .region import fbdc_corner_map
+from .region import corner_points, fbdc_corner_map
 
 # Corner action tables (states in the fixed order 1..8).  b2 serves the own
 # channel when ON at queue 1 and leaves queue 2 only on (C1,C2)=(1,0); b1
@@ -83,9 +84,11 @@ class PolicyConfig:
         return self.kind
 
 
-# the corner tables as int8 rows, in the order of their sorted ids
-_CORNER_IDS = np.array(sorted(CORNER_TABLES))
-_CORNER_ROWS = np.array([CORNER_TABLES[cid] for cid in _CORNER_IDS], dtype=np.int8)
+@lru_cache(maxsize=64)
+def _frame_rows(epsilon: float) -> np.ndarray:
+    """The corner tables as int8 rows in corner_points(epsilon) order, the balanced b3's last."""
+    ids = [cid for cid, _ in corner_points(epsilon)] + ["b3"]
+    return np.array([CORNER_TABLES[cid] for cid in ids], dtype=np.int8)
 
 
 def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
@@ -93,13 +96,15 @@ def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
 
     Both queues empty leaves the weighted objective identically zero; the
     balanced corner b3 is applied in that case.  Arrays of queues map
-    elementwise to an int8 array with one table along a last axis of 8.
+    elementwise to an int8 array with one table along a last axis of 8,
+    picked by corner position.
     """
     if isinstance(q1_frame, np.ndarray):
+        rows = _frame_rows(epsilon)
         busy = (q1_frame != 0) | (q2_frame != 0)
-        corner = np.full(busy.shape, "b3")
-        corner[busy] = fbdc_corner_map(epsilon, q1_frame[busy], q2_frame[busy])
-        return _CORNER_ROWS[np.searchsorted(_CORNER_IDS, corner)]
+        tables = np.repeat(rows[-1:], busy.size, axis=0).reshape(busy.shape + (8,))
+        tables[busy] = fbdc_corner_map(epsilon, q1_frame[busy], q2_frame[busy], rows)
+        return tables
     if q1_frame == 0 and q2_frame == 0:
         return CORNER_TABLES["b3"]
     return CORNER_TABLES[fbdc_corner_map(epsilon, q1_frame, q2_frame)]

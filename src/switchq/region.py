@@ -245,25 +245,28 @@ def _fbdc_positions(epsilon: float, q1, q2) -> np.ndarray:
     return _first_near_max(x * q1 + y * q2)  # one row per corner
 
 
-def fbdc_corner_map(epsilon: float, q1, q2):
+def fbdc_corner_map(epsilon: float, q1, q2, choices=None):
     """Frontier corner maximizing q1*r1 + q2*r2 (arrays of finite queues map elementwise).
 
     The first corner in corner_points order within a relative 2**-48 of the
     maximum wins: a tie goes to the lower queue ratio q2/q1 however the values round.
+    With ``choices`` (an array when the queues are), the entry at the
+    corner's position in corner_points order is returned in place of its id.
     """
     triples, _, ids = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        return ids[_fbdc_positions(epsilon, q1, q2)]
+        return (ids if choices is None else choices)[_fbdc_positions(epsilon, q1, q2)]
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
     q1, q2 = float(q1), float(q2)  # float products are faster than int ones, and the same
-    best, top, near = None, -1.0, False
-    for cid, x, y in triples:
+    best, top, near = 0, -1.0, False
+    for i, (_, x, y) in enumerate(triples):
         value = q1 * x + q2 * y
         if value > top:
-            best, top, near = cid, value, top >= value * _TIED
-    # near: a corner before the first maximum is within the tolerance, and the first such wins
-    return next(cid for cid, x, y in triples if q1 * x + q2 * y >= top * _TIED) if near else best
+            best, top, near = i, value, top >= value * _TIED
+    if near:  # a corner before the first maximum is within the tolerance, and the first such wins
+        best = next(i for i, (_, x, y) in enumerate(triples) if q1 * x + q2 * y >= top * _TIED)
+    return triples[best][0] if choices is None else choices[best]
 
 
 def myopic_corner_map(epsilon: float, q1, q2):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import channels as ch
 from . import policies as pol
-from .mdp import REWARD1_STATES, REWARD2_STATES, STAY, all_policies, state_index
+from .mdp import REWARD1_STATES, REWARD2_STATES, STAY, SWITCH, all_policies, state_index
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,19 @@ def _metrics(n_post: int, noted, switches: int, arrivals_pre, arrivals, trace=()
     )
 
 
+# Per state index, whether the channel of the queue the server is at is ON; per slot
+# byte of run(), the arrivals to queue 1 and to queue 2.
+_ON = tuple(s in REWARD1_STATES + REWARD2_STATES for s in range(8))
+_ARRIVED1, _ARRIVED2 = tuple(b >> 2 & 1 for b in range(16)), tuple(b >> 3 for b in range(16))
+
+
 def run(config: SimConfig) -> Metrics:
-    """Execute the slot contract for `horizon` slots, the server starting at queue 1."""
+    """Execute the slot contract for `horizon` slots, the server starting at queue 1.
+
+    The slots are read one packed byte each, in segments between the slots
+    where a run notes its marks, starts a frame or writes a trace row, so
+    that no slot tests for them.
+    """
     H, warmup = config.horizon, config.warmup
     rng = np.random.default_rng(config.seed)
     c1s, c2s = ch.generate_paths(config.channel, H, rng)
@@ -156,66 +167,92 @@ def run(config: SimConfig) -> Metrics:
                        switch_count=switches, window_means=None, verdict=None)
     arrived = next(ch.bit_chunks([rng], [[config.lambda1], [config.lambda2]], H, H))[:, 0]
     arrivals_pre, arrivals = arrived[:, :warmup].sum(axis=1).tolist(), arrived.sum(axis=1).tolist()
-    a1s, a2s = arrived.view(np.int8).tolist()
+    # one byte per slot: the channel symbol state_index(1, c1, c2) in bits 0-1, the arrivals in bits 2 and 3
+    bits = arrived.view(np.int8)
+    slots = (state_index(1, c1s, c2s) | bits[0] << 2 | bits[1] << 3).astype(np.uint8).tobytes()
 
-    framed, myopic, gated = kind in ("fbdc", "myopic"), kind == "myopic", kind == "gated"
+    myopic, gated, per_slot = kind == "myopic", kind == "gated", kind == "myopic" and T == 1
     if myopic:
         credit = pol.myopic_table(config.channel, cfg_pol.k)
         myopic_action = pol.myopic_action
     polling_action = pol.polling_action
+    on, arrived1, arrived2 = _ON, _ARRIVED1, _ARRIVED2
 
-    m = 1
+    # segments end at the marks, at frame starts (per-slot myopic reads the current queues in
+    # the loop instead) and around each traced slot
+    trace_every = config.trace_every
+    marks = _marks(H, warmup)
+    cuts = {0, H, *marks}
+    if kind == "fbdc" or (myopic and not per_slot):
+        cuts.update(range(0, H, T))
+    if trace_every:
+        cuts.update(t + d for t in range(0, H, trace_every) for d in (0, 1) if t + d < H)
+    cuts = sorted(cuts)
+    marks = iter(marks)
+
+    m4 = 0  # 4 * (m - 1) for the server at queue m, so that m4 | symbol is the state index
     q1 = q2 = qsum = 0  # qsum: occupancy summed over every slot so far
+    w1 = w2 = 0  # myopic: the queue weights of the frame
     switch_count = 0
     gate = 0  # gated: packets found at the current queue on arrival and not yet served
     just_arrived = True
-    q1_frame = q2_frame = 0
-    marks = iter(_marks(H, warmup))
     mark, noted = next(marks), []
     trace_rows: list[tuple] = []
-    trace_every = config.trace_every
 
-    for t, c1, c2, a1, a2 in zip(range(H), c1s.tolist(), c2s.tolist(), a1s, a2s):
-        if t == mark:
+    for t0, t1 in zip(cuts, cuts[1:]):
+        if t0 == mark:
             noted.append((qsum, q1, q2))
             mark = next(marks, -1)
-        if framed and t % T == 0:
-            q1_frame, q2_frame = q1, q2
-            if not myopic:
-                table = pol.fbdc_frame_start(epsilon, q1_frame, q2_frame)
+        if t0 % T == 0:  # a frame start; every segment starts one when T = 1
+            w1, w2 = q1, q2
+            if kind == "fbdc":
+                table = pol.fbdc_frame_start(epsilon, w1, w2)
+        traced = trace_every and t0 % trace_every == 0
+        if traced:
+            m4_0, q1_0, q2_0, switches_0 = m4, q1, q2, switch_count
 
-        # stage 2: observe and decide
-        if table is not None:
-            action = table[(m - 1) * 4 + (1 - c1) * 2 + (1 - c2)]
-        elif myopic:
-            action = myopic_action(credit, (m - 1) * 4 + (1 - c1) * 2 + (1 - c2), q1_frame, q2_frame)
-        elif gated:
-            if just_arrived:
-                gate = q1 if m == 1 else q2
-                just_arrived = False
-            action = polling_action(gate)
-        else:  # exhaustive
-            action = polling_action(q1 if m == 1 else q2)
-        qsum += q1 + q2
+        for b in slots[t0:t1]:
+            # stage 2: observe and decide
+            s = m4 | b & 3
+            if table is not None:
+                action = table[s]
+            elif myopic:
+                if per_slot:
+                    w1, w2 = q1, q2
+                action = myopic_action(credit, s, w1, w2)
+            elif gated:
+                if just_arrived:
+                    gate = q2 if m4 else q1
+                    just_arrived = False
+                action = polling_action(gate)
+            else:  # exhaustive
+                action = polling_action(q2 if m4 else q1)
+            qsum += q1 + q2
 
-        # stage 3: serve or switch
-        dep1 = dep2 = 0
-        if action == STAY:
-            if m == 1:
-                dep1 = 1 if c1 and q1 else 0
+            # stage 3: serve or switch
+            if action == STAY:
+                if on[s]:
+                    if m4:
+                        if q2:
+                            q2 -= 1
+                            gate -= 1
+                    elif q1:
+                        q1 -= 1
+                        gate -= 1
             else:
-                dep2 = 1 if c2 and q2 else 0
-        if trace_every and t % trace_every == 0:
-            trace_rows.append((t, m, c1, c2, q1, q2, action, dep1, dep2))
-        if action != STAY:
-            m = 3 - m
-            switch_count += 1
-            just_arrived = True
-        gate -= dep1 + dep2
+                m4 ^= 4
+                switch_count += 1
+                just_arrived = True
 
-        # stage 4: arrivals
-        q1 += a1 - dep1
-        q2 += a2 - dep2
+            # stage 4: arrivals
+            q1 += arrived1[b]
+            q2 += arrived2[b]
+
+        if traced:  # a segment of one slot: its action and departures from the state before and after it
+            b = slots[t0]
+            action = STAY if switch_count == switches_0 else SWITCH
+            trace_rows.append((t0, 1 + (m4_0 >> 2), 1 - (b >> 1 & 1), 1 - (b & 1), q1_0, q2_0, action,
+                               q1_0 + arrived1[b] - q1, q2_0 + arrived2[b] - q2))
 
     noted.append((qsum, q1, q2))
     return _metrics(H - warmup, noted, switch_count, arrivals_pre, arrivals, trace_rows)
@@ -234,6 +271,7 @@ def run(config: SimConfig) -> Metrics:
 # tables.  The policies of one action per slot keep id 0 in the offset,
 # so that the entry before their decision is the state index itself.
 
+MAX_BATCH_HORIZON = 2**31 - 1  # no count or sum of run_batch exceeds 2 * H * H, which stays below 2**63
 _CHUNK_SYMBOLS = 2**16  # cells x slots of each stream held at once
 _MIN_CHUNK = 1024  # slots per chunk, however many cells
 _BLOCK_SYMBOLS = 2**13  # cells x slots per block of int64 rows, at least a slot: equal types skip ufunc casts
@@ -279,7 +317,7 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
         if replace(config, lambda1=first.lambda1, lambda2=first.lambda2, seed=first.seed) != first:
             raise ValueError("batched configs may differ in lambda1, lambda2 and seed only")
     H, warmup, n_cells = first.horizon, first.warmup, len(configs)
-    if 2 * H * H >= 2**63:  # no count or sum below exceeds 2 * H * H; run() has no such limit
+    if H > MAX_BATCH_HORIZON:  # run() has no such limit
         raise OverflowError("horizon too long for the lock-step engine's int64 sums")
     policy = first.policy
     kind, epsilon, T, table = policy.kind, first.channel.epsilon, policy.T, policy.table
@@ -288,7 +326,7 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     one_action = table is None and kind != "fbdc"
     offset = np.full(n_cells, 8 * policy_id)  # every server starts at queue 1
     if kind == "myopic":
-        credit = np.array(pol.myopic_table(first.channel, policy.k))
+        credit = tuple(np.array(row) for row in pol.myopic_table(first.channel, policy.k))
     gate, just_arrived = np.zeros(n_cells, dtype=np.int64), np.ones(n_cells, dtype=bool)
 
     size = min(H, max(_MIN_CHUNK, _CHUNK_SYMBOLS // n_cells))
@@ -299,6 +337,7 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     chunks = zip(range(0, H, size), paths, ch.bit_chunks(rngs, rates, H, size))
 
     q = np.zeros((2, n_cells), dtype=np.int64)
+    weights = tuple(q)  # myopic: views of the current queues, which per-slot myopic (T = 1) weighs
     occupancy = q.copy()  # per queue, summed over every slot so far
     arrivals, arrivals_pre = q.copy(), q.copy()
     switches4 = np.zeros(n_cells, dtype=np.int64)
@@ -318,8 +357,8 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
             np.add(offset, symbol, out=index)
             if one_action:  # offset is 4 * (m - 1), so index is the state; the action picks its table
                 if kind == "myopic":
-                    if t % T == 0:
-                        weights = q.astype(float)  # the scalar rule's int * float converts the same way
+                    if T > 1 and t % T == 0:
+                        weights = tuple(q.copy())  # int64 * float64 gives the scalar rule's int * float
                     action = pol.myopic_action(credit, index, *weights)
                 else:
                     counter = np.where(offset, q[1], q[0])

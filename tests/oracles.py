@@ -5,16 +5,19 @@ by a generic reachability closure, the paper's FBDC queue-ratio thresholds,
 a region's polygon and the Hausdorff distance between two regions, the
 myopic decisions at all eight states for fixed weights, the myopic rule
 as two branches on the server position, the 256 chain laws by one solve
-per policy, and the psi minimisation by one array pass per epsilon.
+per policy, the psi minimisation by one array pass per epsilon, and
+sim.run's slot loop with a test for marks, frames and trace rows in every slot.
 """
 
 import math
 
 import numpy as np
 
+from switchq import channels as ch
 from switchq import experiments as exp
 from switchq import mdp
 from switchq import policies as pol
+from switchq import sim
 from switchq.mdp import N_STATES, STATES, STAY, SWITCH, state_index
 from switchq.region import EPS_CRITICAL, _cross, _dist
 
@@ -200,3 +203,81 @@ def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):
         results.append(exp.PsiRegionResult(case, name, bound, best[0], best[1], best[2]))
         global_min = min(global_min, best[0])
     return exp.PsiReport(tuple(results), global_min)
+
+
+def slot_loop_run(config):
+    """sim.run by the plain slot loop: every slot tests for a mark, a frame start and a trace row.
+
+    The queue-free saturated runs are not covered; sim.run gives them to
+    the saturated engine.
+    """
+    if config.saturated:
+        raise ValueError("the slot loop has no saturated mode")
+    H, warmup = config.horizon, config.warmup
+    rng = np.random.default_rng(config.seed)
+    c1s, c2s = ch.generate_paths(config.channel, H, rng)
+    cfg_pol = config.policy
+    kind, epsilon, T, table = cfg_pol.kind, config.channel.epsilon, cfg_pol.T, cfg_pol.table
+    arrived = next(ch.bit_chunks([rng], [[config.lambda1], [config.lambda2]], H, H))[:, 0]
+    arrivals_pre, arrivals = arrived[:, :warmup].sum(axis=1).tolist(), arrived.sum(axis=1).tolist()
+    a1s, a2s = arrived.view(np.int8).tolist()
+
+    framed, myopic, gated = kind in ("fbdc", "myopic"), kind == "myopic", kind == "gated"
+    if myopic:
+        credit = pol.myopic_table(config.channel, cfg_pol.k)
+
+    m = 1
+    q1 = q2 = qsum = 0  # qsum: occupancy summed over every slot so far
+    switch_count = 0
+    gate = 0  # gated: packets found at the current queue on arrival and not yet served
+    just_arrived = True
+    q1_frame = q2_frame = 0
+    marks = iter(sim._marks(H, warmup))
+    mark, noted = next(marks), []
+    trace_rows = []
+    trace_every = config.trace_every
+
+    for t, c1, c2, a1, a2 in zip(range(H), c1s.tolist(), c2s.tolist(), a1s, a2s):
+        if t == mark:
+            noted.append((qsum, q1, q2))
+            mark = next(marks, -1)
+        if framed and t % T == 0:
+            q1_frame, q2_frame = q1, q2
+            if not myopic:
+                table = pol.fbdc_frame_start(epsilon, q1_frame, q2_frame)
+
+        # stage 2: observe and decide
+        if table is not None:
+            action = table[(m - 1) * 4 + (1 - c1) * 2 + (1 - c2)]
+        elif myopic:
+            action = pol.myopic_action(credit, (m - 1) * 4 + (1 - c1) * 2 + (1 - c2), q1_frame, q2_frame)
+        elif gated:
+            if just_arrived:
+                gate = q1 if m == 1 else q2
+                just_arrived = False
+            action = pol.polling_action(gate)
+        else:  # exhaustive
+            action = pol.polling_action(q1 if m == 1 else q2)
+        qsum += q1 + q2
+
+        # stage 3: serve or switch
+        dep1 = dep2 = 0
+        if action == STAY:
+            if m == 1:
+                dep1 = 1 if c1 and q1 else 0
+            else:
+                dep2 = 1 if c2 and q2 else 0
+        if trace_every and t % trace_every == 0:
+            trace_rows.append((t, m, c1, c2, q1, q2, action, dep1, dep2))
+        if action != STAY:
+            m = 3 - m
+            switch_count += 1
+            just_arrived = True
+        gate -= dep1 + dep2
+
+        # stage 4: arrivals
+        q1 += a1 - dep1
+        q2 += a2 - dep2
+
+    noted.append((qsum, q1, q2))
+    return sim._metrics(H - warmup, noted, switch_count, arrivals_pre, arrivals, trace_rows)

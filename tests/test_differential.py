@@ -69,7 +69,7 @@ def test_iid_suite_csv_digest():
 
 def test_sweep_and_iid_digests_on_the_lockstep_engine(monkeypatch):
     # the grids above are too small for sim.run_batch by default; here it runs every one of them
-    monkeypatch.setattr(exp, "_LOCKSTEP_MIN_CELLS", 1)
+    monkeypatch.setattr(exp, "_LOCKSTEP_MIN_CELLS", dict.fromkeys(pol.POLICY_KINDS, 1))
     for policy, digest in SWEEP_DIGESTS.items():
         spec = exp.GridSpec(policies=(policy,), epsilon=0.4, step=0.1, horizon=5000, seed=77)
         assert _sha(exp.rows_to_csv(exp.SWEEP_HEADER, exp.sweep(spec))) == digest, policy.label()

@@ -278,6 +278,25 @@ def test_iid_suite_rows():
     assert all(r[3] == r[4] == 0.15 for r in rows)
 
 
+def test_each_policy_kind_has_its_engine_crossover(monkeypatch):
+    # the paper-style grid (epsilon 0.25, step 0.05: 89 cells) runs lock-step for fbdc and myopic,
+    # and the iid suite's 5 loads per policy run per cell
+    assert set(exp._LOCKSTEP_MIN_CELLS) == set(pol.POLICY_KINDS)
+    spec = exp.GridSpec(policies=(pol.PolicyConfig("fbdc", T=25), pol.PolicyConfig("myopic", T=1)),
+                        epsilon=0.25, step=0.05, horizon=20, seed=3)
+    batched, run_batch = [], exp.sim.run_batch
+
+    def noting_run_batch(configs):
+        batched.append(configs[0].policy.kind)
+        return run_batch(configs)
+
+    monkeypatch.setattr(exp.sim, "run_batch", noting_run_batch)
+    assert len(exp.sweep(spec)) == 2 * 89
+    assert batched == ["fbdc", "myopic"]
+    exp.iid_suite(0.5, 0.5, (0.6, 0.8, 0.9, 1.1, 1.2), horizon=4000, seed=1)
+    assert batched == ["fbdc", "myopic"]
+
+
 def test_float_formatting_roundtrips():
     for x in (0.1, 1 / 3, 0.25, 1e-9, np.float64(0.9002)):
         assert float(exp._fmt(x)) == x

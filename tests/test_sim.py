@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import slot_loop_run
 
 from switchq import channels as ch
 from switchq import mdp
@@ -246,6 +247,33 @@ def batches(draw):
 def test_run_batch_equals_per_cell_runs(configs):
     expected = [dataclasses.asdict(sim.run(c)) for c in configs]
     assert [dataclasses.asdict(m) for m in sim.run_batch(configs)] == expected
+
+
+@st.composite
+def single_runs(draw):
+    """One config of any policy, channel, warmup and trace period, horizons short enough to span few frames."""
+    policy = draw(st.one_of(MARKOV_POLICIES, ANY_CHANNEL_POLICIES))
+    markov = policy.kind in ("fbdc", "myopic")
+    channel = draw(GE_CHANNELS if markov else st.one_of(GE_CHANNELS, IID_CHANNELS))
+    horizon = draw(st.integers(1, 300))
+    # the default warmup, none, any, and one that leaves fewer than 4 post-warmup slots
+    short_post = st.integers(max(0, horizon - 3), horizon - 1)
+    warmup = draw(st.one_of(st.none(), st.just(0), st.integers(0, horizon - 1), short_post))
+    trace_every = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 40)))
+    rate = st.floats(0.0, 1.0)
+    return sim.SimConfig(draw(rate), draw(rate), channel, policy, horizon, draw(st.integers(0, 2**32)),
+                         warmup=warmup, trace_every=trace_every)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(single_runs())
+@hypothesis.example(make_config(policy=pol.PolicyConfig("myopic", T=1, k=2), horizon=301, trace_every=7))
+@hypothesis.example(make_config(policy=pol.PolicyConfig("fbdc", T=7), horizon=100, warmup=97, trace_every=1))
+@hypothesis.example(make_config(policy=pol.PolicyConfig("gated"), channel=ch.iid(0.5, 0.5), lambda1=0.3,
+                                lambda2=0.3, horizon=500, warmup=0))
+def test_run_equals_the_slot_loop(config):
+    # every Metrics field, trace rows included, equals the loop that tests each slot for a mark, a frame and a row
+    assert dataclasses.asdict(sim.run(config)) == dataclasses.asdict(slot_loop_run(config))
 
 
 def test_run_batch_equals_per_cell_runs_over_several_chunks():
