@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ON = 1
-OFF = 0
-
 IID = "iid"
 GILBERT_ELLIOTT = "gilbert_elliott"
 
@@ -69,27 +66,6 @@ def sample_initial(model: ChannelModel, rng: np.random.Generator) -> tuple[int, 
     if model.kind != GILBERT_ELLIOTT:
         raise ValueError("the slot-0 draw is only defined for the gilbert_elliott model")
     return int(rng.random() < 0.5), int(rng.random() < 0.5)
-
-
-def predict(model: ChannelModel, c: int, tau: int) -> float:
-    """Expected channel state tau slots ahead given the current state.
-
-    Uses the eigendecomposition of the symmetric 2x2 chain:
-    E[C(t+tau) | C(t)=c] = 1/2 +/- (1/2) (1 - 2 eps)^tau.
-    Only defined for the Markov model; under iid the conditional mean is
-    just p_i and must not be routed through here.
-    """
-    if model.kind != GILBERT_ELLIOTT:
-        raise ValueError("prediction is only defined for the gilbert_elliott model")
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    sign = 1.0 if c == ON else -1.0
-    return 0.5 + sign * 0.5 * (1.0 - 2.0 * model.epsilon) ** tau
-
-
-def lookahead_sum(model: ChannelModel, c: int, k: int) -> float:
-    """Sum of predict(c, tau) for tau = 1..k, the k-slot expected service credit."""
-    return sum(predict(model, c, tau) for tau in range(1, k + 1))
 
 
 def generate_paths(model: ChannelModel, horizon: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

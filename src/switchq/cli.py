@@ -129,17 +129,14 @@ def _cmd_saturated(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    if not args.eps_step > 0:
-        raise ValueError(f"--eps-step must be positive, got {args.eps_step}")
-    report = exp.verify_psi(args.eps_step, args.ratio_points)
+    rows = exp.verify_psi(args.eps_step, args.ratio_points)
     header = ("case", "region", "bound", "minimum", "argmin_epsilon", "argmin_ratio")
-    _write(args.out, exp.rows_to_csv(header, report.rows()))
+    _write(args.out, exp.rows_to_csv(header, rows))
     if args.check:
-        bad = [r for r in report.regions if r.minimum < r.bound - 1e-6]
-        if bad or report.global_minimum < exp.PSI_GLOBAL_BOUND - 1e-6:
+        if any(minimum < bound - 1e-6 for _, _, bound, minimum, _, _ in rows):
             print("psi check FAILED", file=sys.stderr)
             return 2
-        print(f"psi check ok: global minimum {report.global_minimum:.6f} >= {exp.PSI_GLOBAL_BOUND}")
+        print(f"psi check ok: global minimum {rows[-1][3]:.6f} >= {exp.PSI_GLOBAL_BOUND}")
     return 0
 
 
@@ -167,12 +164,8 @@ def _cmd_iid(args) -> int:
     rows = exp.iid_suite(args.p1, args.p2, rho_points, horizon=args.horizon, seed=args.seed)
     _write(args.out, exp.rows_to_csv(exp.IID_HEADER, rows))
     if args.check:
-        for row in rows:
-            rho, verdict = row[2], row[6]
-            if rho < 1.0 and verdict != "stable":
-                print(f"iid check FAILED: rho={rho} came back {verdict}", file=sys.stderr)
-                return 2
-            if rho > 1.0 and verdict != "unstable":
+        for rho, verdict in ((row[2], row[6]) for row in rows if row[2] != 1.0):
+            if verdict != ("stable" if rho < 1.0 else "unstable"):
                 print(f"iid check FAILED: rho={rho} came back {verdict}", file=sys.stderr)
                 return 2
         print("iid check ok")
@@ -182,10 +175,13 @@ def _cmd_iid(args) -> int:
 def _cmd_trace(args) -> int:
     if args.warmup >= args.horizon:
         raise ValueError(f"--warmup must be below --horizon, got {args.warmup} >= {args.horizon}")
+    if args.epsilon is not None and (args.p1, args.p2) != (None, None):
+        raise ValueError(f"{'--p1' if args.p1 is not None else '--p2'} does not apply with --epsilon")
     config = sim.SimConfig(
         lambda1=args.lambda1,
         lambda2=args.lambda2,
-        channel=ch.gilbert_elliott(args.epsilon) if args.epsilon is not None else ch.iid(args.p1, args.p2),
+        channel=ch.gilbert_elliott(args.epsilon) if args.epsilon is not None
+        else ch.iid(0.5 if args.p1 is None else args.p1, 0.5 if args.p2 is None else args.p2),
         policy=_policy_from_args(args),
         horizon=args.horizon,
         warmup=args.warmup,
@@ -272,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="per-slot CSV trace of one run")
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--p1", type=float, default=0.5)
-    p.add_argument("--p2", type=float, default=0.5)
+    p.add_argument("--p1", type=float, help="iid ON probability, without --epsilon (default 0.5)")
+    p.add_argument("--p2", type=float, help="iid ON probability, without --epsilon (default 0.5)")
     p.add_argument("--lambda1", type=float, required=True)
     p.add_argument("--lambda2", type=float, required=True)
     _add_policy(p, "exhaustive")

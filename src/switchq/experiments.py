@@ -29,6 +29,11 @@ from .region import (
     weighted_corner_maps,
 )
 
+# The most points a sweep or psi grid may sample, checked before it is built:
+# about 2.1 s of grid_points (step 1e-3, 166k cells to simulate) and 0.25 s
+# of verify_psi on a 2-vCPU Xeon.
+MAX_GRID_POINTS = 10**6
+
 SWEEP_HEADER = ("epsilon", "lambda1", "lambda2", "policy", "T", "k", "q_avg", "rate1", "rate2", "stable")
 
 
@@ -63,19 +68,15 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.step > 0:  # false for nan too
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not self.step >= MAX_GRID_POINTS ** -0.5:  # false for nan too; grid_points tests about 1 / step**2 points
+            raise ValueError(f"--step must be at least {MAX_GRID_POINTS ** -0.5} (MAX_GRID_POINTS = "
+                             f"{MAX_GRID_POINTS:,}), got {self.step}")
         if not 0 < self.boundary_margin < math.inf:
             raise ValueError(f"boundary_margin must be positive and finite, got {self.boundary_margin}")
         if self.horizon - self.warmup < 4:
             raise ValueError(f"horizon - warmup must be >= 4 slots, got {self.horizon} - {self.warmup}")
-        if (self.epsilon is None) == (self.p1 is None or self.p2 is None):
-            raise ValueError("give either epsilon or both p1 and p2")
-
-    def channel(self) -> ch.ChannelModel:
-        if self.epsilon is not None:
-            return ch.gilbert_elliott(self.epsilon)
-        return ch.iid(self.p1, self.p2)
+        if (self.epsilon is None) == (self.p1 is None) or (self.p1 is None) != (self.p2 is None):
+            raise ValueError("give either --epsilon or both --p1 and --p2")
 
     def region(self):
         if self.epsilon is not None:
@@ -149,7 +150,8 @@ def sweep(spec: GridSpec) -> list[tuple]:
     """Run every (lambda1, lambda2, policy) cell of the grid, seeded as _run_grid does, and classify stability."""
     eps_field = spec.epsilon if spec.epsilon is not None else ""
     points = grid_points(spec)
-    results = _run_grid(points, spec.policies, spec.channel(), spec.horizon, spec.seed, spec.warmup)
+    channel = ch.gilbert_elliott(spec.epsilon) if spec.epsilon is not None else ch.iid(spec.p1, spec.p2)
+    results = _run_grid(points, spec.policies, channel, spec.horizon, spec.seed, spec.warmup)
     return [
         (eps_field, lam1, lam2, config.label(), config.T, config.k,
          metrics.q_avg, metrics.rate1, metrics.rate2, metrics.verdict)
@@ -267,28 +269,6 @@ def psi_value(epsilon, ratio):
     return psi, ids[my], ids[opt]
 
 
-@dataclass(frozen=True)
-class PsiRegionResult:
-    case: str
-    region: str
-    bound: float
-    minimum: float
-    argmin_epsilon: float
-    argmin_ratio: float
-
-
-@dataclass(frozen=True)
-class PsiReport:
-    regions: tuple[PsiRegionResult, ...]
-    global_minimum: float  # held to PSI_GLOBAL_BOUND
-
-    def rows(self):
-        out = [(r.case, r.region, r.bound, r.minimum, r.argmin_epsilon, r.argmin_ratio)
-               for r in self.regions]
-        out.append(("global", "", PSI_GLOBAL_BOUND, self.global_minimum, float("nan"), float("nan")))
-        return out
-
-
 def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -315,7 +295,7 @@ def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
 _PSI_BLOCK = 4096
 
 
-def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) -> PsiReport:
+def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) -> list[tuple]:
     """Numerically minimize the weighted-rate ratio over every discrepant band.
 
     The bands are open (strict threshold inequalities), so the grid samples
@@ -327,11 +307,16 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
     is evaluated in array passes of psi_value over blocks of epsilon rows,
     at most _PSI_BLOCK points each (at least one row); the first minimum
     in (epsilon, ratio) order wins, as strict < across blocks keeps it.
-    The refinement calls psi_value on scalars.
+    The refinement calls psi_value on scalars.  Returns one row (case,
+    region, bound, minimum, argmin_epsilon, argmin_ratio) per band, then
+    ("global", "", PSI_GLOBAL_BOUND, the least minimum, nan, nan).
     """
+    width = sum(hi - lo for _, _, (lo, hi), _, _ in PSI_REGIONS)  # about width / step epsilon rows in all
+    if not ratio_grid_points * width <= MAX_GRID_POINTS * epsilon_grid_step:  # false for a step <= 0 or nan
+        raise ValueError(f"--eps-step must be positive and, with --ratio-points {ratio_grid_points}, sample at most "
+                         f"MAX_GRID_POINTS = {MAX_GRID_POINTS:,} points, got {epsilon_grid_step}")
     rows = max(1, _PSI_BLOCK // ratio_grid_points)
     results = []
-    global_min = math.inf
     for case, name, (eps_lo, eps_hi), ratio_iv, bound in PSI_REGIONS:
         k_lo = math.floor(eps_lo / epsilon_grid_step) + 1
         k_end = math.ceil(eps_hi / epsilon_grid_step)
@@ -355,9 +340,8 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
         x, v = _golden_min(lambda r: psi_value(e_star, r)[0], *best[3])
         if v < best[0]:
             best = (v, e_star, x, best[3])
-        results.append(PsiRegionResult(case, name, bound, best[0], best[1], best[2]))
-        global_min = min(global_min, best[0])
-    return PsiReport(tuple(results), global_min)
+        results.append((case, name, bound, best[0], best[1], best[2]))
+    return results + [("global", "", PSI_GLOBAL_BOUND, min(r[3] for r in results), math.nan, math.nan)]
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +365,8 @@ def throughput_gap(
     """
     from .mdp import build_kernel, policy_rates, state_index, stationary_distribution
 
-    luts = sim._saturated_luts([pol.CORNER_TABLES[corner]])
-    kernel = build_kernel(epsilon)
-    pi = stationary_distribution(kernel, pol.CORNER_TABLES[corner])
-    r1, r2 = policy_rates(pi, pol.CORNER_TABLES[corner])
+    table = pol.CORNER_TABLES[corner]
+    r1, r2 = policy_rates(stationary_distribution(build_kernel(epsilon), table), table)
     rng = np.random.default_rng(seed)
     out = []
     for T in t_list:
@@ -398,12 +380,7 @@ def throughput_gap(
         c1s = np.logical_xor.accumulate(flips1) ^ (c1 == 1)
         c2s = np.logical_xor.accumulate(flips2) ^ (c2 == 1)
         x = state_index(1, c1s.astype(np.int8), c2s.astype(np.int8))
-        departures = 0
-        for f in range(0, n_frames, sim._ROWS):
-            _, counts = sim._saturated_steps(luts, m[f : f + sim._ROWS] - 1, x[:, f : f + sim._ROWS])
-            departures += int(counts[:2].sum())
-        deficit = (r1 + r2) - departures / (n_frames * T)
-        out.append((T, deficit))
+        out.append((T, (r1 + r2) - sim.saturated_frame_departures(table, m, x) / (n_frames * T)))
     return out
 
 

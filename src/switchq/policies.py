@@ -110,27 +110,23 @@ def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
     return CORNER_TABLES[fbdc_corner_map(epsilon, q1_frame, q2_frame)]
 
 
-def myopic_credit(model: ch.ChannelModel, k: int) -> tuple[float, float]:
-    """(sigma_off, sigma_on): k-slot expected service credit of a channel now OFF / ON.
-
-    Indexed by the current channel value, so ``sigma[c]`` is the credit of
-    a channel in state c.  Raises ValueError for iid channels, where the
-    lookahead prediction is undefined.
-    """
-    return ch.lookahead_sum(model, ch.OFF, k), ch.lookahead_sum(model, ch.ON, k)
-
-
 def myopic_table(model: ch.ChannelModel, k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The signed credit (u, v) of myopic_action, one entry per state in the fixed order.
 
-    State (1, c1, c2) has (c1 + sigma[c1], sigma[c2]): the current queue
-    counts its live channel plus the lookahead credit, the other queue the
-    credit only, reflecting the slot lost to switching.  State (2, c1, c2)
-    has (-sigma[c1], -(c2 + sigma[c2])), the same comparison with the
-    queues' roles swapped, negated so that queue 1's weight stays on the
-    left.  Negation is exact, so every tie goes the same way as unnegated.
+    sigma[c], the k-slot credit of a channel now in state c, sums
+    E[C(t+tau) | C(t) = c] = 1/2 +/- (1/2) (1 - 2 eps)^tau (+ for ON) over
+    tau = 1..k; iid channels have no such credit (ValueError).  State
+    (1, c1, c2) has (c1 + sigma[c1], sigma[c2]): the current queue counts
+    its live channel plus the credit, the other queue the credit only, for
+    the slot lost to switching.  State (2, c1, c2) has (-sigma[c1],
+    -(c2 + sigma[c2])), the same comparison with the queues swapped, negated
+    so that queue 1's weight stays on the left; negation is exact, so every
+    tie goes the same way as unnegated.
     """
-    sigma = myopic_credit(model, k)
+    if model.kind != ch.GILBERT_ELLIOTT:
+        raise ValueError("the myopic credit is only defined for the gilbert_elliott model")
+    sigma = [sum(0.5 + sign * 0.5 * (1.0 - 2.0 * model.epsilon) ** tau for tau in range(1, k + 1))
+             for sign in (-1.0, 1.0)]
     rows = [(c1 + sigma[c1], sigma[c2]) if m == 1 else (-sigma[c1], -(c2 + sigma[c2])) for m, c1, c2 in STATES]
     return tuple(zip(*rows))
 

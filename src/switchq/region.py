@@ -237,14 +237,6 @@ def _first_near_max(values: np.ndarray) -> np.ndarray:
     return (values >= values.max(axis=0) * _TIED).argmax(axis=0)
 
 
-def _fbdc_positions(epsilon: float, q1, q2) -> np.ndarray:
-    """fbdc_corner_map on arrays of queues, as positions in corner_points(epsilon) order."""
-    q1, q2 = _queue_arrays(q1, q2)
-    xy = _corner_table(epsilon)[1]
-    x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
-    return _first_near_max(x * q1 + y * q2)  # one row per corner
-
-
 def fbdc_corner_map(epsilon: float, q1, q2, choices=None):
     """Frontier corner maximizing q1*r1 + q2*r2 (arrays of finite queues map elementwise).
 
@@ -253,9 +245,11 @@ def fbdc_corner_map(epsilon: float, q1, q2, choices=None):
     With ``choices`` (an array when the queues are), the entry at the
     corner's position in corner_points order is returned in place of its id.
     """
-    triples, _, ids = _corner_table(epsilon)
+    triples, xy, ids = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
-        return (ids if choices is None else choices)[_fbdc_positions(epsilon, q1, q2)]
+        q1, q2 = _queue_arrays(q1, q2)
+        x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
+        return (ids if choices is None else choices)[_first_near_max(x * q1 + y * q2)]  # one row per corner
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
     q1, q2 = float(q1), float(q2)  # float products are faster than int ones, and the same

@@ -422,6 +422,14 @@ def saturated_rates_batch(
     return np.stack(_saturated_path(luts, x[warmup:], state)[1][:2], axis=1) / float(horizon)
 
 
+def saturated_frame_departures(table: tuple[int, ...], m: np.ndarray, x: np.ndarray) -> int:
+    """Saturated departures of a fixed table summed over frames stepped side by side, frame f
+    from queue m[f] through the channel symbols x[:, f] (time first)."""
+    luts = _saturated_luts([table])
+    return sum(int(_saturated_steps(luts, m[f : f + _ROWS] - 1, x[:, f : f + _ROWS])[1][:2].sum())
+               for f in range(0, len(m), _ROWS))
+
+
 # ---------------------------------------------------------------------------
 # saturated engine
 #

@@ -3,8 +3,10 @@
 The saturated chain's kernel filled entry by entry and its recurrent class
 by a generic reachability closure, the paper's FBDC queue-ratio thresholds,
 a region's polygon and the Hausdorff distance between two regions, the
-myopic decisions at all eight states for fixed weights, the myopic rule
-as two branches on the server position, the 256 chain laws by one solve
+expected channel state tau slots ahead by matrix powers, the myopic
+credit read back from myopic_table, the myopic decisions at all eight
+states for fixed weights, the myopic rule as two branches on the server
+position, the 256 chain laws by one solve
 per policy, the psi minimisation by one array pass per epsilon, and
 sim.run's slot loop with a test for marks, frames and trace rows in every slot.
 """
@@ -123,8 +125,24 @@ def myopic_policy_table(model, k, q1, q2):
     return tuple(pol.myopic_action(credit, s, q1, q2) for s in range(N_STATES))
 
 
+def channel_prediction(epsilon, c, tau):
+    """E[C(t+tau) | C(t) = c] of the symmetric ON/OFF chain, read from the tau-th power of its matrix."""
+    P = np.array([[1 - epsilon, epsilon], [epsilon, 1 - epsilon]])  # rows and columns ON, OFF
+    return float(np.linalg.matrix_power(P, tau)[1 - c, 0])
+
+
+def myopic_sigma(model, k):
+    """The k-slot credit (sigma[0], sigma[1]) of a channel now OFF / ON, as myopic_table holds it.
+
+    At state (1, 1, c2) the table's v entry is sigma[c2] itself, with no
+    arithmetic on it, so the credit comes back bit for bit.
+    """
+    v = pol.myopic_table(model, k)[1]
+    return v[state_index(1, 1, 0)], v[state_index(1, 1, 1)]
+
+
 def myopic_reference(sigma, m, c1, c2, w1, w2):
-    """The myopic rule as two branches on the server position, from the credit sigma of myopic_credit.
+    """The myopic rule as two branches on the server position, from the credit sigma of myopic_sigma.
 
     The current queue weighs its live channel plus the lookahead credit,
     the other queue the credit only.  An array ``m`` maps elementwise (the
@@ -180,7 +198,6 @@ def per_policy_enumeration(epsilon):
 def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):
     """verify_psi with one array pass of psi_value per epsilon, the band minimum kept on strict <."""
     results = []
-    global_min = math.inf
     for case, name, (eps_lo, eps_hi), ratio_iv, bound in exp.PSI_REGIONS:
         k_lo = math.floor(eps_lo / epsilon_grid_step) + 1
         k_hi = math.ceil(eps_hi / epsilon_grid_step) - 1
@@ -200,9 +217,8 @@ def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):
         x, v = exp._golden_min(lambda r: exp.psi_value(e_star, r)[0], *best[3])
         if v < best[0]:
             best = (v, e_star, x, best[3])
-        results.append(exp.PsiRegionResult(case, name, bound, best[0], best[1], best[2]))
-        global_min = min(global_min, best[0])
-    return exp.PsiReport(tuple(results), global_min)
+        results.append((case, name, bound, best[0], best[1], best[2]))
+    return results + [("global", "", exp.PSI_GLOBAL_BOUND, min(row[3] for row in results), math.nan, math.nan)]
 
 
 def slot_loop_run(config):

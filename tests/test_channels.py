@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import channel_prediction, myopic_sigma
 from switchq import channels as ch
+from switchq import policies as pol
 
 
 def test_model_validation():
@@ -71,31 +73,34 @@ def test_step_iid_independent_of_input():
         assert abs(_on_after(path, 0) - p) < 0.01
 
 
+def _increment(model, c, tau):
+    """sigma_tau - sigma_(tau-1) of a channel now in state c, the credit myopic_table gains at lookahead tau."""
+    return myopic_sigma(model, tau)[c] - myopic_sigma(model, tau - 1)[c]
+
+
 def test_predict_one_step():
     for eps in (0.05, 0.25, 0.5):
         model = ch.gilbert_elliott(eps)
-        assert ch.predict(model, 1, 1) == pytest.approx(1 - eps, abs=1e-15)
-        assert ch.predict(model, 0, 1) == pytest.approx(eps, abs=1e-15)
+        assert _increment(model, 1, 1) == pytest.approx(1 - eps, abs=1e-15)
+        assert _increment(model, 0, 1) == pytest.approx(eps, abs=1e-15)
 
 
 def test_predict_two_step_value():
-    assert ch.predict(ch.gilbert_elliott(0.25), 1, 2) == pytest.approx(0.625, abs=1e-15)
+    assert _increment(ch.gilbert_elliott(0.25), 1, 2) == pytest.approx(0.625, abs=1e-15)
 
 
 def test_predict_long_horizon_mixes():
     model = ch.gilbert_elliott(0.25)
-    assert ch.predict(model, 1, 200) == pytest.approx(0.5, abs=1e-12)
-    assert ch.predict(model, 0, 200) == pytest.approx(0.5, abs=1e-12)
+    assert _increment(model, 1, 200) == pytest.approx(0.5, abs=1e-12)
+    assert _increment(model, 0, 200) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_predict_matches_matrix_powers():
     for eps in (0.05, 0.25, 0.4):
         model = ch.gilbert_elliott(eps)
-        P = np.array([[1 - eps, eps], [eps, 1 - eps]])  # rows/cols: ON, OFF
         for tau in range(1, 21):
-            Pt = np.linalg.matrix_power(P, tau)
-            assert ch.predict(model, 1, tau) == pytest.approx(Pt[0, 0], abs=1e-12)
-            assert ch.predict(model, 0, tau) == pytest.approx(Pt[1, 0], abs=1e-12)
+            assert _increment(model, 1, tau) == pytest.approx(channel_prediction(eps, 1, tau), abs=1e-12)
+            assert _increment(model, 0, tau) == pytest.approx(channel_prediction(eps, 0, tau), abs=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.25, 0.45])
@@ -103,19 +108,21 @@ def test_predict_symmetry_and_monotonicity(eps):
     model = ch.gilbert_elliott(eps)
     prev = 1.0
     for tau in range(1, 40):
-        p_on = ch.predict(model, 1, tau)
-        assert p_on + ch.predict(model, 0, tau) == pytest.approx(1.0, abs=1e-14)
-        # strictly decreasing until the float value saturates at 1/2
-        assert p_on < prev or (p_on == prev == 0.5)
+        p_on = _increment(model, 1, tau)
+        assert p_on + _increment(model, 0, tau) == pytest.approx(1.0, abs=1e-14)
+        # strictly decreasing until it saturates at 1/2; an increment of the summed credit can sit an ulp
+        # of sigma (below 1e-14 here) off 1/2 where the sum crosses a power of two
+        assert p_on < prev or p_on - 0.5 < 1e-14
         assert p_on >= 0.5
         prev = p_on
 
 
 def test_predict_rejects_iid_and_bad_tau():
+    # the credit has no lookahead on iid channels; a lookahead k below 1 is refused where it is set
     with pytest.raises(ValueError):
-        ch.predict(ch.iid(0.5, 0.5), 1, 1)
+        pol.myopic_table(ch.iid(0.5, 0.5), 1)
     with pytest.raises(ValueError):
-        ch.predict(ch.gilbert_elliott(0.25), 1, 0)
+        pol.PolicyConfig("myopic", k=0)
 
 
 def test_empirical_tau_step_frequencies_match_predict():
@@ -131,16 +138,17 @@ def test_empirical_tau_step_frequencies_match_predict():
         hits = (c1[starts + tau] == 1) & from_on
         n = int(from_on.sum())
         freq = hits.sum() / n
-        expected = ch.predict(model, 1, tau)
+        expected = _increment(model, 1, tau)
+        assert expected == pytest.approx(channel_prediction(eps, 1, tau), abs=1e-12)
         se = np.sqrt(expected * (1 - expected) / n)
         assert abs(freq - expected) < 3 * se
 
 
 def test_lookahead_sum():
     model = ch.gilbert_elliott(0.25)
-    assert ch.lookahead_sum(model, 1, 1) == pytest.approx(0.75)
-    assert ch.lookahead_sum(model, 1, 2) == pytest.approx(0.75 + 0.625)
-    assert ch.lookahead_sum(model, 0, 2) == pytest.approx(0.25 + 0.375)
+    assert myopic_sigma(model, 1)[1] == pytest.approx(0.75)
+    assert myopic_sigma(model, 2)[1] == pytest.approx(0.75 + 0.625)
+    assert myopic_sigma(model, 2)[0] == pytest.approx(0.25 + 0.375)
 
 
 def test_generate_paths_deterministic():

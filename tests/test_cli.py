@@ -130,6 +130,16 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--warmup", "-1"], "--warmup"),
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--warmup", "1000"], "--warmup"),
         (["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--warmup", "-3"], "--warmup"),
+        # a channel flag the command would ignore is refused, and the channel flags a sweep needs are named
+        (["trace", "--epsilon", "0.25", "--p1", "0.9", "--lambda1", "0.1", "--lambda2", "0.1", "--horizon", "20"],
+         "--p1 does not apply with --epsilon"),
+        (["trace", "--epsilon", "0.25", "--p2", "0.9", "--lambda1", "0.1", "--lambda2", "0.1"], "--p2"),
+        (["sweep", "--epsilon", "0.25", "--p1", "0.5", "--step", "0.2"], "give either --epsilon or both --p1 and --p2"),
+        (["sweep", "--p1", "0.5", "--policy", "gated", "--step", "0.2"], "give either --epsilon or both --p1 and --p2"),
+        # grids above experiments.MAX_GRID_POINTS are refused before anything is built
+        (["sweep", "--epsilon", "0.25", "--step", "1e-9", "--horizon", "10"], "--step"),
+        (["psi", "--eps-step", "1e-300"], "--eps-step"),
+        (["psi", "--ratio-points", "1000000000"], "--ratio-points"),
     ):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err

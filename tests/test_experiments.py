@@ -168,19 +168,36 @@ def test_corner_map_partition_tiles_the_ratio_axis():
 
 
 def test_verify_psi_report_shape():
-    report = exp.verify_psi()
-    assert len(report.regions) == 6
-    assert report.global_minimum == min(r.minimum for r in report.regions)
-    for r in report.regions:
-        assert 0.89 < r.minimum < 1.0
-    rows = report.rows()
-    assert rows[-1][0] == "global"
+    rows = exp.verify_psi()
+    assert len(rows) == 7
+    assert [row[:3] for row in rows[:-1]] == [(case, name, bound) for case, name, _, _, bound in exp.PSI_REGIONS]
+    assert rows[-1][:4] == ("global", "", exp.PSI_GLOBAL_BOUND, min(row[3] for row in rows[:-1]))
+    assert math.isnan(rows[-1][4]) and math.isnan(rows[-1][5])
+    for row in rows[:-1]:
+        assert 0.89 < row[3] < 1.0
+
+
+def test_grids_above_max_grid_points_are_refused():
+    # a sweep tests about 1 / step**2 lattice points; psi samples its bands' epsilon rows times the ratios
+    finest = exp.MAX_GRID_POINTS ** -0.5
+    assert exp.GridSpec(policies=(), epsilon=0.25, step=finest).step == finest
+    with pytest.raises(ValueError, match="--step"):
+        exp.GridSpec(policies=(), epsilon=0.25, step=0.999 * finest)
+    width = sum(hi - lo for _, _, (lo, hi), _, _ in exp.PSI_REGIONS)
+    assert 400 * width / 1e-3 < exp.MAX_GRID_POINTS / 2  # psi --check's grid
+    with pytest.raises(ValueError, match="--eps-step .* with --ratio-points 400"):
+        exp.verify_psi(0.999 * 400 * width / exp.MAX_GRID_POINTS, 400)
+    with pytest.MonkeyPatch.context() as mp:  # the limit counts points, not epsilon rows: a small grid over it
+        mp.setattr(exp, "MAX_GRID_POINTS", 200)  # about 84 epsilon rows at step 0.01
+        with pytest.raises(ValueError, match="--ratio-points 3"):
+            exp.verify_psi(0.01, 3)
+        assert len(exp.verify_psi(0.01, 2)) == 7
 
 
 def _psi_csv(verify, step, points):
     """verify's rows as the CSV writes them (nan fields compare unequal as floats), or its error."""
     try:
-        return exp.rows_to_csv(("",) * 6, verify(step, points).rows())
+        return exp.rows_to_csv(("",) * 6, verify(step, points))
     except ValueError as err:
         return str(err)
 
@@ -201,9 +218,9 @@ def test_blocked_verify_psi_equals_one_pass_per_epsilon(step, points, rows):
 def test_verify_psi_with_a_block_boundary_beside_each_argmin():
     step, points = 2.5e-3, 64
     want = per_epsilon_verify_psi(step, points)
-    csv = exp.rows_to_csv(("",) * 6, want.rows())
-    for (_, _, (eps_lo, _), _, _), result in zip(exp.PSI_REGIONS, want.regions):
-        row = round(result.argmin_epsilon / step) - (math.floor(eps_lo / step) + 1)  # the argmin's row in its band
+    csv = exp.rows_to_csv(("",) * 6, want)
+    for (_, _, (eps_lo, _), _, _), result in zip(exp.PSI_REGIONS, want):
+        row = round(result[4] / step) - (math.floor(eps_lo / step) + 1)  # the argmin epsilon's row in its band
         for rows in {max(row, 1), row + 1}:  # the argmin row opens a block, or it closes one
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(exp, "_PSI_BLOCK", rows * points)
@@ -219,9 +236,9 @@ def test_verify_psi_keeps_the_first_of_tied_minima():
             mp.setattr(exp, "_PSI_BLOCK", rows * 16)
             got = exp.verify_psi(0.01, 16)
             assert _psi_csv(exp.verify_psi, 0.01, 16) == _psi_csv(per_epsilon_verify_psi, 0.01, 16)
-        (result,) = got.regions
-        assert (result.minimum, result.argmin_epsilon) == (1.0, 0.3)
-        assert result.argmin_ratio == np.geomspace(0.3 / 40, 0.3 / 20, 18)[1]
+        result, _ = got  # the band's row, then the global row
+        assert (result[3], result[4]) == (1.0, 0.3)
+        assert result[5] == np.geomspace(0.3 / 40, 0.3 / 20, 18)[1]
 
 
 def test_verify_psi_memory_does_not_grow_with_the_epsilon_grid():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import myopic_policy_table, myopic_reference
+from oracles import myopic_policy_table, myopic_reference, myopic_sigma
 from switchq import channels as ch
 from switchq import mdp
 from switchq import policies as pol
@@ -106,7 +106,7 @@ def test_fbdc_is_channel_measurable_within_a_frame():
 
 
 def test_myopic_weights_worked_examples():
-    sigma, credit = pol.myopic_credit(GE, 1), pol.myopic_table(GE, 1)
+    sigma, credit = myopic_sigma(GE, 1), pol.myopic_table(GE, 1)
     assert sigma == (pytest.approx(0.25), pytest.approx(0.75))
     # W_here = 3 * (1 + 0.75) = 5.25 against W_there = q2 * 0.25
     assert pol.myopic_action(credit, state_index(1, 1, 0), 3, 10) == STAY
@@ -118,14 +118,14 @@ def test_myopic_weights_worked_examples():
 
 def test_myopic_exact_tie_stays():
     # q2/q1 = (2-e)/(1-e) = 7/3 at e=1/4 makes W1 == W2 exactly
-    sigma, credit = pol.myopic_credit(GE, 1), pol.myopic_table(GE, 1)
+    sigma, credit = myopic_sigma(GE, 1), pol.myopic_table(GE, 1)
     assert 3 * (1 + sigma[1]) == 7 * sigma[1]
     assert pol.myopic_action(credit, state_index(1, 1, 1), 3, 7) == STAY
     assert pol.myopic_action(credit, state_index(1, 1, 1), 3, 7.001) == SWITCH
 
 
 def test_myopic_two_step_lookahead_values():
-    sigma, credit = pol.myopic_credit(GE, 2), pol.myopic_table(GE, 2)
+    sigma, credit = myopic_sigma(GE, 2), pol.myopic_table(GE, 2)
     assert sigma == (pytest.approx(0.25 + 0.375), pytest.approx(0.75 + 0.625))
     # W_here = 1 + 0.75 + 0.625 = 2.375 against W_there = q2 * 0.625, even at q2 = 3.8
     assert pol.myopic_action(credit, state_index(1, 1, 0), 1, 3.7) == STAY
@@ -145,7 +145,7 @@ def test_myopic_frame_weights_come_from_frame_start():
 
 def test_myopic_rejects_iid_channels():
     with pytest.raises(ValueError):
-        pol.myopic_credit(ch.iid(0.5, 0.5), 1)
+        pol.myopic_table(ch.iid(0.5, 0.5), 1)
     with pytest.raises(ValueError):
         sim.SimConfig(lambda1=0.1, lambda2=0.1, channel=ch.iid(0.5, 0.5),
                       policy=pol.PolicyConfig("myopic"), horizon=100, seed=0)
@@ -281,7 +281,7 @@ def _tie_weights(sigma, m, c1, c2):
 def test_myopic_table_rule_equals_two_branch_reference(eps, k, weights):
     # all 8 states against random, zero and exactly tied weights, on scalars and on arrays
     model = ch.gilbert_elliott(eps)
-    sigma, credit = pol.myopic_credit(model, k), pol.myopic_table(model, k)
+    sigma, credit = myopic_sigma(model, k), pol.myopic_table(model, k)
     cases = [(s, w1, w2) for s in range(8) for w1, w2 in weights + [(0, 0), _tie_weights(sigma, *mdp.STATES[s])]]
     for s, w1, w2 in cases:
         action = pol.myopic_action(credit, s, w1, w2)

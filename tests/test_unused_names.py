@@ -1,4 +1,5 @@
-"""Every name in src/switchq is used by the program, and every setting in it is set by the program.
+"""Every name in src/switchq is used by the program, every setting in it is set by the program, and
+no module of it reads another's private names.
 
 Names are the top-level functions, classes and assigned names, and the
 methods of such a class.
@@ -17,6 +18,12 @@ dataclass.  It counts as set when some call in src/ or benchmarks/ of the
 function, method or class, found by the name it is called by, passes it by
 keyword or by position.  A ``*args`` counts as one position, and a
 ``**kwargs`` sets every keyword.  A setting that only the tests set is a constant.
+
+A private name is one with a leading underscore that is not a dunder.  A
+module reads another's private name as an attribute of that module
+(``sim._ROWS``) or in a from-import (``from .sim import _ROWS``); what a
+module keeps private is its own layout, so other modules go through its
+public functions.
 """
 
 import ast
@@ -126,3 +133,28 @@ def test_every_top_level_name_in_src_is_used_outside_the_tests():
 
 def test_every_setting_in_src_is_set_by_the_program():
     assert unset_settings() == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads() -> list[str]:
+    """Each private name that one switchq module reads of another, as 'module reads other.name'."""
+    reads = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        modules = {alias.asname or alias.name: alias.name for node in imports  # from . import sim as s: s -> sim
+                   if node.module == "switchq" or (node.level and node.module is None) for alias in node.names}
+        names = [(node.module.removeprefix("switchq."), alias.name) for node in imports
+                 if node.module and (node.level or node.module.startswith("switchq.")) for alias in node.names]
+        names += [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules]
+        reads.update(f"{path.stem} reads {module}.{name}" for module, name in names
+                     if module != path.stem and _private(name))
+    return sorted(reads)
+
+
+def test_no_module_reads_private_names_of_another():
+    assert private_reads() == []
