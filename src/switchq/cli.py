@@ -198,7 +198,7 @@ def _add_policy(p: argparse.ArgumentParser, default: str) -> None:
     """The policy flags of sweep and trace, read by _policy_from_args."""
     p.add_argument("--policy", default=default)
     p.add_argument("--T", type=_int_in(1), help="frame length of fbdc and frame myopic (default 25)")
-    p.add_argument("--k", type=_int_in(1), help="myopic lookahead (default 1)")
+    p.add_argument("--k", type=_int_in(1, pol.MAX_K), help="myopic lookahead (default 1)")
     p.add_argument("--per-slot", action="store_true", help="myopic uses current queues, not frame queues: --T 1")
 
 

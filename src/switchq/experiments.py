@@ -22,9 +22,7 @@ from .region import (
     closed_form_region,
     contains,
     corner_points,
-    fbdc_corner_map,
     iid_region,
-    myopic_corner_map,
     no_switchover_region,
     weighted_corner_maps,
 )
@@ -219,20 +217,10 @@ def export_regions(epsilon: float | None = None, p1: float = 0.5, p2: float = 0.
 # weighted departure-rate ratio of the myopic map against the optimal map
 
 
-def _epsilon_t() -> float:
-    # where (2-e)/(1-e) crosses (1-e)^2/e: root of e^3 - 4e^2 + 5e - 1 in (0.2, 0.3)
-    f = lambda e: e**3 - 4 * e**2 + 5 * e - 1.0
-    lo, hi = 0.2, 0.3
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-EPS_T = _epsilon_t()
+# Where (2-e)/(1-e) crosses (1-e)^2/e: the one real root of e^3 - 4e^2 + 5e - 1,
+# correctly rounded (a test checks it in exact arithmetic).  Not np.roots at
+# import: its LAPACK eigenvalue call raised every run's peak RSS by about 0.9 MB.
+EPS_T = 0.24512233375330725
 
 # Discrepant queue-ratio bands where the myopic and optimal maps pick
 # different corners, with the analytic floor each band's minimum must clear.
@@ -251,41 +239,16 @@ PSI_GLOBAL_BOUND = 0.9002
 def psi_value(epsilon, ratio):
     """Myopic-to-optimal weighted departure rate ratio at weights (1, ratio).
 
-    Returns (psi, myopic corner, optimal corner), the optimum from
-    fbdc_corner_map.  A scalar ratio goes through the two corner maps.  An
-    array of ratios takes one numpy pass (region.weighted_corner_maps) and
-    returns arrays, elementwise equal to scalar calls: at one epsilon, or
-    at a 1-D array of epsilon values on one side of EPS_CRITICAL with one
-    row of ratios each.
+    Returns (psi, myopic corner, optimal corner) in one numpy pass
+    (region.weighted_corner_maps): the myopic corner from
+    myopic_corner_map, the optimum from fbdc_corner_map's rule.  ratio is an
+    array, 0-d included, at one epsilon, or a 2-D array with one row of
+    ratios per value of a 1-D array of epsilon values on one side of
+    EPS_CRITICAL; the results have ratio's shape.
     """
-    if np.ndim(ratio) == 0:
-        r = float(ratio)
-        my, opt = myopic_corner_map(epsilon, 1.0, r), fbdc_corner_map(epsilon, 1.0, r)
-        point = dict(corner_points(epsilon))
-        (x_my, y_my), (x_opt, y_opt) = point[my], point[opt]
-        return (x_my + r * y_my) / (x_opt + r * y_opt), my, opt
     values, ids, my, opt = weighted_corner_maps(epsilon, ratio)
     psi = np.take_along_axis(values, my[None], axis=0)[0] / np.take_along_axis(values, opt[None], axis=0)[0]
     return psi, ids[my], ids[opt]
-
-
-def _golden_min(f, lo: float, hi: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(60):  # the bracket shrinks by a factor of 0.618**60, about 3e-13
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc < fd else d
-    return (x, min(fc, fd))
 
 
 # Grid points per array pass of verify_psi, so a pass's memory does not grow
@@ -296,20 +259,20 @@ _PSI_BLOCK = 4096
 
 
 def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) -> list[tuple]:
-    """Numerically minimize the weighted-rate ratio over every discrepant band.
+    """Minimize the weighted-rate ratio over every discrepant band on a sampled grid.
 
     The bands are open (strict threshold inequalities), so the grid samples
     strictly interior points: epsilon at multiples of the step inside the
     band's interval, the ratio at log-spaced points excluding the
-    endpoints.  Golden-section refinement then sharpens the minimum inside
-    the bracket of neighbouring samples; it never extrapolates to the open
-    boundary, where the maps change corner.  A band's epsilon x ratio grid
-    is evaluated in array passes of psi_value over blocks of epsilon rows,
-    at most _PSI_BLOCK points each (at least one row); the first minimum
-    in (epsilon, ratio) order wins, as strict < across blocks keeps it.
-    The refinement calls psi_value on scalars.  Returns one row (case,
-    region, bound, minimum, argmin_epsilon, argmin_ratio) per band, then
-    ("global", "", PSI_GLOBAL_BOUND, the least minimum, nan, nan).
+    endpoints.  Inside a band both maps keep one corner each, so psi is
+    monotone along each ratio row and a row's minimum is one of its end
+    samples; the grid minimum needs no refinement.  A band's epsilon x
+    ratio grid is evaluated in array passes of psi_value over blocks of
+    epsilon rows, at most _PSI_BLOCK points each (at least one row); the
+    first minimum in (epsilon, ratio) order wins, as strict < across blocks
+    keeps it.  Returns one row (case, region, bound, minimum,
+    argmin_epsilon, argmin_ratio) per band, then ("global", "",
+    PSI_GLOBAL_BOUND, the least minimum, nan, nan).
     """
     width = sum(hi - lo for _, _, (lo, hi), _, _ in PSI_REGIONS)  # about width / step epsilon rows in all
     if not ratio_grid_points * width <= MAX_GRID_POINTS * epsilon_grid_step:  # false for a step <= 0 or nan
@@ -320,7 +283,7 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
     for case, name, (eps_lo, eps_hi), ratio_iv, bound in PSI_REGIONS:
         k_lo = math.floor(eps_lo / epsilon_grid_step) + 1
         k_end = math.ceil(eps_hi / epsilon_grid_step)
-        best = (math.inf, math.nan, math.nan, None)
+        best = (math.inf, math.nan, math.nan)
         for k in range(k_lo, k_end, rows):
             eps = np.arange(k, min(k + rows, k_end)) * epsilon_grid_step
             eps = eps[(eps_lo < eps) & (eps < eps_hi)]
@@ -331,16 +294,10 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
             vals = psi_value(eps, rs)[0]
             i, j = divmod(int(np.argmin(vals)), ratio_grid_points)
             if vals[i, j] < best[0]:
-                row = rs[i].tolist()
-                best = (vals[i, j], float(eps[i]), row[j], (row[max(j - 1, 0)], row[min(j + 1, len(row) - 1)]))
-        if best[3] is None:
+                best = (vals[i, j], float(eps[i]), float(rs[i, j]))
+        if best[0] == math.inf:
             raise ValueError(f"epsilon grid step {epsilon_grid_step} leaves band {case}/{name} without a sample")
-        # refine in ratio inside the sampled bracket at the best epsilon
-        e_star = best[1]
-        x, v = _golden_min(lambda r: psi_value(e_star, r)[0], *best[3])
-        if v < best[0]:
-            best = (v, e_star, x, best[3])
-        results.append((case, name, bound, best[0], best[1], best[2]))
+        results.append((case, name, bound, *best))
     return results + [("global", "", PSI_GLOBAL_BOUND, min(r[3] for r in results), math.nan, math.nan)]
 
 
@@ -360,8 +317,11 @@ def throughput_gap(
     Each frame starts from a uniformly random state (server position and
     both channels), runs the corner's table for T saturated slots, and the
     deficit is the stationary total rate minus the frame-averaged empirical
-    total rate.  The deficit shrinks as T grows past the chain's mixing
-    time.
+    total rate.  From the uniform start a frame's expected departures fall
+    short of T times the stationary rate by one constant c whatever T (1/8
+    for b2 at epsilon = 0.25, 1/4 for b0 and b5), so the expected deficit
+    is exactly c / T.  The simulated deficit adds sampling noise, and at
+    large T, where c / T is below the noise, it can come out negative.
     """
     from .mdp import build_kernel, policy_rates, state_index, stationary_distribution
 

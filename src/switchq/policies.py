@@ -110,6 +110,13 @@ def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
     return CORNER_TABLES[fbdc_corner_map(epsilon, q1_frame, q2_frame)]
 
 
+# The deepest myopic lookahead the command line takes.  myopic_table sums k
+# terms per sign in Python, once per sim.run: about 0.04 s at 10**5 on a
+# 2-vCPU Xeon, so the at most 47 per-cell runs of a sweep's policy spend
+# about 2 s on it (0.42 s a table at 10**6).
+MAX_K = 10**5
+
+
 def myopic_table(model: ch.ChannelModel, k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The signed credit (u, v) of myopic_action, one entry per state in the fixed order.
 

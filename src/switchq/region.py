@@ -211,15 +211,6 @@ def _myopic_thresholds(e) -> tuple:
     return (e / (1 - e), *middle, (1 - e) / e)
 
 
-def _myopic_positions(e, ratio):
-    """Position in corner_points order of the myopic corner at queue ratio q2/q1 = ratio.
-
-    It counts the thresholds below the ratio, so a ratio on one takes the
-    lower interval; e broadcasts against ratio.
-    """
-    return sum(ratio > cut for cut in _myopic_thresholds(e))
-
-
 def _queue_arrays(q1, q2) -> tuple[np.ndarray, np.ndarray]:
     """Queue lengths as float arrays, checked finite, nonnegative and not both zero."""
     q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
@@ -263,15 +254,28 @@ def fbdc_corner_map(epsilon: float, q1, q2, choices=None):
     return triples[best][0] if choices is None else choices[best]
 
 
-def myopic_corner_map(epsilon: float, q1, q2):
+def myopic_corner_map(epsilon, q1, q2, choices=None):
     """Frontier corner the one-step-lookahead weight comparison drives toward.
 
-    Queue lengths must be finite; arrays map elementwise.
+    The corner's position in corner_points order is the count of myopic
+    thresholds below the queue ratio q2/q1, so a ratio on one takes the
+    lower interval.  Queue lengths must be finite; arrays map elementwise.
+    epsilon is a float, or a 1-D array of values on one side of
+    EPS_CRITICAL with one row of queues each.  With ``choices`` (an array),
+    the entry at the corner's position is returned in place of its id.
     """
-    ids = _corner_table(epsilon)[2]  # checks epsilon
+    e = np.asarray(epsilon, dtype=float)
+    low, high = check_epsilon(e.min()), check_epsilon(e.max())  # a nan fails both
+    if low < EPS_CRITICAL <= high:
+        raise ValueError("epsilon values lie on both sides of EPS_CRITICAL")
     q1, q2 = _queue_arrays(q1, q2)
-    with np.errstate(divide="ignore", over="ignore"):  # q2 over a zero or tiny q1 is an infinite ratio
-        corner = ids[_myopic_positions(epsilon, np.where(q1 == 0, np.inf, q2 / q1))]
+    with np.errstate(divide="ignore", over="ignore"):  # q2 over a zero or tiny q1, and 1 over a tiny e, are infinite
+        ratio = np.where(q1 == 0, np.inf, q2 / q1)
+        cuts = _myopic_thresholds(e.reshape(e.shape + (1,) * (ratio.ndim - e.ndim)))
+    position = sum(ratio > cut for cut in cuts)
+    if choices is not None:
+        return choices[position]
+    corner = _corner_table(high)[2][position]
     return corner if corner.ndim else str(corner)
 
 
@@ -284,16 +288,14 @@ def weighted_corner_maps(epsilon, ratio):
     epsilon is an array.  Returns (values, ids, myopic, optimal):
     values[c] = x_c + ratio * y_c for the corners c of corner_points, the
     corner ids, and the positions that myopic_corner_map and
-    fbdc_corner_map choose, elementwise equal to theirs.
+    fbdc_corner_map choose, the first by myopic_corner_map itself.
     """
     named = [corner_points(e) for e in np.atleast_1d(epsilon).tolist()]
-    if len({len(corners) for corners in named}) > 1:
-        raise ValueError("epsilon values lie on both sides of EPS_CRITICAL")
-    r = _queue_arrays(1.0, ratio)[1]
+    myopic = myopic_corner_map(epsilon, 1.0, ratio, np.arange(len(named[0])))  # checks epsilon's side and ratio
+    r = np.asarray(ratio, dtype=float)
     shape = (len(named[0]),) + np.shape(epsilon) + (1,) * (r.ndim - np.ndim(epsilon))
     xy = np.array([[pt for _, pt in corners] for corners in named]).T  # [2, corner, epsilon]
     x, y = xy.reshape((2,) + shape).copy()  # contiguous rows, so the passes below run along them
     values = y * r
     values += x  # fbdc_corner_map's q1 * x + q2 * y at q1 = 1
-    myopic = _myopic_positions(np.reshape(epsilon, shape[1:]), r)
     return values, np.array([cid for cid, _ in named[0]]), myopic, _first_near_max(values)

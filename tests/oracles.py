@@ -201,7 +201,7 @@ def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):
     for case, name, (eps_lo, eps_hi), ratio_iv, bound in exp.PSI_REGIONS:
         k_lo = math.floor(eps_lo / epsilon_grid_step) + 1
         k_hi = math.ceil(eps_hi / epsilon_grid_step) - 1
-        best = (math.inf, math.nan, math.nan, None)
+        best = (math.inf, math.nan, math.nan)
         for k in range(k_lo, k_hi + 1):
             e = k * epsilon_grid_step
             if not (eps_lo < e < eps_hi):
@@ -210,14 +210,10 @@ def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):
             vals = exp.psi_value(e, rs)[0]
             i = int(np.argmin(vals))
             if vals[i] < best[0]:
-                best = (vals[i], e, float(rs[i]), (float(rs[max(i - 1, 0)]), float(rs[min(i + 1, len(rs) - 1)])))
-        if best[3] is None:
+                best = (vals[i], e, float(rs[i]))
+        if best[0] == math.inf:
             raise ValueError(f"epsilon grid step {epsilon_grid_step} leaves band {case}/{name} without a sample")
-        e_star = best[1]
-        x, v = exp._golden_min(lambda r: exp.psi_value(e_star, r)[0], *best[3])
-        if v < best[0]:
-            best = (v, e_star, x, best[3])
-        results.append((case, name, bound, best[0], best[1], best[2]))
+        results.append((case, name, bound, *best))
     return results + [("global", "", exp.PSI_GLOBAL_BOUND, min(row[3] for row in results), math.nan, math.nan)]
 
 

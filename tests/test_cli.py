@@ -122,6 +122,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--T", "0"], "--T"),
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--policy", "myopic", "--k", "0"],
          "--k"),
+        # the credit sums k terms per sign, so a lookahead above policies.MAX_K is refused before it starts
+        (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--policy", "myopic", "--k",
+          "1000000000"], "--k"),
         (["sweep", "--epsilon", "0.25", "--step", "0.2", "--horizon", "100", "--policy", "myopic", "--per-slot",
           "--T", "5"], "--T does not apply to --policy myopic --per-slot"),
         # the channel flag a policy needs, and the warmup, are named

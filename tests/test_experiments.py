@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import fbdc_thresholds, hausdorff_distance, per_epsilon_verify_psi
 from switchq import experiments as exp
+from switchq import mdp
 from switchq import policies as pol
 from switchq import region as rg
 from switchq.region import EPS_CRITICAL, contains
@@ -90,6 +92,12 @@ def test_epsilon_t_is_the_threshold_crossing():
     e = exp.EPS_T
     assert 0.2 < e < EPS_CRITICAL
     assert (2 - e) / (1 - e) == pytest.approx((1 - e) ** 2 / e, abs=1e-9)
+    # the cubic's root correctly rounded: the cubic, increasing here, changes sign between the
+    # midpoints to the neighbouring floats; it is the real root np.roots finds, to an ulp
+    cubic = lambda x: x**3 - 4 * x**2 + 5 * x - 1
+    below, above = ((Fraction(e) + Fraction(math.nextafter(e, side))) / 2 for side in (0.0, 1.0))
+    assert cubic(below) < 0 < cubic(above)
+    assert [z.real for z in np.roots([1, -4, 5, -1]) if z.imag == 0] == [pytest.approx(e, rel=2**-52)]
 
 
 def corner_map_partition(epsilon):
@@ -121,15 +129,19 @@ def test_psi_value_is_one_on_agreement_atoms():
 
 
 def test_psi_value_array_matches_scalar():
-    # one array pass per epsilon gives the scalar floats and corners, thresholds included
+    # one array pass per epsilon gives the corners the scalar maps pick and the ratio of their values,
+    # thresholds included, and a 0-d ratio goes through the same pass
     for eps in (0.001, 0.1, exp.EPS_T, 0.25, EPS_CRITICAL, 0.35, 0.5):
         fbdc, myopic = fbdc_thresholds(eps), rg._myopic_thresholds(eps)
         rs = np.concatenate([np.geomspace(0.05, 20.0, 301), fbdc, myopic])
         psi, my, opt = exp.psi_value(eps, rs)
         assert psi.shape == my.shape == opt.shape == rs.shape
-        for r, value, a, b in zip(rs, psi, my, opt):
-            scalar = exp.psi_value(eps, float(r))
-            assert type(scalar[0]) is float and scalar == (value, a, b)
+        point = dict(rg.corner_points(eps))
+        for r, value, a, b in zip(rs.tolist(), psi, my, opt):
+            assert (a, b) == (rg.myopic_corner_map(eps, 1.0, r), rg.fbdc_corner_map(eps, 1.0, r))
+            (x_my, y_my), (x_opt, y_opt) = point[a], point[b]
+            assert value == (x_my + r * y_my) / (x_opt + r * y_opt)
+            assert exp.psi_value(eps, r) == (value, a, b)
 
 
 def test_psi_value_over_an_epsilon_array_matches_each_epsilon():
@@ -165,6 +177,20 @@ def test_corner_map_partition_tiles_the_ratio_axis():
             discrepant = my != opt
             in_band = any(b_lo - 1e-12 <= lo and hi <= b_hi + 1e-12 for b_lo, b_hi in bands)
             assert discrepant == in_band, (eps, lo, hi, my, opt)
+
+
+def test_psi_is_monotone_along_each_band_row():
+    # why the sampled grid is the minimisation: across a discrepant band's ratio row each map keeps
+    # one corner, the two differ, and psi, linear-fractional in the ratio, is monotone
+    step, points = 5e-3, 64
+    for case, name, (eps_lo, eps_hi), ratio_iv, _ in exp.PSI_REGIONS:
+        rows = [k * step for k in range(math.floor(eps_lo / step) + 1, math.ceil(eps_hi / step))]
+        for e in (e for e in rows if eps_lo < e < eps_hi):
+            rs = np.geomspace(*ratio_iv(e), points + 2)[1:-1]
+            my, opt = set(rg.myopic_corner_map(e, 1.0, rs)), set(rg.fbdc_corner_map(e, 1.0, rs))
+            assert len(my) == len(opt) == 1 and my != opt, (case, name, e, my, opt)
+            steps = np.diff(exp.psi_value(e, rs)[0])
+            assert (steps <= 0).all() or (steps >= 0).all(), (case, name, e)
 
 
 def test_verify_psi_report_shape():
@@ -264,6 +290,26 @@ def test_throughput_gap_decreases_with_frame_length():
     assert gaps[2000] < 0.003
     memoryless = dict(exp.throughput_gap(0.5, (2, 10), "b2", slots_per_t=400_000, seed=5))
     assert all(abs(v) < 0.01 for v in memoryless.values())
+
+
+def test_frame_shortfall_is_one_constant_whatever_the_frame_length():
+    # a frame started from the uniform law mu0 falls short of T * pi f by sum_{t<T} (pi - mu0 P^t) f, the
+    # same c for every T, so the expected deficit throughput_gap simulates is exactly c / T
+    for eps in (0.05, 0.25, 0.4):
+        kernel = mdp.build_kernel(eps)
+        for corner, table in pol.CORNER_TABLES.items():
+            P = mdp.policy_matrix(kernel, table)
+            f = np.add(*mdp.policy_rates(np.eye(mdp.N_STATES), table))  # departures in a slot at each state
+            rate = mdp.stationary_distribution(kernel, table) @ f
+            law, paid, shortfall = np.full(mdp.N_STATES, 1 / mdp.N_STATES), 0.0, {}
+            for T in range(1, 101):
+                paid += law @ f
+                law = law @ P
+                shortfall[T] = T * rate - paid
+            for T in (2, 10, 100):
+                assert shortfall[T] == pytest.approx(shortfall[1], abs=1e-12), (eps, corner, T)
+            if eps == 0.25 and corner in ("b0", "b2", "b5"):
+                assert shortfall[1] == pytest.approx(1 / 8 if corner == "b2" else 1 / 4, abs=1e-15)
 
 
 def test_myopic_beats_fbdc_delay_on_most_interior_points():

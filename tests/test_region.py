@@ -280,6 +280,18 @@ def test_array_corner_maps_match_scalar(eps, pairs):
                 corner_map(eps, a, b)
             with pytest.raises(ValueError):
                 corner_map(eps, np.array([1.0, a]), np.array([1.0, b]))
+    # an epsilon row takes one row of queues per epsilon, here eps and the far end of its side
+    # of EPS_CRITICAL with the queues mirrored; choices replaces each id by its entry
+    other, across = (0.5, 0.1) if eps >= rg.EPS_CRITICAL else (math.nextafter(rg.EPS_CRITICAL, 0.0), 0.4)
+    rows = rg.myopic_corner_map(np.array([eps, other]), np.stack([q1, q2]), np.stack([q2, q1]))
+    assert rows.tolist() == [[rg.myopic_corner_map(eps, a, b) for a, b in finite],
+                             [rg.myopic_corner_map(other, b, a) for a, b in finite]]
+    positions = rg.myopic_corner_map(eps, q1, q2, np.arange(len(corners)))
+    assert [corners[i] for i in positions] == list(rg.myopic_corner_map(eps, q1, q2))
+    with pytest.raises(ValueError, match="both sides"):
+        rg.myopic_corner_map(np.array([eps, across]), np.stack([q1, q1]), np.stack([q2, q2]))
+    with pytest.raises(ValueError, match="epsilon"):
+        rg.myopic_corner_map(np.array([eps, math.nan]), np.stack([q1, q1]), np.stack([q2, q2]))
     for a, b in finite:
         if _clear_winner(eps, a, b):
             assert rg.fbdc_corner_map(eps, a, b) == threshold_map(fbdc, corners, a, b), (eps, a, b)
