@@ -35,6 +35,11 @@ def _int_in(low: int, high: int | None = None):
     return integer
 
 
+# The longest --horizon of any command: runs keep their slots in arrays, 10-17 B a slot
+# from 1M to 4M slots; gap at three frame lengths peaks at 391 MB at the cap (2-vCPU Xeon).
+MAX_HORIZON = 2 * 10**7
+
+
 def _write(out: str | None, text: str) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -141,10 +146,10 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    parts = args.T_list.split(",")
-    if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
-        raise ValueError(f"--T-list needs comma-separated frame lengths >= 1, got {args.T_list!r}")
-    t_list = tuple(int(x) for x in parts)
+    t_list = tuple(int(x) if x.strip().isdecimal() else 0 for x in args.T_list.split(","))
+    if not all(1 <= t <= args.horizon for t in t_list):  # gap runs at least one whole frame of each length
+        raise ValueError(f"--T-list needs comma-separated frame lengths from 1 to --horizon {args.horizon}, "
+                         f"got {args.T_list!r}")
     rows = exp.throughput_gap(args.epsilon, t_list, args.corner, slots_per_t=args.horizon, seed=args.seed)
     _write(args.out, exp.rows_to_csv(("T", "rate_deficit"), rows))
     return 0
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy(p, "fbdc")
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--boundary-margin", type=float, default=0.02)
-    p.add_argument("--horizon", type=_int_in(4, sim.MAX_BATCH_HORIZON), default=100_000)
+    p.add_argument("--horizon", type=_int_in(4, MAX_HORIZON), default=100_000)
     p.add_argument("--warmup", type=_int_in(0), default=0)
     p.set_defaults(handler=_cmd_sweep)
     _add_common(p, seed=True, check=True)
@@ -239,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = p.add_mutually_exclusive_group(required=True)
     table.add_argument("--corner", choices=sorted(pol.CORNER_TABLES))
     table.add_argument("--policy-id", type=_int_in(0, 255))
-    p.add_argument("--horizon", type=_int_in(1), default=1_000_000)
+    p.add_argument("--horizon", type=_int_in(1, MAX_HORIZON), default=1_000_000)
     p.set_defaults(handler=_cmd_saturated)
     _add_common(p, seed=True, check=True)
 
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--corner", default="b2", choices=sorted(pol.CORNER_TABLES))
     p.add_argument("--T-list", default="10,100,1000")
-    p.add_argument("--horizon", type=_int_in(1), default=200_000, help="slot budget per frame length")
+    p.add_argument("--horizon", type=_int_in(1, MAX_HORIZON), default=200_000, help="slot budget per frame length")
     p.set_defaults(handler=_cmd_gap)
     _add_common(p, seed=True, check=False)
 
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=0.5)
     p.add_argument("--p2", type=float, default=0.5)
     p.add_argument("--rho", default="0.6,0.8,0.9,1.1,1.2")
-    p.add_argument("--horizon", type=_int_in(4000, sim.MAX_BATCH_HORIZON), default=100_000,
+    p.add_argument("--horizon", type=_int_in(4000, MAX_HORIZON), default=100_000,
                    help="slots per load; probes need 4000")
     p.set_defaults(handler=_cmd_iid)
     _add_common(p, seed=True, check=True)
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda1", type=float, required=True)
     p.add_argument("--lambda2", type=float, required=True)
     _add_policy(p, "exhaustive")
-    p.add_argument("--horizon", type=_int_in(1), default=1000)
+    p.add_argument("--horizon", type=_int_in(1, MAX_HORIZON), default=1000)
     p.add_argument("--warmup", type=_int_in(0), default=0)
     p.add_argument("--trace-every", type=_int_in(1), default=1)
     p.set_defaults(handler=_cmd_trace)

@@ -246,9 +246,8 @@ def psi_value(epsilon, ratio):
     ratios per value of a 1-D array of epsilon values on one side of
     EPS_CRITICAL; the results have ratio's shape.
     """
-    values, ids, my, opt = weighted_corner_maps(epsilon, ratio)
-    psi = np.take_along_axis(values, my[None], axis=0)[0] / np.take_along_axis(values, opt[None], axis=0)[0]
-    return psi, ids[my], ids[opt]
+    ids, (my, opt), (rate_my, rate_opt) = weighted_corner_maps(epsilon, ratio)
+    return rate_my / rate_opt, ids[my], ids[opt]
 
 
 # Grid points per array pass of verify_psi, so a pass's memory does not grow

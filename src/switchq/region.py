@@ -6,7 +6,7 @@ EPS_CRITICAL = 1 - sqrt(2)/2, four corners (b1, b4 vanish) at or above it.
 Regions are kept in both corner form (counterclockwise along the Pareto
 frontier from (1/2, 0) to (0, 1/2)) and halfspace form (a1*x + a2*y <= b,
 including the two axis constraints).  The closed-form region's facets and
-the FBDC corner map both come from corner_points alone.
+the queue-ratio cuts of the FBDC corner map come from corner_points alone.
 """
 
 from __future__ import annotations
@@ -123,10 +123,8 @@ def closed_form_region(epsilon: float) -> RateRegion:
 
 def iid_region(p1: float, p2: float) -> RateRegion:
     """Stability region under per-slot independent channels: x/p1 + y/p2 <= 1."""
-    if p1 <= 0 or p2 <= 0:
-        raise ValueError("iid region requires p1, p2 > 0")
-    if p1 > 1 or p2 > 1:
-        raise ValueError("p1, p2 must be probabilities")
+    if not (0 < p1 <= 1 and 0 < p2 <= 1):  # false for nan too
+        raise ValueError("p1, p2 must lie in (0, 1]")
     halfspaces = AXIS_HALFSPACES + (HalfSpace(1 / p1, 1 / p2, 1.0).normalized(),)
     return RateRegion(((p1, 0.0), (0.0, p2)), halfspaces)
 
@@ -194,12 +192,30 @@ def region_from_vertices(points: list[tuple[float, float]]) -> RateRegion:
     return RateRegion(tuple(pareto), tuple(_edge_halfspace(u, v).normalized() for u, v in edges))
 
 
+def _fbdc_cuts(x, y):
+    """FBDC's ascending cuts: the ratios q2/q1 at which corner i+1 of the rows x, y (axis 0) takes over from i.
+
+    That is once corner i's value q1*x + q2*y falls below 1 - 2**-48 times
+    its own, so a tie goes to the lower corner however the values round.  A cut
+    with no positive denominator is infinite, and one above a later cut
+    takes its value, skipping a corner that never wins (b2 = b3 at 5e-324).
+    """
+    tied = 1.0 - 2.0**-48  # tied values part by at most 14 roundings of 2**-53
+    with np.errstate(divide="ignore"):
+        cuts = (x[:-1] - tied * x[1:]) / np.maximum(tied * y[1:] - y[:-1], 0.0)
+    return np.minimum.accumulate(cuts[::-1], axis=0)[::-1]
+
+
+def _count_below(cuts, q1, q2):
+    """How many ascending cuts lie below q2/q1, floats or arrays; q1 = 0 is above each finite cut (inf * 0 is nan)."""
+    return sum(q2 > cut * q1 for cut in cuts)
+
+
 @lru_cache(maxsize=64)
 def _corner_table(epsilon: float):
-    """corner_points as (id, x, y) triples, as an x row over a y row, and as an array of ids."""
+    """corner_points' ids as an array, and FBDC's cuts as a tuple of floats."""
     named = corner_points(epsilon)
-    triples = tuple((cid, x, y) for cid, (x, y) in named)
-    return triples, np.array([pt for _, pt in named]).T, np.array([cid for cid, _ in named])
+    return np.array([cid for cid, _ in named]), tuple(_fbdc_cuts(*np.array([pt for _, pt in named]).T).tolist())
 
 
 def _myopic_thresholds(e) -> tuple:
@@ -220,82 +236,61 @@ def _queue_arrays(q1, q2) -> tuple[np.ndarray, np.ndarray]:
     return q1, q2
 
 
-_TIED = 1.0 - 2.0**-48  # tied values q1*x + q2*y part by at most 14 roundings of 2**-53
-
-
-def _first_near_max(values: np.ndarray) -> np.ndarray:
-    """Per column of the corner rows, the first corner within a relative 2**-48 of the maximum."""
-    return (values >= values.max(axis=0) * _TIED).argmax(axis=0)
-
-
 def fbdc_corner_map(epsilon: float, q1, q2, choices=None):
     """Frontier corner maximizing q1*r1 + q2*r2 (arrays of finite queues map elementwise).
 
-    The first corner in corner_points order within a relative 2**-48 of the
-    maximum wins: a tie goes to the lower queue ratio q2/q1 however the values round.
-    With ``choices`` (an array when the queues are), the entry at the
-    corner's position in corner_points order is returned in place of its id.
+    Its position in corner_points order is the count of FBDC's cuts below
+    q2/q1, so a tie goes to the lower ratio however the values round.  With
+    ``choices`` (an array when the queues are), the entry at that position
+    is returned in place of the id.
     """
-    triples, xy, ids = _corner_table(epsilon)
+    ids, cuts = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
         q1, q2 = _queue_arrays(q1, q2)
-        x, y = xy.reshape(xy.shape + (1,) * max(q1.ndim, q2.ndim))
-        return (ids if choices is None else choices)[_first_near_max(x * q1 + y * q2)]  # one row per corner
+        with np.errstate(invalid="ignore"):  # an infinite cut times q1 = 0
+            return (ids if choices is None else choices)[_count_below(cuts, q1, q2)]
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
-    q1, q2 = float(q1), float(q2)  # float products are faster than int ones, and the same
-    best, top, near = 0, -1.0, False
-    for i, (_, x, y) in enumerate(triples):
-        value = q1 * x + q2 * y
-        if value > top:
-            best, top, near = i, value, top >= value * _TIED
-    if near:  # a corner before the first maximum is within the tolerance, and the first such wins
-        best = next(i for i, (_, x, y) in enumerate(triples) if q1 * x + q2 * y >= top * _TIED)
-    return triples[best][0] if choices is None else choices[best]
+    position = _count_below(cuts, float(q1), float(q2))  # floats compare as the array path's do
+    return ids.item(position) if choices is None else choices[position]
 
 
 def myopic_corner_map(epsilon, q1, q2, choices=None):
     """Frontier corner the one-step-lookahead weight comparison drives toward.
 
-    The corner's position in corner_points order is the count of myopic
-    thresholds below the queue ratio q2/q1, so a ratio on one takes the
-    lower interval.  Queue lengths must be finite; arrays map elementwise.
-    epsilon is a float, or a 1-D array of values on one side of
-    EPS_CRITICAL with one row of queues each.  With ``choices`` (an array),
-    the entry at the corner's position is returned in place of its id.
+    Its position in corner_points order is the count of myopic thresholds
+    below q2/q1, so a ratio on one takes the lower interval.  Queue lengths
+    must be finite; arrays map elementwise.  epsilon is a float, or a 1-D
+    array of values on one side of EPS_CRITICAL with one row of queues
+    each.  With ``choices`` (an array), the entry at that position is
+    returned in place of the id.
     """
     e = np.asarray(epsilon, dtype=float)
     low, high = check_epsilon(e.min()), check_epsilon(e.max())  # a nan fails both
     if low < EPS_CRITICAL <= high:
         raise ValueError("epsilon values lie on both sides of EPS_CRITICAL")
     q1, q2 = _queue_arrays(q1, q2)
-    with np.errstate(divide="ignore", over="ignore"):  # q2 over a zero or tiny q1, and 1 over a tiny e, are infinite
-        ratio = np.where(q1 == 0, np.inf, q2 / q1)
-        cuts = _myopic_thresholds(e.reshape(e.shape + (1,) * (ratio.ndim - e.ndim)))
-    position = sum(ratio > cut for cut in cuts)
-    if choices is not None:
-        return choices[position]
-    corner = _corner_table(high)[2][position]
-    return corner if corner.ndim else str(corner)
+    with np.errstate(over="ignore", invalid="ignore"):  # 1 over a tiny e is infinite, and times q1 = 0 nan
+        cuts = _myopic_thresholds(e.reshape(e.shape + (1,) * (max(q1.ndim, q2.ndim) - e.ndim)))
+        position = _count_below(cuts, q1, q2)
+    corner = (_corner_table(high)[0] if choices is None else choices)[position]
+    return str(corner) if choices is None and not corner.ndim else corner
 
 
 def weighted_corner_maps(epsilon, ratio):
-    """Both corner maps at queues (1, ratio) over arrays, with every corner's weighted rate.
+    """Both corner maps at queues (1, ratio) over arrays, with the weighted rate of each map's corner.
 
     epsilon is a float, or a 1-D array of values on one side of
     EPS_CRITICAL, so that one corner layout serves them all; ratio is an
     array of finite nonnegative ratios q2/q1, with one row per epsilon when
-    epsilon is an array.  Returns (values, ids, myopic, optimal):
-    values[c] = x_c + ratio * y_c for the corners c of corner_points, the
-    corner ids, and the positions that myopic_corner_map and
-    fbdc_corner_map choose, the first by myopic_corner_map itself.
+    epsilon is an array.  Returns the corner ids, the positions in corner_points
+    order of myopic_corner_map's and the FBDC cuts' corners, and their x + ratio * y.
     """
     named = [corner_points(e) for e in np.atleast_1d(epsilon).tolist()]
     myopic = myopic_corner_map(epsilon, 1.0, ratio, np.arange(len(named[0])))  # checks epsilon's side and ratio
     r = np.asarray(ratio, dtype=float)
     shape = (len(named[0]),) + np.shape(epsilon) + (1,) * (r.ndim - np.ndim(epsilon))
-    xy = np.array([[pt for _, pt in corners] for corners in named]).T  # [2, corner, epsilon]
-    x, y = xy.reshape((2,) + shape).copy()  # contiguous rows, so the passes below run along them
-    values = y * r
-    values += x  # fbdc_corner_map's q1 * x + q2 * y at q1 = 1
-    return values, np.array([cid for cid, _ in named[0]]), myopic, _first_near_max(values)
+    x, y = np.array([[pt for _, pt in corners] for corners in named]).T.reshape((2,) + shape)  # [2, corner, epsilon]
+    positions = (myopic, _count_below(_fbdc_cuts(x, y), 1.0, r))
+    rates = [np.take_along_axis(x, c[None], 0)[0] + r * np.take_along_axis(y, c[None], 0)[0] for c in positions]
+    return np.array([cid for cid, _ in named[0]]), positions, rates

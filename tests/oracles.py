@@ -2,6 +2,7 @@
 
 The saturated chain's kernel filled entry by entry and its recurrent class
 by a generic reachability closure, the paper's FBDC queue-ratio thresholds,
+the FBDC corner as the first within 2**-48 of the largest value,
 a region's polygon and the Hausdorff distance between two regions, the
 expected channel state tau slots ahead by matrix powers, the myopic
 credit read back from myopic_table, the myopic decisions at all eight
@@ -21,7 +22,7 @@ from switchq import mdp
 from switchq import policies as pol
 from switchq import sim
 from switchq.mdp import N_STATES, STATES, STAY, SWITCH, state_index
-from switchq.region import EPS_CRITICAL, _cross, _dist
+from switchq.region import EPS_CRITICAL, _cross, _dist, corner_points
 
 
 def loop_kernel(epsilon):
@@ -73,6 +74,17 @@ def fbdc_thresholds(e):
         return [e / (1 - e) ** 2, (1 - e) / (1 + e - e * e), 1, (1 + e - e * e) / (1 - e), (1 - e) ** 2 / e]
     g = (1 - e) * (3 - 2 * e)
     return [1 / g, 1, g]
+
+
+def first_near_max_map(epsilon, q1, q2):
+    """The FBDC corner as the first in corner_points order whose value q1*x + q2*y is within 2**-48 of the largest.
+
+    The relative 2**-48 sends a tie to the lower queue ratio however the
+    values round.
+    """
+    named = corner_points(epsilon)
+    values = [q1 * x + q2 * y for _, (x, y) in named]
+    return next(cid for (cid, _), v in zip(named, values) if v >= max(values) * (1.0 - 2.0**-48))
 
 
 def threshold_map(thresholds, corners_low_to_high, q1, q2):

@@ -94,9 +94,16 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["sweep", "--epsilon", "0.25", "--boundary-margin", "nan"], "boundary_margin"),
         (["sweep", "--epsilon", "0.25", "--boundary-margin", "inf"], "boundary_margin"),
         (["iid", "--horizon", "100"], "--horizon"),  # the suite's probes need 4000 slots
-        # the lock-step engine's int64 sums hold horizons below 2**31; refused whichever engine runs the grid
+        # every --horizon is capped at cli.MAX_HORIZON, so no run asks for arrays too large to allocate,
+        # and gap runs at least one whole frame of each length, so no frame may exceed the horizon
         (["sweep", "--epsilon", "0.25", "--step", "0.05", "--horizon", "2147483648"], "--horizon"),
         (["iid", "--horizon", "2147483648"], "--horizon"),
+        (["saturated", "--epsilon", "0.25", "--corner", "b2", "--horizon", "10000000000"], "--horizon"),
+        (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--horizon", "10000000000"],
+         "--horizon"),
+        (["gap", "--epsilon", "0.25", "--T-list", "10", "--horizon", "10000000000"], "--horizon"),
+        (["gap", "--epsilon", "0.25", "--T-list", "1000000000", "--horizon", "1"], "--T-list"),
+        (["gap", "--epsilon", "0.25", "--T-list", "10,101", "--horizon", "100"], "--T-list"),
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--trace-every", "-3"],
          "--trace-every"),
         # numpy's generator refuses a negative seed without naming the flag; a load above 2 / p a rate above 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,15 @@ def test_fbdc_frame_start_examples():
     assert pol.fbdc_frame_start(0.25, 1, 10) == pol.CORNER_TABLES["b0"]
     assert pol.fbdc_frame_start(0.25, 5, 5) == pol.CORNER_TABLES["b3"]
     assert pol.fbdc_frame_start(0.25, 0, 0) == pol.CORNER_TABLES["b3"]
+
+
+@pytest.mark.parametrize("eps", [0.5, math.nextafter(0.5, 0.0), 0.25, 1e-17, 5e-324])
+def test_empty_frames_play_b3(eps):
+    # no queue to weigh: the balanced corner, for scalar queues and for the empty cells of an array
+    assert pol.fbdc_frame_start(eps, 0, 0) == pol.CORNER_TABLES["b3"]
+    tables = pol.fbdc_frame_start(eps, np.array([0, 3, 0]), np.array([0, 0, 0]))
+    assert [tuple(t) for t in tables] == [pol.CORNER_TABLES["b3"], pol.fbdc_frame_start(eps, 3, 0),
+                                          pol.CORNER_TABLES["b3"]]
 
 
 def test_fbdc_frame_start_matches_weighted_argmax():

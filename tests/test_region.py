@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fbdc_thresholds, hausdorff_distance, polygon, threshold_map
+from oracles import fbdc_thresholds, first_near_max_map, hausdorff_distance, polygon, threshold_map
 from switchq import mdp
 from switchq import region as rg
 
@@ -164,8 +164,11 @@ def test_iid_region():
     assert not rg.contains(region, (0.3, 0.3))
     full = rg.iid_region(1.0, 1.0)
     assert any(h.a1 == 1.0 and h.a2 == 1.0 and h.b == 1.0 for h in full.halfspaces)
-    with pytest.raises(ValueError):
-        rg.iid_region(0.0, 0.5)
+    # one range check, as no_switchover_region has: nan, like 0 or a value above 1, is no probability
+    for p1, p2 in ((0.0, 0.5), (0.5, 1.5), (math.nan, 0.5), (0.5, math.nan), (-0.5, -0.5)):
+        for region_of in (rg.iid_region, rg.no_switchover_region):
+            with pytest.raises(ValueError, match="p1, p2"):
+                region_of(p1, p2)
 
 
 def test_no_switchover_region():
@@ -235,9 +238,12 @@ def test_fbdc_map_equals_weighted_argmax():
 # range; elsewhere the corners tie up to the rounding of their values (at
 # epsilon ~ 1e-300 b4 and b5 are both at x = 1/2) or the values underflow.
 
+# at 5e-324 and 1e-17 b4 has b5's x, b2 is b3 and b1 has b0's y: corners that coincide in a
+# coordinate are drawn every run, not only when the floats happen on them
 EPSILONS = st.one_of(
     st.floats(0.0, 0.5, exclude_min=True),
-    st.sampled_from([rg.EPS_CRITICAL, math.nextafter(rg.EPS_CRITICAL, 0.0), 0.5, math.nextafter(0.5, 0.0)]),
+    st.sampled_from([rg.EPS_CRITICAL, math.nextafter(rg.EPS_CRITICAL, 0.0), 0.5, math.nextafter(0.5, 0.0),
+                     5e-324, 1e-17]),
 )
 QUEUES = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.integers(0, 50))
 
@@ -323,6 +329,38 @@ def test_fbdc_corner_map_exact_ties(eps):
     if eps == 0.4:
         assert rg.fbdc_corner_map(eps, 33, 25) == "b5" and rg.fbdc_corner_map(eps, 25, 33) == "b2"
         assert rg.fbdc_corner_map(eps, 132, 100) == "b5" and rg.fbdc_corner_map(eps, 100, 132) == "b2"
+
+
+@pytest.mark.parametrize("eps", EPS_GRID)
+def test_fbdc_cuts_are_the_paper_thresholds(eps):
+    # the cuts derived from the corners, 2**-48 tie margin included, are the paper's threshold formulas
+    assert rg._corner_table(eps)[1] == pytest.approx(fbdc_thresholds(eps), rel=1e-12, abs=0)
+
+
+# The reference FBDC rule, the first corner within a relative 2**-48 of the
+# maximum value, picks the corner the cuts pick: on integer queues, on ratio
+# rows on and beside each threshold, and on the integer queues at which two
+# corners tie exactly, where rounding the corners moves a cut by far more
+# than 2**-48 when epsilon is small (a tie at epsilon 0.005 is (39601, 200)).
+# At 1.36e-16 and 2.69e-15 b1's y is within 2**-48 of b0's, so an empty
+# queue 1 keeps b1.
+REFERENCE_EPSILONS = EPS_GRID + (5e-324, 1e-300, 1e-17, 1.36e-16, 2.69e-15, 1e-9, 1e-3, 0.005, 0.0144, 0.023,
+                                 math.nextafter(0.5, 0.0), rg.EPS_CRITICAL, math.nextafter(rg.EPS_CRITICAL, 0.0))
+
+
+@pytest.mark.parametrize("eps", REFERENCE_EPSILONS)
+def test_fbdc_corner_map_equals_the_first_near_max_reference(eps):
+    pairs = [(float(a), float(b)) for a in range(40) for b in range(40) if a or b]
+    pairs += [(1.0, r) for t in fbdc_thresholds(eps) if math.isfinite(t)
+              for r in (t, math.nextafter(t, 0.0), math.nextafter(t, math.inf))]
+    pairs += [(float(k * t.denominator), float(k * t.numerator)) for t in fbdc_thresholds(Fraction(repr(eps)))
+              if max(t.numerator, t.denominator) < 10**8 for k in (1, 2, 7)]  # the decimal epsilon's exact ties
+    want = [first_near_max_map(eps, a, b) for a, b in pairs]
+    assert [rg.fbdc_corner_map(eps, a, b) for a, b in pairs] == want
+    q1, q2 = np.array(pairs).T
+    assert list(rg.fbdc_corner_map(eps, q1, q2)) == want
+    ratios = q2[q1 == 1.0]
+    assert list(rg.fbdc_corner_map(eps, 1.0, ratios)) == [w for w, a in zip(want, q1) if a == 1.0]
 
 
 # just below 1/2 and EPS_CRITICAL the flat-corner drop removes a corner
