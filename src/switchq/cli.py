@@ -38,6 +38,8 @@ def _int_in(low: int, high: int | None = None):
 # The longest --horizon of any command: runs keep their slots in arrays, 10-17 B a slot
 # from 1M to 4M slots; gap at three frame lengths peaks at 391 MB at the cap (2-vCPU Xeon).
 MAX_HORIZON = 2 * 10**7
+# The most rows a trace keeps: about 300 B each (peak RSS 66 MB at 100k rows, 157 MB at 400k), so 340 MB at the cap.
+MAX_TRACE_ROWS = 10**6
 
 
 def _write(out: str | None, text: str) -> None:
@@ -180,6 +182,8 @@ def _cmd_iid(args) -> int:
 def _cmd_trace(args) -> int:
     if args.warmup >= args.horizon:
         raise ValueError(f"--warmup must be below --horizon, got {args.warmup} >= {args.horizon}")
+    if -(-args.horizon // args.trace_every) > MAX_TRACE_ROWS:  # one row per trace_every slots, the first at 0
+        raise ValueError(f"--trace-every {args.trace_every} traces over {MAX_TRACE_ROWS} slots of --horizon: raise it")
     if args.epsilon is not None and (args.p1, args.p2) != (None, None):
         raise ValueError(f"{'--p1' if args.p1 is not None else '--p2'} does not apply with --epsilon")
     config = sim.SimConfig(

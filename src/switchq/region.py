@@ -1,12 +1,14 @@
-"""Rate regions: closed forms, convex hulls, membership, and corner maps.
+"""Rate regions: closed forms, the enumeration oracle, membership, and corner maps.
 
 The saturated-system rate region has two shapes depending on the channel
 flip probability: six frontier corners b0..b5 below the critical value
 EPS_CRITICAL = 1 - sqrt(2)/2, four corners (b1, b4 vanish) at or above it.
 Regions are kept in both corner form (counterclockwise along the Pareto
 frontier from (1/2, 0) to (0, 1/2)) and halfspace form (a1*x + a2*y <= b,
-including the two axis constraints).  The closed-form region's facets and
-the queue-ratio cuts of the FBDC corner map come from corner_points alone.
+including the two axis constraints).  One concave pass builds every
+frontier: the closed form's, the no-switchover region's and the oracle's
+over the 256 policies' rates.  The closed-form facets and the FBDC corner
+map's queue-ratio cuts come from corner_points alone.
 """
 
 from __future__ import annotations
@@ -84,20 +86,22 @@ def corner_points(epsilon: float) -> list[tuple[str, tuple[float, float]]]:
     return out
 
 
-def _drop_flat_corners(pts: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    # Remove corners within _TOL of the chord of their surviving neighbours.
-    kept = list(pts)
-    changed = True
-    while changed and len(kept) > 2:
-        changed = False
-        for i in range(1, len(kept) - 1):
-            o, a, b = kept[i - 1], kept[i], kept[i + 1]
-            chord = _dist(o, b)
-            if chord > 0 and abs(_cross(o, a, b)) <= _TOL * chord:
-                del kept[i]
-                changed = True
-                break
-    return tuple(kept)
+def _frontier(points: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    """The concave chain through points ordered right to left (x descending, then y descending).
+
+    A point strictly below the chain's last corner is skipped, and a corner
+    within _TOL of the chord from its predecessor to the next point, or
+    reflex, is popped.  The left end of a horizontal top edge is kept, and a
+    lead point below the next one keeps a vertical right edge.
+    """
+    chain: list[tuple[float, float]] = []
+    for p in points:
+        if chain and p[1] < chain[-1][1]:
+            continue
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= _TOL * _dist(chain[-2], p):
+            chain.pop()
+        chain.append(p)
+    return tuple(chain)
 
 
 def _edge_halfspace(u: tuple[float, float], v: tuple[float, float]) -> HalfSpace:
@@ -106,19 +110,22 @@ def _edge_halfspace(u: tuple[float, float], v: tuple[float, float]) -> HalfSpace
     return HalfSpace(n1, n2, n1 * u[0] + n2 * u[1])
 
 
+def _frontier_region(corners: tuple[tuple[float, float], ...]) -> RateRegion:
+    """The region below a frontier chain: the two axis constraints, then one facet per edge walked from b0 to b5."""
+    facets = [_edge_halfspace(u, v) for u, v in zip(corners, corners[1:])][::-1]
+    return RateRegion(corners, AXIS_HALFSPACES + tuple(h.normalized() for h in facets))
+
+
 def closed_form_region(epsilon: float) -> RateRegion:
     """The saturated-system rate region, its facets taken from its corners.
 
-    The corners are those of corner_points that survive the flat-corner
-    drop, which removes a corner within 1e-9 of the chord of its neighbours
-    (b2 and b3 at and just below 1/2, b1 and b4 just below EPS_CRITICAL).
-    Each edge between consecutive corners, walked from b0 to b5, gives one
-    frontier facet after the two axis constraints: the paper's five facets
+    The corners are the frontier chain of corner_points, which drops a
+    corner within 1e-9 of the chord of its neighbours (b2 and b3 at and
+    just below 1/2, b1 and b4 just below EPS_CRITICAL).  Each edge between
+    consecutive corners gives one frontier facet: the paper's five facets
     below EPS_CRITICAL, its three at or above it.
     """
-    corners = _drop_flat_corners([pt for _, pt in corner_points(epsilon)])
-    facets = [_edge_halfspace(u, v) for u, v in zip(corners, corners[1:])][::-1]
-    return RateRegion(corners, AXIS_HALFSPACES + tuple(h.normalized() for h in facets))
+    return _frontier_region(_frontier([pt for _, pt in corner_points(epsilon)]))
 
 
 def iid_region(p1: float, p2: float) -> RateRegion:
@@ -134,9 +141,7 @@ def no_switchover_region(p1: float, p2: float) -> RateRegion:
     if not (0 < p1 <= 1 and 0 < p2 <= 1):
         raise ValueError("p1, p2 must lie in (0, 1]")
     total = p1 + p2 * (1 - p1)
-    corners = _drop_flat_corners(
-        [(p1, 0.0), (p1, p2 * (1 - p1)), (p1 * (1 - p2), p2), (0.0, p2)]
-    )
+    corners = _frontier([(p1, 0.0), (p1, p2 * (1 - p1)), (p1 * (1 - p2), p2), (0.0, p2)])
     facets = (HalfSpace(1.0, 0.0, p1), HalfSpace(0.0, 1.0, p2), HalfSpace(1.0, 1.0, total))
     halfspaces = AXIS_HALFSPACES + tuple(h.normalized() for h in facets)
     return RateRegion(corners, halfspaces)
@@ -149,47 +154,18 @@ def contains(region: RateRegion, point: tuple[float, float]) -> bool:
     return all(h.slack(point) >= -1e-12 for h in region.halfspaces)
 
 
-def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Andrew monotone chain; counterclockwise, collinear points dropped."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def build(seq):
-        chain: list[tuple[float, float]] = []
-        for p in seq:
-            while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= _TOL * max(_dist(chain[-2], p), 1e-30):
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    return lower[:-1] + upper[:-1]
-
-
 def region_from_vertices(points: list[tuple[float, float]]) -> RateRegion:
-    """Convex hull of achievable rate points as a RateRegion (the brute-force oracle).
+    """The region below the frontier chain of achievable rate points (the brute-force oracle).
 
-    Corners are the Pareto-maximal hull vertices ordered from the max-r1 end
-    to the max-r2 end; halfspaces are all hull edges.  Points within _TOL
-    merge; a single point hulls to itself.
+    Points within _TOL merge; the corners run from the max-r1 end to the
+    max-r2 end, and a single point is its own chain.
     """
     if not points:
         raise ValueError("need at least one point")
     merged: dict[tuple[int, int], tuple[float, float]] = {}
     for x, y in points:
         merged.setdefault((round(x / _TOL), round(y / _TOL)), (float(x), float(y)))
-    hull = _convex_hull(list(merged.values()))
-    if len(hull) == 1:
-        return RateRegion((hull[0],), ())
-    pareto = [
-        p for p in hull
-        if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in hull)
-    ]
-    pareto.sort(key=lambda p: (-p[0], p[1]))
-    edges = zip(hull, hull[1:] + hull[:1]) if len(hull) >= 3 else ()
-    return RateRegion(tuple(pareto), tuple(_edge_halfspace(u, v).normalized() for u, v in edges))
+    return _frontier_region(_frontier(sorted(merged.values(), reverse=True)))
 
 
 def _fbdc_cuts(x, y):

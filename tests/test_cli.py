@@ -2,6 +2,9 @@ import argparse
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from switchq import cli
 from switchq.cli import main
 
@@ -18,6 +21,16 @@ def test_region_check_passes(tmp_path):
     out = tmp_path / "region.csv"
     for eps in ("0.3", "0.4999999974"):
         assert main(["region", "--epsilon", eps, "--out", str(out), "--check"]) == 0, eps
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: below 3e-8 the chain solve accepts some epsilon "
+                                       "whose rates miss the closed form")
+def test_region_check_never_fails_where_the_chain_solve_is_accepted(tmp_path):
+    # exit 1 is a refused solve; exit 2 is an accepted solve whose frontier is not the closed form
+    out = str(tmp_path / "region.csv")
+    failed = [eps for eps in np.logspace(-10, -5, 400).tolist()
+              if main(["region", "--epsilon", repr(eps), "--out", out, "--check"]) == 2]
+    assert failed == []
 
 
 def test_sweep_command_deterministic_bytes(tmp_path):
@@ -105,6 +118,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["gap", "--epsilon", "0.25", "--T-list", "1000000000", "--horizon", "1"], "--T-list"),
         (["gap", "--epsilon", "0.25", "--T-list", "10,101", "--horizon", "100"], "--T-list"),
         (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--trace-every", "-3"],
+         "--trace-every"),
+        # a trace keeps about 300 B a traced slot, so at most cli.MAX_TRACE_ROWS slots are traced
+        (["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--horizon", "1000001"],
          "--trace-every"),
         # numpy's generator refuses a negative seed without naming the flag; a load above 2 / p a rate above 1
         (["gap", "--epsilon", "0.25", "--T-list", "10", "--horizon", "100", "--seed", "-1"], "--seed"),

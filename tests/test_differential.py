@@ -216,7 +216,7 @@ def test_psi_cli_csv_digest(tmp_path):
 
 # -- region export -------------------------------------------------------------
 # Digests of `export_regions` at the acceptance epsilons and just below 1/2
-# and EPS_CRITICAL, where the flat-corner drop removes corners: the corner
+# and EPS_CRITICAL, where the frontier pass drops flat corners: the corner
 # rows alone, then the whole CSV (corners and halfspaces of all three
 # regions).  The whole-CSV digests at 0.05, 0.1, 0.29, 0.3, 0.4, 0.45 and
 # EPS_CRITICAL - 3e-9 were re-pinned when the facets came to be computed

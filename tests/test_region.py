@@ -75,7 +75,7 @@ def paper_facets(e):
 def check_facets_against_paper(eps):
     # One facet per edge between kept corners, from b0 to b5.  An edge between
     # adjacent corners carries the paper's facet; an edge over corners the
-    # flat-corner drop removed carries the chord, within 1e-9 of those corners.
+    # frontier pass dropped as flat carries the chord, within 1e-9 of those corners.
     region = rg.closed_form_region(eps)
     named = rg.corner_points(eps)[::-1]  # b0 to b5
     kept = [i for i, (_, pt) in enumerate(named) if pt in region.corners]
@@ -148,6 +148,27 @@ def test_region_from_vertices_degenerate_inputs():
     assert dedup.corners == ((0.3, 0.2),)
     with pytest.raises(ValueError):
         rg.region_from_vertices([])
+
+
+_COORD = st.one_of(st.floats(0, 1), st.floats(0, 1).map(lambda v: round(v * 8) / 8))
+_CLOUD = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30).flatmap(
+    lambda pts: st.lists(st.sampled_from(pts), max_size=5).map(lambda repeats: pts + repeats)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CLOUD, st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=5))
+def test_region_from_vertices_is_the_concave_frontier_of_its_points(points, weights):
+    region = rg.region_from_vertices(points)
+    c = region.corners
+    # a strictly concave chain from the max-r1 end up to the max-r2 end, made of input points
+    assert all(u[0] > v[0] and u[1] <= v[1] for u, v in zip(c, c[1:])), c
+    assert all(rg._cross(u, v, w) > 0 for u, v, w in zip(c, c[1:], c[2:])), c
+    assert set(c) <= set(points)
+    assert all(h.slack(p) >= -1e-9 for p in points for h in region.halfspaces)
+    # so it has the support of the cloud in every direction w >= 0
+    for w1, w2 in weights:
+        assert max(w1 * x + w2 * y for x, y in points) == pytest.approx(max(w1 * x + w2 * y for x, y in c), abs=1e-12)
 
 
 def test_contains_examples():
@@ -363,7 +384,7 @@ def test_fbdc_corner_map_equals_the_first_near_max_reference(eps):
     assert list(rg.fbdc_corner_map(eps, 1.0, ratios)) == [w for w, a in zip(want, q1) if a == 1.0]
 
 
-# just below 1/2 and EPS_CRITICAL the flat-corner drop removes a corner
+# just below 1/2 and EPS_CRITICAL the frontier pass drops a flat corner
 @pytest.mark.parametrize("eps", EPS_GRID + (0.4999999974, rg.EPS_CRITICAL - 3e-9))
 def test_closed_form_halfspaces_tight_at_corners(eps):
     region = rg.closed_form_region(eps)
