@@ -17,6 +17,7 @@ import numpy as np
 from . import channels as ch
 from . import policies as pol
 from . import sim
+from .mdp import build_kernel, policy_rates, state_index, stationary_distribution
 from .region import (
     EPS_CRITICAL,
     closed_form_region,
@@ -322,8 +323,6 @@ def throughput_gap(
     is exactly c / T.  The simulated deficit adds sampling noise, and at
     large T, where c / T is below the noise, it can come out negative.
     """
-    from .mdp import build_kernel, policy_rates, state_index, stationary_distribution
-
     table = pol.CORNER_TABLES[corner]
     r1, r2 = policy_rates(stationary_distribution(build_kernel(epsilon), table), table)
     rng = np.random.default_rng(seed)

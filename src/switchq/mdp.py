@@ -103,11 +103,6 @@ def _class_index(tables: np.ndarray) -> np.ndarray:
     return np.where(closed[:, 0], 0, np.where(closed[:, 1], 1, 2))
 
 
-def recurrent_class(policy: tuple[int, ...]) -> list[int]:
-    """Recurrent class of the policy-induced chain (see _class_index)."""
-    return list(range(N_STATES)[_CLASSES[_class_index(np.asarray(policy))[0]]])
-
-
 class ChainSolveError(ArithmeticError):
     """A chain solve lost its accuracy, as it does for epsilon too close to 0."""
 
@@ -167,37 +162,30 @@ class PolicyVertex:
 
 
 @lru_cache(maxsize=32)
-def _enumerate_cached(epsilon: float) -> tuple[PolicyVertex, ...]:
+def enumerate_vertices(epsilon: float) -> tuple[PolicyVertex, ...]:
+    """All 256 deterministic policies with exact stationary rates, by policy id.
+
+    The 256 laws come from one stacked stationary_distribution call, once per epsilon.
+    """
     policies = all_policies()  # a list of tuples, so a tracer can hash the stack
     r1, r2 = policy_rates(stationary_distribution(build_kernel(epsilon), policies), policies)
     return tuple(PolicyVertex(p, rates) for p, rates in zip(policies, zip(r1.tolist(), r2.tolist())))
 
 
-def enumerate_vertices(epsilon: float) -> list[PolicyVertex]:
-    """All 256 deterministic policies with exact stationary rates, by policy id.
-
-    The 256 laws come from one stacked stationary_distribution call.
-    """
-    return list(_enumerate_cached(float(epsilon)))
-
-
 def rate_asymptotic_std(kernel: np.ndarray, policy: tuple[int, ...], horizon: int) -> tuple[float, float]:
     """Standard error of the horizon-slot empirical rates under the policy.
 
-    The per-slot reward is a function of the chain state, so the asymptotic
-    variance follows from the fundamental matrix Z = (I - P + 1 pi)^{-1} of
-    the chain restricted to its recurrent class:
-    sigma^2 = pi.f~^2 + 2 pi.(f~ * (Z - I) f~) with f~ = f - pi.f.
+    The per-slot reward f is each state's departures, policy_rates at the
+    point masses, so the asymptotic variance follows from the fundamental
+    matrix Z = (I - P + 1 pi)^{-1} of the chain on its recurrent class:
+    sigma^2 = pi.f~^2 + 2 pi.(f~ * (Z - I) f~) with f~ = f - pi.f, and
+    Z f~ for both rewards is one solve.
     """
-    rec = recurrent_class(policy)
-    Pr = policy_matrix(kernel, policy)[np.ix_(rec, rec)]
+    rec = _CLASSES[_class_index(np.asarray(policy))[0]]
+    P = policy_matrix(kernel, policy)[rec, rec]
     pi = stationary_distribution(kernel, policy)[rec]
-    n = len(rec)
-    Z = np.linalg.inv(np.eye(n) - Pr + np.outer(np.ones(n), pi))
-    out = []
-    for reward_states in (REWARD1_STATES, REWARD2_STATES):
-        f = np.array([1.0 if (s in reward_states and policy[s] == STAY) else 0.0 for s in rec])
-        ft = f - pi @ f
-        var = float(pi @ (ft * ft) + 2.0 * pi @ (ft * ((Z - np.eye(n)) @ ft)))
-        out.append(np.sqrt(max(var, 0.0) / horizon))
-    return out[0], out[1]
+    f = np.array(policy_rates(np.eye(N_STATES), policy))[:, rec]  # [reward, state]
+    ft = f - (f @ pi)[:, None]
+    zf = np.linalg.solve(np.eye(len(pi)) - P + pi, ft.T).T
+    var = (ft * ft) @ pi + 2.0 * (ft * (zf - ft)) @ pi
+    return tuple(np.sqrt(np.maximum(var, 0.0) / horizon).tolist())

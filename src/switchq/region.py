@@ -46,7 +46,7 @@ class HalfSpace:
 
 AXIS_HALFSPACES = (HalfSpace(-1.0, 0.0, 0.0), HalfSpace(0.0, -1.0, 0.0))
 
-_TOL = 1e-9  # points this close merge, and a corner this close to its neighbours' chord is flat
+_TOL = 1e-9  # a corner this close to its neighbours' chord is flat: the one rule for points that coincide
 
 
 @dataclass(frozen=True)
@@ -157,15 +157,13 @@ def contains(region: RateRegion, point: tuple[float, float]) -> bool:
 def region_from_vertices(points: list[tuple[float, float]]) -> RateRegion:
     """The region below the frontier chain of achievable rate points (the brute-force oracle).
 
-    Points within _TOL merge; the corners run from the max-r1 end to the
-    max-r2 end, and a single point is its own chain.
+    Equal points count once, and _frontier's tolerance takes in points
+    that nearly coincide; the corners run from the max-r1 end to the max-r2
+    end, and a single point is its own chain.
     """
     if not points:
         raise ValueError("need at least one point")
-    merged: dict[tuple[int, int], tuple[float, float]] = {}
-    for x, y in points:
-        merged.setdefault((round(x / _TOL), round(y / _TOL)), (float(x), float(y)))
-    return _frontier_region(_frontier(sorted(merged.values(), reverse=True)))
+    return _frontier_region(_frontier(sorted(set(points), reverse=True)))
 
 
 def _fbdc_cuts(x, y):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import channels as ch
 from . import policies as pol
-from .mdp import REWARD1_STATES, REWARD2_STATES, STAY, SWITCH, all_policies, state_index
+from .mdp import N_STATES, STAY, SWITCH, all_policies, policy_rates, state_index
 
 
 @dataclass(frozen=True)
@@ -136,9 +136,9 @@ def _metrics(n_post: int, noted, switches: int, arrivals_pre, arrivals, trace=()
     )
 
 
-# Per state index, whether the channel of the queue the server is at is ON; per slot
-# byte of run(), the arrivals to queue 1 and to queue 2.
-_ON = tuple(s in REWARD1_STATES + REWARD2_STATES for s in range(8))
+# Per state index, whether the channel of the queue the server is at is ON (a staying server
+# departs there); per slot byte of run(), the arrivals to queue 1 and to queue 2.
+_ON = tuple((sum(policy_rates(np.eye(N_STATES), (STAY,) * N_STATES)) > 0).tolist())
 _ARRIVED1, _ARRIVED2 = tuple(b >> 2 & 1 for b in range(16)), tuple(b >> 3 for b in range(16))
 
 
@@ -282,11 +282,9 @@ _ID_BITS = 1 << np.arange(7, -1, -1)  # table @ _ID_BITS is its policy id: state
 def _step_tables() -> tuple[np.ndarray, np.ndarray]:
     """Per state 8 * id + s of every policy: the service of queue 1 and of queue 2
     (given a packet), and 4 where the server switches."""
-    stay = np.array(all_policies()) == STAY
-    serve = np.zeros((2, 256, 8), dtype=np.int64)
-    for row, states in zip(serve, (REWARD1_STATES, REWARD2_STATES)):
-        row[:, states] = stay[:, states]
-    return serve.reshape(2, -1), np.where(stay, 0, 4).ravel()
+    tables = np.array(all_policies())
+    serve = np.array(policy_rates(np.eye(N_STATES), tables[:, None]), dtype=np.int64)  # each state's departures
+    return serve.reshape(2, -1), np.where(tables == STAY, 0, 4).ravel()
 
 
 def _slot_rows(t0: int, paths: np.ndarray, arrivals: np.ndarray):
@@ -447,11 +445,12 @@ _FLUSH = 16  # lookups between count unpackings; _FLUSH * _BLOCK < 2**8
 
 def _saturated_luts(tables: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Lookup tables indexed code * n_states + state; code 4**_BLOCK + symbol steps one slot."""
-    stay = np.asarray(tables).reshape(-1, 2, 4).transpose(2, 0, 1) == STAY  # [symbol, table, m-1]
-    m, x = np.arange(2), np.arange(4)[:, None, None]
+    tables = np.asarray(tables)
+    d1, d2 = policy_rates(np.eye(N_STATES), tables[:, None])  # each state's departures, [table, state]
+    stay, d1, d2 = (a.reshape(-1, 2, 4).transpose(2, 0, 1) for a in (tables == STAY, d1, d2))  # [symbol, table, m-1]
+    m = np.arange(2)
     nxt1 = (2 * np.arange(stay.shape[1])[:, None] + np.where(stay, m, 1 - m)).reshape(4, -1).astype(np.int16)
-    cnt1 = (stay & (m == 0) & (x < 2)) + (stay & (m == 1) & (x % 2 == 0)) * 2**8 + ~stay * 2**16
-    cnt1 = cnt1.reshape(4, -1).astype(np.int32)
+    cnt1 = (d1 + d2 * 2**8 + ~stay * 2**16).reshape(4, -1).astype(np.int32)
     nxt, cnt = nxt1, cnt1
     for _ in range(_BLOCK - 1):  # one slot more: code -> code * 4 + symbol
         cnt = (cnt[:, None] + cnt1[:, nxt].swapaxes(0, 1)).reshape(-1, nxt.shape[1])

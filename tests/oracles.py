@@ -8,8 +8,10 @@ expected channel state tau slots ahead by matrix powers, the myopic
 credit read back from myopic_table, the myopic decisions at all eight
 states for fixed weights, the myopic rule as two branches on the server
 position, the 256 chain laws by one solve
-per policy, the psi minimisation by one array pass per epsilon, and
-sim.run's slot loop with a test for marks, frames and trace rows in every slot.
+per policy, the rates' standard errors by an explicit inverse and a
+per-state reward loop, the state-action-frequency LP, the psi minimisation
+by one array pass per epsilon, and sim.run's slot loop with a test for
+marks, frames and trace rows in every slot.
 """
 
 import math
@@ -175,7 +177,7 @@ def myopic_reference(sigma, m, c1, c2, w1, w2):
 def per_policy_stationary(kernel, policy):
     """The stationary law of one table by its own solve of (P^T - I) with the normalisation row."""
     P = kernel[range(N_STATES), policy]
-    rec = mdp.recurrent_class(policy)
+    rec = closure_recurrent_class(P)
     n = len(rec)
     A = P[np.ix_(rec, rec)].T - np.eye(n)
     A[-1, :] = 1.0
@@ -205,6 +207,49 @@ def per_policy_enumeration(epsilon):
     kernel = mdp.build_kernel(epsilon)
     laws = [per_policy_stationary(kernel, p) for p in mdp.all_policies()]
     return np.array(laws), [per_policy_rates(pi, p) for pi, p in zip(laws, mdp.all_policies())]
+
+
+def inverse_asymptotic_std(kernel, policy, horizon):
+    """Standard errors of the horizon-slot rates from Z = (I - P + 1 pi)^{-1} by an explicit inverse.
+
+    The reward of each queue is built state by state on the recurrent class,
+    and sigma^2 = pi.f~^2 + 2 pi.(f~ * (Z - I) f~) with f~ = f - pi.f.
+    """
+    P = kernel[range(N_STATES), policy]
+    rec = closure_recurrent_class(P)
+    Pr = P[np.ix_(rec, rec)]
+    pi = per_policy_stationary(kernel, policy)[rec]
+    n = len(rec)
+    Z = np.linalg.inv(np.eye(n) - Pr + np.outer(np.ones(n), pi))
+    out = []
+    for reward_states in (mdp.REWARD1_STATES, mdp.REWARD2_STATES):
+        f = np.array([1.0 if (s in reward_states and policy[s] == STAY) else 0.0 for s in rec])
+        ft = f - pi @ f
+        var = float(pi @ (ft * ft) + 2.0 * pi @ (ft * ((Z - np.eye(n)) @ ft)))
+        out.append(np.sqrt(max(var, 0.0) / horizon))
+    return out[0], out[1]
+
+
+def frequency_lp(epsilon, w):
+    """The paper's LP over state-action frequencies x[s, a] >= 0: max w.(r1, r2) subject to sum x = 1
+    and the 8 balance rows sum_a x[j, a] = sum_{s, a} x[s, a] P(j | s, a).
+
+    A stay departs from the server's queue when its channel is ON.  HiGHS's
+    dual simplex returns a basic optimum; the value and x as an (8, 2) array.
+    """
+    from scipy.optimize import linprog
+
+    kernel = loop_kernel(epsilon)
+    reward = np.zeros((N_STATES, 2, 2))  # [s, a, queue]
+    for i, (m, c1, c2) in enumerate(STATES):
+        reward[i, STAY, m - 1] = (c1, c2)[m - 1]
+    balance = np.eye(N_STATES)[:, :, None] - kernel.transpose(2, 0, 1)  # [j, s, a]
+    a_eq = np.vstack([balance.reshape(N_STATES, -1), np.ones((1, 2 * N_STATES))])
+    b_eq = np.append(np.zeros(N_STATES), 1.0)
+    res = linprog(-(reward @ np.asarray(w, dtype=float)).ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs-ds")
+    assert res.status == 0, res.message
+    return -res.fun, res.x.reshape(N_STATES, 2)
 
 
 def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):

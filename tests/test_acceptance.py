@@ -28,7 +28,7 @@ def _report(num, ok, detail):
 # -- 1. region equivalence: brute-force hull vs closed form ------------------
 
 def test_criterion_1_region_equivalence():
-    mdp._enumerate_cached.cache_clear()  # timing must include the 2048 chain solves
+    mdp.enumerate_vertices.cache_clear()  # timing must include the 2048 chain solves
     t0 = time.perf_counter()
     eps_grid = (0.05, 0.10, 0.25, 0.29, 0.30, 0.40, 0.45, 0.50)
     worst_violation = 0.0
@@ -192,7 +192,7 @@ def test_criterion_8_myopic_structural_equivalence():
             continue
         corner = rg.myopic_corner_map(eps, q1, q2)
         table = pol.CORNER_TABLES[corner]
-        recurrent = mdp.recurrent_class(table)
+        recurrent = np.flatnonzero(mdp.stationary_distribution(mdp.build_kernel(eps), table))
         myopic_table = myopic_policy_table(ch.gilbert_elliott(eps), 1, q1, q2)
         if any(myopic_table[s] != table[s] for s in recurrent):
             mismatches += 1

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import closure_recurrent_class, loop_kernel, per_policy_enumeration, per_policy_stationary
+from oracles import (
+    closure_recurrent_class,
+    frequency_lp,
+    inverse_asymptotic_std,
+    loop_kernel,
+    per_policy_enumeration,
+    per_policy_stationary,
+)
 from switchq import mdp
 from switchq.region import EPS_CRITICAL, closed_form_region
 
@@ -103,12 +110,13 @@ def test_kernel_equals_loop_built_kernel(eps):
 
 @pytest.mark.parametrize("eps", STRUCTURE_EPS)
 def test_recurrent_class_equals_reachability_closure(eps):
-    # server blocks against the closure of the chain's support, all 256 policies
+    # the support of each law (server blocks) against the closure of the chain's support, all 256 policies
     k = mdp.build_kernel(eps)
-    for policy in mdp.all_policies():
+    laws = mdp.stationary_distribution(k, mdp.all_policies())
+    for policy, pi in zip(mdp.all_policies(), laws):
         P = np.array([k[s, policy[s]] for s in range(mdp.N_STATES)])
         assert mdp.policy_matrix(k, policy).tobytes() == P.tobytes()
-        assert mdp.recurrent_class(policy) == closure_recurrent_class(P), policy
+        assert np.flatnonzero(pi).tolist() == closure_recurrent_class(P), policy
 
 
 def _cesaro_power(P, start, n=4000):
@@ -144,7 +152,7 @@ def test_stationary_matches_power_iteration():
     for _ in range(25):
         policy = tuple(rng.integers(0, 2, 8).tolist())
         pi = mdp.stationary_distribution(k, policy)
-        start = min(mdp.recurrent_class(policy))
+        start = np.flatnonzero(pi)[0]
         oracle = _cesaro_power(mdp.policy_matrix(k, policy), start=start)
         assert np.allclose(pi, oracle, atol=1e-9)
 
@@ -277,6 +285,32 @@ def test_rate_asymptotic_std_closed_form_cases():
     assert mdp.rate_asymptotic_std(k, ALL_SWITCH, horizon) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("eps", (0.05, 0.10, 0.25, 0.29, 0.30, 0.40, 0.45, 0.50,
+                                 1e-5, 3e-9, EPS_CRITICAL, 0.4999999974))
+def test_rate_asymptotic_std_equals_explicit_inverse(eps):
+    # one solve on the law's class against the explicit inverse, zeros where it has them
+    k = mdp.build_kernel(eps)
+    for policy in mdp.all_policies():
+        got, want = mdp.rate_asymptotic_std(k, policy, 1000), inverse_asymptotic_std(k, policy, 1000)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=str(policy))
+
+
+@pytest.mark.parametrize("eps", (0.01, 0.05, 0.1, 0.2, 0.25, EPS_CRITICAL, 0.35, 0.45))
+def test_frequency_lp_is_attained_at_a_deterministic_policy(eps):
+    # the paper's LP over state-action frequencies: its optimum is the best of the 256
+    # enumerated rate pairs and the closed-form region's support, at a deterministic policy
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(round(eps * 1e6))
+    enumerated = np.array([v.rates for v in mdp.enumerate_vertices(eps)])
+    corners = np.array(closed_form_region(eps).corners)
+    for _ in range(25):
+        w = rng.random(2)
+        value, x = frequency_lp(eps, w)
+        assert value == pytest.approx((enumerated @ w).max(), abs=1e-12)
+        assert value == pytest.approx((corners @ w).max(), abs=1e-12)
+        assert not (x > 0).all(axis=1).any(), x  # no state splits its weight between the actions
+
+
 # The acceptance epsilons, the smallest that still solves, 1e-5, the regime
 # change, just below 1/2, and 40 uniform draws.
 STACK_EPS = (0.05, 0.10, 0.25, 0.29, 0.30, 0.40, 0.45, 0.50, 3e-9, 1e-5, EPS_CRITICAL, 0.4999999974,
@@ -293,7 +327,7 @@ def test_stacked_solve_equals_one_solve_per_policy(eps):
         law.tobytes() for law in laws[::17]]
     r1, r2 = mdp.policy_rates(stack, policies)
     assert list(zip(r1.tolist(), r2.tolist())) == rates
-    mdp._enumerate_cached.cache_clear()
+    mdp.enumerate_vertices.cache_clear()
     assert [v.rates for v in mdp.enumerate_vertices(eps)] == rates
 
 

@@ -145,7 +145,10 @@ def test_region_from_vertices_degenerate_inputs():
     single = rg.region_from_vertices([(0.3, 0.2)])
     assert single.corners == ((0.3, 0.2),)
     dedup = rg.region_from_vertices([(0.3, 0.2)] * 5 + [(0.3, 0.2 + 1e-12)])
-    assert dedup.corners == ((0.3, 0.2),)
+    assert dedup.corners in (((0.3, 0.2),), ((0.3, 0.2 + 1e-12),))
+    # a point 1e-12 from a corner between two others collapses into one corner with it
+    near = rg.region_from_vertices([(0.5, 0.0), (0.3, 0.2), (0.3 - 1e-12, 0.2 + 1e-12), (0.0, 0.3)])
+    assert len(near.corners) == 3 and near.corners[1] in ((0.3, 0.2), (0.3 - 1e-12, 0.2 + 1e-12))
     with pytest.raises(ValueError):
         rg.region_from_vertices([])
 
