@@ -121,8 +121,7 @@ def _cmd_saturated(args) -> int:
         table, label = mdp.policy_from_id(args.policy_id), f"policy_{args.policy_id}"
     emp = sim.saturated_rate(table, args.epsilon, args.horizon, args.seed, warmup=2000)
     kernel = mdp.build_kernel(args.epsilon)
-    pi = mdp.stationary_distribution(kernel, table)
-    exact = mdp.policy_rates(pi, table)
+    exact = mdp.policy_rates(mdp.stationary_distribution(kernel, table), table)
     rows = [(label, args.epsilon, emp[0], emp[1], exact[0], exact[1])]
     _write(args.out, exp.rows_to_csv(("policy", "epsilon", "rate1", "rate2", "exact1", "exact2"), rows))
     if args.check:

@@ -38,6 +38,7 @@ STATES: tuple[tuple[int, int, int], ...] = (
 # Reward-bearing states (0-based): queue 1 departs in states 0,1; queue 2 in 4,6.
 REWARD1_STATES = (0, 1)
 REWARD2_STATES = (4, 6)
+ID_BITS = 1 << np.arange(N_STATES - 1, -1, -1)  # table @ ID_BITS is its policy id: state 1 most significant, stay = 1
 
 
 def state_index(m: int, c1: int, c2: int) -> int:
@@ -90,62 +91,73 @@ def policy_matrix(kernel: np.ndarray, policy) -> np.ndarray:
 _CLASSES = (slice(0, 4), slice(4, N_STATES), slice(0, N_STATES))
 
 
-def _class_index(tables: np.ndarray) -> np.ndarray:
-    """Position in _CLASSES of the recurrent class of each table of an [n, 8] stack.
+def _groups(stack: np.ndarray) -> list[tuple[slice, np.ndarray]]:
+    """Each recurrent class of the tables of an [n, 8] stack, as its _CLASSES slice with the rows it holds.
 
-    Every channel pair is reached in one slot, so the classes are whole
-    server blocks: a block that holds a switch is left, a block without one
-    is closed.  If neither block is closed the chain is one class;
-    stay-everywhere has both closed and resolves to the queue-1 block,
-    matching a queue-1 server start.
+    Every channel pair is reached in one slot, so a server block that holds a switch is left and one without is
+    closed.  If neither is closed the chain is one class; stay-everywhere resolves to queue 1's block (its start).
     """
-    closed = (tables.reshape(-1, 2, N_STATES // 2) == STAY).all(axis=2)
-    return np.where(closed[:, 0], 0, np.where(closed[:, 1], 1, 2))
+    closed = (stack.reshape(-1, 2, N_STATES // 2) == STAY).all(axis=2)
+    classes = np.where(closed[:, 0], 0, np.where(closed[:, 1], 1, 2))
+    return [(_CLASSES[c], np.flatnonzero(classes == c)) for c in set(classes.tolist())]
 
 
 class ChainSolveError(ArithmeticError):
     """A chain solve lost its accuracy, as it does for epsilon too close to 0."""
 
 
-def stationary_distribution(kernel: np.ndarray, policy) -> np.ndarray:
-    """The stationary law pi of the policy-induced chain, transient states at 0.
-
-    policy is one table or a sequence of tables; a sequence gives an [n, 8]
-    stack of laws in its order.  The tables are grouped by recurrent class,
-    and each group takes one stacked np.linalg.solve of (P^T - I) on the
-    class with its last row replaced by the normalisation sum(pi) = 1: the
-    matrices, and so the laws, of one solve per table.  Raises
-    ChainSolveError when a law misses its balance equations by more than
-    1e-12 or has an entry below -1e-13.
-    """
+def _tables(policy) -> np.ndarray:
+    """policy as an array of one table or a stack; a table not 8 integer entries of 0 or 1 is refused by name."""
     tables = np.asarray(policy)
-    stack = tables.reshape(-1, N_STATES)
-    classes = _class_index(stack)
-    P = policy_matrix(kernel, stack)
-    pi = np.zeros(stack.shape)
-    for c in set(classes.tolist()):
-        rec, members = _CLASSES[c], np.flatnonzero(classes == c)
+    shaped = tables.ndim in (1, 2) and tables.shape[-1] == N_STATES and tables.dtype.kind in "iu"
+    bad = [tuple(t) for t in tables[(tables >> 1).any(axis=-1)].reshape(-1, N_STATES).tolist()] if shaped else [policy]
+    if bad:
+        raise ValueError(f"a policy table is 8 integer entries of 0 or 1, got {bad[0]!r}")
+    return tables
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of a stack, each singular matrix left at nan by a solve of its own."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        return np.full(b.shape, np.nan) if A.ndim == 2 else np.array([_solve(*ab) for ab in zip(A, b)])
+
+
+def _laws(kernel: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, dict[int, str]]:
+    """The unclamped laws of an [n, 8] stack of tables, one stacked solve per recurrent class, and their refusals.
+
+    Each row's solve is of (P^T - I) on its class with the last row sum(pi) = 1.  A law is refused by row when it
+    misses its balance equations by more than 1e-12 or has an entry below -1e-13 (or a nan, as a singular solve).
+    """
+    P, pi = policy_matrix(kernel, stack), np.zeros(stack.shape)
+    for rec, members in _groups(stack):
         n = rec.stop - rec.start
-        A = P[members][:, rec, rec].transpose(0, 2, 1)  # a fresh array: edit in place
-        A -= np.eye(n)
+        A = P[members][:, rec, rec].transpose(0, 2, 1) - np.eye(n)
         A[:, -1, :] = 1.0
-        b = np.zeros((len(members), n, 1))  # a stack of columns, read alike by NumPy 1 and 2
-        b[:, -1] = 1.0
-        try:
-            pi[members, rec] = np.linalg.solve(A, b)[..., 0]
-        except np.linalg.LinAlgError as err:
-            raise ChainSolveError(f"stationary solve failed: {err}") from None
-    residual = np.abs((pi[:, None, :] @ P)[:, 0] - pi).max()
-    if residual > 1e-12 or pi.min() < -1e-13:
-        raise ChainSolveError(f"stationary solve failed, residual {residual:.3e}, min pi {pi.min():.3e}")
+        b = np.repeat(np.eye(n)[None, :, -1:], len(members), axis=0)  # a stack of columns, read alike by NumPy 1 and 2
+        pi[members, rec] = _solve(A, b)[..., 0]
+    residual, least = np.abs((pi[:, None, :] @ P)[:, 0] - pi).max(axis=1), pi.min(axis=1)
+    failed = np.flatnonzero(~((residual <= 1e-12) & (least >= -1e-13))).tolist()
+    return pi, {i: f"stationary solve failed, residual {residual[i]:.3e}, min pi {least[i]:.3e}" for i in failed}
+
+
+def stationary_distribution(kernel: np.ndarray, policy) -> np.ndarray:
+    """The stationary law pi of the policy-induced chain, transient states at 0, or ChainSolveError (see _laws).
+
+    A sequence of tables gives an [n, 8] stack of laws in its order, with the bits of one solve per table.
+    """
+    tables = _tables(policy)
+    pi, refusals = _laws(kernel, tables.reshape(-1, N_STATES))
+    if refusals:
+        raise ChainSolveError(next(iter(refusals.values())))
     return np.maximum(pi, 0.0).reshape(tables.shape)
 
 
 def policy_rates(pi: np.ndarray, policy) -> tuple:
     """Expected departures per slot (r1, r2) under the stationary law.
 
-    A stack of laws with its tables gives two arrays.  Each rate adds its
-    two reward states in state order, as a sum over the paid states did.
+    A stack of laws with its tables gives two arrays; each rate adds its two reward states in state order.
     """
     paid = np.where(np.asarray(policy) == STAY, pi, 0.0)
     r1 = paid[..., REWARD1_STATES[0]] + paid[..., REWARD1_STATES[1]]
@@ -163,29 +175,39 @@ class PolicyVertex:
 
 @lru_cache(maxsize=32)
 def enumerate_vertices(epsilon: float) -> tuple[PolicyVertex, ...]:
-    """All 256 deterministic policies with exact stationary rates, by policy id.
-
-    The 256 laws come from one stacked stationary_distribution call, once per epsilon.
-    """
+    """All 256 deterministic policies with exact stationary rates by policy id, from one stationary_distribution."""
     policies = all_policies()  # a list of tuples, so a tracer can hash the stack
     r1, r2 = policy_rates(stationary_distribution(build_kernel(epsilon), policies), policies)
     return tuple(PolicyVertex(p, rates) for p, rates in zip(policies, zip(r1.tolist(), r2.tolist())))
 
 
-def rate_asymptotic_std(kernel: np.ndarray, policy: tuple[int, ...], horizon: int) -> tuple[float, float]:
-    """Standard error of the horizon-slot empirical rates under the policy.
+@lru_cache(maxsize=32)
+def _variance_table(kernel_bytes: bytes) -> tuple[np.ndarray, dict[int, str]]:
+    """The asymptotic variances of both rates of the 256 tables of a kernel by policy id, and their refusals.
 
-    The per-slot reward f is each state's departures, policy_rates at the
-    point masses, so the asymptotic variance follows from the fundamental
-    matrix Z = (I - P + 1 pi)^{-1} of the chain on its recurrent class:
-    sigma^2 = pi.f~^2 + 2 pi.(f~ * (Z - I) f~) with f~ = f - pi.f, and
-    Z f~ for both rewards is one solve.
+    The per-slot reward f is each state's departures (policy_rates at the point masses), and with the fundamental
+    matrix Z = (I - P + 1 pi)^{-1} on the recurrent class, sigma^2 = pi.f~^2 + 2 pi.(f~ * (Z - I) f~) for
+    f~ = f - pi.f.  Z f~ for both rewards of a class's tables is one stacked solve, with the bits of one per table.
     """
-    rec = _CLASSES[_class_index(np.asarray(policy))[0]]
-    P = policy_matrix(kernel, policy)[rec, rec]
-    pi = stationary_distribution(kernel, policy)[rec]
-    f = np.array(policy_rates(np.eye(N_STATES), policy))[:, rec]  # [reward, state]
-    ft = f - (f @ pi)[:, None]
-    zf = np.linalg.solve(np.eye(len(pi)) - P + pi, ft.T).T
-    var = (ft * ft) @ pi + 2.0 * (ft * (zf - ft)) @ pi
-    return tuple(np.sqrt(np.maximum(var, 0.0) / horizon).tolist())
+    kernel, tables = np.frombuffer(kernel_bytes).reshape(N_STATES, 2, N_STATES), np.array(all_policies())
+    pi, refusals = _laws(kernel, tables)
+    pi, P, var = np.maximum(pi, 0.0), policy_matrix(kernel, tables), np.zeros((len(tables), 2))
+    f = np.stack(policy_rates(np.eye(N_STATES), tables[:, None]), axis=1)  # [table, reward, state]
+    for rec, members in _groups(tables):
+        p, ft = pi[members, rec][..., None], f[members][..., rec]  # [table, state, 1], [table, reward, state]
+        ft = ft - ft @ p
+        zf = _solve(np.eye(p.shape[1]) - P[members][:, rec, rec] + p.transpose(0, 2, 1), ft.transpose(0, 2, 1))
+        var[members] = ((ft * ft) @ p + 2.0 * (ft * (zf.transpose(0, 2, 1) - ft)) @ p)[..., 0]
+    singular = np.flatnonzero(np.isnan(var).any(axis=1)).tolist()
+    return np.maximum(var, 0.0), {i: "fundamental matrix solve failed: singular matrix" for i in singular} | refusals
+
+
+def rate_asymptotic_std(kernel: np.ndarray, policy: tuple[int, ...], horizon: int) -> tuple[float, float]:
+    """Standard error of the horizon-slot empirical rates under the policy, refused where its own law or Z is."""
+    pid = int(_tables(policy) @ ID_BITS)
+    if not horizon >= 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    var, refusals = _variance_table(np.ascontiguousarray(kernel, dtype=float).tobytes())
+    if pid in refusals:
+        raise ChainSolveError(refusals[pid])
+    return tuple(np.sqrt(var[pid] / horizon).tolist())

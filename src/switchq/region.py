@@ -89,14 +89,14 @@ def corner_points(epsilon: float) -> list[tuple[str, tuple[float, float]]]:
 def _frontier(points: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
     """The concave chain through points ordered right to left (x descending, then y descending).
 
-    A point strictly below the chain's last corner is skipped, and a corner
-    within _TOL of the chord from its predecessor to the next point, or
-    reflex, is popped.  The left end of a horizontal top edge is kept, and a
-    lead point below the next one keeps a vertical right edge.
+    A point strictly below the chain's last corner, or within _TOL of a lone
+    lead corner, is skipped; a corner within _TOL of the chord from its
+    predecessor to the next point, or reflex, is popped.  A horizontal top
+    edge keeps its left end, and a lead point below the next a vertical right edge.
     """
     chain: list[tuple[float, float]] = []
     for p in points:
-        if chain and p[1] < chain[-1][1]:
+        if chain and (p[1] < chain[-1][1] or (len(chain) == 1 and _dist(chain[0], p) <= _TOL)):
             continue
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= _TOL * _dist(chain[-2], p):
             chain.pop()

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import channels as ch
 from . import policies as pol
-from .mdp import N_STATES, STAY, SWITCH, all_policies, policy_rates, state_index
+from .mdp import ID_BITS, N_STATES, STAY, SWITCH, all_policies, policy_rates, state_index
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,6 @@ MAX_BATCH_HORIZON = 2**31 - 1  # no count or sum of run_batch exceeds 2 * H * H,
 _CHUNK_SYMBOLS = 2**16  # cells x slots of each stream held at once
 _MIN_CHUNK = 1024  # slots per chunk, however many cells
 _BLOCK_SYMBOLS = 2**13  # cells x slots per block of int64 rows, at least a slot: equal types skip ufunc casts
-_ID_BITS = 1 << np.arange(7, -1, -1)  # table @ _ID_BITS is its policy id: state 1 most significant, stay = 1
 
 
 @lru_cache(maxsize=1)
@@ -320,7 +319,7 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     policy = first.policy
     kind, epsilon, T, table = policy.kind, first.channel.epsilon, policy.T, policy.table
     serve, switch4 = _step_tables()
-    policy_id = int(np.dot(table, _ID_BITS)) if table else 0  # fbdc sets its own at each frame start
+    policy_id = int(np.dot(table, ID_BITS)) if table else 0  # fbdc sets its own at each frame start
     one_action = table is None and kind != "fbdc"
     offset = np.full(n_cells, 8 * policy_id)  # every server starts at queue 1
     if kind == "myopic":
@@ -351,7 +350,7 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
                 noted.append(np.vstack([occupancy.sum(axis=0), q]))
                 mark = next(marks, -1)
             if kind == "fbdc" and t % T == 0:
-                offset = 8 * (pol.fbdc_frame_start(epsilon, q[0], q[1]) @ _ID_BITS) + (offset & 4)
+                offset = 8 * (pol.fbdc_frame_start(epsilon, q[0], q[1]) @ ID_BITS) + (offset & 4)
             np.add(offset, symbol, out=index)
             if one_action:  # offset is 4 * (m - 1), so index is the state; the action picks its table
                 if kind == "myopic":

@@ -9,7 +9,8 @@ credit read back from myopic_table, the myopic decisions at all eight
 states for fixed weights, the myopic rule as two branches on the server
 position, the 256 chain laws by one solve
 per policy, the rates' standard errors by an explicit inverse and a
-per-state reward loop, the state-action-frequency LP, the psi minimisation
+per-state reward loop, and by one solve of Z f~ per table, the
+state-action-frequency LP, the psi minimisation
 by one array pass per epsilon, and sim.run's slot loop with a test for
 marks, frames and trace rows in every slot.
 """
@@ -228,6 +229,27 @@ def inverse_asymptotic_std(kernel, policy, horizon):
         var = float(pi @ (ft * ft) + 2.0 * pi @ (ft * ((Z - np.eye(n)) @ ft)))
         out.append(np.sqrt(max(var, 0.0) / horizon))
     return out[0], out[1]
+
+
+def per_table_asymptotic_std(kernel, policy, horizon):
+    """Standard errors of the horizon-slot rates by one solve of Z f~ for both rewards, on one table's own law.
+
+    With f each state's departures on the recurrent class and f~ = f - pi.f,
+    sigma^2 = pi.f~^2 + 2 pi.(f~ * (Z - I) f~) and Z f~ solves
+    (I - P + 1 pi) z = f~.  The class, a whole server block or both, is read
+    as a slice: the dot products over a copy of it can round differently.
+    """
+    P = kernel[range(N_STATES), policy]
+    cls = closure_recurrent_class(P)
+    rec = slice(cls[0], cls[-1] + 1)
+    assert list(range(N_STATES)[rec]) == cls
+    Pr = P[rec, rec]
+    pi = per_policy_stationary(kernel, policy)[rec]
+    f = np.array(mdp.policy_rates(np.eye(N_STATES), policy))[:, rec]  # [reward, state]
+    ft = f - (f @ pi)[:, None]
+    zf = np.linalg.solve(np.eye(len(pi)) - Pr + pi, ft.T).T
+    var = (ft * ft) @ pi + 2.0 * (ft * (zf - ft)) @ pi
+    return tuple(np.sqrt(np.maximum(var, 0.0) / horizon).tolist())
 
 
 def frequency_lp(epsilon, w):

@@ -52,6 +52,12 @@ def test_saturated_command_with_check(tmp_path):
     assert "corner_b2" in out.read_text()
 
 
+def test_saturated_check_is_refused_only_for_its_own_table(tmp_path):
+    # at 2.5e-8 policy 113's solve is refused, but b2's standard errors are read from the same kernel's table
+    assert main(["saturated", "--epsilon", "2.5e-8", "--corner", "b2", "--horizon", "1000",
+                 "--out", str(tmp_path / "sat.csv"), "--check"]) == 0
+
+
 def test_gap_command(tmp_path):
     out = tmp_path / "gap.csv"
     assert main(["gap", "--epsilon", "0.25", "--corner", "b2", "--T-list", "10,200",

@@ -1,16 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
 from oracles import (
     closure_recurrent_class,
+    fbdc_thresholds,
     frequency_lp,
     inverse_asymptotic_std,
     loop_kernel,
     per_policy_enumeration,
     per_policy_stationary,
+    per_table_asymptotic_std,
 )
 from switchq import mdp
-from switchq.region import EPS_CRITICAL, closed_form_region
+from switchq import policies as pol
+from switchq.region import EPS_CRITICAL, closed_form_region, corner_points, fbdc_corner_map
 
 ALL_STAY = (1,) * 8
 ALL_SWITCH = (0,) * 8
@@ -295,6 +300,63 @@ def test_rate_asymptotic_std_equals_explicit_inverse(eps):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=str(policy))
 
 
+def _refused(solve, *args) -> bool:
+    try:
+        solve(*args)
+    except mdp.ChainSolveError:
+        return True
+    return False
+
+
+def test_rate_asymptotic_std_is_refused_exactly_where_its_own_table_is():
+    # the variance table covers all 256 tables of a kernel, but refuses a table
+    # only where that table's own solve is refused, as one solve per table did
+    tables = [*pol.CORNER_TABLES.values(), mdp.policy_from_id(113), mdp.policy_from_id(121)]
+    refused = accepted = 0
+    for eps in np.logspace(-10, -5, 400).tolist():
+        kernel = mdp.build_kernel(eps)
+        for table in tables:
+            want = _refused(per_policy_stationary, kernel, table)
+            assert _refused(mdp.rate_asymptotic_std, kernel, table, 1000) == want, (eps, table)
+            refused, accepted = refused + want, accepted + (not want)
+    assert refused > 0 and accepted > 0
+
+
+def test_a_singular_solve_refuses_its_own_table_alone():
+    # where 1 - eps rounds near 1 some of a class's matrices are singular: a stack holding
+    # one fails whole, so those tables fall back to solves of their own, and only they are refused
+    kernel = mdp.build_kernel(1.373823795883261e-16)
+    for policy in mdp.all_policies():
+        try:
+            want = per_table_asymptotic_std(kernel, policy, 1000)
+        except (mdp.ChainSolveError, np.linalg.LinAlgError):
+            want = None
+        if want is None:
+            assert _refused(mdp.rate_asymptotic_std, kernel, policy, 1000), policy
+        else:
+            assert np.array(mdp.rate_asymptotic_std(kernel, policy, 1000)).tobytes() == np.array(want).tobytes()
+    with pytest.raises(mdp.ChainSolveError):  # every law is singular or inaccurate here
+        mdp.stationary_distribution(mdp.build_kernel(1e-17), mdp.all_policies())
+
+
+@pytest.mark.parametrize("table", [(1,) * 7 + (-1,), (1,) * 7 + (2,), (1.0,) * 8, (True,) * 8, (1,) * 7, (1,) * 9])
+def test_malformed_tables_are_refused_by_name(table):
+    # a table is 8 integer entries of 0 or 1: -1 is no switch, and 2 or a float no index
+    kernel = mdp.build_kernel(0.25)
+    calls = [lambda: mdp.stationary_distribution(kernel, table), lambda: mdp.rate_asymptotic_std(kernel, table, 1000)]
+    if len(table) == 8 and not isinstance(table[0], bool):  # in a stack, True is the integer 1
+        calls.append(lambda: mdp.stationary_distribution(kernel, [mdp.policy_from_id(7), table]))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(table))):
+            call()
+
+
+@pytest.mark.parametrize("horizon", (0, -5, float("nan")))
+def test_rate_asymptotic_std_refuses_horizons_below_one(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        mdp.rate_asymptotic_std(mdp.build_kernel(0.25), ALL_STAY, horizon)
+
+
 @pytest.mark.parametrize("eps", (0.01, 0.05, 0.1, 0.2, 0.25, EPS_CRITICAL, 0.35, 0.45))
 def test_frequency_lp_is_attained_at_a_deterministic_policy(eps):
     # the paper's LP over state-action frequencies: its optimum is the best of the 256
@@ -309,6 +371,22 @@ def test_frequency_lp_is_attained_at_a_deterministic_policy(eps):
         assert value == pytest.approx((enumerated @ w).max(), abs=1e-12)
         assert value == pytest.approx((corners @ w).max(), abs=1e-12)
         assert not (x > 0).all(axis=1).any(), x  # no state splits its weight between the actions
+
+
+@pytest.mark.parametrize("eps", (0.01, 0.05, 0.1, 0.2, 0.25, 0.35, 0.4, 0.45))
+def test_frequency_lp_support_is_the_closed_form_region(eps):
+    # the LP's value at each facet normal is the facet's b, and at queues
+    # (q1, q2) between two FBDC thresholds its optimal rate pair is the
+    # corner fbdc_corner_map picks
+    pytest.importorskip("scipy")
+    for h in closed_form_region(eps).halfspaces:
+        assert frequency_lp(eps, (h.a1, h.a2))[0] == pytest.approx(h.b, abs=1e-12), h
+    cuts, corners = fbdc_thresholds(eps), dict(corner_points(eps))
+    for ratio in (cuts[0] / 2, *np.sqrt(np.multiply(cuts[:-1], cuts[1:])).tolist(), cuts[-1] * 2):
+        q1, q2 = 2.0, 2.0 * ratio
+        x = frequency_lp(eps, (q1, q2))[1]
+        rates = (x[list(mdp.REWARD1_STATES), mdp.STAY].sum(), x[list(mdp.REWARD2_STATES), mdp.STAY].sum())
+        np.testing.assert_allclose(rates, corners[fbdc_corner_map(eps, q1, q2)], rtol=0, atol=1e-12, err_msg=ratio)
 
 
 # The acceptance epsilons, the smallest that still solves, 1e-5, the regime
@@ -329,6 +407,15 @@ def test_stacked_solve_equals_one_solve_per_policy(eps):
     assert list(zip(r1.tolist(), r2.tolist())) == rates
     mdp.enumerate_vertices.cache_clear()
     assert [v.rates for v in mdp.enumerate_vertices(eps)] == rates
+
+
+@pytest.mark.parametrize("eps", STACK_EPS[:32])  # the twelve fixed and 20 drawn
+def test_rate_asymptotic_std_equals_one_solve_per_table(eps):
+    # the kernel's variance table, one stacked solve per class, holds each table's bits of its own solve
+    kernel = mdp.build_kernel(eps)
+    for policy in mdp.all_policies():
+        got, want = mdp.rate_asymptotic_std(kernel, policy, 1000), per_table_asymptotic_std(kernel, policy, 1000)
+        assert np.array(got).tobytes() == np.array(want).tobytes(), (policy, got, want)
 
 
 @pytest.mark.parametrize("eps", (1e-9, 1e-12))

@@ -153,6 +153,15 @@ def test_region_from_vertices_degenerate_inputs():
         rg.region_from_vertices([])
 
 
+def test_a_lone_lead_corner_takes_in_the_points_within_tol_of_it():
+    # the same-point rule at the start of the chain: the first two points
+    # 1e-12 apart at one height, or one step up and left, are one corner
+    lead = (0.3 + 1e-12, 0.2)
+    for near in ((0.3, 0.2), (0.3, 0.2 + 1e-12)):
+        for rest in ([], [(0.0, 0.1)]):
+            assert rg.region_from_vertices([lead, near, *rest]) == rg.region_from_vertices([lead, *rest])
+
+
 _COORD = st.one_of(st.floats(0, 1), st.floats(0, 1).map(lambda v: round(v * 8) / 8))
 _CLOUD = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=30).flatmap(
     lambda pts: st.lists(st.sampled_from(pts), max_size=5).map(lambda repeats: pts + repeats)
