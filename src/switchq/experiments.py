@@ -29,8 +29,9 @@ from .region import (
 )
 
 # The most points a sweep or psi grid may sample, checked before it is built:
-# about 2.1 s of grid_points (step 1e-3, 166k cells to simulate) and 0.25 s
-# of verify_psi on a 2-vCPU Xeon.
+# about 2.1 s of grid_points (step 1e-3, 166k cells to simulate) on a 2-vCPU
+# Xeon.  verify_psi's cost follows its epsilon rows: a million points take
+# 0.04 s at 400 ratios a row and about 5 s at one.
 MAX_GRID_POINTS = 10**6
 
 SWEEP_HEADER = ("epsilon", "lambda1", "lambda2", "policy", "T", "k", "q_avg", "rate1", "rate2", "stable")
@@ -251,10 +252,11 @@ def psi_value(epsilon, ratio):
     return rate_my / rate_opt, ids[my], ids[opt]
 
 
-# Grid points per array pass of verify_psi, so a pass's memory does not grow
-# with the grid.  A whole band per pass raised the peak RSS of `psi --check`
-# by about 11 MB; at 4096 points it peaks as low as one epsilon per pass,
-# and halving the block made the check about a third slower.
+# Grid points per np.geomspace block of verify_psi's ratio rows, and epsilon
+# rows per psi_value pass, so neither's memory grows with the grid.  One
+# geomspace call per band raised the peak RSS of `psi --check` by about 1 MB,
+# and one psi_value pass per band that of --ratio-points 4 at its finest
+# --eps-step (73k epsilon rows a band) from 30 to 118 MB.
 _PSI_BLOCK = 4096
 
 
@@ -265,14 +267,15 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
     strictly interior points: epsilon at multiples of the step inside the
     band's interval, the ratio at log-spaced points excluding the
     endpoints.  Inside a band both maps keep one corner each, so psi is
-    monotone along each ratio row and a row's minimum is one of its end
-    samples; the grid minimum needs no refinement.  A band's epsilon x
-    ratio grid is evaluated in array passes of psi_value over blocks of
-    epsilon rows, at most _PSI_BLOCK points each (at least one row); the
-    first minimum in (epsilon, ratio) order wins, as strict < across blocks
-    keeps it.  Returns one row (case, region, bound, minimum,
-    argmin_epsilon, argmin_ratio) per band, then ("global", "",
-    PSI_GLOBAL_BOUND, the least minimum, nan, nan).
+    linear-fractional and monotone along each ratio row, and a row's first
+    minimum is one of its two end samples: only those are evaluated, and
+    the grid minimum needs no refinement.  The ratio grid still defines
+    which samples exist: a band's rows come from np.geomspace in blocks of
+    at most _PSI_BLOCK points (at least one row), and their end samples
+    go to one psi_value pass per band (per _PSI_BLOCK epsilon rows).  The
+    first minimum in (epsilon, ratio) order wins.  Returns one row (case,
+    region, bound, minimum, argmin_epsilon, argmin_ratio) per band, then
+    ("global", "", PSI_GLOBAL_BOUND, the least minimum, nan, nan).
     """
     width = sum(hi - lo for _, _, (lo, hi), _, _ in PSI_REGIONS)  # about width / step epsilon rows in all
     if not ratio_grid_points * width <= MAX_GRID_POINTS * epsilon_grid_step:  # false for a step <= 0 or nan
@@ -281,23 +284,17 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
     rows = max(1, _PSI_BLOCK // ratio_grid_points)
     results = []
     for case, name, (eps_lo, eps_hi), ratio_iv, bound in PSI_REGIONS:
-        k_lo = math.floor(eps_lo / epsilon_grid_step) + 1
-        k_end = math.ceil(eps_hi / epsilon_grid_step)
-        best = (math.inf, math.nan, math.nan)
-        for k in range(k_lo, k_end, rows):
-            eps = np.arange(k, min(k + rows, k_end)) * epsilon_grid_step
-            eps = eps[(eps_lo < eps) & (eps < eps_hi)]
-            if not eps.size:
-                continue
-            lo, hi = np.array([ratio_iv(e) for e in eps.tolist()]).T
-            rs = np.geomspace(lo, hi, ratio_grid_points + 2, axis=1)[:, 1:-1]
-            vals = psi_value(eps, rs)[0]
-            i, j = divmod(int(np.argmin(vals)), ratio_grid_points)
-            if vals[i, j] < best[0]:
-                best = (vals[i, j], float(eps[i]), float(rs[i, j]))
-        if best[0] == math.inf:
+        eps = np.arange(math.floor(eps_lo / epsilon_grid_step) + 1, math.ceil(eps_hi / epsilon_grid_step))
+        eps = eps * epsilon_grid_step
+        eps = eps[(eps_lo < eps) & (eps < eps_hi)]
+        if not eps.size:
             raise ValueError(f"epsilon grid step {epsilon_grid_step} leaves band {case}/{name} without a sample")
-        results.append((case, name, bound, *best))
+        rs = np.concatenate([np.geomspace(*np.array([ratio_iv(e) for e in block.tolist()]).T, ratio_grid_points + 2,
+                                          axis=1)[:, [1, -2]] for block in np.split(eps, range(rows, eps.size, rows))])
+        cuts = range(_PSI_BLOCK, eps.size, _PSI_BLOCK)
+        vals = np.concatenate([psi_value(e, r)[0] for e, r in zip(np.split(eps, cuts), np.split(rs, cuts))])
+        i, j = divmod(int(np.argmin(vals)), 2)
+        results.append((case, name, bound, vals[i, j], float(eps[i]), float(rs[i, j])))
     return results + [("global", "", PSI_GLOBAL_BOUND, min(r[3] for r in results), math.nan, math.nan)]
 
 

@@ -17,6 +17,7 @@ frontier corners (region.fbdc_corner_map).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,7 +65,7 @@ def policy_from_id(pid: int) -> tuple[int, ...]:
 
 def all_policies() -> list[tuple[int, ...]]:
     """All 256 stationary deterministic policies, ordered by bit pattern."""
-    return [policy_from_id(pid) for pid in range(256)]
+    return list(itertools.product((SWITCH, STAY), repeat=N_STATES))
 
 
 def build_kernel(epsilon: float) -> np.ndarray:
@@ -106,7 +107,7 @@ class ChainSolveError(ArithmeticError):
     """A chain solve lost its accuracy, as it does for epsilon too close to 0."""
 
 
-def _tables(policy) -> np.ndarray:
+def policy_tables(policy) -> np.ndarray:
     """policy as an array of one table or a stack; a table not 8 integer entries of 0 or 1 is refused by name."""
     tables = np.asarray(policy)
     shaped = tables.ndim in (1, 2) and tables.shape[-1] == N_STATES and tables.dtype.kind in "iu"
@@ -137,7 +138,8 @@ def _laws(kernel: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, dict[int, 
         A[:, -1, :] = 1.0
         b = np.repeat(np.eye(n)[None, :, -1:], len(members), axis=0)  # a stack of columns, read alike by NumPy 1 and 2
         pi[members, rec] = _solve(A, b)[..., 0]
-    residual, least = np.abs((pi[:, None, :] @ P)[:, 0] - pi).max(axis=1), pi.min(axis=1)
+    with np.errstate(invalid="ignore"):  # a law with an inf or nan entry has a nan residual, refused below
+        residual, least = np.abs((pi[:, None, :] @ P)[:, 0] - pi).max(axis=1), pi.min(axis=1)
     failed = np.flatnonzero(~((residual <= 1e-12) & (least >= -1e-13))).tolist()
     return pi, {i: f"stationary solve failed, residual {residual[i]:.3e}, min pi {least[i]:.3e}" for i in failed}
 
@@ -147,7 +149,7 @@ def stationary_distribution(kernel: np.ndarray, policy) -> np.ndarray:
 
     A sequence of tables gives an [n, 8] stack of laws in its order, with the bits of one solve per table.
     """
-    tables = _tables(policy)
+    tables = policy_tables(policy)
     pi, refusals = _laws(kernel, tables.reshape(-1, N_STATES))
     if refusals:
         raise ChainSolveError(next(iter(refusals.values())))
@@ -204,7 +206,7 @@ def _variance_table(kernel_bytes: bytes) -> tuple[np.ndarray, dict[int, str]]:
 
 def rate_asymptotic_std(kernel: np.ndarray, policy: tuple[int, ...], horizon: int) -> tuple[float, float]:
     """Standard error of the horizon-slot empirical rates under the policy, refused where its own law or Z is."""
-    pid = int(_tables(policy) @ ID_BITS)
+    pid = int(policy_tables(policy) @ ID_BITS)
     if not horizon >= 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     var, refusals = _variance_table(np.ascontiguousarray(kernel, dtype=float).tobytes())

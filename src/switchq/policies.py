@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import channels as ch
-from .mdp import STATES, STAY, SWITCH, mirror_policy
+from .mdp import STATES, STAY, SWITCH, mirror_policy, policy_tables
 from .region import corner_points, fbdc_corner_map
 
 # Corner action tables (states in the fixed order 1..8).  b2 serves the own
@@ -70,8 +70,8 @@ class PolicyConfig:
             raise ValueError("lookahead k must be >= 1")
         if (self.kind == "fixed_table") != (self.table is not None):
             raise ValueError("fixed_table, and no other kind, takes a table")
-        if self.table is not None and (len(self.table) != 8 or any(a not in (0, 1) for a in self.table)):
-            raise ValueError("fixed_table requires an 8-entry stay/switch table")
+        if self.table is not None and policy_tables(self.table).ndim != 1:  # a table is what the chain solves take
+            raise ValueError(f"fixed_table takes one policy table, got a stack {self.table!r}")
 
     def label(self) -> str:
         if self.kind == "fbdc":

@@ -102,7 +102,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["saturated", "--epsilon", "0.25", "--corner", "b2", "--horizon", "0"], "--horizon"),
         # the exact chain solve loses its accuracy this close to epsilon = 0
         *((["region", "--epsilon", eps, "--check", "--out", str(tmp_path / "r.csv")], "--epsilon")
-          for eps in ("1e-9", "1e-12", "1e-15", "1e-17")),
+          for eps in ("1e-9", "1e-12", "1e-15", "1e-17", "1e-100", "5e-324")),
         (["saturated", "--epsilon", "1e-17", "--corner", "b2", "--horizon", "100"], "--epsilon"),
         (["gap", "--epsilon", "5e-324", "--T-list", "2", "--horizon", "100"], "--epsilon"),
         # nan fails every range check, so no run goes ahead on it

@@ -241,6 +241,26 @@ def test_blocked_verify_psi_equals_one_pass_per_epsilon(step, points, rows):
     assert got == _psi_csv(per_epsilon_verify_psi, step, points)
 
 
+@pytest.mark.parametrize("step, points", [(2.5e-3, 1), (2.5e-3, 2), (5e-3, 7), (2.5e-3, 64)])
+def test_end_samples_give_the_minimum_of_the_full_rows(step, points):
+    # the oracle evaluates every ratio of every row; verify_psi only each row's two end samples
+    assert _psi_csv(exp.verify_psi, step, points) == _psi_csv(per_epsilon_verify_psi, step, points)
+
+
+def test_verify_psi_makes_one_psi_value_pass_per_band_on_its_end_samples():
+    shapes, psi_value = [], exp.psi_value
+
+    def counted(epsilon, ratio):
+        shapes.append((np.shape(epsilon), np.shape(ratio)))
+        return psi_value(epsilon, ratio)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exp, "psi_value", counted)
+        exp.verify_psi()
+    assert len(shapes) == len(exp.PSI_REGIONS)
+    assert all(ratio == eps + (2,) and len(eps) == 1 for eps, ratio in shapes), shapes
+
+
 def test_verify_psi_with_a_block_boundary_beside_each_argmin():
     step, points = 2.5e-3, 64
     want = per_epsilon_verify_psi(step, points)

@@ -87,6 +87,14 @@ def test_policy_id_roundtrip():
         mdp.policy_from_id(256)
 
 
+def test_all_policies_are_int_tuples_in_id_order():
+    policies = mdp.all_policies()
+    assert isinstance(policies, list) and len(policies) == 256
+    assert all(type(p) is tuple and all(type(a) is int for a in p) for p in policies)
+    assert (np.array(policies) @ mdp.ID_BITS).tolist() == list(range(256))
+    assert policies == [mdp.policy_from_id(pid) for pid in range(256)]
+
+
 def test_kernel_entries():
     eps = 0.25
     k = mdp.build_kernel(eps)

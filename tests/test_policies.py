@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,25 @@ def test_policy_config_validation():
     # a fixed table is named after its corner, if it is one
     assert pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b4"]).label() == "corner_b4"
     assert pol.PolicyConfig("fixed_table", table=(1, 0) * 4).label() == "table_10101010"
+
+
+@pytest.mark.parametrize("table", [(1.0,) * 8, (True,) * 8, (1,) * 7 + (2,), (1,) * 7 + (-1,), (1, 0)])
+def test_fixed_table_refuses_what_the_chain_solve_refuses(table):
+    # a table is 8 integer entries of 0 or 1 by mdp's one rule, checked when the config is built
+    with pytest.raises(ValueError, match=re.escape(repr(table))) as refused:
+        mdp.stationary_distribution(mdp.build_kernel(0.25), table)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        pol.PolicyConfig("fixed_table", table=table)
+
+
+def test_fixed_table_takes_one_table_only():
+    with pytest.raises(ValueError, match="fixed_table takes one policy table"):
+        pol.PolicyConfig("fixed_table", table=(pol.CORNER_TABLES["b0"], pol.CORNER_TABLES["b5"]))
+
+
+def test_fixed_table_takes_the_corners_and_every_policy_id():
+    for table in [*pol.CORNER_TABLES.values(), *(mdp.policy_from_id(pid) for pid in range(256))]:
+        assert pol.PolicyConfig("fixed_table", table=table).table == table
 
 
 def test_fbdc_frame_start_examples():
