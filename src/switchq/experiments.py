@@ -30,8 +30,8 @@ from .region import (
 
 # The most points a sweep or psi grid may sample, checked before it is built:
 # about 2.1 s of grid_points (step 1e-3, 166k cells to simulate) on a 2-vCPU
-# Xeon.  verify_psi's cost follows its epsilon rows: a million points take
-# 0.04 s at 400 ratios a row and about 5 s at one.
+# Xeon.  verify_psi computes two samples of each epsilon row, so a million
+# points take 0.04 s at 400 ratios a row and about 0.4 s at one.
 MAX_GRID_POINTS = 10**6
 
 SWEEP_HEADER = ("epsilon", "lambda1", "lambda2", "policy", "T", "k", "q_avg", "rate1", "rate2", "stable")
@@ -226,12 +226,13 @@ EPS_T = 0.24512233375330725
 
 # Discrepant queue-ratio bands where the myopic and optimal maps pick
 # different corners, with the analytic floor each band's minimum must clear.
+# An interval takes a float or an array, alike to the bit ((1-e)^2 a product).
 PSI_REGIONS: tuple[tuple[str, str, tuple[float, float], object, float], ...] = (
-    ("case1.1", "R1", (0.0, EPS_T), lambda e: ((1 - e) ** 2 / e, (1 - e) / e), 0.97),
+    ("case1.1", "R1", (0.0, EPS_T), lambda e: ((1 - e) * (1 - e) / e, (1 - e) / e), 0.97),
     ("case1.1", "R2", (0.0, EPS_T), lambda e: ((1 + e - e * e) / (1 - e), (2 - e) / (1 - e)), 0.9002),
     ("case1.2", "R1", (EPS_T, EPS_CRITICAL), lambda e: ((2 - e) / (1 - e), (1 - e) / e), 0.95),
-    ("case1.2", "R2", (EPS_T, EPS_CRITICAL), lambda e: ((1 - e) ** 2 / e, (2 - e) / (1 - e)), 0.9150),
-    ("case1.2", "R3", (EPS_T, EPS_CRITICAL), lambda e: ((1 + e - e * e) / (1 - e), (1 - e) ** 2 / e), 0.9474),
+    ("case1.2", "R2", (EPS_T, EPS_CRITICAL), lambda e: ((1 - e) * (1 - e) / e, (2 - e) / (1 - e)), 0.9150),
+    ("case1.2", "R3", (EPS_T, EPS_CRITICAL), lambda e: ((1 + e - e * e) / (1 - e), (1 - e) * (1 - e) / e), 0.9474),
     ("case2", "R1", (EPS_CRITICAL, 0.5), lambda e: ((1 - e) * (3 - 2 * e), (1 - e) / e), 0.914),
 )
 
@@ -241,8 +242,8 @@ PSI_GLOBAL_BOUND = 0.9002
 def psi_value(epsilon, ratio):
     """Myopic-to-optimal weighted departure rate ratio at weights (1, ratio).
 
-    Returns (psi, myopic corner, optimal corner) in one numpy pass
-    (region.weighted_corner_maps): the myopic corner from
+    Returns (psi, myopic corner, optimal corner) in one numpy pass of
+    region.weighted_corner_maps, corners included: the myopic corner from
     myopic_corner_map, the optimum from fbdc_corner_map's rule.  ratio is an
     array, 0-d included, at one epsilon, or a 2-D array with one row of
     ratios per value of a 1-D array of epsilon values on one side of
@@ -252,28 +253,29 @@ def psi_value(epsilon, ratio):
     return rate_my / rate_opt, ids[my], ids[opt]
 
 
-# Grid points per np.geomspace block of verify_psi's ratio rows, and epsilon
-# rows per psi_value pass, so neither's memory grows with the grid.  One
-# geomspace call per band raised the peak RSS of `psi --check` by about 1 MB,
-# and one psi_value pass per band that of --ratio-points 4 at its finest
-# --eps-step (73k epsilon rows a band) from 30 to 118 MB.
+# Epsilon rows per verify_psi pass: whole-band passes raised the peak RSS at the
+# finest --eps-step from 30 to 118 MB at --ratio-points 4, and from 54 to 63 MB at 1.
 _PSI_BLOCK = 4096
+
+
+def _end_samples(lo, hi, points: int) -> np.ndarray:
+    """Samples j = 1 and points, as [row, 2], of the ratio rows of verify_psi over arrays lo, hi."""
+    log_lo = np.log10(lo)[:, None]
+    return 10.0 ** (np.array([1.0, points]) * ((np.log10(hi)[:, None] - log_lo) / (points + 1)) + log_lo)
 
 
 def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) -> list[tuple]:
     """Minimize the weighted-rate ratio over every discrepant band on a sampled grid.
 
-    The bands are open (strict threshold inequalities), so the grid samples
-    strictly interior points: epsilon at multiples of the step inside the
-    band's interval, the ratio at log-spaced points excluding the
-    endpoints.  Inside a band both maps keep one corner each, so psi is
-    linear-fractional and monotone along each ratio row, and a row's first
-    minimum is one of its two end samples: only those are evaluated, and
-    the grid minimum needs no refinement.  The ratio grid still defines
-    which samples exist: a band's rows come from np.geomspace in blocks of
-    at most _PSI_BLOCK points (at least one row), and their end samples
-    go to one psi_value pass per band (per _PSI_BLOCK epsilon rows).  The
-    first minimum in (epsilon, ratio) order wins.  Returns one row (case,
+    The bands are open, so the grid samples strictly interior points: epsilon
+    at multiples of the step inside the band's interval, and on each epsilon
+    row N = ratio_grid_points ratios 10 ** (j * step + log10(lo)), j = 1..N,
+    step = (log10(hi) - log10(lo)) / (N + 1) on the row's ratio interval
+    (lo, hi), which is np.geomspace(lo, hi, N + 2)'s interior to the bit.
+    psi is monotone along a row (both maps keep one corner each in a band),
+    so a row's first minimum is one of its end samples j = 1, N: only those
+    are computed.  Each pass takes _PSI_BLOCK epsilon rows as arrays, and
+    the first minimum in (epsilon, ratio) order wins.  Returns one row (case,
     region, bound, minimum, argmin_epsilon, argmin_ratio) per band, then
     ("global", "", PSI_GLOBAL_BOUND, the least minimum, nan, nan).
     """
@@ -281,20 +283,21 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
     if not ratio_grid_points * width <= MAX_GRID_POINTS * epsilon_grid_step:  # false for a step <= 0 or nan
         raise ValueError(f"--eps-step must be positive and, with --ratio-points {ratio_grid_points}, sample at most "
                          f"MAX_GRID_POINTS = {MAX_GRID_POINTS:,} points, got {epsilon_grid_step}")
-    rows = max(1, _PSI_BLOCK // ratio_grid_points)
     results = []
     for case, name, (eps_lo, eps_hi), ratio_iv, bound in PSI_REGIONS:
-        eps = np.arange(math.floor(eps_lo / epsilon_grid_step) + 1, math.ceil(eps_hi / epsilon_grid_step))
-        eps = eps * epsilon_grid_step
-        eps = eps[(eps_lo < eps) & (eps < eps_hi)]
-        if not eps.size:
+        k_lo, k_hi = math.floor(eps_lo / epsilon_grid_step) + 1, math.ceil(eps_hi / epsilon_grid_step)
+        minima = []  # (psi, epsilon, ratio) of each pass's first minimum
+        for k in range(k_lo, k_hi, _PSI_BLOCK):
+            eps = np.arange(k, min(k + _PSI_BLOCK, k_hi)) * epsilon_grid_step
+            eps = eps[(eps_lo < eps) & (eps < eps_hi)]
+            if eps.size:
+                rs = _end_samples(*ratio_iv(eps), ratio_grid_points)
+                vals = psi_value(eps, rs)[0]
+                i, j = divmod(int(np.argmin(vals)), 2)
+                minima.append((vals[i, j], float(eps[i]), float(rs[i, j])))
+        if not minima:
             raise ValueError(f"epsilon grid step {epsilon_grid_step} leaves band {case}/{name} without a sample")
-        rs = np.concatenate([np.geomspace(*np.array([ratio_iv(e) for e in block.tolist()]).T, ratio_grid_points + 2,
-                                          axis=1)[:, [1, -2]] for block in np.split(eps, range(rows, eps.size, rows))])
-        cuts = range(_PSI_BLOCK, eps.size, _PSI_BLOCK)
-        vals = np.concatenate([psi_value(e, r)[0] for e, r in zip(np.split(eps, cuts), np.split(rs, cuts))])
-        i, j = divmod(int(np.argmin(vals)), 2)
-        results.append((case, name, bound, vals[i, j], float(eps[i]), float(rs[i, j])))
+        results.append((case, name, bound, *min(minima, key=lambda m: m[0])))  # min keeps the first of ties
     return results + [("global", "", PSI_GLOBAL_BOUND, min(r[3] for r in results), math.nan, math.nan)]
 
 

@@ -65,6 +65,14 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _corners(e, below) -> list[tuple[str, tuple]]:
+    """corner_points' list, b4 and b1 included if below, at e: a float or an array, to the same bits."""
+    b2 = ((1 - e) * (3 - 2 * e) / (4 * (2 - e)), (3 - 2 * e) / (4 * (2 - e)))
+    b1 = ((1 - e) * (1 - e) / 4, (2 - e) / 4)  # not ** 2: libm's pow and numpy's x*x part on 0.09% of e
+    inner = [("b4", b1[::-1]), ("b3", b2[::-1]), ("b2", b2), ("b1", b1)] if below else [("b3", b2[::-1]), ("b2", b2)]
+    return [("b5", (0.5, 0.0)), *inner, ("b0", (0.0, 0.5))]
+
+
 def corner_points(epsilon: float) -> list[tuple[str, tuple[float, float]]]:
     """Frontier corner formulas, ordered b5 down the frontier to b0.
 
@@ -73,17 +81,7 @@ def corner_points(epsilon: float) -> list[tuple[str, tuple[float, float]]]:
     EPS_CRITICAL; b5 = (1/2, 0), b0 = (0, 1/2).
     """
     e = check_epsilon(epsilon)
-    b2 = ((1 - e) * (3 - 2 * e) / (4 * (2 - e)), (3 - 2 * e) / (4 * (2 - e)))
-    out = [("b5", (0.5, 0.0))]
-    if e < EPS_CRITICAL:
-        b1 = ((1 - e) ** 2 / 4, (2 - e) / 4)
-        out.append(("b4", (b1[1], b1[0])))
-    out.append(("b3", (b2[1], b2[0])))
-    out.append(("b2", b2))
-    if e < EPS_CRITICAL:
-        out.append(("b1", b1))
-    out.append(("b0", (0.0, 0.5)))
-    return out
+    return _corners(e, e < EPS_CRITICAL)
 
 
 def _frontier(points: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -255,16 +253,15 @@ def weighted_corner_maps(epsilon, ratio):
     """Both corner maps at queues (1, ratio) over arrays, with the weighted rate of each map's corner.
 
     epsilon is a float, or a 1-D array of values on one side of
-    EPS_CRITICAL, so that one corner layout serves them all; ratio is an
-    array of finite nonnegative ratios q2/q1, with one row per epsilon when
-    epsilon is an array.  Returns the corner ids, the positions in corner_points
+    EPS_CRITICAL, whose corners come from one pass of corner_points'
+    formula; ratio is an array of finite nonnegative ratios q2/q1, one row
+    per epsilon of an array.  Returns the corner ids, the positions in corner_points
     order of myopic_corner_map's and the FBDC cuts' corners, and their x + ratio * y.
     """
-    named = [corner_points(e) for e in np.atleast_1d(epsilon).tolist()]
-    myopic = myopic_corner_map(epsilon, 1.0, ratio, np.arange(len(named[0])))  # checks epsilon's side and ratio
-    r = np.asarray(ratio, dtype=float)
-    shape = (len(named[0]),) + np.shape(epsilon) + (1,) * (r.ndim - np.ndim(epsilon))
-    x, y = np.array([[pt for _, pt in corners] for corners in named]).T.reshape((2,) + shape)  # [2, corner, epsilon]
+    myopic = myopic_corner_map(epsilon, 1.0, ratio, np.arange(6))  # positions of at most 6 corners; checks the inputs
+    e, r = np.asarray(epsilon, dtype=float), np.asarray(ratio, dtype=float)
+    named = _corners(e.reshape(e.shape + (1,) * (r.ndim - e.ndim)), e.max() < EPS_CRITICAL)
+    x, y = (np.array(np.broadcast_arrays(*coords)) for coords in zip(*(pt for _, pt in named)))  # [corner, epsilon]
     positions = (myopic, _count_below(_fbdc_cuts(x, y), 1.0, r))
     rates = [np.take_along_axis(x, c[None], 0)[0] + r * np.take_along_axis(y, c[None], 0)[0] for c in positions]
-    return np.array([cid for cid, _ in named[0]]), positions, rates
+    return np.array([cid for cid, _ in named]), positions, rates

@@ -232,11 +232,48 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
+# epsilon values at which (1 - e) ** 2 (libm pow) and (1 - e) * (1 - e) part, one per band that squares
+POW_PARTS = (0.00571, 0.253066)
+
+
+def band_epsilons(band):
+    """Lists of epsilon values inside a PSI_REGIONS band: its ends' neighbours (1e-300 for 0) and POW_PARTS included."""
+    lo, hi = max(band[2][0], 1e-300), band[2][1]
+    marked = [math.nextafter(lo, 1.0), math.nextafter(hi, 0.0), *(e for e in POW_PARTS if lo < e < hi)]
+    inside = st.one_of(st.floats(lo, hi, exclude_min=True, exclude_max=True), st.sampled_from(marked))
+    return st.lists(inside, min_size=1, max_size=12)
+
+
+BANDS_WITH_EPSILONS = st.sampled_from(exp.PSI_REGIONS).flatmap(lambda b: st.tuples(st.just(b), band_epsilons(b)))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(drawn=BANDS_WITH_EPSILONS)
+@hypothesis.example(drawn=(exp.PSI_REGIONS[0], list(POW_PARTS[:1]))).via("a square that pow rounds apart")
+@hypothesis.example(drawn=(exp.PSI_REGIONS[3], list(POW_PARTS[1:]))).via("a square that pow rounds apart")
+def test_band_intervals_over_an_array_equal_each_float(drawn):
+    # the intervals write (1-e)^2 as a product: Python's ** 2 (libm pow) and numpy's (x*x) part on
+    # about 0.09% of epsilon values, and np.power with an array exponent on more
+    (_, _, _, ratio_iv, _), eps = drawn
+    got = np.array(ratio_iv(np.array(eps)))
+    assert got.tobytes() == np.array([ratio_iv(e) for e in eps]).T.tobytes()
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(drawn=BANDS_WITH_EPSILONS, points=st.integers(1, 10**4))
+@hypothesis.example(drawn=(exp.PSI_REGIONS[0], [0.001, 0.1, 0.245]), points=400).via("psi --check's rows")
+def test_end_samples_are_the_geomspace_samples(drawn, points):
+    (_, _, _, ratio_iv, _), eps = drawn
+    lo, hi = ratio_iv(np.array(eps))
+    want = [np.geomspace(a, b, points + 2)[[1, points]] for a, b in zip(lo.tolist(), hi.tolist())]
+    assert exp._end_samples(lo, hi, points).tobytes() == np.array(want).tobytes()
+
+
 @hypothesis.settings(max_examples=25, deadline=None)
 @hypothesis.given(step=st.floats(2e-3, 0.06), points=st.integers(1, 80), rows=st.integers(1, 40))
 def test_blocked_verify_psi_equals_one_pass_per_epsilon(step, points, rows):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exp, "_PSI_BLOCK", rows * points)
+        mp.setattr(exp, "_PSI_BLOCK", rows)
         got = _psi_csv(exp.verify_psi, step, points)
     assert got == _psi_csv(per_epsilon_verify_psi, step, points)
 
@@ -261,15 +298,39 @@ def test_verify_psi_makes_one_psi_value_pass_per_band_on_its_end_samples():
     assert all(ratio == eps + (2,) and len(eps) == 1 for eps, ratio in shapes), shapes
 
 
+def test_verify_psi_makes_no_python_call_per_epsilon_row():
+    # the corners and the ratio intervals of a pass come from array formulas, so the count of
+    # corner_points calls and interval evaluations is the same at 83 and at 8,404 epsilon rows
+    def calls(step):
+        counts = {"corner_points": 0, "interval": 0}
+
+        def counted(key, fn):
+            def call(*args):
+                counts[key] += 1
+                return fn(*args)
+            return call
+
+        bands = tuple((*band[:3], counted("interval", band[3]), band[4]) for band in exp.PSI_REGIONS)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rg, "corner_points", counted("corner_points", rg.corner_points))
+            mp.setattr(exp, "PSI_REGIONS", bands)
+            rg._corner_table.cache_clear()
+            exp.verify_psi(step, 2)
+        return counts
+
+    assert calls(1e-2) == calls(1e-4)
+    assert calls(1e-4)["interval"] == len(exp.PSI_REGIONS)
+
+
 def test_verify_psi_with_a_block_boundary_beside_each_argmin():
     step, points = 2.5e-3, 64
     want = per_epsilon_verify_psi(step, points)
     csv = exp.rows_to_csv(("",) * 6, want)
     for (_, _, (eps_lo, _), _, _), result in zip(exp.PSI_REGIONS, want):
         row = round(result[4] / step) - (math.floor(eps_lo / step) + 1)  # the argmin epsilon's row in its band
-        for rows in {max(row, 1), row + 1}:  # the argmin row opens a block, or it closes one
+        for rows in {max(row, 1), row + 1}:  # the argmin row opens a pass, or it closes one
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(exp, "_PSI_BLOCK", rows * points)
+                mp.setattr(exp, "_PSI_BLOCK", rows)
                 assert _psi_csv(exp.verify_psi, step, points) == csv, rows
 
 
@@ -279,7 +340,7 @@ def test_verify_psi_keeps_the_first_of_tied_minima():
     for rows in (1, 3, 1000):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exp, "PSI_REGIONS", (band,))
-            mp.setattr(exp, "_PSI_BLOCK", rows * 16)
+            mp.setattr(exp, "_PSI_BLOCK", rows)
             got = exp.verify_psi(0.01, 16)
             assert _psi_csv(exp.verify_psi, 0.01, 16) == _psi_csv(per_epsilon_verify_psi, 0.01, 16)
         result, _ = got  # the band's row, then the global row
@@ -290,18 +351,22 @@ def test_verify_psi_keeps_the_first_of_tied_minima():
 def test_verify_psi_memory_does_not_grow_with_the_epsilon_grid():
     import tracemalloc
 
-    def peak(step):
+    def peak(step, points):
         tracemalloc.start()
         try:
-            exp.verify_psi(step, 400)
+            exp.verify_psi(step, points)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(0.05)  # the first run fills the caches
-    # a pass over a whole band at 1e-3 would hold 245 rows of 400 ratios, 784 kB per float array;
-    # the margin is for the small objects an interpreter keeps on its free lists
-    assert peak(1e-3) - peak(1e-2) < 128 * 1024
+    peak(0.05, 400)  # the first run fills the caches
+    # only each row's two end samples are made: the full rows of a band at 1e-3 would be 245 rows
+    # of 400 ratios, 784 kB per float array; the margin is for the small objects an interpreter
+    # keeps on its free lists
+    assert peak(1e-3, 400) - peak(1e-2, 400) < 128 * 1024
+    # at one ratio a row both steps fill whole _PSI_BLOCK-row passes; arrays over a whole band at
+    # 2e-6 would hold 122k epsilon rows, 980 kB per float array
+    assert peak(2e-6, 1) - peak(2e-5, 1) < 128 * 1024
 
 
 def test_throughput_gap_decreases_with_frame_length():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import fbdc_thresholds, first_near_max_map, hausdorff_distance, polygon, threshold_map
 from switchq import mdp
@@ -279,6 +279,34 @@ EPSILONS = st.one_of(
                      5e-324, 1e-17]),
 )
 QUEUES = st.one_of(st.just(0.0), st.floats(0.0, 50.0), st.integers(0, 50))
+
+
+# epsilon values beside EPS_T (where the psi bands part), EPS_CRITICAL and 1/2, and two at which
+# (1 - e) ** 2 (libm pow) and (1 - e) * (1 - e) part
+MARKED = sorted({x for e in (0.24512233375330725, rg.EPS_CRITICAL, 0.5)
+                 for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)) if x <= 0.5} | {0.00571, 0.253066})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 0.5, exclude_min=True), st.sampled_from(MARKED)), min_size=1, max_size=16))
+@example(MARKED)
+def test_corner_formula_over_an_array_is_corner_points_per_epsilon(eps):
+    # weighted_corner_maps takes the corners of an epsilon array from corner_points' own formula
+    for side in ([e for e in eps if e < rg.EPS_CRITICAL], [e for e in eps if e >= rg.EPS_CRITICAL]):
+        if not side:
+            continue
+        named = rg._corners(np.array(side), side[0] < rg.EPS_CRITICAL)
+        want = [rg.corner_points(e) for e in side]
+        assert all([cid for cid, _ in w] == [cid for cid, _ in named] for w in want)
+        got = np.array([np.broadcast_to(c, len(side)) for _, pt in named for c in pt])
+        assert got.tobytes() == np.array([[c for _, pt in w for c in pt] for w in want]).T.tobytes()
+        ratio = np.geomspace(0.05, 20.0, 2 * len(side)).reshape(len(side), 2)
+        ids, positions, rates = rg.weighted_corner_maps(np.array(side), ratio)
+        assert ids.tolist() == [cid for cid, _ in want[0]]
+        for pos, rate in zip(positions, rates):
+            for k, corners in enumerate(want):
+                (x, y), r = zip(*(pt for _, pt in corners)), ratio[k].tolist()
+                assert rate[k].tolist() == [x[i] + r[j] * y[i] for j, i in enumerate(pos[k])]
 
 
 def _on_and_beside(thresholds):
