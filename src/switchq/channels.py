@@ -61,19 +61,12 @@ def gilbert_elliott(epsilon: float) -> ChannelModel:
     return ChannelModel(GILBERT_ELLIOTT, epsilon=epsilon)
 
 
-def sample_initial(model: ChannelModel, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw the slot-0 channel pair from the Markov model's stationary law (ON w.p. 1/2)."""
-    if model.kind != GILBERT_ELLIOTT:
-        raise ValueError("the slot-0 draw is only defined for the gilbert_elliott model")
-    return int(rng.random() < 0.5), int(rng.random() < 0.5)
-
-
 def generate_paths(model: ChannelModel, horizon: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Pre-draw both channel paths C(t) for t = 0..horizon-1.
 
-    Slot 0 follows the stationary law (sample_initial for the Markov
-    model); later slots follow the one-step dynamics.  Vectorized so
-    simulation loops never pay per-slot RNG overhead.
+    Slot 0 follows the stationary law (each Markov channel ON w.p. 1/2,
+    channel 1 drawn first); later slots follow the one-step dynamics.
+    Vectorized so simulation loops never pay per-slot RNG overhead.
     """
     paths = next(path_chunks(model, horizon, [rng], horizon))
     return paths[0, 0], paths[1, 0]
@@ -97,7 +90,7 @@ def path_chunks(model: ChannelModel, horizon: int, rngs: list[np.random.Generato
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    last = np.array([(0, 0) if model.kind == IID else sample_initial(model, rng) for rng in rngs], dtype=bool).T
+    last = np.array([(0, 0) if model.kind == IID else (rng.random() < 0.5, rng.random() < 0.5) for rng in rngs]).T
     probs = (model.p1, model.p2) if model.kind == IID else (model.epsilon,) * 2
     chunks = bit_chunks(rngs, np.broadcast_to(np.array(probs)[:, None], last.shape), horizon, size)
     for t0, bits in zip(range(0, horizon, size), chunks):  # ON for iid, a flip for the Markov model

@@ -35,8 +35,8 @@ def _int_in(low: int, high: int | None = None):
     return integer
 
 
-# The longest --horizon of any command: runs keep their slots in arrays, 10-17 B a slot
-# from 1M to 4M slots; gap at three frame lengths peaks at 391 MB at the cap (2-vCPU Xeon).
+# The longest --horizon of any command: runs keep their slots in arrays, 10-13 B a slot
+# from 1M to 4M slots; gap at three frame lengths peaks at 300 MB at the cap (2-vCPU Xeon).
 MAX_HORIZON = 2 * 10**7
 # The most rows a trace keeps: about 300 B each (peak RSS 66 MB at 100k rows, 157 MB at 400k), so 340 MB at the cap.
 MAX_TRACE_ROWS = 10**6
@@ -118,7 +118,7 @@ def _cmd_saturated(args) -> int:
     if args.corner:
         table, label = pol.CORNER_TABLES[args.corner], f"corner_{args.corner}"
     else:
-        table, label = mdp.policy_from_id(args.policy_id), f"policy_{args.policy_id}"
+        table, label = mdp.all_policies()[args.policy_id], f"policy_{args.policy_id}"
     emp = sim.saturated_rate(table, args.epsilon, args.horizon, args.seed, warmup=2000)
     kernel = mdp.build_kernel(args.epsilon)
     exact = mdp.policy_rates(mdp.stationary_distribution(kernel, table), table)

@@ -25,7 +25,7 @@ from .region import (
     corner_points,
     iid_region,
     no_switchover_region,
-    weighted_corner_maps,
+    psi_value,
 )
 
 # The most points a sweep or psi grid may sample, checked before it is built:
@@ -239,22 +239,8 @@ PSI_REGIONS: tuple[tuple[str, str, tuple[float, float], object, float], ...] = (
 PSI_GLOBAL_BOUND = 0.9002
 
 
-def psi_value(epsilon, ratio):
-    """Myopic-to-optimal weighted departure rate ratio at weights (1, ratio).
-
-    Returns (psi, myopic corner, optimal corner) in one numpy pass of
-    region.weighted_corner_maps, corners included: the myopic corner from
-    myopic_corner_map, the optimum from fbdc_corner_map's rule.  ratio is an
-    array, 0-d included, at one epsilon, or a 2-D array with one row of
-    ratios per value of a 1-D array of epsilon values on one side of
-    EPS_CRITICAL; the results have ratio's shape.
-    """
-    ids, (my, opt), (rate_my, rate_opt) = weighted_corner_maps(epsilon, ratio)
-    return rate_my / rate_opt, ids[my], ids[opt]
-
-
-# Epsilon rows per verify_psi pass: whole-band passes raised the peak RSS at the
-# finest --eps-step from 30 to 118 MB at --ratio-points 4, and from 54 to 63 MB at 1.
+# Epsilon rows per verify_psi pass: whole-band passes raise the peak RSS at the finest
+# --eps-step from 31 to 53 MB at --ratio-points 4, and from 31 to about 120 MB at 1.
 _PSI_BLOCK = 4096
 
 
@@ -314,8 +300,12 @@ def throughput_gap(
 ) -> list[tuple[int, float]]:
     """Total-rate deficit of a corner policy restarted every T slots.
 
-    Each frame starts from a uniformly random state (server position and
-    both channels), runs the corner's table for T saturated slots, and the
+    For each T, one stationary channels.generate_paths path is cut into
+    T-slot frames, and each frame draws only its server queue, uniformly.
+    Every slot of a stationary path holds a uniform channel pair, so each
+    frame starts from the uniform law over (server position, both
+    channels), though the frames of one path are not independent.  Each
+    runs the corner's table for T saturated slots, and the
     deficit is the stationary total rate minus the frame-averaged empirical
     total rate.  From the uniform start a frame's expected departures fall
     short of T times the stationary rate by one constant c whatever T (1/8
@@ -323,21 +313,14 @@ def throughput_gap(
     is exactly c / T.  The simulated deficit adds sampling noise, and at
     large T, where c / T is below the noise, it can come out negative.
     """
-    table = pol.CORNER_TABLES[corner]
+    table, channel = pol.CORNER_TABLES[corner], ch.gilbert_elliott(epsilon)
     r1, r2 = policy_rates(stationary_distribution(build_kernel(epsilon), table), table)
     rng = np.random.default_rng(seed)
     out = []
     for T in t_list:
         n_frames = max(1, slots_per_t // T)
+        x = state_index(1, *ch.generate_paths(channel, n_frames * T, rng)).reshape(n_frames, T).T  # [slot, frame]
         m = rng.integers(1, 3, size=n_frames)
-        c1 = rng.integers(0, 2, size=n_frames)
-        c2 = rng.integers(0, 2, size=n_frames)
-        flips1 = (rng.random((n_frames, T)) < epsilon).T.copy()  # time first, frames as rows
-        flips2 = (rng.random((n_frames, T)) < epsilon).T.copy()
-        flips1[0] = flips2[0] = False  # slot 0 is the drawn start state
-        c1s = np.logical_xor.accumulate(flips1) ^ (c1 == 1)
-        c2s = np.logical_xor.accumulate(flips2) ^ (c2 == 1)
-        x = state_index(1, c1s.astype(np.int8), c2s.astype(np.int8))
         out.append((T, (r1 + r2) - sim.saturated_frame_departures(table, m, x) / (n_frames * T)))
     return out
 

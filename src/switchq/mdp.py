@@ -56,15 +56,8 @@ def mirror_policy(policy: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(policy[MIRROR[i]] for i in range(N_STATES))
 
 
-def policy_from_id(pid: int) -> tuple[int, ...]:
-    """The policy whose bit pattern is pid: state 1 most significant, stay = 1."""
-    if not 0 <= pid < 256:
-        raise ValueError(f"policy id must be in 0..255, got {pid}")
-    return tuple((pid >> (7 - i)) & 1 for i in range(N_STATES))
-
-
 def all_policies() -> list[tuple[int, ...]]:
-    """All 256 stationary deterministic policies, ordered by bit pattern."""
+    """All 256 stationary deterministic policies, each at its policy id (table @ ID_BITS)."""
     return list(itertools.product((SWITCH, STAY), repeat=N_STATES))
 
 

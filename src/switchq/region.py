@@ -1,4 +1,4 @@
-"""Rate regions: closed forms, the enumeration oracle, membership, and corner maps.
+"""Rate regions: closed forms, the enumeration oracle, membership, corner maps and psi.
 
 The saturated-system rate region has two shapes depending on the channel
 flip probability: six frontier corners b0..b5 below the critical value
@@ -128,8 +128,8 @@ def closed_form_region(epsilon: float) -> RateRegion:
 
 def iid_region(p1: float, p2: float) -> RateRegion:
     """Stability region under per-slot independent channels: x/p1 + y/p2 <= 1."""
-    if not (0 < p1 <= 1 and 0 < p2 <= 1):  # false for nan too
-        raise ValueError("p1, p2 must lie in (0, 1]")
+    if not (0 < p1 <= 1 and 0 < p2 <= 1 and 1 / min(p1, p2) < math.inf):  # false for nan too
+        raise ValueError(f"p1, p2 must lie in (0, 1] with a finite 1/p, got p1={p1}, p2={p2}")
     halfspaces = AXIS_HALFSPACES + (HalfSpace(1 / p1, 1 / p2, 1.0).normalized(),)
     return RateRegion(((p1, 0.0), (0.0, p2)), halfspaces)
 
@@ -249,19 +249,22 @@ def myopic_corner_map(epsilon, q1, q2, choices=None):
     return str(corner) if choices is None and not corner.ndim else corner
 
 
-def weighted_corner_maps(epsilon, ratio):
-    """Both corner maps at queues (1, ratio) over arrays, with the weighted rate of each map's corner.
+def psi_value(epsilon, ratio):
+    """Myopic-to-optimal weighted departure rate ratio at queues (1, ratio): (psi, myopic corner, optimal corner).
 
-    epsilon is a float, or a 1-D array of values on one side of
-    EPS_CRITICAL, whose corners come from one pass of corner_points'
-    formula; ratio is an array of finite nonnegative ratios q2/q1, one row
-    per epsilon of an array.  Returns the corner ids, the positions in corner_points
-    order of myopic_corner_map's and the FBDC cuts' corners, and their x + ratio * y.
+    One numpy pass: the myopic corner from myopic_corner_map, the optimum as
+    the count of FBDC's cuts below the ratio (fbdc_corner_map's rule), psi
+    the ratio of their values x + ratio * y.  epsilon is a float, or a 1-D
+    array of values on one side of EPS_CRITICAL (corners from one pass of
+    corner_points' formula); ratio is an array of finite nonnegative q2/q1,
+    0-d included, one row per epsilon of an array, and gives the results' shape.
     """
-    myopic = myopic_corner_map(epsilon, 1.0, ratio, np.arange(6))  # positions of at most 6 corners; checks the inputs
+    my = myopic_corner_map(epsilon, 1.0, ratio, np.arange(6))  # positions of at most 6 corners; checks the inputs
     e, r = np.asarray(epsilon, dtype=float), np.asarray(ratio, dtype=float)
     named = _corners(e.reshape(e.shape + (1,) * (r.ndim - e.ndim)), e.max() < EPS_CRITICAL)
     x, y = (np.array(np.broadcast_arrays(*coords)) for coords in zip(*(pt for _, pt in named)))  # [corner, epsilon]
-    positions = (myopic, _count_below(_fbdc_cuts(x, y), 1.0, r))
-    rates = [np.take_along_axis(x, c[None], 0)[0] + r * np.take_along_axis(y, c[None], 0)[0] for c in positions]
-    return np.array([cid for cid, _ in named]), positions, rates
+    opt = _count_below(_fbdc_cuts(x, y), 1.0, r)
+    rate_my, rate_opt = (np.take_along_axis(x, c[None], 0)[0] + r * np.take_along_axis(y, c[None], 0)[0]
+                         for c in (my, opt))
+    ids = np.array([cid for cid, _ in named])
+    return rate_my / rate_opt, ids[my], ids[opt]

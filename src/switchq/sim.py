@@ -158,10 +158,8 @@ def run(config: SimConfig) -> Metrics:
     epsilon = config.channel.epsilon
     T, table = cfg_pol.T, cfg_pol.table
     if config.saturated:  # infinite backlog: the saturated engine below replaces the slot loop
-        luts, x = _saturated_luts([table]), state_index(1, c1s, c2s)
-        state, warm = _saturated_path(luts, x[:warmup], np.array([0]))
-        post = _saturated_path(luts, x[warmup:], state)[1][:, 0].tolist()
-        d1, d2, switches = (warm[:, 0] + post).tolist()
+        warm, post = (counts[:, 0].tolist() for counts in _saturated_split([table], state_index(1, c1s, c2s), warmup))
+        d1, d2, switches = (w + p for w, p in zip(warm, post))
         n_post = H - warmup
         return Metrics(q_avg=0 / n_post, rate1=post[0] / n_post, rate2=post[1] / n_post, d1=d1, d2=d2,
                        switch_count=switches, window_means=None, verdict=None)
@@ -265,8 +263,8 @@ def run(config: SimConfig) -> Metrics:
 # with numpy arrays across the cells.  Each cell's server plays an action
 # table for the slot: its fixed table, the corner table of its frame
 # (fbdc), or the table that plays the slot's one action everywhere
-# (myopic, gated, exhaustive).  A table is named by its policy id
-# (mdp.policy_from_id), and the offset 8 * id + 4 * (m - 1) plus the
+# (myopic, gated, exhaustive).  A table is named by its policy id (its
+# index in mdp.all_policies()), and the offset 8 * id + 4 * (m - 1) plus the
 # channel symbol state_index(1, c1, c2) is the cell's entry in the step
 # tables.  The policies of one action per slot keep id 0 in the offset,
 # so that the entry before their decision is the state index itself.
@@ -412,11 +410,8 @@ def saturated_rates_batch(
     the server position, at queue 1 in the first slot, differs per table.  The saturated engine below
     steps all tables side by side, a block of slots per lookup.
     """
-    rng = np.random.default_rng(seed)
-    c1s, c2s = ch.generate_paths(ch.gilbert_elliott(epsilon), warmup + horizon, rng)
-    x, luts = state_index(1, c1s, c2s), _saturated_luts(tables)
-    state, _ = _saturated_path(luts, x[:warmup], 2 * np.arange(len(tables)))
-    return np.stack(_saturated_path(luts, x[warmup:], state)[1][:2], axis=1) / float(horizon)
+    c1s, c2s = ch.generate_paths(ch.gilbert_elliott(epsilon), warmup + horizon, np.random.default_rng(seed))
+    return np.stack(_saturated_split(tables, state_index(1, c1s, c2s), warmup)[1][:2], axis=1) / float(horizon)
 
 
 def saturated_frame_departures(table: tuple[int, ...], m: np.ndarray, x: np.ndarray) -> int:
@@ -493,3 +488,9 @@ def _saturated_path(luts, x: np.ndarray, start: np.ndarray) -> tuple[np.ndarray,
     state, rest = _saturated_steps(luts, state, x[n_chunks * length :])
     return state, counts + rest
 
+
+def _saturated_split(tables: list[tuple[int, ...]], x: np.ndarray, warmup: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d1, d2, switches) of each table over the symbols x[:warmup] and x[warmup:], every server from queue 1."""
+    luts = _saturated_luts(tables)
+    state, warm = _saturated_path(luts, x[:warmup], 2 * np.arange(len(tables)))
+    return warm, _saturated_path(luts, x[warmup:], state)[1]

@@ -25,14 +25,13 @@ def test_generate_paths_degenerate_iid():
     assert np.all(c1 == 1) and np.all(c2 == 0)
 
 
-def test_sample_initial_ge_marginal():
+def test_generate_paths_slot_0_ge_marginal():
+    # slot 0 of a Markov path is the stationary law: each channel ON w.p. 1/2 (the iid slot 0 is an iid draw)
     rng = np.random.default_rng(1)
     model = ch.gilbert_elliott(0.1)
-    n = 100_000
-    on = sum(ch.sample_initial(model, rng)[0] for _ in range(n))
-    assert abs(on / n - 0.5) < 0.01
-    with pytest.raises(ValueError):  # iid paths draw slot 0 inside generate_paths
-        ch.sample_initial(ch.iid(0.5, 0.5), rng)
+    n = 10_000
+    starts = np.array([[int(path[0]) for path in ch.generate_paths(model, 2, rng)] for _ in range(n)])
+    assert np.all(np.abs(starts.mean(axis=0) - 0.5) < 0.02)  # 4 standard errors
 
 
 def test_generate_paths_iid_joint_uniform():

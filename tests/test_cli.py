@@ -92,6 +92,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["saturated", "--epsilon", "0.25"], "--corner"),  # no corner or policy id
         (["saturated", "--epsilon", "0.25", "--corner", "b2", "--policy-id", "5"], "--policy-id"),  # both
         (["saturated", "--epsilon", "0.25", "--policy-id", "300"], "--policy-id"),
+        (["saturated", "--epsilon", "0.25", "--policy-id", "256"], "--policy-id"),
         (["sweep", "--epsilon", "0.25", "--horizon", "3", "--step", "0.2"], "horizon"),
         (["gap", "--epsilon", "0.25", "--T-list", "0"], "--T-list"),
         (["gap", "--epsilon", "0.25", "--T-list", "10,x"], "--T-list"),
@@ -136,6 +137,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["iid", "--horizon", "4000", "--seed", "-2"], "--seed"),
         (["iid", "--rho", "5"], "--rho"),
         (["iid", "--p1", "5"], "p1"),
+        # a p whose 1/p overflows would give the iid facet a nan
+        (["region", "--p2", "1e-320", "--out", str(tmp_path / "r.csv")], "p2"),
+        (["sweep", "--p1", "0.5", "--p2", "1e-320", "--policy", "gated", "--out", str(tmp_path / "s.csv")], "p2"),
         # a command takes only the flags it reads; there are no config files
         (["trace", "--config", "x", "--lambda1", "0.1", "--lambda2", "0.1"], "unrecognized arguments: --config x"),
         (["psi", "--seed", "3"], "unrecognized arguments: --seed 3"),

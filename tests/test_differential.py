@@ -147,9 +147,11 @@ def test_saturated_csv_digest(corner, tmp_path):
     assert _sha(out.read_text(encoding="utf-8")) == SATURATED_CLI_DIGESTS[corner]
 
 
+# Re-pinned when gap's frames came to be cut from one stationary channels.generate_paths path, each
+# frame drawing only its server queue, in place of gap's own start and flip draws per frame.
 GAP_DIGESTS = {
-    ("0.25", "b2"): "71c104d9dc29fc9b8590d86c1843456801c3805e5fa341ab7552f46e0dab6a59",
-    ("0.1", "b4"): "46767f3c2cf0e8509f0e79b511fc4902952c91bf3d3eb4e5e6885925ece858cd",
+    ("0.25", "b2"): "906c65c568cf09987a1f7bfe47e4f530ff18ac4eb8446d9d7992260e575f3153",
+    ("0.1", "b4"): "e63bcae1a800fe97a3b93a214e55bb6bdb280ff94c37c56ab5ef1af852bd8630",
 }
 
 
@@ -174,7 +176,7 @@ def test_saturated_run_counters_digest(case):
     pid, eps, horizon, warmup = case
     config = sim.SimConfig(
         lambda1=0.0, lambda2=0.0, channel=ch.gilbert_elliott(eps),
-        policy=pol.PolicyConfig("fixed_table", table=mdp.policy_from_id(pid)),
+        policy=pol.PolicyConfig("fixed_table", table=mdp.all_policies()[pid]),
         horizon=horizon, warmup=warmup, seed=pid + horizon, saturated=True,
     )
     m = sim.run(config)

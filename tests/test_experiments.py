@@ -377,24 +377,40 @@ def test_throughput_gap_decreases_with_frame_length():
     assert all(abs(v) < 0.01 for v in memoryless.values())
 
 
+def frame_shortfall(eps, table, t_max=100):
+    """T -> how far a frame of T slots from the uniform law mu0 falls short of T * pi f: sum_{t<T} (pi - mu0 P^t) f."""
+    kernel = mdp.build_kernel(eps)
+    P = mdp.policy_matrix(kernel, table)
+    f = np.add(*mdp.policy_rates(np.eye(mdp.N_STATES), table))  # departures in a slot at each state
+    rate = mdp.stationary_distribution(kernel, table) @ f
+    law, paid, shortfall = np.full(mdp.N_STATES, 1 / mdp.N_STATES), 0.0, {}
+    for T in range(1, t_max + 1):
+        paid += law @ f
+        law = law @ P
+        shortfall[T] = T * rate - paid
+    return shortfall
+
+
 def test_frame_shortfall_is_one_constant_whatever_the_frame_length():
-    # a frame started from the uniform law mu0 falls short of T * pi f by sum_{t<T} (pi - mu0 P^t) f, the
-    # same c for every T, so the expected deficit throughput_gap simulates is exactly c / T
+    # the shortfall is the same c for every T, so the expected deficit throughput_gap simulates is exactly c / T
     for eps in (0.05, 0.25, 0.4):
-        kernel = mdp.build_kernel(eps)
         for corner, table in pol.CORNER_TABLES.items():
-            P = mdp.policy_matrix(kernel, table)
-            f = np.add(*mdp.policy_rates(np.eye(mdp.N_STATES), table))  # departures in a slot at each state
-            rate = mdp.stationary_distribution(kernel, table) @ f
-            law, paid, shortfall = np.full(mdp.N_STATES, 1 / mdp.N_STATES), 0.0, {}
-            for T in range(1, 101):
-                paid += law @ f
-                law = law @ P
-                shortfall[T] = T * rate - paid
+            shortfall = frame_shortfall(eps, table)
             for T in (2, 10, 100):
                 assert shortfall[T] == pytest.approx(shortfall[1], abs=1e-12), (eps, corner, T)
             if eps == 0.25 and corner in ("b0", "b2", "b5"):
                 assert shortfall[1] == pytest.approx(1 / 8 if corner == "b2" else 1 / 4, abs=1e-15)
+
+
+def test_gap_deficit_is_c_over_T_within_its_sampling_noise():
+    # gap's frames start from the uniform law, so over seeds 0..39 the mean simulated deficit lies within
+    # 4 standard errors (of that mean) of the exact c / T
+    for eps, corner in ((0.25, "b2"), (0.1, "b4")):
+        c = frame_shortfall(eps, pol.CORNER_TABLES[corner], 1)[1]
+        runs = np.array([[deficit for _, deficit in exp.throughput_gap(eps, (2, 10), corner, 20_000, seed)]
+                         for seed in range(40)])
+        mean, se = runs.mean(axis=0), runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
+        assert np.all(np.abs(mean - c / np.array([2, 10])) < 4 * se), (eps, corner, c, mean, se)
 
 
 def test_myopic_beats_fbdc_delay_on_most_interior_points():

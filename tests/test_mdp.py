@@ -80,11 +80,9 @@ def test_state_enumeration():
 
 
 def test_policy_id_roundtrip():
-    for pid in (0, 1, 37, 255):
-        assert policy_id(mdp.policy_from_id(pid)) == pid
-    assert policy_id(ALL_STAY) == 255
-    with pytest.raises(ValueError):
-        mdp.policy_from_id(256)
+    # a policy id is the index in all_policies(); ids past 255 are refused by `saturated --policy-id` (test_cli)
+    assert [policy_id(p) for p in mdp.all_policies()] == list(range(256))
+    assert policy_id(ALL_STAY) == 255 and mdp.all_policies()[255] == ALL_STAY
 
 
 def test_all_policies_are_int_tuples_in_id_order():
@@ -92,7 +90,6 @@ def test_all_policies_are_int_tuples_in_id_order():
     assert isinstance(policies, list) and len(policies) == 256
     assert all(type(p) is tuple and all(type(a) is int for a in p) for p in policies)
     assert (np.array(policies) @ mdp.ID_BITS).tolist() == list(range(256))
-    assert policies == [mdp.policy_from_id(pid) for pid in range(256)]
 
 
 def test_kernel_entries():
@@ -319,7 +316,7 @@ def _refused(solve, *args) -> bool:
 def test_rate_asymptotic_std_is_refused_exactly_where_its_own_table_is():
     # the variance table covers all 256 tables of a kernel, but refuses a table
     # only where that table's own solve is refused, as one solve per table did
-    tables = [*pol.CORNER_TABLES.values(), mdp.policy_from_id(113), mdp.policy_from_id(121)]
+    tables = [*pol.CORNER_TABLES.values(), mdp.all_policies()[113], mdp.all_policies()[121]]
     refused = accepted = 0
     for eps in np.logspace(-10, -5, 400).tolist():
         kernel = mdp.build_kernel(eps)
@@ -353,7 +350,7 @@ def test_malformed_tables_are_refused_by_name(table):
     kernel = mdp.build_kernel(0.25)
     calls = [lambda: mdp.stationary_distribution(kernel, table), lambda: mdp.rate_asymptotic_std(kernel, table, 1000)]
     if len(table) == 8 and not isinstance(table[0], bool):  # in a stack, True is the integer 1
-        calls.append(lambda: mdp.stationary_distribution(kernel, [mdp.policy_from_id(7), table]))
+        calls.append(lambda: mdp.stationary_distribution(kernel, [mdp.all_policies()[7], table]))
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(repr(table))):
             call()

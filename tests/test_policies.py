@@ -67,7 +67,7 @@ def test_fixed_table_takes_one_table_only():
 
 
 def test_fixed_table_takes_the_corners_and_every_policy_id():
-    for table in [*pol.CORNER_TABLES.values(), *(mdp.policy_from_id(pid) for pid in range(256))]:
+    for table in [*pol.CORNER_TABLES.values(), *mdp.all_policies()]:
         assert pol.PolicyConfig("fixed_table", table=table).table == table
 
 

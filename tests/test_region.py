@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +205,19 @@ def test_iid_region():
                 region_of(p1, p2)
 
 
+def test_iid_facet_is_finite_down_to_the_least_p_with_a_finite_reciprocal():
+    least = math.nextafter(1 / sys.float_info.max, 1.0)  # 1 / least is finite, 1 / its predecessor is not
+    assert 1 / least < math.inf and 1 / math.nextafter(least, 0.0) == math.inf
+    for p1, p2 in ((0.5, least), (least, 0.5), (least, least), (1.0, 1e-300)):
+        facet = rg.iid_region(p1, p2).halfspaces[-1]
+        assert facet == rg.HalfSpace(1 / p1, 1 / p2, 1.0).normalized()  # the bits of the one formula
+        assert all(math.isfinite(v) for v in (facet.a1, facet.a2, facet.b))
+        assert rg.contains(rg.iid_region(p1, p2), (p1 / 2, p2 / 2))
+    for p1, p2 in ((0.5, math.nextafter(least, 0.0)), (1e-320, 0.5), (5e-324, 5e-324)):
+        with pytest.raises(ValueError, match="finite 1/p"):  # a nan facet would fail every point
+            rg.iid_region(p1, p2)
+
+
 def test_no_switchover_region():
     region = rg.no_switchover_region(0.5, 0.5)
     sum_facet = [h for h in region.halfspaces if h.a1 == h.a2 == 1.0]
@@ -291,7 +305,7 @@ MARKED = sorted({x for e in (0.24512233375330725, rg.EPS_CRITICAL, 0.5)
 @given(st.lists(st.one_of(st.floats(0.0, 0.5, exclude_min=True), st.sampled_from(MARKED)), min_size=1, max_size=16))
 @example(MARKED)
 def test_corner_formula_over_an_array_is_corner_points_per_epsilon(eps):
-    # weighted_corner_maps takes the corners of an epsilon array from corner_points' own formula
+    # psi_value takes the corners of an epsilon array from corner_points' own formula
     for side in ([e for e in eps if e < rg.EPS_CRITICAL], [e for e in eps if e >= rg.EPS_CRITICAL]):
         if not side:
             continue
@@ -301,12 +315,12 @@ def test_corner_formula_over_an_array_is_corner_points_per_epsilon(eps):
         got = np.array([np.broadcast_to(c, len(side)) for _, pt in named for c in pt])
         assert got.tobytes() == np.array([[c for _, pt in w for c in pt] for w in want]).T.tobytes()
         ratio = np.geomspace(0.05, 20.0, 2 * len(side)).reshape(len(side), 2)
-        ids, positions, rates = rg.weighted_corner_maps(np.array(side), ratio)
-        assert ids.tolist() == [cid for cid, _ in want[0]]
-        for pos, rate in zip(positions, rates):
-            for k, corners in enumerate(want):
-                (x, y), r = zip(*(pt for _, pt in corners)), ratio[k].tolist()
-                assert rate[k].tolist() == [x[i] + r[j] * y[i] for j, i in enumerate(pos[k])]
+        psi, my, opt = rg.psi_value(np.array(side), ratio)
+        for k, corners in enumerate(want):
+            point = dict(corners)
+            values = [[point[c][0] + r * point[c][1] for c in pair]
+                      for r, *pair in zip(ratio[k].tolist(), my[k], opt[k])]
+            assert psi[k].tolist() == [v_my / v_opt for v_my, v_opt in values]
 
 
 def _on_and_beside(thresholds):
