@@ -7,6 +7,7 @@ symmetric two-state Markov chain with flip probability epsilon
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +62,21 @@ def gilbert_elliott(epsilon: float) -> ChannelModel:
     return ChannelModel(GILBERT_ELLIOTT, epsilon=epsilon)
 
 
+_PATH_CHUNK = 2**16  # slots per chunk of generate_paths' draws
+
+
 def generate_paths(model: ChannelModel, horizon: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-draw both channel paths C(t) for t = 0..horizon-1.
+    """Pre-draw both channel paths C(t) for t = 0..horizon-1, as int8 arrays.
 
     Slot 0 follows the stationary law (each Markov channel ON w.p. 1/2,
     channel 1 drawn first); later slots follow the one-step dynamics.
-    Vectorized so simulation loops never pay per-slot RNG overhead.
+    Vectorized so simulation loops never pay per-slot RNG overhead, and
+    drawn in chunks of _PATH_CHUNK slots, so that no float per slot is held.
     """
-    paths = next(path_chunks(model, horizon, [rng], horizon))
-    return paths[0, 0], paths[1, 0]
+    paths = np.empty((2, operator.index(horizon)), dtype=np.int8)
+    for t0, chunk in zip(range(0, paths.shape[1], _PATH_CHUNK), path_chunks(model, horizon, [rng], _PATH_CHUNK)):
+        paths[:, t0 : t0 + _PATH_CHUNK] = chunk[:, 0]
+    return paths[0], paths[1]
 
 
 def stream_at(rng: np.random.Generator, offset: int) -> np.random.Generator:
@@ -112,13 +119,13 @@ def bit_chunks(rngs: list[np.random.Generator], probs, horizon: int, size: int):
     (stream_at), so one chunk at a time is held.  When the first chunk is
     taken, every generator moves past all its draws.
     """
+    horizon = operator.index(horizon)  # a numpy integer would overflow in advance()
     streams = [[stream_at(rng, k * horizon) for rng in rngs] for k in range(len(probs))]
     for rng in rngs:
         rng.bit_generator.advance(len(probs) * horizon)
-    buffer = np.empty((len(probs), len(rngs), min(size, horizon)), dtype=bool)
+    buffer, floats = np.empty((len(probs), len(rngs), min(size, horizon)), dtype=bool), np.empty(min(size, horizon))
     for t0 in range(0, horizon, size):
-        bits = buffer[:, :, : horizon - t0]
-        draws = np.empty(bits.shape[2])
+        bits, draws = buffer[:, :, : horizon - t0], floats[: horizon - t0]
         for row_streams, row_bits, row_probs in zip(streams, bits, probs):
             for stream, out, p in zip(row_streams, row_bits, row_probs):
                 np.less(stream.random(out=draws), p, out=out)

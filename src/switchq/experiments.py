@@ -122,9 +122,8 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
 # Per policy kind, the fewest cells that sim.run_batch runs faster than one
 # sim.run each; below it numpy's per-call cost outweighs the per-cell slot
 # loop.  Crossovers at 20k slots on a 2-vCPU Xeon (table in README): the
-# table-driven kinds cross first, gated, whose per-cell loop is cheapest
-# against its lock-step step, last.
-_LOCKSTEP_MIN_CELLS = {"fbdc": 40, "fixed_table": 48, "myopic": 48, "exhaustive": 56, "gated": 72}
+# table-driven kinds, whose slot makes no decision call, cross first.
+_LOCKSTEP_MIN_CELLS = {"fbdc": 20, "fixed_table": 20, "myopic": 24, "exhaustive": 24, "gated": 24}
 
 
 def _run_grid(points, policies, channel, horizon: int, seed: int, warmup: int | None = None) -> list[tuple]:

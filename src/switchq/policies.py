@@ -10,8 +10,9 @@ iid-channel results: both stay while a counter is positive
 (polling_action); the slot loops own the counters, the packets found on
 arrival for gated and the current queue for exhaustive.  Both per-slot
 rules are one expression that takes Python scalars and numpy arrays
-alike, so the per-cell and the lock-step engines of sim share one
-definition.
+alike.  The per-cell engine of sim calls them; the lock-step engine makes
+the same comparisons on its own preallocated rows, and the tests hold its
+every result equal to the per-cell engine's.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import channels as ch
-from .mdp import STATES, STAY, SWITCH, mirror_policy, policy_tables
+from .mdp import ID_BITS, STATES, STAY, SWITCH, mirror_policy, policy_tables
 from .region import corner_points, fbdc_corner_map
 
 # Corner action tables (states in the fixed order 1..8).  b2 serves the own
@@ -85,10 +86,10 @@ class PolicyConfig:
 
 
 @lru_cache(maxsize=64)
-def _frame_rows(epsilon: float) -> np.ndarray:
-    """The corner tables as int8 rows in corner_points(epsilon) order, the balanced b3's last."""
+def _frame_ids(epsilon: float) -> np.ndarray:
+    """The corner tables' policy ids in corner_points(epsilon) order, the balanced b3's last."""
     ids = [cid for cid, _ in corner_points(epsilon)] + ["b3"]
-    return np.array([CORNER_TABLES[cid] for cid in ids], dtype=np.int8)
+    return np.array([CORNER_TABLES[cid] for cid in ids]) @ ID_BITS
 
 
 def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
@@ -96,15 +97,13 @@ def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
 
     Both queues empty leaves the weighted objective identically zero; the
     balanced corner b3 is applied in that case.  Arrays of queues map
-    elementwise to an int8 array with one table along a last axis of 8,
-    picked by corner position.
+    elementwise to an array of the tables' policy ids (their index in
+    mdp.all_policies()).
     """
     if isinstance(q1_frame, np.ndarray):
-        rows = _frame_rows(epsilon)
-        busy = (q1_frame != 0) | (q2_frame != 0)
-        tables = np.repeat(rows[-1:], busy.size, axis=0).reshape(busy.shape + (8,))
-        tables[busy] = fbdc_corner_map(epsilon, q1_frame[busy], q2_frame[busy], rows)
-        return tables
+        ids = _frame_ids(epsilon)
+        empty = np.maximum(q1_frame, q2_frame) == 0  # the corner map takes an empty cell as (1, 0), then b3 replaces it
+        return np.where(empty, ids[-1], fbdc_corner_map(epsilon, q1_frame + empty, q2_frame, ids))
     if q1_frame == 0 and q2_frame == 0:
         return CORNER_TABLES["b3"]
     return CORNER_TABLES[fbdc_corner_map(epsilon, q1_frame, q2_frame)]
@@ -112,8 +111,8 @@ def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
 
 # The deepest myopic lookahead the command line takes.  myopic_table sums k
 # terms per sign in Python, once per sim.run: about 0.04 s at 10**5 on a
-# 2-vCPU Xeon, so the at most 47 per-cell runs of a sweep's policy spend
-# about 2 s on it (0.42 s a table at 10**6).
+# 2-vCPU Xeon, so the at most 23 per-cell runs of a sweep's policy spend
+# about 1 s on it (0.42 s a table at 10**6).
 MAX_K = 10**5
 
 

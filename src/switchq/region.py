@@ -200,10 +200,21 @@ def _myopic_thresholds(e) -> tuple:
 
 
 def _queue_arrays(q1, q2) -> tuple[np.ndarray, np.ndarray]:
-    """Queue lengths as float arrays, checked finite, nonnegative and not both zero."""
-    q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
-    low, high = np.minimum(q1, q2), np.maximum(q1, q2)  # a nan fails every test here
-    if not (low.min(initial=0.0) >= 0 and high.min(initial=np.inf) > 0 and high.max(initial=0.0) < np.inf):
+    """Queue lengths as arrays, checked finite, nonnegative and not both zero.
+
+    Integer arrays of one type stay as they are: they are finite, a
+    negative length sets the sign bit of q1 | q2, which two empty queues
+    leave 0, and they compare with a float cut as their float values do.
+    Anything else becomes a float array.
+    """
+    q1, q2 = np.asarray(q1), np.asarray(q2)
+    if q1.dtype.kind in "iu" and q1.dtype == q2.dtype:
+        ok = (q1 | q2).min(initial=1) > 0
+    else:
+        q1, q2 = np.asarray(q1, dtype=float), np.asarray(q2, dtype=float)
+        low, high = np.minimum(q1, q2), np.maximum(q1, q2)  # a nan fails every test here
+        ok = low.min(initial=0.0) >= 0 and high.min(initial=np.inf) > 0 and high.max(initial=0.0) < np.inf
+    if not ok:
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
     return q1, q2
 

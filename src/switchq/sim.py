@@ -14,14 +14,13 @@ Slot contract, in order within slot t:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
 from . import channels as ch
 from . import policies as pol
-from .mdp import ID_BITS, N_STATES, STAY, SWITCH, all_policies, policy_rates, state_index
+from .mdp import ID_BITS, N_STATES, STAY, SWITCH, policy_rates, state_index
 
 
 @dataclass(frozen=True)
@@ -260,14 +259,14 @@ def run(config: SimConfig) -> Metrics:
 # lock-step engine
 #
 # run_batch steps the cells of one policy together, a slot per iteration,
-# with numpy arrays across the cells.  Each cell's server plays an action
-# table for the slot: its fixed table, the corner table of its frame
-# (fbdc), or the table that plays the slot's one action everywhere
-# (myopic, gated, exhaustive).  A table is named by its policy id (its
-# index in mdp.all_policies()), and the offset 8 * id + 4 * (m - 1) plus the
-# channel symbol state_index(1, c1, c2) is the cell's entry in the step
-# tables.  The policies of one action per slot keep id 0 in the offset,
-# so that the entry before their decision is the state index itself.
+# with numpy arrays across the cells.  Each cell's server plays one of the
+# batch's K action tables in a slot: its fixed table (K = 1), the corner
+# table of its frame (fbdc, K = 6), or, for the policies of one action per
+# slot (myopic, gated, exhaustive), the table that switches everywhere or
+# the one that stays everywhere (K = 2).  A cell's slot is one integer
+# entry K * (4 * s + a1 + 2 * a2) + k of the step table, for the state
+# index s, the slot's arrivals a1, a2 and the table k it plays; with K = 2
+# the stay bit is the entry's lowest bit, so that a decision adds it.
 
 MAX_BATCH_HORIZON = 2**31 - 1  # no count or sum of run_batch exceeds 2 * H * H, which stays below 2**63
 _CHUNK_SYMBOLS = 2**16  # cells x slots of each stream held at once
@@ -275,22 +274,28 @@ _MIN_CHUNK = 1024  # slots per chunk, however many cells
 _BLOCK_SYMBOLS = 2**13  # cells x slots per block of int64 rows, at least a slot: equal types skip ufunc casts
 
 
-@lru_cache(maxsize=1)
-def _step_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Per state 8 * id + s of every policy: the service of queue 1 and of queue 2
-    (given a packet), and 4 where the server switches."""
-    tables = np.array(all_policies())
-    serve = np.array(policy_rates(np.eye(N_STATES), tables[:, None]), dtype=np.int64)  # each state's departures
-    return serve.reshape(2, -1), np.where(tables == STAY, 0, 4).ravel()
+def _step_table(tables: np.ndarray, kind: str, n_cells: int) -> np.ndarray:
+    """The rows of the step table (see above) for the action tables stacked in `tables`, a column per entry.
 
-
-def _slot_rows(t0: int, paths: np.ndarray, arrivals: np.ndarray):
-    """Slot by slot from a chunk indexed [channel or queue, cell, slot]: t, and the channel
-    symbols and arrivals of every cell as int64 rows, widened a block of slots at a time."""
-    block = max(1, _BLOCK_SYMBOLS // paths.shape[1])
-    for b0 in range(0, paths.shape[2], block):
-        c, a = (x[:, :, b0 : b0 + block].transpose(2, 0, 1).astype(np.int64) for x in (paths, arrivals))
-        yield from zip(range(t0 + b0, t0 + b0 + len(c)), state_index(1, c[:, 0], c[:, 1]), a)
+    The first rows are added to the cells' state rows: the changes a - service of q1 and q2 (service given a
+    packet), then, for gated and exhaustive, h's change and the queue index's (+-n_cells a switch), and last the
+    offset's (+-16 K a switch, which moves the state index by +-4) and the switch count's.  The rest, (a1, a2), and
+    0 for gated and exhaustive, bound the new q1, q2 (and h) from below: q' = max(q + a - service, a) is
+    q - min(q, service) + a.  The queue index, cell plus n_cells if the server is at queue 2, reads the server's
+    queue from q1 and q2 stacked; h counts the arrivals there since the server came, so that gated's gate is that
+    queue less h.  A switch clears h, and it stays 0 for exhaustive.
+    """
+    K = len(tables)
+    s, a2, a1, k = np.indices((N_STATES, 2, 2, K)).reshape(4, -1)  # in entry order
+    serve1, serve2 = (np.array(d, dtype=np.int64)[k, s] for d in policy_rates(np.eye(N_STATES), tables[:, None]))
+    switched = (tables[k, s] == SWITCH).astype(np.int64)
+    away = np.where(s < 4, switched, -switched)  # to queue 2, or back to queue 1
+    rows = [a1 - serve1, a2 - serve2, 16 * K * away, switched, a1, a2]
+    if kind in ("gated", "exhaustive"):
+        h = np.where(switched, -MAX_BATCH_HORIZON - 1, np.where(s < 4, a1, a2)) if kind == "gated" else 0 * s
+        rows[2:2] = [h, n_cells * away]
+        rows.append(0 * s)
+    return np.array(rows)
 
 
 def run_batch(configs: list[SimConfig]) -> list[Metrics]:
@@ -300,8 +305,11 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     trace or be saturated.  Each result equals run(config) field for field:
     a cell draws from its own seed in run()'s order (channel paths, then
     arrivals), in chunks of slots read at each stream's place in the seed's
-    stream, so no cells x horizon array is held.  The decisions are the
-    rules of policies, called on arrays.
+    stream, so no cells x horizon array is held.  A slot is one lookup of
+    the cells' entries in the step table, after the decision of a policy of
+    one action per slot: myopic compares its weighted credit
+    (pol.myopic_action's rule), gated and exhaustive stay while the gate or
+    the queue holds a packet (pol.polling_action's).
     """
     if not configs:
         return []
@@ -315,14 +323,19 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     if H > MAX_BATCH_HORIZON:  # run() has no such limit
         raise OverflowError("horizon too long for the lock-step engine's int64 sums")
     policy = first.policy
-    kind, epsilon, T, table = policy.kind, first.channel.epsilon, policy.T, policy.table
-    serve, switch4 = _step_tables()
-    policy_id = int(np.dot(table, ID_BITS)) if table else 0  # fbdc sets its own at each frame start
-    one_action = table is None and kind != "fbdc"
-    offset = np.full(n_cells, 8 * policy_id)  # every server starts at queue 1
-    if kind == "myopic":
-        credit = tuple(np.array(row) for row in pol.myopic_table(first.channel, policy.k))
-    gate, just_arrived = np.zeros(n_cells, dtype=np.int64), np.ones(n_cells, dtype=bool)
+    kind, epsilon, T = policy.kind, first.channel.epsilon, policy.T
+    myopic, polling = kind == "myopic", kind in ("gated", "exhaustive")
+    frames = kind == "fbdc" or (myopic and T > 1)
+    if kind == "fbdc":
+        tables = np.array(list(pol.CORNER_TABLES.values()))
+        position = np.zeros(2**N_STATES, dtype=np.int64)  # of each corner's policy id in tables
+        position[tables @ ID_BITS] = np.arange(len(tables))
+    else:
+        tables = np.array([policy.table] if policy.table else [(SWITCH,) * N_STATES, (STAY,) * N_STATES])
+    K = len(tables)
+    steps = _step_table(tables, kind, n_cells)
+    if myopic:  # the credit (u, v) at each entry's state
+        credit = np.array(pol.myopic_table(first.channel, policy.k))[:, np.arange(32 * K) // (4 * K)]
 
     size = min(H, max(_MIN_CHUNK, _CHUNK_SYMBOLS // n_cells))
     rngs = [np.random.default_rng(config.seed) for config in configs]
@@ -331,50 +344,65 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     # zip takes the first path chunk before the first arrival chunk, so the arrival streams start past the paths
     chunks = zip(range(0, H, size), paths, ch.bit_chunks(rngs, rates, H, size))
 
-    q = np.zeros((2, n_cells), dtype=np.int64)
-    weights = tuple(q)  # myopic: views of the current queues, which per-slot myopic (T = 1) weighs
-    occupancy = q.copy()  # per queue, summed over every slot so far
-    arrivals, arrivals_pre = q.copy(), q.copy()
-    switches4 = np.zeros(n_cells, dtype=np.int64)
-    index, dep = np.empty(n_cells, dtype=np.int64), np.empty((2, n_cells), dtype=np.int64)
+    # state rows: q1, q2, then h and the queue index for gated and exhaustive, then the offset (the entry less
+    # K * (4 * symbol + a1 + 2 * a2)) and the switch count; every server starts at queue 1 with table 0
+    state = np.zeros((6 if polling else 4, n_cells), dtype=np.int64)
+    q, offset, floor = state[:2], state[-2], state[: 3 if polling else 2]
+    if polling:
+        h, queue_index, q_flat = state[2], state[3], q.reshape(-1)
+        queue_index += np.arange(n_cells)
+    step = np.empty((len(steps), n_cells), dtype=np.int64)
+    moves, arrived = step[: len(state)], step[len(state) :]
+    entry, counter = np.empty(n_cells, dtype=np.int64), np.empty(n_cells, dtype=np.int64)
+    stay = np.empty(n_cells, dtype=bool)
+    weights = q.copy() if frames else q  # myopic: the frame-start queues, the current ones per slot
+    weighed = np.empty((2, n_cells))
+    weighed1, weighed2 = weighed
+    occupancy = np.zeros((2, n_cells), dtype=np.int64)  # per queue, summed over every slot so far
+    arrivals, arrivals_pre = occupancy.copy(), occupancy.copy()
     marks = iter(_marks(H, warmup))
-    mark, noted = next(marks), []
+    mark, frame, noted = next(marks), 0 if frames else H, []  # the next slot that notes a mark, and that starts a frame
+    event = min(mark, frame)
 
+    block = max(1, _BLOCK_SYMBOLS // n_cells)
     for t0, chunk_paths, chunk_arrivals in chunks:  # each indexed [channel or queue, cell, slot]
         arrivals += chunk_arrivals.sum(axis=2)
         arrivals_pre += chunk_arrivals[:, :, : max(0, warmup - t0)].sum(axis=2)
-        for t, symbol, arrived in _slot_rows(t0, chunk_paths, chunk_arrivals):
-            if t == mark:
-                noted.append(np.vstack([occupancy.sum(axis=0), q]))
-                mark = next(marks, -1)
-            if kind == "fbdc" and t % T == 0:
-                offset = 8 * (pol.fbdc_frame_start(epsilon, q[0], q[1]) @ ID_BITS) + (offset & 4)
-            np.add(offset, symbol, out=index)
-            if one_action:  # offset is 4 * (m - 1), so index is the state; the action picks its table
-                if kind == "myopic":
-                    if T > 1 and t % T == 0:
-                        weights = tuple(q.copy())  # int64 * float64 gives the scalar rule's int * float
-                    action = pol.myopic_action(credit, index, *weights)
-                else:
-                    counter = np.where(offset, q[1], q[0])
-                    if kind == "gated":
-                        counter = gate = np.where(just_arrived, counter, gate)
-                    action = pol.polling_action(counter)
-                index += 8 * 255 * action  # policy 255 stays everywhere, policy 0 switches
-            occupancy += q
-
-            np.minimum(q, serve.take(index, axis=1), out=dep)
-            q -= dep
-            flip = switch4.take(index)
-            offset ^= flip
-            switches4 += flip
-            q += arrived
-            if kind == "gated":
-                gate -= dep[0] + dep[1]
-                just_arrived = flip != 0
+        chunk_arrivals = chunk_arrivals.view(np.int8)
+        for b0 in range(0, chunk_paths.shape[2], block):
+            c, a = chunk_paths[:, :, b0 : b0 + block], chunk_arrivals[:, :, b0 : b0 + block]
+            packed = K * (4 * state_index(1, c[0], c[1]) + a[0] + 2 * a[1])  # int8 [cell, slot]
+            rows = np.ascontiguousarray(packed.T, dtype=np.int64)
+            for t, symbols in zip(range(t0 + b0, t0 + b0 + len(rows)), rows):
+                if t == event:
+                    if t == mark:
+                        noted.append(np.vstack([occupancy.sum(axis=0), q]))
+                        mark = next(marks, H)
+                    if t == frame:
+                        if myopic:
+                            np.copyto(weights, q)
+                        else:  # keep the server's queue, play the frame's corner
+                            offset -= offset % K
+                            offset += position.take(pol.fbdc_frame_start(epsilon, q[0], q[1]))
+                        frame += T
+                    event = min(mark, frame)
+                np.add(offset, symbols, out=entry)
+                if myopic:  # stay iff w1 * u >= w2 * v
+                    credit.take(entry, axis=1, out=weighed, mode="clip")
+                    np.multiply(weighed, weights, out=weighed)  # int64 * float64 gives the scalar rule's int * float
+                    np.greater_equal(weighed1, weighed2, out=stay)
+                    np.add(entry, stay, out=entry)
+                elif polling:  # stay iff the gate, the server's queue less h, holds a packet
+                    q_flat.take(queue_index, out=counter, mode="clip")
+                    np.greater(counter, h, out=stay)
+                    np.add(entry, stay, out=entry)
+                np.add(occupancy, q, out=occupancy)
+                steps.take(entry, axis=1, out=step, mode="clip")  # mode="raise" would buffer out
+                np.add(state, moves, out=state)
+                np.maximum(floor, arrived, out=floor)
 
     noted.append(np.vstack([occupancy.sum(axis=0), q]))
-    columns = zip(np.stack(noted).transpose(2, 0, 1).tolist(), (switches4 // 4).tolist(),
+    columns = zip(np.stack(noted).transpose(2, 0, 1).tolist(), state[-1].tolist(),
                   arrivals_pre.T.tolist(), arrivals.T.tolist())
     return [_metrics(H - warmup, *column) for column in columns]
 

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import channel_prediction, myopic_sigma
 from switchq import channels as ch
+from switchq import experiments as exp
 from switchq import policies as pol
 
 
@@ -155,3 +156,29 @@ def test_generate_paths_deterministic():
     a = ch.generate_paths(model, 1000, np.random.default_rng(9))
     b = ch.generate_paths(model, 1000, np.random.default_rng(9))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_numpy_integer_horizons_draw_the_python_int_bits():
+    model = ch.gilbert_elliott(0.25)
+    for a, b in zip(ch.generate_paths(model, np.int64(1000), np.random.default_rng(4)),
+                    ch.generate_paths(model, 1000, np.random.default_rng(4))):
+        assert a.tobytes() == b.tobytes()
+    assert (exp.throughput_gap(0.25, (np.int64(2),), "b2", 1000, 0)[0][1]
+            == exp.throughput_gap(0.25, (2,), "b2", 1000, 0)[0][1])
+
+
+def test_generate_paths_peak_is_the_paths_and_one_chunk():
+    import tracemalloc
+
+    horizon = 2_000_000
+    ch.generate_paths(ch.gilbert_elliott(0.25), 10, np.random.default_rng(0))  # the first call fills the caches
+    tracemalloc.start()
+    try:
+        paths = ch.generate_paths(ch.gilbert_elliott(0.25), horizon, np.random.default_rng(0))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(p.nbytes for p in paths) == 2 * horizon <= held
+    # a chunk holds a float draw and a bit per channel for each of its slots, 10 B a slot; one chunk of the
+    # whole horizon made that 10 B a horizon slot
+    assert peak - held < 11 * ch._PATH_CHUNK

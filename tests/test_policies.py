@@ -81,9 +81,25 @@ def test_fbdc_frame_start_examples():
 def test_empty_frames_play_b3(eps):
     # no queue to weigh: the balanced corner, for scalar queues and for the empty cells of an array
     assert pol.fbdc_frame_start(eps, 0, 0) == pol.CORNER_TABLES["b3"]
-    tables = pol.fbdc_frame_start(eps, np.array([0, 3, 0]), np.array([0, 0, 0]))
-    assert [tuple(t) for t in tables] == [pol.CORNER_TABLES["b3"], pol.fbdc_frame_start(eps, 3, 0),
-                                          pol.CORNER_TABLES["b3"]]
+    ids = pol.fbdc_frame_start(eps, np.array([0, 3, 0]), np.array([0, 0, 0]))
+    assert ids.tolist() == [_policy_id(pol.CORNER_TABLES["b3"]), _policy_id(pol.fbdc_frame_start(eps, 3, 0)),
+                            _policy_id(pol.CORNER_TABLES["b3"])]
+
+
+def _policy_id(table) -> int:
+    return int(np.dot(table, mdp.ID_BITS))
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.10, 0.25, 0.29, 0.30, 0.40, 0.45, 0.50,
+                                 EPS_CRITICAL, math.nextafter(EPS_CRITICAL, 0.0)])
+def test_frame_start_ids_equal_the_scalar_tables(eps):
+    # the lock-step engine plays the ids of the array path: on every integer queue pair in [0, 200]^2 they are
+    # the ids of the scalar path's tables, (0, 0) giving b3
+    q1, q2 = (a.ravel() for a in np.indices((201, 201)))
+    ids = pol.fbdc_frame_start(eps, q1, q2)
+    assert ids[0] == _policy_id(pol.CORNER_TABLES["b3"])
+    scalar = {table: _policy_id(table) for table in pol.CORNER_TABLES.values()}
+    assert ids.tolist() == [scalar[pol.fbdc_frame_start(eps, a, b)] for a, b in zip(q1.tolist(), q2.tolist())]
 
 
 def test_fbdc_frame_start_matches_weighted_argmax():
@@ -269,10 +285,9 @@ def test_array_rules_equal_scalar_calls():
         q1, q2 = rng.integers(0, 40, (2, 400))
         q1[:20] = q2[:20] = 0  # both empty: b3
         q1[20:40] = 0
-        tables = pol.fbdc_frame_start(eps, q1, q2)
-        assert tables.shape == (400, 8)
-        assert [tuple(t) for t in tables.tolist()] == [pol.fbdc_frame_start(eps, int(a), int(b))
-                                                       for a, b in zip(q1, q2)]
+        ids = pol.fbdc_frame_start(eps, q1, q2)
+        assert ids.shape == (400,)
+        assert ids.tolist() == [_policy_id(pol.fbdc_frame_start(eps, int(a), int(b))) for a, b in zip(q1, q2)]
         credit = pol.myopic_table(ch.gilbert_elliott(eps), int(rng.integers(1, 4)))
         s = rng.integers(0, 8, 400)
         for w1, w2 in ((q1, q2), (q1.astype(float), q2.astype(float))):

@@ -378,6 +378,18 @@ def test_array_corner_maps_match_scalar(eps, pairs):
             assert rg.fbdc_corner_map(eps, a, b) == threshold_map(fbdc, corners, a, b), (eps, a, b)
 
 
+def test_integer_queue_arrays_are_checked_as_float_ones_are():
+    # integer arrays skip the float copies, not the checks: a negative length or two empty queues is refused
+    for q1, q2 in (([1, -1], [2, 3]), ([2, 3], [-5, 1]), ([0, 4], [0, 1]), ([-1], [-1]), ([-2**63], [0])):
+        for dtype in (np.int64, float):
+            for corner_map in (rg.fbdc_corner_map, rg.myopic_corner_map):
+                with pytest.raises(ValueError):
+                    corner_map(0.25, np.array(q1, dtype=dtype), np.array(q2, dtype=dtype))
+    q1, q2 = (a.ravel()[1:] for a in np.meshgrid(*[np.array([0, 1, 7, 2**40, 2**53 + 1], dtype=np.uint64)] * 2))
+    for corner_map in (rg.fbdc_corner_map, rg.myopic_corner_map):
+        assert corner_map(0.25, q1, q2).tolist() == corner_map(0.25, q1.astype(float), q2.astype(float)).tolist()
+
+
 @pytest.mark.parametrize("eps", EPS_GRID)
 def test_fbdc_corner_map_exact_ties(eps):
     # Queues whose ratio is exactly a threshold of the decimal epsilon (such
@@ -396,6 +408,7 @@ def test_fbdc_corner_map_exact_ties(eps):
             want.append(lower)
     assert [rg.fbdc_corner_map(eps, q1, q2) for q1, q2 in ties] == want
     assert list(rg.fbdc_corner_map(eps, *np.array(ties, dtype=float).T)) == want
+    assert list(rg.fbdc_corner_map(eps, *np.array(ties).T)) == want  # integer arrays compare as their floats do
     # a relative 1e-11 beside a tie, far above the rounding, each side keeps its own corner
     beside = [float(t) * (1 + side) for t in lowest for side in (-1e-11, 1e-11)]
     want = [threshold_map(exact, corners, 1, r) for r in beside]

@@ -283,6 +283,23 @@ def test_run_batch_equals_per_cell_runs_over_several_chunks():
     assert sim.run_batch(configs) == [sim.run(c) for c in configs]
 
 
+@pytest.mark.parametrize("policy, channel", [
+    (pol.PolicyConfig("fbdc", T=25), GE25),
+    (pol.PolicyConfig("fbdc", T=7), GE25),
+    (pol.PolicyConfig("myopic", T=1, k=1), GE25),
+    (pol.PolicyConfig("myopic", T=5, k=2), GE25),
+    (pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]), GE25),
+    (pol.PolicyConfig("gated"), ch.iid(0.5, 0.5)),
+    (pol.PolicyConfig("exhaustive"), ch.iid(0.5, 0.5)),
+], ids=["fbdc_T25", "fbdc_T7", "myopic1_slot", "myopic2_T5", "corner_b2", "gated", "exhaustive"])
+def test_wide_run_batch_equals_per_cell_runs_for_every_kind(policy, channel):
+    # 89 cells take chunks of 1024 slots and blocks of 92: the marks after the warmup of 777 fall inside
+    # blocks, and frames cross block and chunk edges
+    configs = [make_config(lambda1=0.02 + 0.2 * i / 89, lambda2=0.2 - 0.15 * i / 89, channel=channel, policy=policy,
+                           seed=100 + i, horizon=3000, warmup=777) for i in range(89)]
+    assert [dataclasses.asdict(m) for m in sim.run_batch(configs)] == [dataclasses.asdict(sim.run(c)) for c in configs]
+
+
 def test_run_batch_validation():
     assert sim.run_batch([]) == []
     base = make_config(horizon=100)
