@@ -35,8 +35,8 @@ def _int_in(low: int, high: int | None = None):
     return integer
 
 
-# The longest --horizon of any command: runs keep their slots in arrays, 6-11 B a slot
-# from 1M to 4M slots; gap at three frame lengths peaks at 148 MB at the cap (2-vCPU Xeon).
+# The longest --horizon of any command: runs keep their slots in arrays, 3-7 B a slot from
+# 1M to 4M slots (3 for sim.run); gap at three frame lengths peaks at 148 MB at the cap (2-vCPU Xeon).
 MAX_HORIZON = 2 * 10**7
 # The most rows a trace keeps: about 300 B each (peak RSS 66 MB at 100k rows, 157 MB at 400k), so 340 MB at the cap.
 MAX_TRACE_ROWS = 10**6

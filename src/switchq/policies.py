@@ -5,14 +5,11 @@ Q1*r1 + Q2*r2 at each frame start (fbdc_frame_start) and plays that
 corner's deterministic action table for the whole frame.  The k-lookahead
 myopic policy compares queue-weighted expected service credit over the
 next k slots, read from a signed credit table per state (myopic_action).
-Gated and exhaustive are the classic polling disciplines used for the
-iid-channel results: both stay while a counter is positive
-(polling_action); the slot loops own the counters, the packets found on
-arrival for gated and the current queue for exhaustive.  Both per-slot
-rules are one expression that takes Python scalars and numpy arrays
-alike.  The per-cell engine of sim calls them; the lock-step engine makes
-the same comparisons on its own preallocated rows, and the tests hold its
-every result equal to the per-cell engine's.
+Both rules take Python scalars and numpy arrays alike.  Gated and
+exhaustive are the classic polling disciplines used for the iid-channel
+results: both stay while the gate, the server's queue less h, holds a
+packet, where h counts the arrivals there since the server came for
+gated and stays 0 for exhaustive; the step table of sim keeps h.
 """
 
 from __future__ import annotations
@@ -93,26 +90,23 @@ def _frame_ids(epsilon: float) -> np.ndarray:
 
 
 def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
-    """Corner table to play for the coming frame given frame-start queues.
+    """Policy id (index in mdp.all_policies()) of the corner table for the coming frame, given frame-start queues.
 
     Both queues empty leaves the weighted objective identically zero; the
     balanced corner b3 is applied in that case.  Arrays of queues map
-    elementwise to an array of the tables' policy ids (their index in
-    mdp.all_policies()).
+    elementwise to an array of ids, and Python ints give a Python int.
     """
+    ids = _frame_ids(epsilon)
     if isinstance(q1_frame, np.ndarray):
-        ids = _frame_ids(epsilon)
         empty = np.maximum(q1_frame, q2_frame) == 0  # the corner map takes an empty cell as (1, 0), then b3 replaces it
         return np.where(empty, ids[-1], fbdc_corner_map(epsilon, q1_frame + empty, q2_frame, ids))
-    if q1_frame == 0 and q2_frame == 0:
-        return CORNER_TABLES["b3"]
-    return CORNER_TABLES[fbdc_corner_map(epsilon, q1_frame, q2_frame)]
+    return ids.item(-1) if q1_frame == q2_frame == 0 else fbdc_corner_map(epsilon, q1_frame, q2_frame, ids)
 
 
 # The deepest myopic lookahead the command line takes.  myopic_table sums k
 # terms per sign in Python, once per sim.run: about 0.04 s at 10**5 on a
-# 2-vCPU Xeon, so the at most 23 per-cell runs of a sweep's policy spend
-# about 1 s on it (0.42 s a table at 10**6).
+# 2-vCPU Xeon, so the at most 19 per-cell runs of a sweep's myopic policy
+# spend about 0.8 s on it (0.42 s a table at 10**6).
 MAX_K = 10**5
 
 
@@ -146,12 +140,3 @@ def myopic_action(credit, s, w1, w2):
     """
     u, v = credit
     return (w1 * u[s] >= w2 * v[s]) * STAY
-
-
-def polling_action(counter):
-    """Gated and exhaustive: stay while the counter of packets left to serve here is positive.
-
-    A Python int gives the int STAY or SWITCH; an array maps elementwise
-    to an integer array.
-    """
-    return (counter > 0) * STAY

@@ -224,8 +224,8 @@ def fbdc_corner_map(epsilon: float, q1, q2, choices=None):
 
     Its position in corner_points order is the count of FBDC's cuts below
     q2/q1, so a tie goes to the lower ratio however the values round.  With
-    ``choices`` (an array when the queues are), the entry at that position
-    is returned in place of the id.
+    ``choices`` (an array), the entry at that position is returned in place
+    of the id, as a Python scalar for scalar queues.
     """
     ids, cuts = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
@@ -235,7 +235,7 @@ def fbdc_corner_map(epsilon: float, q1, q2, choices=None):
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
     position = _count_below(cuts, float(q1), float(q2))  # floats compare as the array path's do
-    return ids.item(position) if choices is None else choices[position]
+    return (ids if choices is None else choices).item(position)
 
 
 def myopic_corner_map(epsilon, q1, q2, choices=None):

@@ -13,7 +13,9 @@ Slot contract, in order within slot t:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
+from itertools import pairwise
 from math import isqrt
 
 import numpy as np
@@ -135,155 +137,33 @@ def _metrics(n_post: int, noted, switches: int, arrivals_pre, arrivals, trace=()
     )
 
 
-# Per state index, whether the channel of the queue the server is at is ON (a staying server
-# departs there); per slot byte of run(), the arrivals to queue 1 and to queue 2.
-_ON = tuple((sum(policy_rates(np.eye(N_STATES), (STAY,) * N_STATES)) > 0).tolist())
-_ARRIVED1, _ARRIVED2 = tuple(b >> 2 & 1 for b in range(16)), tuple(b >> 3 for b in range(16))
-
-
-def run(config: SimConfig) -> Metrics:
-    """Execute the slot contract for `horizon` slots, the server starting at queue 1.
-
-    The slots are read one packed byte each, in segments between the slots
-    where a run notes its marks, starts a frame or writes a trace row, so
-    that no slot tests for them.
-    """
-    H, warmup = config.horizon, config.warmup
-    rng = np.random.default_rng(config.seed)
-    c1s, c2s = ch.generate_paths(config.channel, H, rng)
-
-    cfg_pol = config.policy
-    kind = cfg_pol.kind
-    epsilon = config.channel.epsilon
-    T, table = cfg_pol.T, cfg_pol.table
-    if config.saturated:  # infinite backlog: the saturated engine below replaces the slot loop
-        warm, post = (counts[:, 0].tolist() for counts in _saturated_split([table], state_index(1, c1s, c2s), warmup))
-        d1, d2, switches = (w + p for w, p in zip(warm, post))
-        n_post = H - warmup
-        return Metrics(q_avg=0 / n_post, rate1=post[0] / n_post, rate2=post[1] / n_post, d1=d1, d2=d2,
-                       switch_count=switches, window_means=None, verdict=None)
-    arrived = next(ch.bit_chunks([rng], [[config.lambda1], [config.lambda2]], H, H))[:, 0]
-    arrivals_pre, arrivals = arrived[:, :warmup].sum(axis=1).tolist(), arrived.sum(axis=1).tolist()
-    # one byte per slot: the channel symbol state_index(1, c1, c2) in bits 0-1, the arrivals in bits 2 and 3
-    bits = arrived.view(np.int8)
-    slots = (state_index(1, c1s, c2s) | bits[0] << 2 | bits[1] << 3).astype(np.uint8).tobytes()
-
-    myopic, gated, per_slot = kind == "myopic", kind == "gated", kind == "myopic" and T == 1
-    if myopic:
-        credit = pol.myopic_table(config.channel, cfg_pol.k)
-        myopic_action = pol.myopic_action
-    polling_action = pol.polling_action
-    on, arrived1, arrived2 = _ON, _ARRIVED1, _ARRIVED2
-
-    # segments end at the marks, at frame starts (per-slot myopic reads the current queues in
-    # the loop instead) and around each traced slot
-    trace_every = config.trace_every
-    marks = _marks(H, warmup)
-    cuts = {0, H, *marks}
-    if kind == "fbdc" or (myopic and not per_slot):
-        cuts.update(range(0, H, T))
-    if trace_every:
-        cuts.update(t + d for t in range(0, H, trace_every) for d in (0, 1) if t + d < H)
-    cuts = sorted(cuts)
-    marks = iter(marks)
-
-    m4 = 0  # 4 * (m - 1) for the server at queue m, so that m4 | symbol is the state index
-    q1 = q2 = qsum = 0  # qsum: occupancy summed over every slot so far
-    w1 = w2 = 0  # myopic: the queue weights of the frame
-    switch_count = 0
-    gate = 0  # gated: packets found at the current queue on arrival and not yet served
-    just_arrived = True
-    mark, noted = next(marks), []
-    trace_rows: list[tuple] = []
-
-    for t0, t1 in zip(cuts, cuts[1:]):
-        if t0 == mark:
-            noted.append((qsum, q1, q2))
-            mark = next(marks, -1)
-        if t0 % T == 0:  # a frame start; every segment starts one when T = 1
-            w1, w2 = q1, q2
-            if kind == "fbdc":
-                table = pol.fbdc_frame_start(epsilon, w1, w2)
-        traced = trace_every and t0 % trace_every == 0
-        if traced:
-            m4_0, q1_0, q2_0, switches_0 = m4, q1, q2, switch_count
-
-        for b in slots[t0:t1]:
-            # stage 2: observe and decide
-            s = m4 | b & 3
-            if table is not None:
-                action = table[s]
-            elif myopic:
-                if per_slot:
-                    w1, w2 = q1, q2
-                action = myopic_action(credit, s, w1, w2)
-            elif gated:
-                if just_arrived:
-                    gate = q2 if m4 else q1
-                    just_arrived = False
-                action = polling_action(gate)
-            else:  # exhaustive
-                action = polling_action(q2 if m4 else q1)
-            qsum += q1 + q2
-
-            # stage 3: serve or switch
-            if action == STAY:
-                if on[s]:
-                    if m4:
-                        if q2:
-                            q2 -= 1
-                            gate -= 1
-                    elif q1:
-                        q1 -= 1
-                        gate -= 1
-            else:
-                m4 ^= 4
-                switch_count += 1
-                just_arrived = True
-
-            # stage 4: arrivals
-            q1 += arrived1[b]
-            q2 += arrived2[b]
-
-        if traced:  # a segment of one slot: its action and departures from the state before and after it
-            b = slots[t0]
-            action = STAY if switch_count == switches_0 else SWITCH
-            trace_rows.append((t0, 1 + (m4_0 >> 2), 1 - (b >> 1 & 1), 1 - (b & 1), q1_0, q2_0, action,
-                               q1_0 + arrived1[b] - q1, q2_0 + arrived2[b] - q2))
-
-    noted.append((qsum, q1, q2))
-    return _metrics(H - warmup, noted, switch_count, arrivals_pre, arrivals, trace_rows)
-
-
 # ---------------------------------------------------------------------------
-# lock-step engine
+# step table, which both engines step
 #
-# run_batch steps the cells of one policy together, a slot per iteration,
-# with numpy arrays across the cells.  Each cell's server plays one of the
-# batch's K action tables in a slot: its fixed table (K = 1), the corner
-# table of its frame (fbdc, K = 6), or, for the policies of one action per
-# slot (myopic, gated, exhaustive), the table that switches everywhere or
-# the one that stays everywhere (K = 2).  A cell's slot is one integer
-# entry K * (4 * s + a1 + 2 * a2) + k of the step table, for the state
-# index s, the slot's arrivals a1, a2 and the table k it plays; with K = 2
-# the stay bit is the entry's lowest bit, so that a decision adds it.
+# A server plays one of K action tables in a slot: its fixed table (K = 1),
+# its frame's corner table (fbdc, K = 6), or, for the policies of one action
+# per slot (myopic, gated, exhaustive), the table that switches everywhere or
+# the one that stays everywhere (K = 2, so that the stay bit is the entry's
+# lowest bit and a decision adds it).  The slot is one integer entry
+# K * (4 * s + a1 + 2 * a2) + k of the step table, for the state index s, the
+# arrivals a1, a2 and the table k: the slot's packed byte
+# K * (4 * symbol + a1 + 2 * a2) plus the server's offset 16 K (m - 1) + k.
 
 MAX_BATCH_HORIZON = 2**31 - 1  # no count or sum of run_batch exceeds 2 * H * H, which stays below 2**63
-_CHUNK_SYMBOLS = 2**16  # cells x slots of each stream held at once
+_CHUNK_SYMBOLS = 2**16  # cells x slots of each stream held at once; past 64 cells the 1,024-slot floor holds more
 _MIN_CHUNK = 1024  # slots per chunk, however many cells
 _BLOCK_SYMBOLS = 2**13  # cells x slots per block of int64 rows, at least a slot: equal types skip ufunc casts
 
 
-def _step_table(tables: np.ndarray, kind: str, n_cells: int) -> np.ndarray:
+def _step_table(tables: np.ndarray, kind: str, n_cells: int, horizon: int) -> np.ndarray:
     """The rows of the step table (see above) for the action tables stacked in `tables`, a column per entry.
 
-    The first rows are added to the cells' state rows: the changes a - service of q1 and q2 (service given a
-    packet), then, for gated and exhaustive, h's change and the queue index's (+-n_cells a switch), and last the
-    offset's (+-16 K a switch, which moves the state index by +-4) and the switch count's.  The rest, (a1, a2), and
-    0 for gated and exhaustive, bound the new q1, q2 (and h) from below: q' = max(q + a - service, a) is
-    q - min(q, service) + a.  The queue index, cell plus n_cells if the server is at queue 2, reads the server's
-    queue from q1 and q2 stacked; h counts the arrivals there since the server came, so that gated's gate is that
-    queue less h.  A switch clears h, and it stays 0 for exhaustive.
+    The first rows are added to a cell's state: the changes a - service of q1 and q2 (service given a packet), for
+    gated and exhaustive those of h and the queue index (+-n_cells a switch), then those of the offset (+-16 K a
+    switch) and the switch count.  The rest, (a1, a2) and 0 for gated and exhaustive, bound the new q1, q2 and h
+    from below: q' = max(q + a - service, a) is q - min(q, service) + a.  The queue index, cell plus n_cells at
+    queue 2, reads the server's queue from q1 and q2 stacked; h counts the arrivals there since the server came
+    (gated's gate is that queue less h).  A switch clears h, at most the horizon, by -horizon - 1; exhaustive's is 0.
     """
     K = len(tables)
     s, a2, a1, k = np.indices((N_STATES, 2, 2, K)).reshape(4, -1)  # in entry order
@@ -292,24 +172,149 @@ def _step_table(tables: np.ndarray, kind: str, n_cells: int) -> np.ndarray:
     away = np.where(s < 4, switched, -switched)  # to queue 2, or back to queue 1
     rows = [a1 - serve1, a2 - serve2, 16 * K * away, switched, a1, a2]
     if kind in ("gated", "exhaustive"):
-        h = np.where(switched, -MAX_BATCH_HORIZON - 1, np.where(s < 4, a1, a2)) if kind == "gated" else 0 * s
+        h = np.where(switched, -horizon - 1, np.where(s < 4, a1, a2)) if kind == "gated" else 0 * s
         rows[2:2] = [h, n_cells * away]
         rows.append(0 * s)
     return np.array(rows)
 
 
+def _setup(config: SimConfig, n_cells: int):
+    """Both engines' setup: K, the step table for n_cells cells, and as lists each policy id's k and myopic's credit."""
+    policy = config.policy
+    if policy.kind == "fbdc":
+        tables = np.array(list(pol.CORNER_TABLES.values()))
+    else:
+        tables = np.array([policy.table] if policy.table else [(SWITCH,) * N_STATES, (STAY,) * N_STATES])
+    K = len(tables)
+    position = np.zeros(2**N_STATES, dtype=np.int64)
+    position[tables @ ID_BITS] = np.arange(K)
+    credit = None
+    if policy.kind == "myopic":
+        credit = np.array(pol.myopic_table(config.channel, policy.k))[:, np.arange(32 * K) // (4 * K)].tolist()
+    return K, _step_table(tables, policy.kind, n_cells, config.horizon), position.tolist(), credit
+
+
+def run(config: SimConfig) -> Metrics:
+    """Execute the slot contract for `horizon` slots, the server starting at queue 1, as one cell of the step table.
+
+    The slots' packed bytes are read in segments between the slots where a
+    run notes its marks, starts a frame or writes a trace row, so that no
+    slot tests for them.  A slot's entry is its byte plus the offset, plus
+    the stay bit of myopic_action on the credit at the entry or of "the
+    server's queue exceeds h"; its column moves q1, q2, h, the offset and
+    the switch count, each q as max(q + change, a), in Python ints.
+    """
+    H, warmup = config.horizon, config.warmup
+    rng = np.random.default_rng(config.seed)
+    c1s, c2s = ch.generate_paths(config.channel, H, rng)
+    policy, epsilon = config.policy, config.channel.epsilon
+    kind, T, table = policy.kind, policy.T, policy.table
+    if config.saturated:  # infinite backlog: the saturated engine below replaces the slot loop
+        warm, post = (counts[:, 0].tolist() for counts in _saturated_split([table], state_index(1, c1s, c2s), warmup))
+        d1, d2, switches = (w + p for w, p in zip(warm, post))
+        n_post = H - warmup
+        return Metrics(q_avg=0 / n_post, rate1=post[0] / n_post, rate2=post[1] / n_post, d1=d1, d2=d2,
+                       switch_count=switches, window_means=None, verdict=None)
+    K, steps, position, credit = _setup(config, 1)
+    packed, arrivals_pre, arrivals = np.empty(H, np.int8), np.zeros(2, np.int64), np.zeros(2, np.int64)
+    draws = ch.bit_chunks([rng], [[config.lambda1], [config.lambda2]], H, _CHUNK_SYMBOLS)
+    for t0, arrived in zip(range(0, H, _CHUNK_SYMBOLS), draws):
+        a = arrived[:, 0].view(np.int8)
+        t1 = t0 + a.shape[1]
+        arrivals += a.sum(axis=1)
+        arrivals_pre += a[:, : max(0, warmup - t0)].sum(axis=1)
+        packed[t0:t1] = K * (4 * state_index(1, c1s[t0:t1], c2s[t0:t1]) + a[0] + 2 * a[1])
+    del c1s, c2s  # the paths go before the bytes come, so that the peak stays at 3 B a slot
+    slots = packed.tobytes()
+
+    myopic, polling, per_slot = kind == "myopic", kind in ("gated", "exhaustive"), kind in ("fbdc", "myopic") and T == 1
+    # per entry, the changes of q1, q2, h (gated and exhaustive), the offset and the switch count, then a1 and a2
+    columns = list(map(tuple, steps[[0, 1, 2, 4, 5, 6, 7] if polling else range(6)].T.tolist()))
+    myopic_action = pol.myopic_action
+
+    # segments end at the marks, at frame starts (not at frames of one slot) and around each traced slot
+    cuts = [(0, H), _marks(H, warmup)]
+    if kind in ("fbdc", "myopic") and not per_slot:
+        cuts.append(range(0, H, T))
+    if config.trace_every:
+        cuts.append(t + d for t in range(0, H, config.trace_every) for d in (0, 1) if t + d < H)
+    marks = iter(cuts[1])
+
+    offset = 0  # 16 K (m - 1) + k for the server at queue m playing table k
+    q1 = q2 = h = qsum = 0  # qsum: occupancy summed over every slot so far
+    switch_count = 0
+    mark, noted = next(marks), []
+    trace_rows: list[tuple] = []
+
+    for t0, t1 in pairwise(heapq.merge(*cuts)):
+        if t0 == t1:  # a cut made twice (skipped here, not dropped by groupby, which costs about 100 ns a cut)
+            continue
+        if t0 == mark:
+            noted.append((qsum, q1, q2))
+            mark = next(marks, -1)
+        if t0 % T == 0 and not per_slot:  # a frame start
+            w1, w2 = q1, q2  # myopic's weights, the frame's first queues
+            if kind == "fbdc":  # keep the server's queue, play the frame's corner
+                offset += position[pol.fbdc_frame_start(epsilon, w1, w2)] - offset % K
+        traced = config.trace_every and t0 % config.trace_every == 0
+        if traced:
+            offset_0, q1_0, q2_0, switches_0 = offset, q1, q2, switch_count
+
+        if polling:  # stay iff the gate, the server's queue less h, holds a packet (h stays 0 for exhaustive)
+            for b in slots[t0:t1]:
+                qsum += q1 + q2
+                dq1, dq2, dh, doffset, switched, a1, a2 = columns[offset + b + ((q2 if offset else q1) > h)]
+                q1 += dq1
+                if q1 < a1:
+                    q1 = a1
+                q2 += dq2
+                if q2 < a2:
+                    q2 = a2
+                h += dh
+                if h < 0:
+                    h = 0
+                offset += doffset
+                switch_count += switched
+        else:
+            for b in slots[t0:t1]:
+                if per_slot:  # frames of one slot weigh the current queues
+                    w1, w2 = q1, q2
+                    if kind == "fbdc":
+                        offset += position[pol.fbdc_frame_start(epsilon, q1, q2)] - offset % K
+                e = offset + b
+                if myopic:
+                    e += myopic_action(credit, e, w1, w2)
+                qsum += q1 + q2
+                dq1, dq2, doffset, switched, a1, a2 = columns[e]
+                q1 += dq1
+                if q1 < a1:
+                    q1 = a1
+                q2 += dq2
+                if q2 < a2:
+                    q2 = a2
+                offset += doffset
+                switch_count += switched
+
+        if traced:  # a segment of one slot: its action and departures from the state before and after it
+            x = slots[t0] // K  # 4 * symbol + a1 + 2 * a2
+            action = STAY if switch_count == switches_0 else SWITCH
+            trace_rows.append((t0, 1 + offset_0 // (16 * K), 1 - (x >> 3), 1 - (x >> 2 & 1), q1_0, q2_0, action,
+                               q1_0 + (x & 1) - q1, q2_0 + (x >> 1 & 1) - q2))
+
+    noted.append((qsum, q1, q2))
+    return _metrics(H - warmup, noted, switch_count, arrivals_pre.tolist(), arrivals.tolist(), trace_rows)
+
+
 def run_batch(configs: list[SimConfig]) -> list[Metrics]:
-    """run() of many configs at once: all cells step together, one slot per iteration.
+    """run() of many configs at once: all cells step run()'s step table together, a slot per iteration, as numpy rows.
 
     The configs may differ in lambda1, lambda2 and seed only, and none may
     trace or be saturated.  Each result equals run(config) field for field:
     a cell draws from its own seed in run()'s order (channel paths, then
     arrivals), in chunks of slots read at each stream's place in the seed's
-    stream, so no cells x horizon array is held.  A slot is one lookup of
-    the cells' entries in the step table, after the decision of a policy of
-    one action per slot: myopic compares its weighted credit
-    (pol.myopic_action's rule), gated and exhaustive stay while the gate or
-    the queue holds a packet (pol.polling_action's).
+    stream, so no cells x horizon array is held.  The stay bits come from
+    the cells' rows: myopic_action's comparison of the weighted credit, and
+    for gated and exhaustive the server's queue, read through a queue index.
     """
     if not configs:
         return []
@@ -322,20 +327,11 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     H, warmup, n_cells = first.horizon, first.warmup, len(configs)
     if H > MAX_BATCH_HORIZON:  # run() has no such limit
         raise OverflowError("horizon too long for the lock-step engine's int64 sums")
-    policy = first.policy
-    kind, epsilon, T = policy.kind, first.channel.epsilon, policy.T
+    kind, epsilon, T = first.policy.kind, first.channel.epsilon, first.policy.T
     myopic, polling = kind == "myopic", kind in ("gated", "exhaustive")
     frames = kind == "fbdc" or (myopic and T > 1)
-    if kind == "fbdc":
-        tables = np.array(list(pol.CORNER_TABLES.values()))
-        position = np.zeros(2**N_STATES, dtype=np.int64)  # of each corner's policy id in tables
-        position[tables @ ID_BITS] = np.arange(len(tables))
-    else:
-        tables = np.array([policy.table] if policy.table else [(SWITCH,) * N_STATES, (STAY,) * N_STATES])
-    K = len(tables)
-    steps = _step_table(tables, kind, n_cells)
-    if myopic:  # the credit (u, v) at each entry's state
-        credit = np.array(pol.myopic_table(first.channel, policy.k))[:, np.arange(32 * K) // (4 * K)]
+    K, steps, position, credit = _setup(first, n_cells)
+    position, credit = np.array(position), np.array(credit, dtype=float)  # credit: nan but for myopic
 
     size = min(H, max(_MIN_CHUNK, _CHUNK_SYMBOLS // n_cells))
     rngs = [np.random.default_rng(config.seed) for config in configs]
@@ -382,8 +378,7 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
                         if myopic:
                             np.copyto(weights, q)
                         else:  # keep the server's queue, play the frame's corner
-                            offset -= offset % K
-                            offset += position.take(pol.fbdc_frame_start(epsilon, q[0], q[1]))
+                            offset += position.take(pol.fbdc_frame_start(epsilon, q[0], q[1])) - offset % K
                         frame += T
                     event = min(mark, frame)
                 np.add(offset, symbols, out=entry)

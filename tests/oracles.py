@@ -299,8 +299,11 @@ def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):
 def slot_loop_run(config):
     """sim.run by the plain slot loop: every slot tests for a mark, a frame start and a trace row.
 
-    The queue-free saturated runs are not covered; sim.run gives them to
-    the saturated engine.
+    The polling rules are written out here, and fbdc's corner ids are read
+    as tables through mdp.all_policies(), so the loop shares no step table
+    and no polling code with the engines it checks.  The queue-free
+    saturated runs are not covered; sim.run gives them to the saturated
+    engine.
     """
     if config.saturated:
         raise ValueError("the slot loop has no saturated mode")
@@ -316,6 +319,7 @@ def slot_loop_run(config):
     framed, myopic, gated = kind in ("fbdc", "myopic"), kind == "myopic", kind == "gated"
     if myopic:
         credit = pol.myopic_table(config.channel, cfg_pol.k)
+    tables = mdp.all_policies()  # at their policy ids
 
     m = 1
     q1 = q2 = qsum = 0  # qsum: occupancy summed over every slot so far
@@ -335,7 +339,7 @@ def slot_loop_run(config):
         if framed and t % T == 0:
             q1_frame, q2_frame = q1, q2
             if not myopic:
-                table = pol.fbdc_frame_start(epsilon, q1_frame, q2_frame)
+                table = tables[pol.fbdc_frame_start(epsilon, q1_frame, q2_frame)]
 
         # stage 2: observe and decide
         if table is not None:
@@ -346,9 +350,9 @@ def slot_loop_run(config):
             if just_arrived:
                 gate = q1 if m == 1 else q2
                 just_arrived = False
-            action = pol.polling_action(gate)
-        else:  # exhaustive
-            action = pol.polling_action(q1 if m == 1 else q2)
+            action = STAY if gate > 0 else SWITCH
+        else:  # exhaustive: stay while the queue at the server holds a packet
+            action = STAY if (q1 if m == 1 else q2) > 0 else SWITCH
         qsum += q1 + q2
 
         # stage 3: serve or switch

@@ -72,18 +72,20 @@ def test_fixed_table_takes_the_corners_and_every_policy_id():
 
 
 def test_fbdc_frame_start_examples():
-    assert pol.fbdc_frame_start(0.25, 1, 10) == pol.CORNER_TABLES["b0"]
-    assert pol.fbdc_frame_start(0.25, 5, 5) == pol.CORNER_TABLES["b3"]
-    assert pol.fbdc_frame_start(0.25, 0, 0) == pol.CORNER_TABLES["b3"]
+    # Python ints give the corner table's policy id as a Python int
+    for q1, q2, corner in ((1, 10, "b0"), (5, 5, "b3"), (0, 0, "b3"), (10, 1, "b5")):
+        pid = pol.fbdc_frame_start(0.25, q1, q2)
+        assert type(pid) is int and pid == _policy_id(pol.CORNER_TABLES[corner])
+        assert mdp.all_policies()[pid] == pol.CORNER_TABLES[corner]
 
 
 @pytest.mark.parametrize("eps", [0.5, math.nextafter(0.5, 0.0), 0.25, 1e-17, 5e-324])
 def test_empty_frames_play_b3(eps):
     # no queue to weigh: the balanced corner, for scalar queues and for the empty cells of an array
-    assert pol.fbdc_frame_start(eps, 0, 0) == pol.CORNER_TABLES["b3"]
+    b3 = _policy_id(pol.CORNER_TABLES["b3"])
+    assert pol.fbdc_frame_start(eps, 0, 0) == b3
     ids = pol.fbdc_frame_start(eps, np.array([0, 3, 0]), np.array([0, 0, 0]))
-    assert ids.tolist() == [_policy_id(pol.CORNER_TABLES["b3"]), _policy_id(pol.fbdc_frame_start(eps, 3, 0)),
-                            _policy_id(pol.CORNER_TABLES["b3"])]
+    assert ids.tolist() == [b3, pol.fbdc_frame_start(eps, 3, 0), b3]
 
 
 def _policy_id(table) -> int:
@@ -93,13 +95,12 @@ def _policy_id(table) -> int:
 @pytest.mark.parametrize("eps", [0.05, 0.10, 0.25, 0.29, 0.30, 0.40, 0.45, 0.50,
                                  EPS_CRITICAL, math.nextafter(EPS_CRITICAL, 0.0)])
 def test_frame_start_ids_equal_the_scalar_tables(eps):
-    # the lock-step engine plays the ids of the array path: on every integer queue pair in [0, 200]^2 they are
-    # the ids of the scalar path's tables, (0, 0) giving b3
+    # the lock-step engine plays the ids of the array path, the per-cell engine those of the scalar path: on every
+    # integer queue pair in [0, 200]^2 they are equal, (0, 0) giving b3
     q1, q2 = (a.ravel() for a in np.indices((201, 201)))
     ids = pol.fbdc_frame_start(eps, q1, q2)
     assert ids[0] == _policy_id(pol.CORNER_TABLES["b3"])
-    scalar = {table: _policy_id(table) for table in pol.CORNER_TABLES.values()}
-    assert ids.tolist() == [scalar[pol.fbdc_frame_start(eps, a, b)] for a, b in zip(q1.tolist(), q2.tolist())]
+    assert ids.tolist() == [pol.fbdc_frame_start(eps, a, b) for a, b in zip(q1.tolist(), q2.tolist())]
 
 
 def test_fbdc_frame_start_matches_weighted_argmax():
@@ -111,7 +112,7 @@ def test_fbdc_frame_start_matches_weighted_argmax():
         q1, q2 = rng.integers(0, 200, 2)
         if q1 == q2 == 0:
             continue
-        table = pol.fbdc_frame_start(eps, int(q1), int(q2))
+        table = mdp.all_policies()[pol.fbdc_frame_start(eps, int(q1), int(q2))]
         best, best_v = None, -1.0
         for cid, (x, y) in corner_points(eps):
             v = q1 * x + q2 * y
@@ -134,7 +135,7 @@ def _frame_start_queues(rows, T):
 def test_fbdc_decide_reads_the_frame_table():
     # every fbdc action is the frame-start corner table's entry at the row's state
     rows = _trace_rows(pol.PolicyConfig("fbdc", T=10))
-    tables = [pol.fbdc_frame_start(0.25, f1, f2) for f1, f2 in _frame_start_queues(rows, 10)]
+    tables = [mdp.all_policies()[pol.fbdc_frame_start(0.25, f1, f2)] for f1, f2 in _frame_start_queues(rows, 10)]
     for (t, m, c1, c2, q1, q2, action, _, _), table in zip(rows, tables):
         assert action == table[mdp.state_index(m, c1, c2)], t
     assert len(set(tables)) >= 2
@@ -279,7 +280,7 @@ def test_exhaustive_decide():
 
 
 def test_array_rules_equal_scalar_calls():
-    # the lock-step engine calls the rules on arrays; each element must be the scalar decision
+    # the rules take arrays as well as scalars; each element must be the scalar decision
     rng = np.random.default_rng(35)
     for eps in (0.05, 0.25, EPS_CRITICAL, 0.4, 0.5):
         q1, q2 = rng.integers(0, 40, (2, 400))
@@ -287,16 +288,13 @@ def test_array_rules_equal_scalar_calls():
         q1[20:40] = 0
         ids = pol.fbdc_frame_start(eps, q1, q2)
         assert ids.shape == (400,)
-        assert ids.tolist() == [_policy_id(pol.fbdc_frame_start(eps, int(a), int(b))) for a, b in zip(q1, q2)]
+        assert ids.tolist() == [pol.fbdc_frame_start(eps, int(a), int(b)) for a, b in zip(q1, q2)]
         credit = pol.myopic_table(ch.gilbert_elliott(eps), int(rng.integers(1, 4)))
         s = rng.integers(0, 8, 400)
         for w1, w2 in ((q1, q2), (q1.astype(float), q2.astype(float))):
             actions = pol.myopic_action(np.array(credit), s, w1, w2)
             assert actions.tolist() == [pol.myopic_action(credit, *args) for args in
                                         zip(s.tolist(), w1.tolist(), w2.tolist())]
-    counters = np.array([-1, 0, 1, 7])
-    assert pol.polling_action(counters).tolist() == [pol.polling_action(int(c)) for c in counters]
-    assert [pol.polling_action(c) for c in (0, 1)] == [SWITCH, STAY]
 
 
 def test_array_myopic_action_broadcasts_over_states():
@@ -339,12 +337,3 @@ def test_myopic_table_rule_equals_two_branch_reference(eps, k, weights):
     w1, w2 = w1.astype(float), w2.astype(float)
     actions = pol.myopic_action(np.array(credit), s, w1, w2)
     assert actions.tolist() == myopic_reference(sigma, m, c1, c2, w1, w2).tolist()
-
-
-def test_polling_action_returns_ints():
-    # the trace CSV writes the action, so a Python int counter gives the int 0 or 1
-    for counter in (-3, 0, 1, 7, 10**20):
-        action = pol.polling_action(counter)
-        assert type(action) is int and action == (STAY if counter > 0 else SWITCH)
-    actions = pol.polling_action(np.array([-1, 0, 1, 7]))
-    assert np.issubdtype(actions.dtype, np.integer) and actions.tolist() == [SWITCH, SWITCH, STAY, STAY]

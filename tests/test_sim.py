@@ -276,6 +276,54 @@ def test_run_equals_the_slot_loop(config):
     assert dataclasses.asdict(sim.run(config)) == dataclasses.asdict(slot_loop_run(config))
 
 
+_EVERY_KIND = pytest.mark.parametrize("policy, channel", [
+    (pol.PolicyConfig("fbdc", T=25), GE25),
+    (pol.PolicyConfig("fbdc", T=1), GE25),
+    (pol.PolicyConfig("myopic", T=1, k=1), GE25),
+    (pol.PolicyConfig("myopic", T=5, k=2), GE25),
+    (pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]), GE25),
+    (pol.PolicyConfig("gated"), ch.iid(0.5, 0.5)),
+    (pol.PolicyConfig("exhaustive"), ch.iid(0.5, 0.5)),
+], ids=["fbdc_T25", "fbdc_T1", "myopic1_slot", "myopic2_T5", "corner_b2", "gated", "exhaustive"])
+
+
+@_EVERY_KIND
+def test_run_counts_and_trace_fields_are_python_ints(policy, channel):
+    # the per-cell loop adds Python ints only: a numpy integer that got into it (an offset from a frame start,
+    # say) would slow every slot after it while every value stayed equal
+    metrics = sim.run(make_config(policy=policy, channel=channel, horizon=3000, warmup=300, trace_every=7))
+    counts = (metrics.d1, metrics.d2, metrics.switch_count, metrics.arrivals1, metrics.arrivals2,
+              metrics.q1_final, metrics.q2_final)
+    assert [type(x) for x in counts] == [int] * len(counts)
+    assert len(metrics.trace) == 429 and {type(x) for row in metrics.trace for x in row} == {int}
+    if policy.kind == "fixed_table":
+        saturated = sim.run(make_config(policy=policy, channel=channel, horizon=3000, saturated=True))
+        assert [type(x) for x in (saturated.d1, saturated.d2, saturated.switch_count)] == [int] * 3
+
+
+@pytest.mark.parametrize("policy, channel", [
+    (pol.PolicyConfig("fbdc", T=1), GE25),
+    (pol.PolicyConfig("fbdc", T=25), GE25),
+    (pol.PolicyConfig("gated"), ch.iid(0.5, 0.5)),
+], ids=["fbdc_T1", "fbdc_T25", "gated"])
+def test_run_memory_grows_by_under_4_bytes_a_slot(policy, channel):
+    # a run holds its two channel paths and one packed byte a slot, 3 B; its arrivals are drawn in chunks and its
+    # segment cuts merged lazily, so no float draw or frame start per slot is held.  Both horizons fill the chunk
+    # buffers of 2**16 slots, which then do not grow.
+    import tracemalloc
+
+    sim.run(make_config(policy=policy, channel=channel, horizon=1000))  # fill the caches before measuring
+    peaks = []
+    for horizon in (2**16, 2**16 + 2**15):
+        tracemalloc.start()
+        try:
+            sim.run(make_config(policy=policy, channel=channel, horizon=horizon))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 2**15 < 4
+
+
 def test_run_batch_equals_per_cell_runs_over_several_chunks():
     # 3000 slots of 100 cells come in chunks of 1024 slots
     configs = [make_config(lambda1=0.004 * i, lambda2=0.2, seed=i, horizon=3000, warmup=777,
