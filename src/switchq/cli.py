@@ -108,6 +108,9 @@ def _cmd_sweep(args) -> int:
     _write(args.out, exp.rows_to_csv(exp.SWEEP_HEADER, rows))
     if args.check:
         agreement = exp.sweep_membership_agreement(spec, rows)
+        if agreement is None:
+            print("sweep check FAILED: no clear cell was judged, all within --step of the boundary", file=sys.stderr)
+            return 2
         print(f"membership agreement on clear points: {agreement:.3f}")
         if agreement < 0.95:
             return 2

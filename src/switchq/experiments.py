@@ -68,8 +68,8 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.step >= MAX_GRID_POINTS ** -0.5:  # false for nan too; grid_points tests about 1 / step**2 points
-            raise ValueError(f"--step must be at least {MAX_GRID_POINTS ** -0.5} (MAX_GRID_POINTS = "
+        if not MAX_GRID_POINTS ** -0.5 <= self.step < math.inf:  # false for nan; grid_points tests ~1 / step**2 points
+            raise ValueError(f"--step must be finite and at least {MAX_GRID_POINTS ** -0.5} (MAX_GRID_POINTS = "
                              f"{MAX_GRID_POINTS:,}), got {self.step}")
         if not 0 < self.boundary_margin < math.inf:
             raise ValueError(f"boundary_margin must be positive and finite, got {self.boundary_margin}")
@@ -159,8 +159,8 @@ def sweep(spec: GridSpec) -> list[tuple]:
     ]
 
 
-def sweep_membership_agreement(spec: GridSpec, rows) -> float:
-    """Fraction of non-boundary grid cells whose verdict matches region membership.
+def sweep_membership_agreement(spec: GridSpec, rows) -> float | None:
+    """Fraction of non-boundary grid cells whose verdict matches region membership, None with no such cell.
 
     Cells within one grid step of the boundary are excluded, as are
     inconclusive verdicts on the excluded set only; an inconclusive verdict
@@ -180,7 +180,7 @@ def sweep_membership_agreement(spec: GridSpec, rows) -> float:
         total += 1
         if row[9] == ("stable" if inside else "unstable"):
             agree += 1
-    return agree / total if total else 1.0
+    return agree / total if total else None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import channels as ch
-from .mdp import ID_BITS, STATES, STAY, SWITCH, mirror_policy, policy_tables
+from .mdp import STATES, STAY, SWITCH, mirror_policy, policy_tables
 from .region import corner_points, fbdc_corner_map
 
 # Corner action tables (states in the fixed order 1..8).  b2 serves the own
@@ -83,24 +83,24 @@ class PolicyConfig:
 
 
 @lru_cache(maxsize=64)
-def _frame_ids(epsilon: float) -> np.ndarray:
-    """The corner tables' policy ids in corner_points(epsilon) order, the balanced b3's last."""
-    ids = [cid for cid, _ in corner_points(epsilon)] + ["b3"]
-    return np.array([CORNER_TABLES[cid] for cid in ids]) @ ID_BITS
+def _frame_corners(epsilon: float) -> np.ndarray:
+    """The corners' indices in CORNER_TABLES in corner_points(epsilon) order, the balanced b3's last."""
+    names = list(CORNER_TABLES)
+    return np.array([names.index(cid) for cid, _ in corner_points(epsilon)] + [names.index("b3")])
 
 
 def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
-    """Policy id (index in mdp.all_policies()) of the corner table for the coming frame, given frame-start queues.
+    """Index in CORNER_TABLES of the corner table for the coming frame, given frame-start queues.
 
     Both queues empty leaves the weighted objective identically zero; the
     balanced corner b3 is applied in that case.  Arrays of queues map
-    elementwise to an array of ids, and Python ints give a Python int.
+    elementwise to an array of indices, and Python ints give a Python int.
     """
-    ids = _frame_ids(epsilon)
+    corners = _frame_corners(epsilon)
     if isinstance(q1_frame, np.ndarray):
         empty = np.maximum(q1_frame, q2_frame) == 0  # the corner map takes an empty cell as (1, 0), then b3 replaces it
-        return np.where(empty, ids[-1], fbdc_corner_map(epsilon, q1_frame + empty, q2_frame, ids))
-    return ids.item(-1) if q1_frame == q2_frame == 0 else fbdc_corner_map(epsilon, q1_frame, q2_frame, ids)
+        return np.where(empty, corners[-1], fbdc_corner_map(epsilon, q1_frame + empty, q2_frame, corners))
+    return corners.item(-1) if q1_frame == q2_frame == 0 else fbdc_corner_map(epsilon, q1_frame, q2_frame, corners)
 
 
 # The deepest myopic lookahead the command line takes.  myopic_table sums k

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import channels as ch
 from . import policies as pol
-from .mdp import ID_BITS, N_STATES, STAY, SWITCH, policy_rates, state_index
+from .mdp import N_STATES, STAY, SWITCH, policy_rates, state_index
 
 
 @dataclass(frozen=True)
@@ -141,12 +141,12 @@ def _metrics(n_post: int, noted, switches: int, arrivals_pre, arrivals, trace=()
 # step table, which both engines step
 #
 # A server plays one of K action tables in a slot: its fixed table (K = 1),
-# its frame's corner table (fbdc, K = 6), or, for the policies of one action
-# per slot (myopic, gated, exhaustive), the table that switches everywhere or
-# the one that stays everywhere (K = 2, so that the stay bit is the entry's
-# lowest bit and a decision adds it).  The slot is one integer entry
-# K * (4 * s + a1 + 2 * a2) + k of the step table, for the state index s, the
-# arrivals a1, a2 and the table k: the slot's packed byte
+# its frame's corner table (fbdc, K = 6, in CORNER_TABLES order), or, for the
+# policies of one action per slot (myopic, gated, exhaustive), the table that
+# switches everywhere or the one that stays everywhere (K = 2, so that the
+# stay bit is the entry's lowest bit and a decision adds it).  The slot is one
+# integer entry K * (4 * s + a1 + 2 * a2) + k of the step table, for the state
+# index s, the arrivals a1, a2 and the table k: the slot's packed byte
 # K * (4 * symbol + a1 + 2 * a2) plus the server's offset 16 K (m - 1) + k.
 
 MAX_BATCH_HORIZON = 2**31 - 1  # no count or sum of run_batch exceeds 2 * H * H, which stays below 2**63
@@ -155,43 +155,39 @@ _MIN_CHUNK = 1024  # slots per chunk, however many cells
 _BLOCK_SYMBOLS = 2**13  # cells x slots per block of int64 rows, at least a slot: equal types skip ufunc casts
 
 
-def _step_table(tables: np.ndarray, kind: str, n_cells: int, horizon: int) -> np.ndarray:
+def _step_table(tables: np.ndarray, kind: str, n_cells: int) -> np.ndarray:
     """The rows of the step table (see above) for the action tables stacked in `tables`, a column per entry.
 
     The first rows are added to a cell's state: the changes a - service of q1 and q2 (service given a packet), for
     gated and exhaustive those of h and the queue index (+-n_cells a switch), then those of the offset (+-16 K a
-    switch) and the switch count.  The rest, (a1, a2) and 0 for gated and exhaustive, bound the new q1, q2 and h
-    from below: q' = max(q + a - service, a) is q - min(q, service) + a.  The queue index, cell plus n_cells at
-    queue 2, reads the server's queue from q1 and q2 stacked; h counts the arrivals there since the server came
-    (gated's gate is that queue less h).  A switch clears h, at most the horizon, by -horizon - 1; exhaustive's is 0.
+    switch) and the switch count.  The rest, a1 and a2, bound the new q1 and q2 from below: q - min(q, service) + a
+    is max(q + a - service, a).  Gated and exhaustive serve no empty queue; their last row, 1 - switched, clears h
+    on a switch.  The queue index, cell plus n_cells at queue 2, reads the server's queue from q1 and q2 stacked;
+    h counts the arrivals there since the server came (gated's gate is that queue less h, exhaustive's h is 0).
     """
     K = len(tables)
     s, a2, a1, k = np.indices((N_STATES, 2, 2, K)).reshape(4, -1)  # in entry order
     serve1, serve2 = (np.array(d, dtype=np.int64)[k, s] for d in policy_rates(np.eye(N_STATES), tables[:, None]))
     switched = (tables[k, s] == SWITCH).astype(np.int64)
     away = np.where(s < 4, switched, -switched)  # to queue 2, or back to queue 1
-    rows = [a1 - serve1, a2 - serve2, 16 * K * away, switched, a1, a2]
-    if kind in ("gated", "exhaustive"):
-        h = np.where(switched, -horizon - 1, np.where(s < 4, a1, a2)) if kind == "gated" else 0 * s
-        rows[2:2] = [h, n_cells * away]
-        rows.append(0 * s)
-    return np.array(rows)
+    if kind not in ("gated", "exhaustive"):
+        return np.array([a1 - serve1, a2 - serve2, 16 * K * away, switched, a1, a2])
+    h = np.where(s < 4, a1, a2) if kind == "gated" else 0 * s
+    return np.array([a1 - serve1, a2 - serve2, h, n_cells * away, 16 * K * away, switched, 1 - switched])
 
 
 def _setup(config: SimConfig, n_cells: int):
-    """Both engines' setup: K, the step table for n_cells cells, and as lists each policy id's k and myopic's credit."""
+    """Both engines' setup: K, the step table for n_cells cells, and as a list myopic's credit."""
     policy = config.policy
-    if policy.kind == "fbdc":
+    if policy.kind == "fbdc":  # in CORNER_TABLES order: fbdc_frame_start's index is the table k
         tables = np.array(list(pol.CORNER_TABLES.values()))
     else:
         tables = np.array([policy.table] if policy.table else [(SWITCH,) * N_STATES, (STAY,) * N_STATES])
     K = len(tables)
-    position = np.zeros(2**N_STATES, dtype=np.int64)
-    position[tables @ ID_BITS] = np.arange(K)
     credit = None
     if policy.kind == "myopic":
         credit = np.array(pol.myopic_table(config.channel, policy.k))[:, np.arange(32 * K) // (4 * K)].tolist()
-    return K, _step_table(tables, policy.kind, n_cells, config.horizon), position.tolist(), credit
+    return K, _step_table(tables, policy.kind, n_cells), credit
 
 
 def run(config: SimConfig) -> Metrics:
@@ -202,7 +198,8 @@ def run(config: SimConfig) -> Metrics:
     slot tests for them.  A slot's entry is its byte plus the offset, plus
     the stay bit of myopic_action on the credit at the entry or of "the
     server's queue exceeds h"; its column moves q1, q2, h, the offset and
-    the switch count, each q as max(q + change, a), in Python ints.
+    the switch count in Python ints, each q as max(q + change, a), or as
+    q + change for gated and exhaustive, which serve no empty queue.
     """
     H, warmup = config.horizon, config.warmup
     rng = np.random.default_rng(config.seed)
@@ -215,7 +212,7 @@ def run(config: SimConfig) -> Metrics:
         n_post = H - warmup
         return Metrics(q_avg=0 / n_post, rate1=post[0] / n_post, rate2=post[1] / n_post, d1=d1, d2=d2,
                        switch_count=switches, window_means=None, verdict=None)
-    K, steps, position, credit = _setup(config, 1)
+    K, steps, credit = _setup(config, 1)
     packed, arrivals_pre, arrivals = np.empty(H, np.int8), np.zeros(2, np.int64), np.zeros(2, np.int64)
     draws = ch.bit_chunks([rng], [[config.lambda1], [config.lambda2]], H, _CHUNK_SYMBOLS)
     for t0, arrived in zip(range(0, H, _CHUNK_SYMBOLS), draws):
@@ -228,8 +225,8 @@ def run(config: SimConfig) -> Metrics:
     slots = packed.tobytes()
 
     myopic, polling, per_slot = kind == "myopic", kind in ("gated", "exhaustive"), kind in ("fbdc", "myopic") and T == 1
-    # per entry, the changes of q1, q2, h (gated and exhaustive), the offset and the switch count, then a1 and a2
-    columns = list(map(tuple, steps[[0, 1, 2, 4, 5, 6, 7] if polling else range(6)].T.tolist()))
+    # per entry, the changes of q1, q2, h (if polling), the offset and the switch count, then a1 and a2 (if not)
+    columns = list(map(tuple, (steps[[0, 1, 2, 4, 5]] if polling else steps).T.tolist()))
     myopic_action = pol.myopic_action
 
     # segments end at the marks, at frame starts (not at frames of one slot) and around each traced slot
@@ -255,7 +252,7 @@ def run(config: SimConfig) -> Metrics:
         if t0 % T == 0 and not per_slot:  # a frame start
             w1, w2 = q1, q2  # myopic's weights, the frame's first queues
             if kind == "fbdc":  # keep the server's queue, play the frame's corner
-                offset += position[pol.fbdc_frame_start(epsilon, w1, w2)] - offset % K
+                offset += pol.fbdc_frame_start(epsilon, w1, w2) - offset % K
         traced = config.trace_every and t0 % config.trace_every == 0
         if traced:
             offset_0, q1_0, q2_0, switches_0 = offset, q1, q2, switch_count
@@ -263,16 +260,10 @@ def run(config: SimConfig) -> Metrics:
         if polling:  # stay iff the gate, the server's queue less h, holds a packet (h stays 0 for exhaustive)
             for b in slots[t0:t1]:
                 qsum += q1 + q2
-                dq1, dq2, dh, doffset, switched, a1, a2 = columns[offset + b + ((q2 if offset else q1) > h)]
+                dq1, dq2, dh, doffset, switched = columns[offset + b + ((q2 if offset else q1) > h)]
                 q1 += dq1
-                if q1 < a1:
-                    q1 = a1
                 q2 += dq2
-                if q2 < a2:
-                    q2 = a2
-                h += dh
-                if h < 0:
-                    h = 0
+                h = 0 if switched else h + dh
                 offset += doffset
                 switch_count += switched
         else:
@@ -280,7 +271,7 @@ def run(config: SimConfig) -> Metrics:
                 if per_slot:  # frames of one slot weigh the current queues
                     w1, w2 = q1, q2
                     if kind == "fbdc":
-                        offset += position[pol.fbdc_frame_start(epsilon, q1, q2)] - offset % K
+                        offset += pol.fbdc_frame_start(epsilon, q1, q2) - offset % K
                 e = offset + b
                 if myopic:
                     e += myopic_action(credit, e, w1, w2)
@@ -330,8 +321,8 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     kind, epsilon, T = first.policy.kind, first.channel.epsilon, first.policy.T
     myopic, polling = kind == "myopic", kind in ("gated", "exhaustive")
     frames = kind == "fbdc" or (myopic and T > 1)
-    K, steps, position, credit = _setup(first, n_cells)
-    position, credit = np.array(position), np.array(credit, dtype=float)  # credit: nan but for myopic
+    K, steps, credit = _setup(first, n_cells)
+    credit = np.array(credit, dtype=float)  # nan but for myopic
 
     size = min(H, max(_MIN_CHUNK, _CHUNK_SYMBOLS // n_cells))
     rngs = [np.random.default_rng(config.seed) for config in configs]
@@ -343,12 +334,12 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     # state rows: q1, q2, then h and the queue index for gated and exhaustive, then the offset (the entry less
     # K * (4 * symbol + a1 + 2 * a2)) and the switch count; every server starts at queue 1 with table 0
     state = np.zeros((6 if polling else 4, n_cells), dtype=np.int64)
-    q, offset, floor = state[:2], state[-2], state[: 3 if polling else 2]
+    q, offset = state[:2], state[-2]
     if polling:
         h, queue_index, q_flat = state[2], state[3], q.reshape(-1)
         queue_index += np.arange(n_cells)
     step = np.empty((len(steps), n_cells), dtype=np.int64)
-    moves, arrived = step[: len(state)], step[len(state) :]
+    moves, arrived, keep = step[: len(state)], step[len(state) :], step[-1]  # keep: gated and exhaustive's 1 - switched
     entry, counter = np.empty(n_cells, dtype=np.int64), np.empty(n_cells, dtype=np.int64)
     stay = np.empty(n_cells, dtype=bool)
     weights = q.copy() if frames else q  # myopic: the frame-start queues, the current ones per slot
@@ -378,7 +369,7 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
                         if myopic:
                             np.copyto(weights, q)
                         else:  # keep the server's queue, play the frame's corner
-                            offset += position.take(pol.fbdc_frame_start(epsilon, q[0], q[1])) - offset % K
+                            offset += pol.fbdc_frame_start(epsilon, q[0], q[1]) - offset % K
                         frame += T
                     event = min(mark, frame)
                 np.add(offset, symbols, out=entry)
@@ -394,7 +385,10 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
                 np.add(occupancy, q, out=occupancy)
                 steps.take(entry, axis=1, out=step, mode="clip")  # mode="raise" would buffer out
                 np.add(state, moves, out=state)
-                np.maximum(floor, arrived, out=floor)
+                if polling:  # a switch clears h
+                    np.multiply(h, keep, out=h)
+                else:
+                    np.maximum(q, arrived, out=q)
 
     noted.append(np.vstack([occupancy.sum(axis=0), q]))
     columns = zip(np.stack(noted).transpose(2, 0, 1).tolist(), state[-1].tolist(),

@@ -299,8 +299,8 @@ def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):
 def slot_loop_run(config):
     """sim.run by the plain slot loop: every slot tests for a mark, a frame start and a trace row.
 
-    The polling rules are written out here, and fbdc's corner ids are read
-    as tables through mdp.all_policies(), so the loop shares no step table
+    The polling rules are written out here, and fbdc's corner indices are
+    read as tables through CORNER_TABLES, so the loop shares no step table
     and no polling code with the engines it checks.  The queue-free
     saturated runs are not covered; sim.run gives them to the saturated
     engine.
@@ -319,7 +319,7 @@ def slot_loop_run(config):
     framed, myopic, gated = kind in ("fbdc", "myopic"), kind == "myopic", kind == "gated"
     if myopic:
         credit = pol.myopic_table(config.channel, cfg_pol.k)
-    tables = mdp.all_policies()  # at their policy ids
+    tables = list(pol.CORNER_TABLES.values())  # at their CORNER_TABLES indices
 
     m = 1
     q1 = q2 = qsum = 0  # qsum: occupancy summed over every slot so far

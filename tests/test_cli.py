@@ -111,6 +111,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["iid", "--rho", "nan,0.6", "--check"], "--rho"),
         (["iid", "--rho", "-1"], "--rho"),
         (["sweep", "--epsilon", "0.25", "--step", "nan"], "step"),
+        (["sweep", "--epsilon", "0.25", "--step", "inf"], "--step"),  # 0 * inf is nan: a grid of no point
         (["sweep", "--epsilon", "0.25", "--boundary-margin", "nan"], "boundary_margin"),
         (["sweep", "--epsilon", "0.25", "--boundary-margin", "inf"], "boundary_margin"),
         (["iid", "--horizon", "100"], "--horizon"),  # the suite's probes need 4000 slots
@@ -180,6 +181,17 @@ def test_config_errors_exit_one(tmp_path, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err, (argv, err)
+
+
+def test_sweep_check_fails_when_it_judges_no_cell(tmp_path, capsys):
+    # at step 0.3 every cell of the epsilon 0.25 grid lies within a step of the boundary, so no verdict is judged
+    # and nothing has passed; at step 0.2 two cells are clear and both agree
+    args = ["sweep", "--epsilon", "0.25", "--horizon", "400", "--check", "--out", str(tmp_path / "s.csv")]
+    assert main(args + ["--step", "0.3"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no clear cell" in err
+    assert main(args + ["--step", "0.2"]) == 0
+    assert capsys.readouterr().out == "membership agreement on clear points: 1.000\n"
 
 
 def test_iid_sweep_leaves_out_probes_above_rate_one(tmp_path):

@@ -71,36 +71,35 @@ def test_fixed_table_takes_the_corners_and_every_policy_id():
         assert pol.PolicyConfig("fixed_table", table=table).table == table
 
 
+CORNERS = list(pol.CORNER_TABLES.values())  # at their CORNER_TABLES indices
+
+
 def test_fbdc_frame_start_examples():
-    # Python ints give the corner table's policy id as a Python int
+    # Python ints give the corner table's index in CORNER_TABLES as a Python int
     for q1, q2, corner in ((1, 10, "b0"), (5, 5, "b3"), (0, 0, "b3"), (10, 1, "b5")):
-        pid = pol.fbdc_frame_start(0.25, q1, q2)
-        assert type(pid) is int and pid == _policy_id(pol.CORNER_TABLES[corner])
-        assert mdp.all_policies()[pid] == pol.CORNER_TABLES[corner]
+        index = pol.fbdc_frame_start(0.25, q1, q2)
+        assert type(index) is int and index == list(pol.CORNER_TABLES).index(corner)
+        assert CORNERS[index] == pol.CORNER_TABLES[corner]
 
 
 @pytest.mark.parametrize("eps", [0.5, math.nextafter(0.5, 0.0), 0.25, 1e-17, 5e-324])
 def test_empty_frames_play_b3(eps):
     # no queue to weigh: the balanced corner, for scalar queues and for the empty cells of an array
-    b3 = _policy_id(pol.CORNER_TABLES["b3"])
+    b3 = list(pol.CORNER_TABLES).index("b3")
     assert pol.fbdc_frame_start(eps, 0, 0) == b3
-    ids = pol.fbdc_frame_start(eps, np.array([0, 3, 0]), np.array([0, 0, 0]))
-    assert ids.tolist() == [b3, pol.fbdc_frame_start(eps, 3, 0), b3]
-
-
-def _policy_id(table) -> int:
-    return int(np.dot(table, mdp.ID_BITS))
+    indices = pol.fbdc_frame_start(eps, np.array([0, 3, 0]), np.array([0, 0, 0]))
+    assert indices.tolist() == [b3, pol.fbdc_frame_start(eps, 3, 0), b3]
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.10, 0.25, 0.29, 0.30, 0.40, 0.45, 0.50,
                                  EPS_CRITICAL, math.nextafter(EPS_CRITICAL, 0.0)])
 def test_frame_start_ids_equal_the_scalar_tables(eps):
-    # the lock-step engine plays the ids of the array path, the per-cell engine those of the scalar path: on every
-    # integer queue pair in [0, 200]^2 they are equal, (0, 0) giving b3
+    # the lock-step engine plays the corner indices of the array path, the per-cell engine those of the scalar
+    # path: on every integer queue pair in [0, 200]^2 they are equal, (0, 0) giving b3
     q1, q2 = (a.ravel() for a in np.indices((201, 201)))
-    ids = pol.fbdc_frame_start(eps, q1, q2)
-    assert ids[0] == _policy_id(pol.CORNER_TABLES["b3"])
-    assert ids.tolist() == [pol.fbdc_frame_start(eps, a, b) for a, b in zip(q1.tolist(), q2.tolist())]
+    indices = pol.fbdc_frame_start(eps, q1, q2)
+    assert CORNERS[indices[0]] == pol.CORNER_TABLES["b3"]
+    assert indices.tolist() == [pol.fbdc_frame_start(eps, a, b) for a, b in zip(q1.tolist(), q2.tolist())]
 
 
 def test_fbdc_frame_start_matches_weighted_argmax():
@@ -112,7 +111,7 @@ def test_fbdc_frame_start_matches_weighted_argmax():
         q1, q2 = rng.integers(0, 200, 2)
         if q1 == q2 == 0:
             continue
-        table = mdp.all_policies()[pol.fbdc_frame_start(eps, int(q1), int(q2))]
+        table = CORNERS[pol.fbdc_frame_start(eps, int(q1), int(q2))]
         best, best_v = None, -1.0
         for cid, (x, y) in corner_points(eps):
             v = q1 * x + q2 * y
@@ -135,7 +134,7 @@ def _frame_start_queues(rows, T):
 def test_fbdc_decide_reads_the_frame_table():
     # every fbdc action is the frame-start corner table's entry at the row's state
     rows = _trace_rows(pol.PolicyConfig("fbdc", T=10))
-    tables = [mdp.all_policies()[pol.fbdc_frame_start(0.25, f1, f2)] for f1, f2 in _frame_start_queues(rows, 10)]
+    tables = [CORNERS[pol.fbdc_frame_start(0.25, f1, f2)] for f1, f2 in _frame_start_queues(rows, 10)]
     for (t, m, c1, c2, q1, q2, action, _, _), table in zip(rows, tables):
         assert action == table[mdp.state_index(m, c1, c2)], t
     assert len(set(tables)) >= 2
@@ -286,9 +285,9 @@ def test_array_rules_equal_scalar_calls():
         q1, q2 = rng.integers(0, 40, (2, 400))
         q1[:20] = q2[:20] = 0  # both empty: b3
         q1[20:40] = 0
-        ids = pol.fbdc_frame_start(eps, q1, q2)
-        assert ids.shape == (400,)
-        assert ids.tolist() == [pol.fbdc_frame_start(eps, int(a), int(b)) for a, b in zip(q1, q2)]
+        indices = pol.fbdc_frame_start(eps, q1, q2)
+        assert indices.shape == (400,)
+        assert indices.tolist() == [pol.fbdc_frame_start(eps, int(a), int(b)) for a, b in zip(q1, q2)]
         credit = pol.myopic_table(ch.gilbert_elliott(eps), int(rng.integers(1, 4)))
         s = rng.integers(0, 8, 400)
         for w1, w2 in ((q1, q2), (q1.astype(float), q2.astype(float))):

@@ -242,8 +242,17 @@ def batches(draw):
             for lam1, lam2, seed in cells]
 
 
+def _polling_examples(kind, **overrides):
+    """Gated or exhaustive with no arrivals, an arrival at both queues every slot (so each gated switch clears an h
+    that arrivals fed) and a rate pair in between."""
+    return [make_config(policy=pol.PolicyConfig(kind), lambda1=lam1, lambda2=lam2, horizon=300, **overrides)
+            for lam1, lam2 in ((0.0, 0.0), (1.0, 1.0), (0.3, 0.6))]
+
+
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(batches())
+@hypothesis.example(_polling_examples("gated", channel=ch.iid(0.5, 0.7)))
+@hypothesis.example(_polling_examples("exhaustive", warmup=0))
 def test_run_batch_equals_per_cell_runs(configs):
     expected = [dataclasses.asdict(sim.run(c)) for c in configs]
     assert [dataclasses.asdict(m) for m in sim.run_batch(configs)] == expected
@@ -271,6 +280,10 @@ def single_runs(draw):
 @hypothesis.example(make_config(policy=pol.PolicyConfig("fbdc", T=7), horizon=100, warmup=97, trace_every=1))
 @hypothesis.example(make_config(policy=pol.PolicyConfig("gated"), channel=ch.iid(0.5, 0.5), lambda1=0.3,
                                 lambda2=0.3, horizon=500, warmup=0))
+@hypothesis.example(_polling_examples("gated", trace_every=1)[0])
+@hypothesis.example(_polling_examples("gated", channel=ch.iid(0.5, 0.7), trace_every=1)[1])
+@hypothesis.example(_polling_examples("exhaustive", trace_every=3)[0])
+@hypothesis.example(_polling_examples("exhaustive", trace_every=1)[1])
 def test_run_equals_the_slot_loop(config):
     # every Metrics field, trace rows included, equals the loop that tests each slot for a mark, a frame and a row
     assert dataclasses.asdict(sim.run(config)) == dataclasses.asdict(slot_loop_run(config))

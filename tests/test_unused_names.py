@@ -1,5 +1,5 @@
-"""Every name in src/switchq is used by the program, every setting in it is set by the program, and
-no module of it reads another's private names.
+"""Every name in src/switchq is used by the program, every setting in it is set by the program, every
+import in it is read by its module, and no module of it reads another's private names.
 
 Names are the top-level functions, classes and assigned names, and the
 methods of such a class.
@@ -18,6 +18,10 @@ dataclass.  It counts as set when some call in src/ or benchmarks/ of the
 function, method or class, found by the name it is called by, passes it by
 keyword or by position.  A ``*args`` counts as one position, and a
 ``**kwargs`` sets every keyword.  A setting that only the tests set is a constant.
+
+An import is read when its module uses the name it binds (``np`` of
+``import numpy as np``) outside the import; ``from __future__`` imports
+are read by the compiler.
 
 A private name is one with a leading underscore that is not a dunder.  A
 module reads another's private name as an attribute of that module
@@ -133,6 +137,22 @@ def test_every_top_level_name_in_src_is_used_outside_the_tests():
 
 def test_every_setting_in_src_is_set_by_the_program():
     assert unset_settings() == []
+
+
+def unread_imports() -> list[str]:
+    """Each name a module of src/switchq imports and never reads, as 'module.name'."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.stem}.{alias.asname or alias.name.partition('.')[0]}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                   for alias in node.names if (alias.asname or alias.name.partition(".")[0]) not in read]
+    return unread
+
+
+def test_every_import_in_src_is_read_by_its_module():
+    assert unread_imports() == []
 
 
 def _private(name: str) -> bool:
