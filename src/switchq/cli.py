@@ -113,6 +113,7 @@ def _cmd_sweep(args) -> int:
             return 2
         print(f"membership agreement on clear points: {agreement:.3f}")
         if agreement < 0.95:
+            print(f"sweep check FAILED: membership agreement {agreement:.3f} is below 0.95", file=sys.stderr)
             return 2
     return 0
 

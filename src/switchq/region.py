@@ -145,11 +145,12 @@ def no_switchover_region(p1: float, p2: float) -> RateRegion:
     return RateRegion(corners, halfspaces)
 
 
-def contains(region: RateRegion, point: tuple[float, float]) -> bool:
-    """Whether the point lies in the region."""
-    if point[0] < 0 or point[1] < 0:
-        return False
-    return all(h.slack(point) >= -1e-12 for h in region.halfspaces)
+def contains(region: RateRegion, point):
+    """Whether the point lies in the region (nan does not): a bool, or a bool array for arrays that broadcast."""
+    inside = (point[0] >= 0) & (point[1] >= 0)
+    for h in region.halfspaces:
+        inside &= h.slack(point) >= -1e-12
+    return inside
 
 
 def region_from_vertices(points: list[tuple[float, float]]) -> RateRegion:

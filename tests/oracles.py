@@ -11,8 +11,9 @@ position, the 256 chain laws by one solve
 per policy, the rates' standard errors by an explicit inverse and a
 per-state reward loop, and by one solve of Z f~ per table, the
 state-action-frequency LP, the psi minimisation
-by one array pass per epsilon, and sim.run's slot loop with a test for
-marks, frames and trace rows in every slot.
+by one array pass per epsilon, sim.run's slot loop with a test for
+marks, frames and trace rows in every slot, and the sweep grid and its
+membership agreement by one scalar membership test per point.
 """
 
 import math
@@ -291,9 +292,62 @@ def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):
             if vals[i] < best[0]:
                 best = (vals[i], e, float(rs[i]))
         if best[0] == math.inf:
-            raise ValueError(f"epsilon grid step {epsilon_grid_step} leaves band {case}/{name} without a sample")
+            raise ValueError(f"--eps-step {epsilon_grid_step} leaves band {case}/{name} without a sample")
         results.append((case, name, bound, *best))
     return results + [("global", "", exp.PSI_GLOBAL_BOUND, min(row[3] for row in results), math.nan, math.nan)]
+
+
+def point_contains(region, point):
+    """region.contains of one point, stopping at the first constraint it breaks."""
+    if point[0] < 0 or point[1] < 0:
+        return False
+    return all(h.slack(point) >= -1e-12 for h in region.halfspaces)
+
+
+def point_loop_grid_points(spec):
+    """experiments.grid_points by one contains call per lattice point, column by column."""
+    region = spec.region()
+    step = spec.step
+    points = []
+    max_x = max(p[0] for p in region.corners)
+    i = 0
+    while i * step <= max_x + 1e-12:
+        x = round(i * step, 12)
+        has_interior = False
+        j = 0
+        while j * step <= 1.0 + 1e-12:
+            y = round(j * step, 12)
+            if point_contains(region, (x, y)):
+                if (x, y) != (0.0, 0.0):
+                    points.append((x, y))
+                has_interior = True
+            j += 1
+        if has_interior:
+            boundary = min((h.b - h.a1 * x) / h.a2 for h in region.halfspaces if h.a2 > 1e-12)
+            probe = round(boundary + spec.boundary_margin, 12)
+            if probe <= 1.0:
+                points.append((x, probe))
+        i += 1
+    return sorted(set(points))
+
+
+def point_loop_membership_agreement(spec, rows):
+    """experiments.sweep_membership_agreement by up to two contains calls per row."""
+    region = spec.region()
+    agree = total = 0
+    for row in rows:
+        lam = (row[1], row[2])
+        inside = point_contains(region, lam)
+        if inside:
+            clear = point_contains(region, (lam[0] + spec.step, lam[1] + spec.step))
+        else:
+            clear = not point_contains(region, (max(lam[0] - spec.step, 0.0), max(lam[1] - spec.step, 0.0)))
+        if not clear:
+            continue
+        total += 1
+        if row[9] == ("stable" if inside else "unstable"):
+            agree += 1
+    return agree / total if total else None
 
 
 def slot_loop_run(config):

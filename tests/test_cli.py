@@ -1,5 +1,6 @@
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,9 @@ def test_config_errors_exit_one(tmp_path, capsys):
         # a p whose 1/p overflows would give the iid facet a nan
         (["region", "--p2", "1e-320", "--out", str(tmp_path / "r.csv")], "p2"),
         (["sweep", "--p1", "0.5", "--p2", "1e-320", "--policy", "gated", "--out", str(tmp_path / "s.csv")], "p2"),
+        # a grid thinner than contains' 1e-12 slack is refused, in either order
+        (["sweep", "--p1", "1e-13", "--p2", "0.5", "--policy", "gated", "--step", "0.5"], "--p1 and --p2"),
+        (["sweep", "--p1", "0.5", "--p2", "1e-13", "--policy", "gated", "--step", "0.5"], "--p1 and --p2"),
         # a command takes only the flags it reads; there are no config files
         (["trace", "--config", "x", "--lambda1", "0.1", "--lambda2", "0.1"], "unrecognized arguments: --config x"),
         (["psi", "--seed", "3"], "unrecognized arguments: --seed 3"),
@@ -176,6 +180,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
         # grids above experiments.MAX_GRID_POINTS are refused before anything is built
         (["sweep", "--epsilon", "0.25", "--step", "1e-9", "--horizon", "10"], "--step"),
         (["psi", "--eps-step", "1e-300"], "--eps-step"),
+        (["psi", "--eps-step", "0.5"], "--eps-step 0.5 leaves band"),  # a step wider than a band
         (["psi", "--ratio-points", "1000000000"], "--ratio-points"),
     ):
         assert main(argv) == 1, argv
@@ -192,6 +197,52 @@ def test_sweep_check_fails_when_it_judges_no_cell(tmp_path, capsys):
     assert err.count("\n") == 1 and "no clear cell" in err
     assert main(args + ["--step", "0.2"]) == 0
     assert capsys.readouterr().out == "membership agreement on clear points: 1.000\n"
+
+
+def test_sweep_check_below_the_agreement_bar_says_so_on_stderr(tmp_path, capsys):
+    # the fixed table b0 serves queue 2 alone, so queue 1 grows in most clear cells of the region
+    assert main(["sweep", "--epsilon", "0.5", "--policy", "b0", "--step", "0.05", "--horizon", "40", "--check",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    captured = capsys.readouterr()
+    agreement = re.fullmatch(r"membership agreement on clear points: (\d\.\d{3})\n", captured.out).group(1)
+    assert float(agreement) < 0.95
+    assert captured.err == f"sweep check FAILED: membership agreement {agreement} is below 0.95\n"
+
+
+# One small valid run of each command, every float flag of the seven commands in at least one of them
+SMALL_RUNS = (
+    ["sweep", "--epsilon", "0.25", "--step", "0.5", "--boundary-margin", "0.02", "--horizon", "40"],
+    ["sweep", "--p1", "0.5", "--p2", "0.5", "--policy", "gated", "--step", "0.5", "--horizon", "40"],
+    ["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--horizon", "20"],
+    ["trace", "--p1", "0.5", "--p2", "0.5", "--lambda1", "0.1", "--lambda2", "0.1", "--horizon", "20"],
+    ["region", "--epsilon", "0.25", "--p1", "0.5", "--p2", "0.5"],
+    ["iid", "--p1", "0.5", "--p2", "0.5", "--rho", "0.5", "--horizon", "4000"],
+    ["saturated", "--epsilon", "0.25", "--corner", "b2", "--horizon", "100"],
+    ["gap", "--epsilon", "0.25", "--T-list", "2", "--horizon", "10"],
+    ["psi", "--eps-step", "0.01", "--ratio-points", "2"],
+)
+EDGE_FLOATS = ("0", "-0.0", "5e-324", "1e-300", "1e-13", "1e-12", "0.5", "1", repr(1 + 2**-52), "inf", "nan", "-1")
+
+
+def test_each_float_flag_at_each_edge_value_exits_cleanly(capsys):
+    # exit 0, 1 or 2 whatever the value; an exit 1 is one "switchq: error:" line that names the flag
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    float_flags = {(name, a.option_strings[0]) for name, p in commands.items() for a in p._actions if a.type is float}
+    varied = set()
+    for run in SMALL_RUNS:
+        for i, flag in enumerate(run):
+            if (run[0], flag) not in float_flags:
+                continue
+            varied.add((run[0], flag))
+            for value in EDGE_FLOATS:
+                argv = [*run[:i + 1], value, *run[i + 2:]]
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2), (argv, code)
+                if code == 1:
+                    assert err.startswith("switchq: error: ") and err.count("\n") == 1, (argv, err)
+                    assert flag.lstrip("-") in err.replace("_", "-"), (argv, err)
+    assert varied == float_flags
 
 
 def test_iid_sweep_leaves_out_probes_above_rate_one(tmp_path):

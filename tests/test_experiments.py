@@ -4,7 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import fbdc_thresholds, hausdorff_distance, per_epsilon_verify_psi
+from oracles import (
+    fbdc_thresholds,
+    hausdorff_distance,
+    per_epsilon_verify_psi,
+    point_loop_grid_points,
+    point_loop_membership_agreement,
+)
 from switchq import experiments as exp
 from switchq import mdp
 from switchq import policies as pol
@@ -48,6 +54,69 @@ def test_grid_points_cover_region_and_rim():
     # one exterior probe above every populated column
     for x in sorted({p[0] for p in inside}):
         assert any(o[0] == x for o in outside)
+
+
+GRID_CHANNELS = (*({"epsilon": e} for e in (0.05, 0.25, 0.5, EPS_CRITICAL, 1e-9, 5e-324)),
+                 *({"p1": p1, "p2": p2} for p1, p2 in ((0.5, 0.5), (1.0, 1.0), (0.3, 0.9))))
+
+
+# each channel and step at margin 0.5, then a probe that numpy's round parts from Python's, and margins of 1e-300
+GRID_CASES = (*((c, s, 0.5) for c in GRID_CHANNELS for s in (1.0, 0.3, 0.05, 0.0137)),
+              ({"epsilon": 1e-9}, 0.0137, 0.1),
+              ({"epsilon": 0.25}, 0.05, 1e-300), ({"p1": 0.3, "p2": 0.9}, 0.05, 1e-300))
+
+
+@pytest.mark.parametrize("channel, step, margin", GRID_CASES,
+                         ids=lambda v: ",".join(f"{k}={x:.3g}" for k, x in v.items()) if isinstance(v, dict) else None)
+def test_grid_points_and_agreement_equal_the_point_loops(channel, step, margin):
+    spec = exp.GridSpec(policies=(), step=step, boundary_margin=margin, **channel)
+    points = exp.grid_points(spec)
+    assert repr(points) == repr(point_loop_grid_points(spec))  # -0.0 and 0.0 told apart
+    verdicts = ("stable", "unstable", "inconclusive")
+    rows = [("", x, y, "", 0, 0, 0.0, 0.0, 0.0, verdicts[i * i % 3]) for i, (x, y) in enumerate(points)]
+    for judged in (rows, rows[::2], rows[:1], []):
+        got = exp.sweep_membership_agreement(spec, judged)
+        assert repr(got) == repr(point_loop_membership_agreement(spec, judged)), len(judged)
+        assert got is None or type(got) is float
+
+
+def test_grid_points_and_agreement_judge_the_grid_in_array_calls():
+    calls = []
+
+    def counted(region, point):
+        calls.append(np.shape(point[0]))
+        return contains(region, point)
+
+    spec = small_spec(step=0.05)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exp, "contains", counted)
+        points = exp.grid_points(spec)
+        assert calls == [(11, 1)]  # one call on the [column, row] lattice: x = 0 to 0.5
+        rows = [("", x, y, "", 0, 0, 0.0, 0.0, 0.0, "stable") for x, y in points]
+        exp.sweep_membership_agreement(spec, rows)
+    assert calls[1:] == [(len(rows),)] * 3  # the rows, a step above and a step below
+
+
+def test_iid_grids_thinner_than_the_membership_slack_are_refused():
+    # with min(p1, p2) at most 1e-12 max(p1, p2), the iid facet has no coefficient above 1e-12, so grid_points
+    # finds no facet to probe above and contains' 1e-12 slack is wider than the region
+    for p1, p2 in ((1e-13, 0.5), (1e-12, 1.0), (1e-300, 1.0), (5e-13, 0.5)):
+        for low, high in ((p1, p2), (p2, p1)):
+            with pytest.raises(ValueError, match="--p1 and --p2"):
+                exp.GridSpec(policies=(), p1=low, p2=high, step=0.5)
+    for p1, p2 in ((1e-11, 1.0), (1e-13, 1e-13)):
+        for low, high in ((p1, p2), (p2, p1)):
+            assert exp.grid_points(exp.GridSpec(policies=(), p1=low, p2=high, step=0.5))
+    # the refusal is the facet's own arithmetic, so no p1 a few ulps from 1e-12 p2 gets past it without a facet
+    for p2 in (1.0, 0.75, 0.1, 3e-7):
+        p1 = 1e-12 * p2
+        for _ in range(8):
+            p1 = math.nextafter(p1, 1.0)
+            try:
+                spec = exp.GridSpec(policies=(), p1=p1, p2=p2, step=0.5)
+            except ValueError:
+                continue
+            assert exp.grid_points(spec) == point_loop_grid_points(spec)
 
 
 def test_empty_policy_list_gives_header_only_csv():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import fbdc_thresholds, first_near_max_map, hausdorff_distance, polygon, threshold_map
+from oracles import fbdc_thresholds, first_near_max_map, hausdorff_distance, point_contains, polygon, threshold_map
 from switchq import mdp
 from switchq import region as rg
 
@@ -190,6 +190,33 @@ def test_contains_examples():
     assert rg.contains(region, (0.30, 0.30))
     assert not rg.contains(region, (0.32, 0.32))
     assert not rg.contains(region, (-0.01, 0.1))
+
+
+REGIONS = st.one_of(
+    st.floats(5e-324, 0.5).map(rg.closed_form_region),
+    st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)).map(lambda p: rg.iid_region(*p)),
+    st.tuples(st.floats(1e-6, 1.0), st.floats(1e-6, 1.0)).map(lambda p: rg.no_switchover_region(*p)),
+)
+COORDINATES = st.one_of(st.floats(-0.2, 1.2), st.sampled_from([0.0, -0.0, math.nan, -5e-324, 1e-300, -1e-13]))
+
+
+NEAR_FACETS = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-2e-12, 2e-12)), min_size=8, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(region=REGIONS, points=st.lists(st.tuples(COORDINATES, COORDINATES), max_size=20), near=NEAR_FACETS)
+@example(region=rg.iid_region(1e-13, 0.5), points=[(0.0, 0.9), (math.nan, 0.0), (-0.0, -0.0)],
+         near=[(0.0, 0.0)] * 8).via("a region thinner than the 1e-12 slack")
+def test_contains_on_arrays_equals_each_point(region, points, near):
+    # points anywhere, on the signed zeros and nan, and within 2e-12 of each frontier facet
+    points = points + [(x, (h.b - h.a1 * x) / h.a2 + off) for h, (x, off) in zip(region.halfspaces, near) if h.a2 > 0]
+    xs, ys = np.array(points).reshape(-1, 2).T
+    want = [point_contains(region, p) for p in points]
+    assert [rg.contains(region, p) for p in points] == want
+    assert all(type(rg.contains(region, p)) is bool for p in points)
+    assert rg.contains(region, (xs, ys)).tolist() == want
+    assert rg.contains(region, (xs[:, None], ys)).tolist() == [[point_contains(region, (x, y)) for y in ys]
+                                                               for x in xs]
 
 
 def test_iid_region():
