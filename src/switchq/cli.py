@@ -183,8 +183,6 @@ def _cmd_iid(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    if args.warmup >= args.horizon:
-        raise ValueError(f"--warmup must be below --horizon, got {args.warmup} >= {args.horizon}")
     if -(-args.horizon // args.trace_every) > MAX_TRACE_ROWS:  # one row per trace_every slots, the first at 0
         raise ValueError(f"--trace-every {args.trace_every} traces over {MAX_TRACE_ROWS} slots of --horizon: raise it")
     if args.epsilon is not None and (args.p1, args.p2) != (None, None):
@@ -196,7 +194,6 @@ def _cmd_trace(args) -> int:
         else ch.iid(0.5 if args.p1 is None else args.p1, 0.5 if args.p2 is None else args.p2),
         policy=_policy_from_args(args),
         horizon=args.horizon,
-        warmup=args.warmup,
         seed=args.seed,
         trace_every=args.trace_every,
     )
@@ -286,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda2", type=float, required=True)
     _add_policy(p, "exhaustive")
     p.add_argument("--horizon", type=_int_in(1, MAX_HORIZON), default=1000)
-    p.add_argument("--warmup", type=_int_in(0), default=0)
     p.add_argument("--trace-every", type=_int_in(1), default=1)
     p.set_defaults(handler=_cmd_trace)
     _add_common(p, seed=True, check=False)

@@ -257,7 +257,7 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
             eps = eps[(eps_lo < eps) & (eps < eps_hi)]
             if eps.size:
                 rs = _end_samples(*ratio_iv(eps), ratio_grid_points)
-                vals = psi_value(eps, rs)[0]
+                vals = psi_value(eps, rs)
                 i, j = divmod(int(np.argmin(vals)), 2)
                 minima.append((vals[i, j], float(eps[i]), float(rs[i, j])))
         if not minima:

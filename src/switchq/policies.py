@@ -1,8 +1,9 @@
 """Scheduling policies: their configuration, corner tables and decision rules.
 
 Frame-based dynamic control picks the frontier corner maximizing
-Q1*r1 + Q2*r2 at each frame start (fbdc_frame_start) and plays that
-corner's deterministic action table for the whole frame.  The k-lookahead
+Q1*r1 + Q2*r2 at each frame start (fbdc_frame_start, an index into
+frame_tables) and plays that corner's deterministic action table for the
+whole frame.  The k-lookahead
 myopic policy compares queue-weighted expected service credit over the
 next k slots, read from a signed credit table per state (myopic_action).
 Both rules take Python scalars and numpy arrays alike.  Gated and
@@ -15,7 +16,6 @@ gated and stays 0 for exhaustive; the step table of sim keeps h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -82,25 +82,22 @@ class PolicyConfig:
         return self.kind
 
 
-@lru_cache(maxsize=64)
-def _frame_corners(epsilon: float) -> np.ndarray:
-    """The corners' indices in CORNER_TABLES in corner_points(epsilon) order, the balanced b3's last."""
-    names = list(CORNER_TABLES)
-    return np.array([names.index(cid) for cid, _ in corner_points(epsilon)] + [names.index("b3")])
+def frame_tables(epsilon: float) -> list[tuple[int, ...]]:
+    """FBDC's frame tables: the balanced b3's, for an empty frame, then each corner's in corner_points order."""
+    return [CORNER_TABLES["b3"], *(CORNER_TABLES[cid] for cid, _ in corner_points(epsilon))]
 
 
 def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
-    """Index in CORNER_TABLES of the corner table for the coming frame, given frame-start queues.
+    """Index in frame_tables(epsilon) of the table for the coming frame, given frame-start queues.
 
-    Both queues empty leaves the weighted objective identically zero; the
-    balanced corner b3 is applied in that case.  Arrays of queues map
+    An empty frame (the weighted objective is identically zero) plays b3,
+    index 0, any other 1 + fbdc_corner_map's position.  Arrays of queues map
     elementwise to an array of indices, and Python ints give a Python int.
     """
-    corners = _frame_corners(epsilon)
     if isinstance(q1_frame, np.ndarray):
-        empty = np.maximum(q1_frame, q2_frame) == 0  # the corner map takes an empty cell as (1, 0), then b3 replaces it
-        return np.where(empty, corners[-1], fbdc_corner_map(epsilon, q1_frame + empty, q2_frame, corners))
-    return corners.item(-1) if q1_frame == q2_frame == 0 else fbdc_corner_map(epsilon, q1_frame, q2_frame, corners)
+        empty = np.maximum(q1_frame, q2_frame) == 0  # the corner map takes an empty cell as (1, 0), then 0 replaces it
+        return np.where(empty, 0, 1 + fbdc_corner_map(epsilon, q1_frame + empty, q2_frame))
+    return 0 if q1_frame == q2_frame == 0 else 1 + fbdc_corner_map(epsilon, q1_frame, q2_frame)
 
 
 # The deepest myopic lookahead the command line takes.  myopic_table sums k

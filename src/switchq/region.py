@@ -185,10 +185,9 @@ def _count_below(cuts, q1, q2):
 
 
 @lru_cache(maxsize=64)
-def _corner_table(epsilon: float):
-    """corner_points' ids as an array, and FBDC's cuts as a tuple of floats."""
-    named = corner_points(epsilon)
-    return np.array([cid for cid, _ in named]), tuple(_fbdc_cuts(*np.array([pt for _, pt in named]).T).tolist())
+def _corner_table(epsilon: float) -> tuple[float, ...]:
+    """FBDC's cuts at epsilon as a tuple of floats."""
+    return tuple(_fbdc_cuts(*np.array([pt for _, pt in corner_points(epsilon)]).T).tolist())
 
 
 def _myopic_thresholds(e) -> tuple:
@@ -220,34 +219,31 @@ def _queue_arrays(q1, q2) -> tuple[np.ndarray, np.ndarray]:
     return q1, q2
 
 
-def fbdc_corner_map(epsilon: float, q1, q2, choices=None):
-    """Frontier corner maximizing q1*r1 + q2*r2 (arrays of finite queues map elementwise).
+def fbdc_corner_map(epsilon: float, q1, q2):
+    """Position in corner_points order of the frontier corner maximizing q1*r1 + q2*r2.
 
-    Its position in corner_points order is the count of FBDC's cuts below
-    q2/q1, so a tie goes to the lower ratio however the values round.  With
-    ``choices`` (an array), the entry at that position is returned in place
-    of the id, as a Python scalar for scalar queues.
+    It is the count of FBDC's cuts below q2/q1, so a tie goes to the lower
+    ratio however the values round: a Python int for scalar queues, an int
+    array for arrays of finite queues, which map elementwise.
     """
-    ids, cuts = _corner_table(epsilon)
+    cuts = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
         q1, q2 = _queue_arrays(q1, q2)
         with np.errstate(invalid="ignore"):  # an infinite cut times q1 = 0
-            return (ids if choices is None else choices)[_count_below(cuts, q1, q2)]
+            return _count_below(cuts, q1, q2)
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
-    position = _count_below(cuts, float(q1), float(q2))  # floats compare as the array path's do
-    return (ids if choices is None else choices).item(position)
+    return _count_below(cuts, float(q1), float(q2))  # floats compare as the array path's do
 
 
-def myopic_corner_map(epsilon, q1, q2, choices=None):
-    """Frontier corner the one-step-lookahead weight comparison drives toward.
+def myopic_corner_map(epsilon, q1, q2):
+    """Position in corner_points order of the corner the one-step-lookahead weight comparison drives toward.
 
-    Its position in corner_points order is the count of myopic thresholds
-    below q2/q1, so a ratio on one takes the lower interval.  Queue lengths
-    must be finite; arrays map elementwise.  epsilon is a float, or a 1-D
-    array of values on one side of EPS_CRITICAL with one row of queues
-    each.  With ``choices`` (an array), the entry at that position is
-    returned in place of the id.
+    It is the count of myopic thresholds below q2/q1, so a ratio on one
+    takes the lower interval: a Python int for scalar queues, an int array
+    for arrays.  Queue lengths must be finite; arrays map elementwise.
+    epsilon is a float, or a 1-D array of values on one side of
+    EPS_CRITICAL with one row of queues each.
     """
     e = np.asarray(epsilon, dtype=float)
     low, high = check_epsilon(e.min()), check_epsilon(e.max())  # a nan fails both
@@ -257,26 +253,24 @@ def myopic_corner_map(epsilon, q1, q2, choices=None):
     with np.errstate(over="ignore", invalid="ignore"):  # 1 over a tiny e is infinite, and times q1 = 0 nan
         cuts = _myopic_thresholds(e.reshape(e.shape + (1,) * (max(q1.ndim, q2.ndim) - e.ndim)))
         position = _count_below(cuts, q1, q2)
-    corner = (_corner_table(high)[0] if choices is None else choices)[position]
-    return str(corner) if choices is None and not corner.ndim else corner
+    return position if position.ndim else int(position)
 
 
 def psi_value(epsilon, ratio):
-    """Myopic-to-optimal weighted departure rate ratio at queues (1, ratio): (psi, myopic corner, optimal corner).
+    """Myopic-to-optimal weighted departure rate ratio psi at queues (1, ratio).
 
     One numpy pass: the myopic corner from myopic_corner_map, the optimum as
     the count of FBDC's cuts below the ratio (fbdc_corner_map's rule), psi
     the ratio of their values x + ratio * y.  epsilon is a float, or a 1-D
     array of values on one side of EPS_CRITICAL (corners from one pass of
     corner_points' formula); ratio is an array of finite nonnegative q2/q1,
-    0-d included, one row per epsilon of an array, and gives the results' shape.
+    0-d included, one row per epsilon of an array, and gives psi's shape.
     """
-    my = myopic_corner_map(epsilon, 1.0, ratio, np.arange(6))  # positions of at most 6 corners; checks the inputs
+    my = np.asarray(myopic_corner_map(epsilon, 1.0, ratio))  # checks the inputs
     e, r = np.asarray(epsilon, dtype=float), np.asarray(ratio, dtype=float)
     named = _corners(e.reshape(e.shape + (1,) * (r.ndim - e.ndim)), e.max() < EPS_CRITICAL)
     x, y = (np.array(np.broadcast_arrays(*coords)) for coords in zip(*(pt for _, pt in named)))  # [corner, epsilon]
     opt = _count_below(_fbdc_cuts(x, y), 1.0, r)
     rate_my, rate_opt = (np.take_along_axis(x, c[None], 0)[0] + r * np.take_along_axis(y, c[None], 0)[0]
                          for c in (my, opt))
-    ids = np.array([cid for cid, _ in named])
-    return rate_my / rate_opt, ids[my], ids[opt]
+    return rate_my / rate_opt

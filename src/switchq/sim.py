@@ -141,7 +141,7 @@ def _metrics(n_post: int, noted, switches: int, arrivals_pre, arrivals, trace=()
 # step table, which both engines step
 #
 # A server plays one of K action tables in a slot: its fixed table (K = 1),
-# its frame's corner table (fbdc, K = 6, in CORNER_TABLES order), or, for the
+# its frame's table (fbdc, K = len(frame_tables), 7 or 5), or, for the
 # policies of one action per slot (myopic, gated, exhaustive), the table that
 # switches everywhere or the one that stays everywhere (K = 2, so that the
 # stay bit is the entry's lowest bit and a decision adds it).  The slot is one
@@ -179,8 +179,8 @@ def _step_table(tables: np.ndarray, kind: str, n_cells: int) -> np.ndarray:
 def _setup(config: SimConfig, n_cells: int):
     """Both engines' setup: K, the step table for n_cells cells, and as a list myopic's credit."""
     policy = config.policy
-    if policy.kind == "fbdc":  # in CORNER_TABLES order: fbdc_frame_start's index is the table k
-        tables = np.array(list(pol.CORNER_TABLES.values()))
+    if policy.kind == "fbdc":  # in frame_tables order: fbdc_frame_start's index is the table k
+        tables = np.array(pol.frame_tables(config.channel.epsilon))
     else:
         tables = np.array([policy.table] if policy.table else [(SWITCH,) * N_STATES, (STAY,) * N_STATES])
     K = len(tables)

@@ -2,7 +2,8 @@
 
 The saturated chain's kernel filled entry by entry and its recurrent class
 by a generic reachability closure, the paper's FBDC queue-ratio thresholds,
-the FBDC corner as the first within 2**-48 of the largest value,
+the FBDC corner as the first within 2**-48 of the largest value, the
+corner_points names of a corner map's positions,
 a region's polygon and the Hausdorff distance between two regions, the
 expected channel state tau slots ahead by matrix powers, the myopic
 credit read back from myopic_table, the myopic decisions at all eight
@@ -89,6 +90,16 @@ def first_near_max_map(epsilon, q1, q2):
     named = corner_points(epsilon)
     values = [q1 * x + q2 * y for _, (x, y) in named]
     return next(cid for (cid, _), v in zip(named, values) if v >= max(values) * (1.0 - 2.0**-48))
+
+
+def corner_names(epsilon, positions):
+    """The corner_points names at the positions a corner map returns: a str for a scalar, a str array for an array.
+
+    An epsilon array names its positions by its largest value, since its
+    values lie on one side of EPS_CRITICAL.
+    """
+    names = np.array([cid for cid, _ in corner_points(float(np.max(epsilon)))])
+    return names[positions] if np.ndim(positions) else str(names[positions])
 
 
 def threshold_map(thresholds, corners_low_to_high, q1, q2):
@@ -287,7 +298,7 @@ def per_epsilon_verify_psi(epsilon_grid_step, ratio_grid_points):
             if not (eps_lo < e < eps_hi):
                 continue
             rs = np.geomspace(*ratio_iv(e), ratio_grid_points + 2)[1:-1]
-            vals = exp.psi_value(e, rs)[0]
+            vals = exp.psi_value(e, rs)
             i = int(np.argmin(vals))
             if vals[i] < best[0]:
                 best = (vals[i], e, float(rs[i]))
@@ -353,8 +364,8 @@ def point_loop_membership_agreement(spec, rows):
 def slot_loop_run(config):
     """sim.run by the plain slot loop: every slot tests for a mark, a frame start and a trace row.
 
-    The polling rules are written out here, and fbdc's corner indices are
-    read as tables through CORNER_TABLES, so the loop shares no step table
+    The polling rules are written out here, and fbdc's frame indices are
+    read as tables through frame_tables, so the loop shares no step table
     and no polling code with the engines it checks.  The queue-free
     saturated runs are not covered; sim.run gives them to the saturated
     engine.
@@ -373,7 +384,7 @@ def slot_loop_run(config):
     framed, myopic, gated = kind in ("fbdc", "myopic"), kind == "myopic", kind == "gated"
     if myopic:
         credit = pol.myopic_table(config.channel, cfg_pol.k)
-    tables = list(pol.CORNER_TABLES.values())  # at their CORNER_TABLES indices
+    tables = pol.frame_tables(epsilon) if kind == "fbdc" else None  # at fbdc_frame_start's indices
 
     m = 1
     q1 = q2 = qsum = 0  # qsum: occupancy summed over every slot so far

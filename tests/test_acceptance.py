@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import hausdorff_distance, myopic_policy_table, polygon
+from oracles import corner_names, hausdorff_distance, myopic_policy_table, polygon
 from switchq import channels as ch
 from switchq import experiments as exp
 from switchq import mdp
@@ -190,7 +190,7 @@ def test_criterion_8_myopic_structural_equivalence():
             thresholds = [eps / (1 - eps), 1.0, (1 - eps) / eps]
         if any(abs(ratio / t - 1.0) < 0.02 for t in thresholds):
             continue
-        corner = rg.myopic_corner_map(eps, q1, q2)
+        corner = corner_names(eps, rg.myopic_corner_map(eps, q1, q2))
         table = pol.CORNER_TABLES[corner]
         recurrent = np.flatnonzero(mdp.stationary_distribution(mdp.build_kernel(eps), table))
         myopic_table = myopic_policy_table(ch.gilbert_elliott(eps), 1, q1, q2)

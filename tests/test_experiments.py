@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    corner_names,
     fbdc_thresholds,
     hausdorff_distance,
     per_epsilon_verify_psi,
@@ -182,7 +183,8 @@ def corner_map_partition(epsilon):
     atoms = []
     for lo, hi in zip(edges, edges[1:]):
         mid = math.sqrt(lo * hi) if lo > 0 else hi / 2
-        atoms.append((lo, hi, rg.myopic_corner_map(e, 1.0, mid), rg.fbdc_corner_map(e, 1.0, mid)))
+        atoms.append((lo, hi, corner_names(e, rg.myopic_corner_map(e, 1.0, mid)),
+                      corner_names(e, rg.fbdc_corner_map(e, 1.0, mid))))
     return atoms
 
 
@@ -190,7 +192,7 @@ def test_psi_value_is_one_on_agreement_atoms():
     for eps in (0.1, 0.25, 0.33, 0.45):
         for lo, hi, my, opt in corner_map_partition(eps):
             mid = math.sqrt(lo * hi) if lo > 0 else hi / 2
-            value = exp.psi_value(eps, mid)[0]
+            value = exp.psi_value(eps, mid)
             if my == opt:
                 assert value == 1.0
             else:
@@ -203,23 +205,26 @@ def test_psi_value_array_matches_scalar():
     for eps in (0.001, 0.1, exp.EPS_T, 0.25, EPS_CRITICAL, 0.35, 0.5):
         fbdc, myopic = fbdc_thresholds(eps), rg._myopic_thresholds(eps)
         rs = np.concatenate([np.geomspace(0.05, 20.0, 301), fbdc, myopic])
-        psi, my, opt = exp.psi_value(eps, rs)
+        psi = exp.psi_value(eps, rs)
+        my = corner_names(eps, rg.myopic_corner_map(eps, 1.0, rs))
+        opt = corner_names(eps, rg.fbdc_corner_map(eps, 1.0, rs))
         assert psi.shape == my.shape == opt.shape == rs.shape
         point = dict(rg.corner_points(eps))
         for r, value, a, b in zip(rs.tolist(), psi, my, opt):
-            assert (a, b) == (rg.myopic_corner_map(eps, 1.0, r), rg.fbdc_corner_map(eps, 1.0, r))
+            assert (a, b) == (corner_names(eps, rg.myopic_corner_map(eps, 1.0, r)),
+                              corner_names(eps, rg.fbdc_corner_map(eps, 1.0, r)))
             (x_my, y_my), (x_opt, y_opt) = point[a], point[b]
             assert value == (x_my + r * y_my) / (x_opt + r * y_opt)
-            assert exp.psi_value(eps, r) == (value, a, b)
+            assert exp.psi_value(eps, r) == value
 
 
 def test_psi_value_over_an_epsilon_array_matches_each_epsilon():
     for eps in (np.array([0.001, 0.1, exp.EPS_T, 0.29]), np.array([EPS_CRITICAL, 0.35, 0.5])):
         rs = np.geomspace(0.05, 20.0, 3 * len(eps) * 50).reshape(len(eps), -1)
-        psi, my, opt = exp.psi_value(eps, rs)
-        for e, row, *got in zip(eps.tolist(), rs, psi, my, opt):
-            want = exp.psi_value(e, row)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        psi, my = exp.psi_value(eps, rs), rg.myopic_corner_map(eps, 1.0, rs)
+        for e, row, got, got_my in zip(eps.tolist(), rs, psi, my):
+            assert got.tobytes() == exp.psi_value(e, row).tobytes()
+            assert got_my.tobytes() == rg.myopic_corner_map(e, 1.0, row).tobytes()
     with pytest.raises(ValueError, match="both sides"):
         exp.psi_value(np.array([0.25, 0.35]), np.ones((2, 3)))
     for bad in (-1.0, np.nan, np.inf):
@@ -256,9 +261,9 @@ def test_psi_is_monotone_along_each_band_row():
         rows = [k * step for k in range(math.floor(eps_lo / step) + 1, math.ceil(eps_hi / step))]
         for e in (e for e in rows if eps_lo < e < eps_hi):
             rs = np.geomspace(*ratio_iv(e), points + 2)[1:-1]
-            my, opt = set(rg.myopic_corner_map(e, 1.0, rs)), set(rg.fbdc_corner_map(e, 1.0, rs))
+            my, opt = set(rg.myopic_corner_map(e, 1.0, rs).tolist()), set(rg.fbdc_corner_map(e, 1.0, rs).tolist())
             assert len(my) == len(opt) == 1 and my != opt, (case, name, e, my, opt)
-            steps = np.diff(exp.psi_value(e, rs)[0])
+            steps = np.diff(exp.psi_value(e, rs))
             assert (steps <= 0).all() or (steps >= 0).all(), (case, name, e)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     closure_recurrent_class,
+    corner_names,
     fbdc_thresholds,
     frequency_lp,
     inverse_asymptotic_std,
@@ -391,7 +392,8 @@ def test_frequency_lp_support_is_the_closed_form_region(eps):
         q1, q2 = 2.0, 2.0 * ratio
         x = frequency_lp(eps, (q1, q2))[1]
         rates = (x[list(mdp.REWARD1_STATES), mdp.STAY].sum(), x[list(mdp.REWARD2_STATES), mdp.STAY].sum())
-        np.testing.assert_allclose(rates, corners[fbdc_corner_map(eps, q1, q2)], rtol=0, atol=1e-12, err_msg=ratio)
+        corner = corners[corner_names(eps, fbdc_corner_map(eps, q1, q2))]
+        np.testing.assert_allclose(rates, corner, rtol=0, atol=1e-12, err_msg=ratio)
 
 
 # The acceptance epsilons, the smallest that still solves, 1e-5, the regime

@@ -4,10 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from oracles import myopic_policy_table, myopic_reference, myopic_sigma
+from oracles import corner_names, myopic_policy_table, myopic_reference, myopic_sigma
 from switchq import channels as ch
 from switchq import mdp
 from switchq import policies as pol
+from switchq import region as rg
 from switchq import sim
 from switchq.mdp import STAY, SWITCH, state_index
 from switchq.region import EPS_CRITICAL, myopic_corner_map
@@ -71,21 +72,21 @@ def test_fixed_table_takes_the_corners_and_every_policy_id():
         assert pol.PolicyConfig("fixed_table", table=table).table == table
 
 
-CORNERS = list(pol.CORNER_TABLES.values())  # at their CORNER_TABLES indices
-
-
 def test_fbdc_frame_start_examples():
-    # Python ints give the corner table's index in CORNER_TABLES as a Python int
+    # Python ints give the table's index in frame_tables as a Python int: 0 for an empty frame, else 1 + the
+    # corner's position in corner_points order
+    positions = {cid: i for i, (cid, _) in enumerate(rg.corner_points(0.25))}
     for q1, q2, corner in ((1, 10, "b0"), (5, 5, "b3"), (0, 0, "b3"), (10, 1, "b5")):
         index = pol.fbdc_frame_start(0.25, q1, q2)
-        assert type(index) is int and index == list(pol.CORNER_TABLES).index(corner)
-        assert CORNERS[index] == pol.CORNER_TABLES[corner]
+        assert type(index) is int and index == (0 if q1 == q2 == 0 else 1 + positions[corner])
+        assert pol.frame_tables(0.25)[index] == pol.CORNER_TABLES[corner]
 
 
 @pytest.mark.parametrize("eps", [0.5, math.nextafter(0.5, 0.0), 0.25, 1e-17, 5e-324])
 def test_empty_frames_play_b3(eps):
     # no queue to weigh: the balanced corner, for scalar queues and for the empty cells of an array
-    b3 = list(pol.CORNER_TABLES).index("b3")
+    b3 = 0
+    assert pol.frame_tables(eps)[b3] == pol.CORNER_TABLES["b3"]
     assert pol.fbdc_frame_start(eps, 0, 0) == b3
     indices = pol.fbdc_frame_start(eps, np.array([0, 3, 0]), np.array([0, 0, 0]))
     assert indices.tolist() == [b3, pol.fbdc_frame_start(eps, 3, 0), b3]
@@ -98,7 +99,7 @@ def test_frame_start_ids_equal_the_scalar_tables(eps):
     # path: on every integer queue pair in [0, 200]^2 they are equal, (0, 0) giving b3
     q1, q2 = (a.ravel() for a in np.indices((201, 201)))
     indices = pol.fbdc_frame_start(eps, q1, q2)
-    assert CORNERS[indices[0]] == pol.CORNER_TABLES["b3"]
+    assert pol.frame_tables(eps)[indices[0]] == pol.CORNER_TABLES["b3"]
     assert indices.tolist() == [pol.fbdc_frame_start(eps, a, b) for a, b in zip(q1.tolist(), q2.tolist())]
 
 
@@ -111,13 +112,13 @@ def test_fbdc_frame_start_matches_weighted_argmax():
         q1, q2 = rng.integers(0, 200, 2)
         if q1 == q2 == 0:
             continue
-        table = CORNERS[pol.fbdc_frame_start(eps, int(q1), int(q2))]
+        table = pol.frame_tables(eps)[pol.fbdc_frame_start(eps, int(q1), int(q2))]
         best, best_v = None, -1.0
         for cid, (x, y) in corner_points(eps):
             v = q1 * x + q2 * y
             if v > best_v + 1e-12:
                 best, best_v = cid, v
-        assert table == pol.CORNER_TABLES[best] or fbdc_corner_map(eps, q1, q2) == best
+        assert table == pol.CORNER_TABLES[best] or corner_names(eps, fbdc_corner_map(eps, q1, q2)) == best
 
 
 def _trace_rows(policy, channel=GE, lam=(0.25, 0.25), horizon=4000, seed=3):
@@ -134,7 +135,7 @@ def _frame_start_queues(rows, T):
 def test_fbdc_decide_reads_the_frame_table():
     # every fbdc action is the frame-start corner table's entry at the row's state
     rows = _trace_rows(pol.PolicyConfig("fbdc", T=10))
-    tables = [CORNERS[pol.fbdc_frame_start(0.25, f1, f2)] for f1, f2 in _frame_start_queues(rows, 10)]
+    tables = [pol.frame_tables(0.25)[pol.fbdc_frame_start(0.25, f1, f2)] for f1, f2 in _frame_start_queues(rows, 10)]
     for (t, m, c1, c2, q1, q2, action, _, _), table in zip(rows, tables):
         assert action == table[mdp.state_index(m, c1, c2)], t
     assert len(set(tables)) >= 2
@@ -232,7 +233,7 @@ def test_myopic_decisions_reproduce_the_corner_map_on_recurrent_states():
         if any(abs(ratio / t - 1.0) < 0.02 for t in _thresholds(eps)):
             continue
         model = ch.gilbert_elliott(eps)
-        corner = myopic_corner_map(eps, q1, q2)
+        corner = corner_names(eps, myopic_corner_map(eps, q1, q2))
         table = pol.CORNER_TABLES[corner]
         recurrent = np.flatnonzero(mdp.stationary_distribution(mdp.build_kernel(eps), table))
         myopic_table = myopic_policy_table(model, 1, q1, q2)

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import fbdc_thresholds, first_near_max_map, hausdorff_distance, point_contains, polygon, threshold_map
+from oracles import (
+    corner_names,
+    fbdc_thresholds,
+    first_near_max_map,
+    hausdorff_distance,
+    point_contains,
+    polygon,
+    threshold_map,
+)
 from switchq import mdp
 from switchq import region as rg
 
@@ -257,19 +265,22 @@ def test_no_switchover_region():
 
 
 def test_fbdc_corner_map_examples():
-    assert rg.fbdc_corner_map(0.25, 1.0, 3.0) == "b0"  # above (1-e)^2/e = 2.25
-    assert rg.fbdc_corner_map(0.25, 1.0, 2.0) == "b1"
-    assert rg.fbdc_corner_map(0.25, 5.0, 5.0) == "b3"  # tie goes to the lower interval
-    assert rg.fbdc_corner_map(0.25, 0.0, 2.0) == "b0"
-    assert rg.fbdc_corner_map(0.25, 2.0, 0.0) == "b5"
+    # scalar queues give the corner's position in corner_points order as a Python int
+    assert type(rg.fbdc_corner_map(0.25, 1.0, 3.0)) is int
+    assert corner_names(0.25, rg.fbdc_corner_map(0.25, 1.0, 3.0)) == "b0"  # above (1-e)^2/e = 2.25
+    assert corner_names(0.25, rg.fbdc_corner_map(0.25, 1.0, 2.0)) == "b1"
+    assert corner_names(0.25, rg.fbdc_corner_map(0.25, 5.0, 5.0)) == "b3"  # tie goes to the lower interval
+    assert corner_names(0.25, rg.fbdc_corner_map(0.25, 0.0, 2.0)) == "b0"
+    assert corner_names(0.25, rg.fbdc_corner_map(0.25, 2.0, 0.0)) == "b5"
     with pytest.raises(ValueError):
         rg.fbdc_corner_map(0.25, 0.0, 0.0)
 
 
 def test_myopic_corner_map_examples():
-    assert rg.myopic_corner_map(0.25, 1.0, 2.5) == "b1"  # between (2-e)/(1-e) and (1-e)/e
-    assert rg.myopic_corner_map(0.40, 1.0, 1.4) == "b2"  # between 1 and (1-e)/e = 1.5
-    assert rg.myopic_corner_map(0.25, 1.0, 1.0) == "b3"
+    assert type(rg.myopic_corner_map(0.25, 1.0, 2.5)) is int
+    assert corner_names(0.25, rg.myopic_corner_map(0.25, 1.0, 2.5)) == "b1"  # between (2-e)/(1-e) and (1-e)/e
+    assert corner_names(0.40, rg.myopic_corner_map(0.40, 1.0, 1.4)) == "b2"  # between 1 and (1-e)/e = 1.5
+    assert corner_names(0.25, rg.myopic_corner_map(0.25, 1.0, 1.0)) == "b3"
     with pytest.raises(ValueError):
         rg.myopic_corner_map(0.25, 0.0, 0.0)
 
@@ -281,8 +292,8 @@ def test_myopic_corner_map_mirror_symmetry():
         ratio = math.exp(rng.uniform(-3, 3))
         if abs(ratio - 1.0) < 1e-3:
             continue
-        a = rg.myopic_corner_map(eps, 1.0, ratio)
-        b = rg.myopic_corner_map(eps, ratio, 1.0)
+        a = corner_names(eps, rg.myopic_corner_map(eps, 1.0, ratio))
+        b = corner_names(eps, rg.myopic_corner_map(eps, ratio, 1.0))
         assert b == MIRROR_CORNER[a]
 
 
@@ -295,7 +306,7 @@ def test_fbdc_map_equals_weighted_argmax():
         q2 = rng.uniform(0.0, 10.0)
         if q1 == q2 == 0.0:
             continue
-        corner = rg.fbdc_corner_map(eps, q1, q2)
+        corner = corner_names(eps, rg.fbdc_corner_map(eps, q1, q2))
         best, best_v = None, -1.0
         for cid, (x, y) in rg.corner_points(eps):
             v = q1 * x + q2 * y
@@ -342,11 +353,13 @@ def test_corner_formula_over_an_array_is_corner_points_per_epsilon(eps):
         got = np.array([np.broadcast_to(c, len(side)) for _, pt in named for c in pt])
         assert got.tobytes() == np.array([[c for _, pt in w for c in pt] for w in want]).T.tobytes()
         ratio = np.geomspace(0.05, 20.0, 2 * len(side)).reshape(len(side), 2)
-        psi, my, opt = rg.psi_value(np.array(side), ratio)
+        psi = rg.psi_value(np.array(side), ratio)
+        my = corner_names(side, rg.myopic_corner_map(np.array(side), 1.0, ratio))
         for k, corners in enumerate(want):
             point = dict(corners)
+            opt = corner_names(side[k], rg.fbdc_corner_map(side[k], 1.0, ratio[k]))
             values = [[point[c][0] + r * point[c][1] for c in pair]
-                      for r, *pair in zip(ratio[k].tolist(), my[k], opt[k])]
+                      for r, *pair in zip(ratio[k].tolist(), my[k], opt)]
             assert psi[k].tolist() == [v_my / v_opt for v_my, v_opt in values]
 
 
@@ -376,9 +389,9 @@ def test_array_corner_maps_match_scalar(eps, pairs):
     finite = [(q1, q2) for q1, q2 in pairs + edges + [(0.0, 3.0), (3.0, 0.0)] if (q1 or q2) and math.isfinite(q2)]
     q1, q2 = np.array(finite, dtype=float).T
     for corner_map in (rg.fbdc_corner_map, rg.myopic_corner_map):
-        assert list(corner_map(eps, q1, q2)) == [corner_map(eps, a, b) for a, b in finite]
+        assert corner_map(eps, q1, q2).tolist() == [corner_map(eps, a, b) for a, b in finite]
         ratios = q2[q1 == 1.0]
-        assert list(corner_map(eps, 1.0, ratios)) == [corner_map(eps, 1.0, r) for r in ratios]
+        assert corner_map(eps, 1.0, ratios).tolist() == [corner_map(eps, 1.0, r) for r in ratios]
         with pytest.raises(ValueError):
             corner_map(eps, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
         with pytest.raises(ValueError):
@@ -389,20 +402,18 @@ def test_array_corner_maps_match_scalar(eps, pairs):
             with pytest.raises(ValueError):
                 corner_map(eps, np.array([1.0, a]), np.array([1.0, b]))
     # an epsilon row takes one row of queues per epsilon, here eps and the far end of its side
-    # of EPS_CRITICAL with the queues mirrored; choices replaces each id by its entry
+    # of EPS_CRITICAL with the queues mirrored
     other, across = (0.5, 0.1) if eps >= rg.EPS_CRITICAL else (math.nextafter(rg.EPS_CRITICAL, 0.0), 0.4)
     rows = rg.myopic_corner_map(np.array([eps, other]), np.stack([q1, q2]), np.stack([q2, q1]))
     assert rows.tolist() == [[rg.myopic_corner_map(eps, a, b) for a, b in finite],
                              [rg.myopic_corner_map(other, b, a) for a, b in finite]]
-    positions = rg.myopic_corner_map(eps, q1, q2, np.arange(len(corners)))
-    assert [corners[i] for i in positions] == list(rg.myopic_corner_map(eps, q1, q2))
     with pytest.raises(ValueError, match="both sides"):
         rg.myopic_corner_map(np.array([eps, across]), np.stack([q1, q1]), np.stack([q2, q2]))
     with pytest.raises(ValueError, match="epsilon"):
         rg.myopic_corner_map(np.array([eps, math.nan]), np.stack([q1, q1]), np.stack([q2, q2]))
     for a, b in finite:
         if _clear_winner(eps, a, b):
-            assert rg.fbdc_corner_map(eps, a, b) == threshold_map(fbdc, corners, a, b), (eps, a, b)
+            assert corner_names(eps, rg.fbdc_corner_map(eps, a, b)) == threshold_map(fbdc, corners, a, b), (eps, a, b)
 
 
 def test_integer_queue_arrays_are_checked_as_float_ones_are():
@@ -433,23 +444,24 @@ def test_fbdc_corner_map_exact_ties(eps):
         for k in range(1, 10**4 // max(step) + 1):
             ties.append((k * step[0], k * step[1]))
             want.append(lower)
-    assert [rg.fbdc_corner_map(eps, q1, q2) for q1, q2 in ties] == want
-    assert list(rg.fbdc_corner_map(eps, *np.array(ties, dtype=float).T)) == want
-    assert list(rg.fbdc_corner_map(eps, *np.array(ties).T)) == want  # integer arrays compare as their floats do
+    assert [corner_names(eps, rg.fbdc_corner_map(eps, q1, q2)) for q1, q2 in ties] == want
+    assert list(corner_names(eps, rg.fbdc_corner_map(eps, *np.array(ties, dtype=float).T))) == want
+    assert list(corner_names(eps, rg.fbdc_corner_map(eps, *np.array(ties).T))) == want  # as their floats do
     # a relative 1e-11 beside a tie, far above the rounding, each side keeps its own corner
     beside = [float(t) * (1 + side) for t in lowest for side in (-1e-11, 1e-11)]
     want = [threshold_map(exact, corners, 1, r) for r in beside]
-    assert [rg.fbdc_corner_map(eps, 1.0, r) for r in beside] == want
-    assert list(rg.fbdc_corner_map(eps, 1.0, np.array(beside))) == want
+    assert [corner_names(eps, rg.fbdc_corner_map(eps, 1.0, r)) for r in beside] == want
+    assert list(corner_names(eps, rg.fbdc_corner_map(eps, 1.0, np.array(beside)))) == want
     if eps == 0.4:
-        assert rg.fbdc_corner_map(eps, 33, 25) == "b5" and rg.fbdc_corner_map(eps, 25, 33) == "b2"
-        assert rg.fbdc_corner_map(eps, 132, 100) == "b5" and rg.fbdc_corner_map(eps, 100, 132) == "b2"
+        name = lambda a, b: corner_names(eps, rg.fbdc_corner_map(eps, a, b))
+        assert name(33, 25) == "b5" and name(25, 33) == "b2"
+        assert name(132, 100) == "b5" and name(100, 132) == "b2"
 
 
 @pytest.mark.parametrize("eps", EPS_GRID)
 def test_fbdc_cuts_are_the_paper_thresholds(eps):
     # the cuts derived from the corners, 2**-48 tie margin included, are the paper's threshold formulas
-    assert rg._corner_table(eps)[1] == pytest.approx(fbdc_thresholds(eps), rel=1e-12, abs=0)
+    assert rg._corner_table(eps) == pytest.approx(fbdc_thresholds(eps), rel=1e-12, abs=0)
 
 
 # The reference FBDC rule, the first corner within a relative 2**-48 of the
@@ -471,11 +483,11 @@ def test_fbdc_corner_map_equals_the_first_near_max_reference(eps):
     pairs += [(float(k * t.denominator), float(k * t.numerator)) for t in fbdc_thresholds(Fraction(repr(eps)))
               if max(t.numerator, t.denominator) < 10**8 for k in (1, 2, 7)]  # the decimal epsilon's exact ties
     want = [first_near_max_map(eps, a, b) for a, b in pairs]
-    assert [rg.fbdc_corner_map(eps, a, b) for a, b in pairs] == want
+    assert [corner_names(eps, rg.fbdc_corner_map(eps, a, b)) for a, b in pairs] == want
     q1, q2 = np.array(pairs).T
-    assert list(rg.fbdc_corner_map(eps, q1, q2)) == want
+    assert list(corner_names(eps, rg.fbdc_corner_map(eps, q1, q2))) == want
     ratios = q2[q1 == 1.0]
-    assert list(rg.fbdc_corner_map(eps, 1.0, ratios)) == [w for w, a in zip(want, q1) if a == 1.0]
+    assert list(corner_names(eps, rg.fbdc_corner_map(eps, 1.0, ratios))) == [w for w, a in zip(want, q1) if a == 1.0]
 
 
 # just below 1/2 and EPS_CRITICAL the frontier pass drops a flat corner
