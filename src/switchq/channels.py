@@ -1,8 +1,8 @@
 """ON/OFF connectivity processes for the two-queue system.
 
-Two models are supported: per-slot independent draws ("iid") and the
-symmetric two-state Markov chain with flip probability epsilon
-("gilbert_elliott").  Channel values are 1 (ON) and 0 (OFF).
+A ChannelModel is per-slot independent draws ("iid", ON probabilities p1
+and p2) or, iff epsilon is given, the symmetric two-state Markov chain with
+flip probability epsilon ("gilbert_elliott").  Channel values are 1 (ON) and 0 (OFF).
 """
 
 from __future__ import annotations
@@ -12,39 +12,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-IID = "iid"
-GILBERT_ELLIOTT = "gilbert_elliott"
-
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Connectivity model for the pair of channels.
+    """Connectivity model for the pair of channels: Markov iff ``epsilon`` is given, iid otherwise.
 
-    For ``kind="iid"`` each channel is ON with probability ``p1``/``p2``
-    every slot, independently of the past.  For ``kind="gilbert_elliott"``
-    each channel flips its state with probability ``epsilon`` per slot
-    (symmetric chain, stationary marginal 1/2).  ``epsilon`` is restricted
-    to (0, 0.5]: a frozen channel (epsilon = 0) makes every downstream
-    chain reducible, and epsilon <= 0.5 keeps the correlation nonnegative.
+    iid: each channel is ON with probability ``p1``/``p2`` every slot,
+    independently of the past.  Markov: each channel flips its state with
+    probability ``epsilon`` per slot (symmetric chain, stationary marginal
+    1/2).  ``epsilon`` is restricted to (0, 0.5]: a frozen channel (epsilon
+    = 0) makes every downstream chain reducible, and epsilon <= 0.5 keeps
+    the correlation nonnegative.  A model takes epsilon or both p's, not both.
     """
 
-    kind: str
     p1: float | None = None
     p2: float | None = None
     epsilon: float | None = None
 
     def __post_init__(self):
-        if self.kind == IID:
-            if self.p1 is None or self.p2 is None:
-                raise ValueError("iid model requires p1 and p2")
-            if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
-                raise ValueError(f"iid probabilities must lie in [0, 1], got p1={self.p1}, p2={self.p2}")
-        elif self.kind == GILBERT_ELLIOTT:
-            if self.epsilon is None:
-                raise ValueError("gilbert_elliott model requires epsilon")
+        if (self.p1 is None, self.p2 is None) != (self.epsilon is not None,) * 2:
+            raise ValueError(f"a channel model takes either epsilon or both p1 and p2, got {self}")
+        if self.epsilon is not None:
             check_epsilon(self.epsilon)
-        else:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+        elif not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
+            raise ValueError(f"iid probabilities must lie in [0, 1], got p1={self.p1}, p2={self.p2}")
 
 
 def check_epsilon(epsilon: float) -> float:
@@ -55,11 +46,11 @@ def check_epsilon(epsilon: float) -> float:
 
 
 def iid(p1: float, p2: float) -> ChannelModel:
-    return ChannelModel(IID, p1=p1, p2=p2)
+    return ChannelModel(p1, p2)
 
 
 def gilbert_elliott(epsilon: float) -> ChannelModel:
-    return ChannelModel(GILBERT_ELLIOTT, epsilon=epsilon)
+    return ChannelModel(epsilon=epsilon)
 
 
 _PATH_CHUNK = 2**16  # slots per chunk of generate_paths' draws
@@ -97,11 +88,12 @@ def path_chunks(model: ChannelModel, horizon: int, rngs: list[np.random.Generato
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    last = np.array([(0, 0) if model.kind == IID else (rng.random() < 0.5, rng.random() < 0.5) for rng in rngs]).T
-    probs = (model.p1, model.p2) if model.kind == IID else (model.epsilon,) * 2
+    markov = model.epsilon is not None
+    last = np.array([(rng.random() < 0.5, rng.random() < 0.5) if markov else (0, 0) for rng in rngs]).T
+    probs = (model.epsilon,) * 2 if markov else (model.p1, model.p2)
     chunks = bit_chunks(rngs, np.broadcast_to(np.array(probs)[:, None], last.shape), horizon, size)
     for t0, bits in zip(range(0, horizon, size), chunks):  # ON for iid, a flip for the Markov model
-        if model.kind == GILBERT_ELLIOTT:  # bits[t] moves the chain from slot t-1 to slot t
+        if markov:  # bits[t] moves the chain from slot t-1 to slot t
             if t0 == 0:
                 bits[:, :, 0] = False  # slot 0 is the drawn start
             np.logical_xor.accumulate(bits, axis=2, out=bits)

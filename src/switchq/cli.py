@@ -78,9 +78,11 @@ def _policy_from_args(args) -> pol.PolicyConfig:
 def _cmd_region(args) -> int:
     if args.check and args.epsilon is None:
         raise ValueError("--check needs --epsilon")
-    _write(args.out, exp.export_regions(args.epsilon, args.p1, args.p2))
+    text = exp.export_regions(args.epsilon, args.p1, args.p2)
+    vertices = mdp.enumerate_vertices(args.epsilon) if args.check else ()  # before the write: a failed solve exits 1
+    _write(args.out, text)
     if args.check:
-        hull = region_from_vertices([v.rates for v in mdp.enumerate_vertices(args.epsilon)])
+        hull = region_from_vertices([v.rates for v in vertices])
         closed = closed_form_region(args.epsilon)
         ok = all(h.slack(c) > -1e-9 for c in hull.corners for h in closed.halfspaces) and all(
             any(abs(h.slack(c)) < 1e-9 for c in hull.corners) for h in closed.halfspaces
@@ -93,11 +95,12 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    policy = _policy_from_args(args)
+    if (args.epsilon is None) == (args.p1 is None) or (args.p1 is None) != (args.p2 is None):
+        raise ValueError("give either --epsilon or both --p1 and --p2")
     spec = exp.GridSpec(
-        policies=(_policy_from_args(args),),
-        epsilon=args.epsilon,
-        p1=args.p1,
-        p2=args.p2,
+        policies=(policy,),
+        channel=ch.ChannelModel(args.p1, args.p2, args.epsilon),
         step=args.step,
         boundary_margin=args.boundary_margin,
         horizon=args.horizon,
@@ -167,11 +170,11 @@ def _cmd_iid(args) -> int:
         raise ValueError(f"--rho needs comma-separated loads, got {args.rho!r}") from None
     if not all(rho >= 0 for rho in rho_points):  # false for nan too
         raise ValueError(f"--rho needs nonnegative loads, got {args.rho!r}")
-    ch.iid(args.p1, args.p2)  # names a bad --p1 or --p2 before the loads are checked against them
+    channel = ch.iid(args.p1, args.p2)  # names a bad --p1 or --p2 before the loads are checked against them
     if not all(rho * p / 2 <= 1 for rho in rho_points for p in (args.p1, args.p2)):  # iid_suite's rates
         raise ValueError(f"--rho gives an arrival rate rho * p / 2 above 1 at p1={args.p1}, p2={args.p2}, "
                          f"got {args.rho!r}")
-    rows = exp.iid_suite(args.p1, args.p2, rho_points, horizon=args.horizon, seed=args.seed)
+    rows = exp.iid_suite(channel, rho_points, horizon=args.horizon, seed=args.seed)
     _write(args.out, exp.rows_to_csv(exp.IID_HEADER, rows))
     if args.check:
         for rho, verdict in ((row[2], row[6]) for row in rows if row[2] != 1.0):

@@ -55,12 +55,10 @@ def rows_to_csv(header, rows) -> str:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A sweep over the arrival-rate grid for one channel setting."""
+    """A sweep over the arrival-rate grid of one channel model, in its closed-form (Markov) or iid region."""
 
     policies: tuple[pol.PolicyConfig, ...]
-    epsilon: float | None = None
-    p1: float | None = None
-    p2: float | None = None
+    channel: ch.ChannelModel
     step: float = 0.01
     boundary_margin: float = 0.02
     horizon: int = 100_000
@@ -75,16 +73,15 @@ class GridSpec:
             raise ValueError(f"boundary_margin must be positive and finite, got {self.boundary_margin}")
         if self.horizon - self.warmup < 4:
             raise ValueError(f"horizon - warmup must be >= 4 slots, got {self.horizon} - {self.warmup}")
-        if (self.epsilon is None) == (self.p1 is None) or (self.p1 is None) != (self.p2 is None):
-            raise ValueError("give either --epsilon or both --p1 and --p2")
-        low, high = (min(self.p1, self.p2), max(self.p1, self.p2)) if self.p1 is not None else (1.0, 1.0)
+        p1, p2 = self.channel.p1, self.channel.p2
+        low, high = (min(p1, p2), max(p1, p2)) if self.channel.epsilon is None else (1.0, 1.0)
         if 0 < low and (1 / high) / (1 / low) <= 1e-12:  # iid_region's smaller facet coefficient, to the bit
-            raise ValueError(f"--p1 and --p2 must differ by a factor below 1e12, got {self.p1} and {self.p2}")
+            raise ValueError(f"--p1 and --p2 must differ by a factor below 1e12, got {p1} and {p2}")
 
     def region(self):
-        if self.epsilon is not None:
-            return closed_form_region(self.epsilon)
-        return iid_region(self.p1, self.p2)
+        if self.channel.epsilon is not None:
+            return closed_form_region(self.channel.epsilon)
+        return iid_region(self.channel.p1, self.channel.p2)
 
 
 def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
@@ -136,10 +133,9 @@ def _run_grid(points, policies, channel, horizon: int, seed: int, warmup: int | 
 
 def sweep(spec: GridSpec) -> list[tuple]:
     """Run every (lambda1, lambda2, policy) cell of the grid, seeded as _run_grid does, and classify stability."""
-    eps_field = spec.epsilon if spec.epsilon is not None else ""
+    eps_field = spec.channel.epsilon if spec.channel.epsilon is not None else ""
     points = grid_points(spec)
-    channel = ch.gilbert_elliott(spec.epsilon) if spec.epsilon is not None else ch.iid(spec.p1, spec.p2)
-    results = _run_grid(points, spec.policies, channel, spec.horizon, spec.seed, spec.warmup)
+    results = _run_grid(points, spec.policies, spec.channel, spec.horizon, spec.seed, spec.warmup)
     return [
         (eps_field, lam1, lam2, config.label(), config.T, config.k,
          metrics.q_avg, metrics.rate1, metrics.rate2, metrics.verdict)
@@ -174,24 +170,14 @@ def export_regions(epsilon: float | None = None, p1: float = 0.5, p2: float = 0.
     and no-switchover references at the stationary marginal p = 1/2 (or the
     supplied p1, p2); without it, just the two reference regions.
     """
-    sections: list[tuple[str, list[tuple[str, float, float]], object]] = []
-    if epsilon is not None:
-        named = corner_points(epsilon)
-        sections.append((f"markov epsilon={_fmt(float(epsilon))}", [(cid, x, y) for cid, (x, y) in named],
-                         closed_form_region(epsilon)))
-    for name, region in (
-        (f"iid p1={_fmt(float(p1))} p2={_fmt(float(p2))}", iid_region(p1, p2)),
-        (f"no_switchover p1={_fmt(float(p1))} p2={_fmt(float(p2))}", no_switchover_region(p1, p2)),
-    ):
-        sections.append((name, [(f"v{i}", x, y) for i, (x, y) in enumerate(region.corners)], region))
-    out = []
-    for name, corners, region in sections:
-        out.append(f"# region: {name}")
-        out.append("corner_id,r1,r2")
-        out.extend(f"{cid},{_fmt(x)},{_fmt(y)}" for cid, x, y in corners)
-        out.append("a1,a2,b")
-        out.extend(f"{_fmt(h.a1)},{_fmt(h.a2)},{_fmt(h.b)}" for h in region.halfspaces)
-    return "\n".join(out) + "\n"
+    sections = [] if epsilon is None else [(f"markov epsilon={_fmt(float(epsilon))}", corner_points(epsilon),
+                                            closed_form_region(epsilon))]
+    for name, region in ((f"iid p1={_fmt(float(p1))} p2={_fmt(float(p2))}", iid_region(p1, p2)),
+                         (f"no_switchover p1={_fmt(float(p1))} p2={_fmt(float(p2))}", no_switchover_region(p1, p2))):
+        sections.append((name, [(f"v{i}", corner) for i, corner in enumerate(region.corners)], region))
+    return "".join(f"# region: {name}\n" + rows_to_csv(("corner_id", "r1", "r2"), [(cid, *c) for cid, c in corners])
+                   + rows_to_csv(("a1", "a2", "b"), [(h.a1, h.a2, h.b) for h in region.halfspaces])
+                   for name, corners, region in sections)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +295,20 @@ def throughput_gap(
 
 
 def iid_suite(
-    p1: float,
-    p2: float,
+    channel: ch.ChannelModel,
     rho_points: tuple[float, ...],
     horizon: int = 100_000,
     seed: int = 0,
 ) -> list[tuple]:
-    """Gated and exhaustive stability verdicts across system loads.
+    """Gated and exhaustive stability verdicts across system loads of an iid channel model.
 
     The load rho = lambda1/p1 + lambda2/p2 splits evenly between the queues:
     lambda_i = rho * p_i / 2.
     """
+    p1, p2 = channel.p1, channel.p2
     loads = [(rho, rho * p1 / 2, rho * p2 / 2) for rho in rho_points]
     policies = (pol.PolicyConfig("gated"), pol.PolicyConfig("exhaustive"))
-    results = _run_grid([(lam1, lam2) for _, lam1, lam2 in loads], policies, ch.iid(p1, p2), horizon, seed)
+    results = _run_grid([(lam1, lam2) for _, lam1, lam2 in loads], policies, channel, horizon, seed)
     return [
         (p1, p2, rho, lam1, lam2, policy.kind, metrics.verdict, metrics.q_avg)
         for (rho, lam1, lam2), row in zip(loads, results)

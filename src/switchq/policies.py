@@ -120,7 +120,7 @@ def myopic_table(model: ch.ChannelModel, k: int) -> tuple[tuple[float, ...], tup
     so that queue 1's weight stays on the left; negation is exact, so every
     tie goes the same way as unnegated.
     """
-    if model.kind != ch.GILBERT_ELLIOTT:
+    if model.epsilon is None:
         raise ValueError("the myopic credit is only defined for the gilbert_elliott model")
     sigma = [sum(0.5 + sign * 0.5 * (1.0 - 2.0 * model.epsilon) ** tau for tau in range(1, k + 1))
              for sign in (-1.0, 1.0)]

@@ -57,7 +57,7 @@ class SimConfig:
             raise ValueError("saturated mode supports fixed_table policies only")
         if self.saturated and self.trace_every:
             raise ValueError("saturated runs write no trace rows")
-        if self.policy.kind in ("fbdc", "myopic") and self.channel.kind != ch.GILBERT_ELLIOTT:
+        if self.policy.kind in ("fbdc", "myopic") and self.channel.epsilon is None:
             raise ValueError(f"{self.policy.kind} policy requires the gilbert_elliott channel model")
 
 

@@ -162,7 +162,7 @@ def test_criterion_6_myopic_throughput():
 
 def test_criterion_7_iid_gated_exhaustive():
     t0 = time.perf_counter()
-    rows = exp.iid_suite(0.5, 0.5, (0.6, 0.8, 0.9, 1.1, 1.2), horizon=100_000, seed=900)
+    rows = exp.iid_suite(ch.iid(0.5, 0.5), (0.6, 0.8, 0.9, 1.1, 1.2), horizon=100_000, seed=900)
     ok = True
     for _, _, rho, _, _, kind, verdict, _ in rows:
         expected = "stable" if rho < 1.0 else "unstable"
@@ -219,14 +219,14 @@ def test_criterion_9_limits():
 def test_criterion_10_determinism(tmp_path):
     spec = exp.GridSpec(
         policies=(pol.PolicyConfig("fbdc", T=10), pol.PolicyConfig("myopic", T=10, k=1)),
-        epsilon=0.4, step=0.1, boundary_margin=0.05, horizon=5000, seed=1234,
+        channel=ch.gilbert_elliott(0.4), step=0.1, boundary_margin=0.05, horizon=5000, seed=1234,
     )
     outputs = []
     for name in ("a", "b"):
         path = tmp_path / f"{name}.csv"
         csv = exp.rows_to_csv(exp.SWEEP_HEADER, exp.sweep(spec))
         csv += exp.export_regions(0.4)
-        csv += exp.rows_to_csv(exp.IID_HEADER, exp.iid_suite(0.5, 0.5, (0.8,), horizon=20_000, seed=5))
+        csv += exp.rows_to_csv(exp.IID_HEADER, exp.iid_suite(ch.iid(0.5, 0.5), (0.8,), horizon=20_000, seed=5))
         path.write_text(csv, encoding="utf-8")
         outputs.append(path.read_bytes())
     ok = outputs[0] == outputs[1]

@@ -14,8 +14,9 @@ def test_model_validation():
         ch.gilbert_elliott(0.6)
     with pytest.raises(ValueError):
         ch.iid(1.2, 0.5)
-    with pytest.raises(ValueError):
-        ch.ChannelModel("weather")
+    for p1, p2, epsilon in ((0.5, 0.5, 0.25), (None, None, None), (0.5, None, None), (None, 0.5, 0.25)):
+        with pytest.raises(ValueError, match="either epsilon or both p1 and p2"):  # Markov iff epsilon is given
+            ch.ChannelModel(p1, p2, epsilon)
     ch.gilbert_elliott(0.5)
     ch.iid(0.0, 1.0)
 

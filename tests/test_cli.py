@@ -95,8 +95,9 @@ def test_trace_command(tmp_path):
 
 
 def test_config_errors_exit_one(tmp_path, capsys):
-    # each bad input exits 1 with one stderr line that names the offending flag
-    for argv, flag in (
+    # each bad input exits 1 with one stderr line that names the offending flag, and writes no --out file
+    written = []
+    for i, (argv, flag) in enumerate((
         (["sweep", "--policy", "mystery", "--epsilon", "0.3"], "policy"),
         (["saturated", "--epsilon", "0.25"], "--corner"),  # no corner or policy id
         (["saturated", "--epsilon", "0.25", "--corner", "b2", "--policy-id", "5"], "--policy-id"),  # both
@@ -111,7 +112,7 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["gap", "--epsilon", "0.25", "--horizon", "-5"], "--horizon"),
         (["saturated", "--epsilon", "0.25", "--corner", "b2", "--horizon", "0"], "--horizon"),
         # the exact chain solve loses its accuracy this close to epsilon = 0
-        *((["region", "--epsilon", eps, "--check", "--out", str(tmp_path / "r.csv")], "--epsilon")
+        *((["region", "--epsilon", eps, "--check"], "--epsilon")
           for eps in ("1e-9", "1e-12", "1e-15", "1e-17", "1e-100", "5e-324")),
         (["saturated", "--epsilon", "1e-17", "--corner", "b2", "--horizon", "100"], "--epsilon"),
         (["gap", "--epsilon", "5e-324", "--T-list", "2", "--horizon", "100"], "--epsilon"),
@@ -148,8 +149,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["iid", "--rho", "5"], "--rho"),
         (["iid", "--p1", "5"], "p1"),
         # a p whose 1/p overflows would give the iid facet a nan
-        (["region", "--p2", "1e-320", "--out", str(tmp_path / "r.csv")], "p2"),
-        (["sweep", "--p1", "0.5", "--p2", "1e-320", "--policy", "gated", "--out", str(tmp_path / "s.csv")], "p2"),
+        (["region", "--p2", "1e-320"], "p2"),
+        (["sweep", "--p1", "0.5", "--p2", "1e-320", "--policy", "gated"], "p2"),
         # a grid thinner than contains' 1e-12 slack is refused, in either order
         (["sweep", "--p1", "1e-13", "--p2", "0.5", "--policy", "gated", "--step", "0.5"], "--p1 and --p2"),
         (["sweep", "--p1", "0.5", "--p2", "1e-13", "--policy", "gated", "--step", "0.5"], "--p1 and --p2"),
@@ -190,10 +191,14 @@ def test_config_errors_exit_one(tmp_path, capsys):
         (["psi", "--eps-step", "1e-300"], "--eps-step"),
         (["psi", "--eps-step", "0.5"], "--eps-step 0.5 leaves band"),  # a step wider than a band
         (["psi", "--ratio-points", "1000000000"], "--ratio-points"),
-    ):
-        assert main(argv) == 1, argv
+    )):
+        out = tmp_path / f"{i}.csv"
+        assert main([*argv, "--out", str(out)]) == 1, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err, (argv, err)
+        if out.exists():
+            written.append(argv)
+    assert written == []
 
 
 def test_sweep_check_fails_when_it_judges_no_cell(tmp_path, capsys):

@@ -34,7 +34,7 @@ SWEEP_DIGESTS = {
 
 @pytest.mark.parametrize("policy", list(SWEEP_DIGESTS), ids=lambda p: p.label())
 def test_sweep_csv_digest(policy):
-    spec = exp.GridSpec(policies=(policy,), epsilon=0.4, step=0.1, horizon=5000, seed=77)
+    spec = exp.GridSpec(policies=(policy,), channel=ch.gilbert_elliott(0.4), step=0.1, horizon=5000, seed=77)
     assert _sha(exp.rows_to_csv(exp.SWEEP_HEADER, exp.sweep(spec))) == SWEEP_DIGESTS[policy]
 
 
@@ -42,15 +42,15 @@ def test_sweep_csv_digest(policy):
 # policies, a warmup, and two policies in one grid, whose cells interleave
 # the seeds.  Pinned from the per-cell slot loop.
 SWEEP_SHAPE_DIGESTS = {
-    "iid_gated": (dict(policies=(pol.PolicyConfig("gated"),), p1=0.5, p2=0.6),
+    "iid_gated": (dict(policies=(pol.PolicyConfig("gated"),), channel=ch.iid(0.5, 0.6)),
                   "132945efe05036bd0e622bf631d3140eaa9f4a30f33335d69ec70d17a0af1914"),
-    "iid_exhaustive": (dict(policies=(pol.PolicyConfig("exhaustive"),), p1=0.5, p2=0.6),
+    "iid_exhaustive": (dict(policies=(pol.PolicyConfig("exhaustive"),), channel=ch.iid(0.5, 0.6)),
                        "5b550976cc8b807d72aefd574906f56d39a79dfde5964f766a12936caeb7310d"),
-    "myopic2_slot_warmup": (dict(policies=(pol.PolicyConfig("myopic", T=1, k=2),), epsilon=0.4,
+    "myopic2_slot_warmup": (dict(policies=(pol.PolicyConfig("myopic", T=1, k=2),), channel=ch.gilbert_elliott(0.4),
                                  warmup=700),
                             "5a1e4907159e8402ff55f3e0f7bc1b2424969c2544af10c8682d03c65e425c83"),
     "fbdc_T7_and_myopic1_T5": (dict(policies=(pol.PolicyConfig("fbdc", T=7), pol.PolicyConfig("myopic", T=5, k=1)),
-                                    epsilon=0.4),
+                                    channel=ch.gilbert_elliott(0.4)),
                                "dd1eaa74e20b772fab60dbbb56b561c3d86a6d72921a60b489909e2de50b0f51"),
 }
 
@@ -63,7 +63,7 @@ def test_sweep_shape_csv_digest(shape):
 
 
 def test_iid_suite_csv_digest():
-    rows = exp.iid_suite(0.5, 0.6, (0.6, 0.9, 1.2), horizon=8000, seed=21)
+    rows = exp.iid_suite(ch.iid(0.5, 0.6), (0.6, 0.9, 1.2), horizon=8000, seed=21)
     assert _sha(exp.rows_to_csv(exp.IID_HEADER, rows)) == "fe3e8b967606a9f2b8a1a5b90a414ee0dcbaddb9bc893a50d5032f97fe3bc617"
 
 
@@ -71,12 +71,12 @@ def test_sweep_and_iid_digests_on_the_lockstep_engine(monkeypatch):
     # the grids above are too small for sim.run_batch by default; here it runs every one of them
     monkeypatch.setattr(exp, "_LOCKSTEP_MIN_CELLS", dict.fromkeys(pol.POLICY_KINDS, 1))
     for policy, digest in SWEEP_DIGESTS.items():
-        spec = exp.GridSpec(policies=(policy,), epsilon=0.4, step=0.1, horizon=5000, seed=77)
+        spec = exp.GridSpec(policies=(policy,), channel=ch.gilbert_elliott(0.4), step=0.1, horizon=5000, seed=77)
         assert _sha(exp.rows_to_csv(exp.SWEEP_HEADER, exp.sweep(spec))) == digest, policy.label()
     for shape, (fields, digest) in SWEEP_SHAPE_DIGESTS.items():
         spec = exp.GridSpec(step=0.1, horizon=5000, seed=77, **fields)
         assert _sha(exp.rows_to_csv(exp.SWEEP_HEADER, exp.sweep(spec))) == digest, shape
-    rows = exp.iid_suite(0.5, 0.6, (0.6, 0.9, 1.2), horizon=8000, seed=21)
+    rows = exp.iid_suite(ch.iid(0.5, 0.6), (0.6, 0.9, 1.2), horizon=8000, seed=21)
     assert _sha(exp.rows_to_csv(exp.IID_HEADER, rows)) == "fe3e8b967606a9f2b8a1a5b90a414ee0dcbaddb9bc893a50d5032f97fe3bc617"
 
 
