@@ -289,40 +289,87 @@ def test_run_equals_the_slot_loop(config):
     assert dataclasses.asdict(sim.run(config)) == dataclasses.asdict(slot_loop_run(config))
 
 
-_EVERY_KIND = pytest.mark.parametrize("policy, channel", [
-    (pol.PolicyConfig("fbdc", T=25), GE25),
-    (pol.PolicyConfig("fbdc", T=1), GE25),
-    (pol.PolicyConfig("myopic", T=1, k=1), GE25),
-    (pol.PolicyConfig("myopic", T=5, k=2), GE25),
-    (pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]), GE25),
-    (pol.PolicyConfig("gated"), ch.iid(0.5, 0.5)),
-    (pol.PolicyConfig("exhaustive"), ch.iid(0.5, 0.5)),
-], ids=["fbdc_T25", "fbdc_T1", "myopic1_slot", "myopic2_T5", "corner_b2", "gated", "exhaustive"])
+IID55 = ch.iid(0.5, 0.5)
 
 
-@_EVERY_KIND
-def test_run_counts_and_trace_fields_are_python_ints(policy, channel):
-    # the per-cell loop adds Python ints only: a numpy integer that got into it (an offset from a frame start,
-    # say) would slow every slot after it while every value stayed equal
-    metrics = sim.run(make_config(policy=policy, channel=channel, horizon=3000, warmup=300, trace_every=7))
+def _even(load, p1=0.5, p2=0.5):
+    """Arrival rates at `load` split evenly between queues ON with probability p1 and p2 (GE25's are 1/2)."""
+    return load * p1 / 2, load * p2 / 2
+
+
+_OVERLOADED = [  # (channel, (lambda1, lambda2), horizon, warmup, trace_every)
+    (IID55, _even(1.1), 30_000, None, 0),
+    (IID55, _even(1.8), 5_000, 0, 1),
+    (IID55, (0.9, 0.1), 8_000, 0, 0),  # lopsided
+    (ch.iid(0.3, 0.8), _even(1.4, 0.3, 0.8), 12_345, 6_000, 64),  # a horizon no multiple of 64, 256 or 512
+    (ch.iid(0.3, 0.8), _even(1.2, 0.3, 0.8), 20_000, 19_999, 997),
+    (GE25, _even(1.5), 10_000, None, 997),
+    (GE25, _even(1.1), 25_000, 12_500, 64),
+]
+
+
+@pytest.mark.parametrize("kind", ["gated", "exhaustive"])
+@pytest.mark.parametrize("channel, rates, horizon, warmup, trace_every", _OVERLOADED,
+                         ids=[f"{lam1:.3g}_{lam2:.3g}_H{h}" for _, (lam1, lam2), h, *_ in _OVERLOADED])
+def test_overloaded_polling_runs_equal_the_slot_loop(kind, channel, rates, horizon, warmup, trace_every,
+                                                     monkeypatch):
+    # overloaded gated and exhaustive runs spend most slots in stretches that sim.run sums in bulk; the
+    # hypothesis runs above are too short to reach them
+    skipped = []  # the length of each stretch summed, read off the weights it takes
+
+    class Weights(np.ndarray):
+        def __getitem__(self, index):
+            skipped.append(-index.start)
+            return np.asarray(self)[index]
+
+    monkeypatch.setattr(sim, "_SKIP_WEIGHTS", sim._SKIP_WEIGHTS.view(Weights))
+    config = make_config(policy=pol.PolicyConfig(kind), channel=channel, lambda1=rates[0], lambda2=rates[1],
+                         horizon=horizon, warmup=warmup, trace_every=trace_every, seed=horizon)
+    assert dataclasses.asdict(sim.run(config)) == dataclasses.asdict(slot_loop_run(config))
+    # most slots were summed, but under trace_every=1, whose segments of one slot are too short to skip
+    assert (sum(skipped) > horizon / 2) == (trace_every != 1)
+
+
+@pytest.mark.parametrize("policy, channel, lam", [
+    (pol.PolicyConfig("fbdc", T=25), GE25, 0.2),
+    (pol.PolicyConfig("fbdc", T=1), GE25, 0.2),
+    (pol.PolicyConfig("myopic", T=1, k=1), GE25, 0.2),
+    (pol.PolicyConfig("myopic", T=5, k=2), GE25, 0.2),
+    (pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]), GE25, 0.2),
+    (pol.PolicyConfig("gated"), IID55, 0.2),
+    (pol.PolicyConfig("exhaustive"), IID55, 0.2),
+    (pol.PolicyConfig("gated"), IID55, 0.3),
+    (pol.PolicyConfig("exhaustive"), IID55, 0.3),
+], ids=["fbdc_T25", "fbdc_T1", "myopic1_slot", "myopic2_T5", "corner_b2", "gated", "exhaustive",
+        "gated_overloaded", "exhaustive_overloaded"])
+def test_run_counts_and_trace_fields_are_python_ints(policy, channel, lam):
+    # the per-cell loop adds Python ints only: a numpy integer that got into it (an offset from a frame start or a
+    # sum of skipped polling slots, say) would slow every slot after it while every value stayed equal.  At load
+    # 1.2, rows every 97 slots leave segments long enough for the polling runs to skip slots in bulk.
+    horizon, trace_every = (3000, 7) if lam < 0.3 else (20_000, 97)
+    metrics = sim.run(make_config(policy=policy, channel=channel, lambda1=lam, lambda2=lam, horizon=horizon,
+                                  warmup=300, trace_every=trace_every))
     counts = (metrics.d1, metrics.d2, metrics.switch_count, metrics.arrivals1, metrics.arrivals2,
               metrics.q1_final, metrics.q2_final)
     assert [type(x) for x in counts] == [int] * len(counts)
-    assert len(metrics.trace) == 429 and {type(x) for row in metrics.trace for x in row} == {int}
+    assert len(metrics.trace) == -(-horizon // trace_every) and {type(x) for row in metrics.trace for x in row} == {int}
     if policy.kind == "fixed_table":
         saturated = sim.run(make_config(policy=policy, channel=channel, horizon=3000, saturated=True))
         assert [type(x) for x in (saturated.d1, saturated.d2, saturated.switch_count)] == [int] * 3
 
 
-@pytest.mark.parametrize("policy, channel", [
-    (pol.PolicyConfig("fbdc", T=1), GE25),
-    (pol.PolicyConfig("fbdc", T=25), GE25),
-    (pol.PolicyConfig("gated"), ch.iid(0.5, 0.5)),
-], ids=["fbdc_T1", "fbdc_T25", "gated"])
-def test_run_memory_grows_by_under_4_bytes_a_slot(policy, channel):
+@pytest.mark.parametrize("policy, channel, lam", [
+    (pol.PolicyConfig("fbdc", T=1), GE25, 0.2),
+    (pol.PolicyConfig("fbdc", T=25), GE25, 0.2),
+    (pol.PolicyConfig("gated"), IID55, 0.2),
+    (pol.PolicyConfig("gated"), IID55, 0.3),
+    (pol.PolicyConfig("exhaustive"), IID55, 0.3),
+], ids=["fbdc_T1", "fbdc_T25", "gated", "gated_overloaded", "exhaustive_overloaded"])
+def test_run_memory_grows_by_under_4_bytes_a_slot(policy, channel, lam):
     # a run holds its two channel paths and one packed byte a slot, 3 B; its arrivals are drawn in chunks and its
     # segment cuts merged lazily, so no float draw or frame start per slot is held.  Both horizons fill the chunk
-    # buffers of 2**16 slots, which then do not grow.
+    # buffers of 2**16 slots, which then do not grow, as fbdc's frame-start table and the overloaded polling
+    # runs' bulk windows.
     import tracemalloc
 
     sim.run(make_config(policy=policy, channel=channel, horizon=1000))  # fill the caches before measuring
@@ -330,7 +377,7 @@ def test_run_memory_grows_by_under_4_bytes_a_slot(policy, channel):
     for horizon in (2**16, 2**16 + 2**15):
         tracemalloc.start()
         try:
-            sim.run(make_config(policy=policy, channel=channel, horizon=horizon))
+            sim.run(make_config(policy=policy, channel=channel, lambda1=lam, lambda2=lam, horizon=horizon))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -344,19 +391,23 @@ def test_run_batch_equals_per_cell_runs_over_several_chunks():
     assert sim.run_batch(configs) == [sim.run(c) for c in configs]
 
 
-@pytest.mark.parametrize("policy, channel", [
-    (pol.PolicyConfig("fbdc", T=25), GE25),
-    (pol.PolicyConfig("fbdc", T=7), GE25),
-    (pol.PolicyConfig("myopic", T=1, k=1), GE25),
-    (pol.PolicyConfig("myopic", T=5, k=2), GE25),
-    (pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]), GE25),
-    (pol.PolicyConfig("gated"), ch.iid(0.5, 0.5)),
-    (pol.PolicyConfig("exhaustive"), ch.iid(0.5, 0.5)),
-], ids=["fbdc_T25", "fbdc_T7", "myopic1_slot", "myopic2_T5", "corner_b2", "gated", "exhaustive"])
-def test_wide_run_batch_equals_per_cell_runs_for_every_kind(policy, channel):
+@pytest.mark.parametrize("policy, channel, lam1", [
+    (pol.PolicyConfig("fbdc", T=25), GE25, 0.02),
+    (pol.PolicyConfig("fbdc", T=7), GE25, 0.02),
+    (pol.PolicyConfig("myopic", T=1, k=1), GE25, 0.02),
+    (pol.PolicyConfig("myopic", T=5, k=2), GE25, 0.02),
+    (pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]), GE25, 0.02),
+    (pol.PolicyConfig("gated"), IID55, 0.02),
+    (pol.PolicyConfig("exhaustive"), IID55, 0.02),
+    (pol.PolicyConfig("gated"), IID55, 0.4),
+    (pol.PolicyConfig("exhaustive"), IID55, 0.4),
+], ids=["fbdc_T25", "fbdc_T7", "myopic1_slot", "myopic2_T5", "corner_b2", "gated", "exhaustive",
+        "gated_overloaded", "exhaustive_overloaded"])
+def test_wide_run_batch_equals_per_cell_runs_for_every_kind(policy, channel, lam1):
     # 89 cells take chunks of 1024 slots and blocks of 92: the marks after the warmup of 777 fall inside
-    # blocks, and frames cross block and chunk edges
-    configs = [make_config(lambda1=0.02 + 0.2 * i / 89, lambda2=0.2 - 0.15 * i / 89, channel=channel, policy=policy,
+    # blocks, and frames cross block and chunk edges.  From lambda1 = 0.02 the loads on iid(0.5, 0.5) run from 0.44
+    # to 0.84; from 0.4, 1.2 to 1.3, where sim.run skips polling slots in bulk and run_batch has no such path.
+    configs = [make_config(lambda1=lam1 + 0.2 * i / 89, lambda2=0.2 - 0.15 * i / 89, channel=channel, policy=policy,
                            seed=100 + i, horizon=3000, warmup=777) for i in range(89)]
     assert [dataclasses.asdict(m) for m in sim.run_batch(configs)] == [dataclasses.asdict(sim.run(c)) for c in configs]
 
