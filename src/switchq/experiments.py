@@ -37,15 +37,9 @@ MAX_GRID_POINTS = 10**6
 SWEEP_HEADER = ("epsilon", "lambda1", "lambda2", "policy", "T", "k", "q_avg", "rate1", "rate2", "stable")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):  # numpy 2 scalars repr as np.float64(...)
-        return repr(float(value))
-    return str(value)
-
-
 def rows_to_csv(header, rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)  # str of a float, np.float64 too, is its shortest repr
     return "\n".join(lines) + "\n"
 
 
@@ -55,7 +49,7 @@ def rows_to_csv(header, rows) -> str:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A sweep over the arrival-rate grid of one channel model, in its closed-form (Markov) or iid region."""
+    """A sweep over the arrival-rate grid of any valid channel model, in its closed-form (Markov) or iid region."""
 
     policies: tuple[pol.PolicyConfig, ...]
     channel: ch.ChannelModel
@@ -73,10 +67,6 @@ class GridSpec:
             raise ValueError(f"boundary_margin must be positive and finite, got {self.boundary_margin}")
         if self.horizon - self.warmup < 4:
             raise ValueError(f"horizon - warmup must be >= 4 slots, got {self.horizon} - {self.warmup}")
-        p1, p2 = self.channel.p1, self.channel.p2
-        low, high = (min(p1, p2), max(p1, p2)) if self.channel.epsilon is None else (1.0, 1.0)
-        if 0 < low and (1 / high) / (1 / low) <= 1e-12:  # iid_region's smaller facet coefficient, to the bit
-            raise ValueError(f"--p1 and --p2 must differ by a factor below 1e12, got {p1} and {p2}")
 
     def region(self):
         if self.channel.epsilon is not None:
@@ -99,7 +89,7 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
     columns = xs[inside.any(axis=1)]
     inside[0, 0] = False  # the origin gives its column a probe, but is no point
     column, row = np.nonzero(inside)
-    boundary = np.min([(h.b - h.a1 * columns) / h.a2 for h in region.halfspaces if h.a2 > 1e-12], axis=0)
+    boundary = np.min([(h.b - h.a1 * columns) / h.a2 for h in region.halfspaces if h.a2 > 0], axis=0)
     probes = [(x, probe) for x, b in zip(columns.tolist(), boundary.tolist())
               if (probe := round(b + spec.boundary_margin, 12)) <= 1.0]
     return sorted({*zip(xs[column].tolist(), ys[row].tolist()), *probes})
@@ -112,7 +102,7 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
 _LOCKSTEP_MIN_CELLS = {"fbdc": 16, "fixed_table": 16, "myopic": 20, "exhaustive": 24, "gated": 24}
 
 
-def _run_grid(points, policies, channel, horizon: int, seed: int, warmup: int | None = None) -> list[tuple]:
+def _run_grid(points, policies, channel, horizon: int, seed: int, warmup: int) -> list[tuple]:
     """sim.run of every (point, policy) cell: one row per point of (lambda1, lambda2), one Metrics per policy.
 
     Point i runs policy j with seed seed + i * len(policies) + j.  The
@@ -170,10 +160,10 @@ def export_regions(epsilon: float | None = None, p1: float = 0.5, p2: float = 0.
     and no-switchover references at the stationary marginal p = 1/2 (or the
     supplied p1, p2); without it, just the two reference regions.
     """
-    sections = [] if epsilon is None else [(f"markov epsilon={_fmt(float(epsilon))}", corner_points(epsilon),
+    sections = [] if epsilon is None else [(f"markov epsilon={float(epsilon)}", corner_points(epsilon),
                                             closed_form_region(epsilon))]
-    for name, region in ((f"iid p1={_fmt(float(p1))} p2={_fmt(float(p2))}", iid_region(p1, p2)),
-                         (f"no_switchover p1={_fmt(float(p1))} p2={_fmt(float(p2))}", no_switchover_region(p1, p2))):
+    for name, region in ((f"iid p1={float(p1)} p2={float(p2)}", iid_region(p1, p2)),
+                         (f"no_switchover p1={float(p1)} p2={float(p2)}", no_switchover_region(p1, p2))):
         sections.append((name, [(f"v{i}", corner) for i, corner in enumerate(region.corners)], region))
     return "".join(f"# region: {name}\n" + rows_to_csv(("corner_id", "r1", "r2"), [(cid, *c) for cid, c in corners])
                    + rows_to_csv(("a1", "a2", "b"), [(h.a1, h.a2, h.b) for h in region.halfspaces])
@@ -303,12 +293,12 @@ def iid_suite(
     """Gated and exhaustive stability verdicts across system loads of an iid channel model.
 
     The load rho = lambda1/p1 + lambda2/p2 splits evenly between the queues:
-    lambda_i = rho * p_i / 2.
+    lambda_i = rho * p_i / 2.  Each run drops the first tenth of its horizon as warmup.
     """
     p1, p2 = channel.p1, channel.p2
     loads = [(rho, rho * p1 / 2, rho * p2 / 2) for rho in rho_points]
     policies = (pol.PolicyConfig("gated"), pol.PolicyConfig("exhaustive"))
-    results = _run_grid([(lam1, lam2) for _, lam1, lam2 in loads], policies, channel, horizon, seed)
+    results = _run_grid([(lam1, lam2) for _, lam1, lam2 in loads], policies, channel, horizon, seed, horizon // 10)
     return [
         (p1, p2, rho, lam1, lam2, policy.kind, metrics.verdict, metrics.q_avg)
         for (rho, lam1, lam2), row in zip(loads, results)

@@ -146,10 +146,12 @@ def no_switchover_region(p1: float, p2: float) -> RateRegion:
 
 
 def contains(region: RateRegion, point):
-    """Whether the point lies in the region (nan does not): a bool, or a bool array for arrays that broadcast."""
+    """Whether the point lies in the region (nan does not): a bool, or a bool array for arrays that broadcast.
+
+    Each facet a . point <= b is met to within 1e-12 b, its own scale; every facet built here has b <= 1."""
     inside = (point[0] >= 0) & (point[1] >= 0)
     for h in region.halfspaces:
-        inside &= h.slack(point) >= -1e-12
+        inside &= h.slack(point) >= -1e-12 * h.b
     return inside
 
 

@@ -29,9 +29,7 @@ from .mdp import N_STATES, STAY, SWITCH, policy_rates, state_index
 class SimConfig:
     """All inputs of one simulation run; equal configs give bit-equal metrics.
 
-    ``warmup`` slots are dropped from every average; it defaults to a tenth
-    of the horizon (occupancy-surface experiments pass 0 to keep the plain
-    time-average metric).
+    The first ``warmup`` slots (none by default) are dropped from every average.
     """
 
     lambda1: float
@@ -40,13 +38,11 @@ class SimConfig:
     policy: pol.PolicyConfig
     horizon: int
     seed: int
-    warmup: int | None = None
+    warmup: int = 0
     saturated: bool = False
     trace_every: int = 0
 
     def __post_init__(self):
-        if self.warmup is None:
-            object.__setattr__(self, "warmup", self.horizon // 10)
         if not (0 <= self.lambda1 <= 1 and 0 <= self.lambda2 <= 1):  # Bernoulli arrivals; false for nan
             raise ValueError(f"arrival rates must lie in [0, 1], got lambda1={self.lambda1}, lambda2={self.lambda2}")
         if not 0 <= self.warmup < self.horizon:

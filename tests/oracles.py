@@ -312,7 +312,7 @@ def point_contains(region, point):
     """region.contains of one point, stopping at the first constraint it breaks."""
     if point[0] < 0 or point[1] < 0:
         return False
-    return all(h.slack(point) >= -1e-12 for h in region.halfspaces)
+    return all(h.slack(point) >= -1e-12 * h.b for h in region.halfspaces)
 
 
 def point_loop_grid_points(spec):
@@ -334,7 +334,7 @@ def point_loop_grid_points(spec):
                 has_interior = True
             j += 1
         if has_interior:
-            boundary = min((h.b - h.a1 * x) / h.a2 for h in region.halfspaces if h.a2 > 1e-12)
+            boundary = min((h.b - h.a1 * x) / h.a2 for h in region.halfspaces if h.a2 > 0)
             probe = round(boundary + spec.boundary_margin, 12)
             if probe <= 1.0:
                 points.append((x, probe))

@@ -110,7 +110,7 @@ FBDC_EXTERIOR = ((0.34, 0.34), (0.05, 0.55))
 def _probe(lam, policy, seed):
     config = sim.SimConfig(
         lambda1=lam[0], lambda2=lam[1], channel=ch.gilbert_elliott(0.25),
-        policy=policy, horizon=100_000, seed=seed,
+        policy=policy, horizon=100_000, warmup=10_000, seed=seed,
     )
     return sim.run(config).verdict
 

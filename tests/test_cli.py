@@ -151,9 +151,6 @@ def test_config_errors_exit_one(tmp_path, capsys):
         # a p whose 1/p overflows would give the iid facet a nan
         (["region", "--p2", "1e-320"], "p2"),
         (["sweep", "--p1", "0.5", "--p2", "1e-320", "--policy", "gated"], "p2"),
-        # a grid thinner than contains' 1e-12 slack is refused, in either order
-        (["sweep", "--p1", "1e-13", "--p2", "0.5", "--policy", "gated", "--step", "0.5"], "--p1 and --p2"),
-        (["sweep", "--p1", "0.5", "--p2", "1e-13", "--policy", "gated", "--step", "0.5"], "--p1 and --p2"),
         # a command takes only the flags it reads; there are no config files
         (["trace", "--config", "x", "--lambda1", "0.1", "--lambda2", "0.1"], "unrecognized arguments: --config x"),
         (["psi", "--seed", "3"], "unrecognized arguments: --seed 3"),
@@ -210,6 +207,16 @@ def test_sweep_check_fails_when_it_judges_no_cell(tmp_path, capsys):
     assert err.count("\n") == 1 and "no clear cell" in err
     assert main(args + ["--step", "0.2"]) == 0
     assert capsys.readouterr().out == "membership agreement on clear points: 1.000\n"
+
+
+def test_thin_iid_sweeps_are_judged_not_refused(tmp_path, capsys):
+    # p1 and p2 1e12 or more apart, in either order, sweep like any iid channel: the check exits 0 or 2 (here no
+    # cell is clear of the boundary at step 0.5), never 1, and no step warns (warnings are errors in tier-1)
+    for p1, p2 in (("1e-13", "0.5"), ("0.5", "1e-13"), ("1e-300", "1"), ("1", "1e-300"), ("1e-12", "0.5")):
+        code = main(["sweep", "--p1", p1, "--p2", p2, "--policy", "gated", "--step", "0.5", "--horizon", "1000",
+                     "--check", "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and err.count("\n") == (code == 2), (p1, p2, err)
 
 
 def test_sweep_check_below_the_agreement_bar_says_so_on_stderr(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from switchq import experiments as exp
 from switchq import mdp
 from switchq import policies as pol
 from switchq import region as rg
+from switchq import sim
 from switchq.region import EPS_CRITICAL, contains
 
 
@@ -95,34 +97,33 @@ def test_grid_points_and_agreement_judge_the_grid_in_array_calls():
     assert calls[1:] == [(len(rows),)] * 3  # the rows, a step above and a step below
 
 
-def test_iid_grids_thinner_than_the_membership_slack_are_refused():
-    # with min(p1, p2) at most 1e-12 max(p1, p2), the iid facet has no coefficient above 1e-12, so grid_points
-    # finds no facet to probe above and contains' 1e-12 slack is wider than the region
-    for p1, p2 in ((1e-13, 0.5), (1e-12, 1.0), (1e-300, 1.0), (5e-13, 0.5)):
+def test_iid_grids_of_any_thinness_are_judged_on_their_facet_scale():
+    # contains scales its slack with each facet, so an iid facet whose coefficients lie 1e12 or more apart is swept
+    # like any other, in either order: grid_points probes above it, equals the point loop, and every point it
+    # counts as inside is inside x/p1 + y/p2 <= 1 but for 1e-12 of that bound and the roundings
+    for p1, p2 in ((1e-13, 0.5), (1e-12, 1.0), (1e-300, 1.0), (5e-13, 0.5), (1e-11, 1.0), (1e-13, 1e-13)):
         for low, high in ((p1, p2), (p2, p1)):
-            with pytest.raises(ValueError, match="--p1 and --p2"):
-                exp.GridSpec(policies=(), channel=ch.iid(low, high), step=0.5)
-    for p1, p2 in ((1e-11, 1.0), (1e-13, 1e-13)):
-        for low, high in ((p1, p2), (p2, p1)):
-            assert exp.grid_points(exp.GridSpec(policies=(), channel=ch.iid(low, high), step=0.5))
-    # the refusal is the facet's own arithmetic, so no p1 a few ulps from 1e-12 p2 gets past it without a facet
+            spec = exp.GridSpec(policies=(), channel=ch.iid(low, high), step=0.5)
+            points, region = exp.grid_points(spec), spec.region()
+            assert points == point_loop_grid_points(spec)
+            assert high == 1.0 or any(not contains(region, p) for p in points)  # a probe above the facet, not rate 1
+            for x, y in points:
+                load = Fraction(x) / Fraction(low) + Fraction(y) / Fraction(high)
+                assert (load <= 1 + Fraction(2e-12)) if contains(region, (x, y)) else (load > 1), (low, high, x, y)
+    # nor does a p1 a few ulps from 1e-12 p2, where the old refusal cut in, change how the grid is built
     for p2 in (1.0, 0.75, 0.1, 3e-7):
         p1 = 1e-12 * p2
         for _ in range(8):
             p1 = math.nextafter(p1, 1.0)
-            try:
-                spec = exp.GridSpec(policies=(), channel=ch.iid(p1, p2), step=0.5)
-            except ValueError:
-                continue
+            spec = exp.GridSpec(policies=(), channel=ch.iid(p1, p2), step=0.5)
             assert exp.grid_points(spec) == point_loop_grid_points(spec)
 
 
-@pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: region.contains' slack is absolute (1e-12), so a thin "
-                                       "iid facet admits points far past its intercept")
 def test_a_thin_iid_region_admits_no_point_well_past_its_intercept():
-    # GridSpec accepts this channel (a ratio under 1e12), and its region's x-intercept is p1 = 1e-12
+    # the region's x-intercept is p1 = 1e-12; the other two points lie 80% past the intercept p = 0.5
     region = exp.GridSpec(policies=(), channel=ch.iid(1e-12, 0.5)).region()
     assert not contains(region, (1.9e-12, 0.0))  # 90% past the intercept
+    assert not contains(rg.iid_region(1e-13, 0.5), (0.0, 0.9)) and not contains(rg.iid_region(0.5, 1e-13), (0.9, 0.0))
 
 
 def test_empty_policy_list_gives_header_only_csv():
@@ -513,6 +514,15 @@ def test_myopic_beats_fbdc_delay_on_most_interior_points():
     assert wins / (wins + losses) > 0.5
 
 
+def test_iid_suite_drops_a_tenth_of_the_horizon(monkeypatch):
+    # a SimConfig keeps every slot unless told, and iid_suite tells each of its cells to drop a tenth
+    assert sim.SimConfig(0.1, 0.1, ch.iid(0.5, 0.5), pol.PolicyConfig("gated"), 20_000, 1).warmup == 0
+    warmups, run = [], exp.sim.run
+    monkeypatch.setattr(exp.sim, "run", lambda config: warmups.append(config.warmup) or run(config))
+    exp.iid_suite(ch.iid(0.5, 0.5), (0.6, 1.2), horizon=20_000, seed=1)
+    assert warmups == [2000] * 4
+
+
 def test_iid_suite_rows():
     rows = exp.iid_suite(ch.iid(0.5, 0.5), (0.6,), horizon=20_000, seed=1)
     assert len(rows) == 2
@@ -541,5 +551,11 @@ def test_each_policy_kind_has_its_engine_crossover(monkeypatch):
 
 
 def test_float_formatting_roundtrips():
-    for x in (0.1, 1 / 3, 0.25, 1e-9, np.float64(0.9002)):
-        assert float(exp._fmt(x)) == x
+    # a float field, a Python float or an np.float64, is written as the shortest repr of the Python float
+    bits = np.random.default_rng(8).integers(0, 2**63, 2000, dtype=np.int64).view(np.float64)
+    special = [0.1, 1 / 3, 0.25, 1e-9, 0.9002, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+               sys.float_info.max, 1e15, 1e16, 1e-5]
+    for x in special + bits.tolist() + (-bits).tolist():
+        text = repr(float(x))
+        assert exp.rows_to_csv(("a", "b"), [(x, np.float64(x))]) == f"a,b\n{text},{text}\n"
+        assert math.isnan(x) or float(text) == x

@@ -214,7 +214,7 @@ NEAR_FACETS = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-2e-12, 2e-12)),
 @settings(max_examples=150, deadline=None)
 @given(region=REGIONS, points=st.lists(st.tuples(COORDINATES, COORDINATES), max_size=20), near=NEAR_FACETS)
 @example(region=rg.iid_region(1e-13, 0.5), points=[(0.0, 0.9), (math.nan, 0.0), (-0.0, -0.0)],
-         near=[(0.0, 0.0)] * 8).via("a region thinner than the 1e-12 slack")
+         near=[(0.0, 0.0)] * 8).via("a region thinner than an absolute 1e-12 slack")
 def test_contains_on_arrays_equals_each_point(region, points, near):
     # points anywhere, on the signed zeros and nan, and within 2e-12 of each frontier facet
     points = points + [(x, (h.b - h.a1 * x) / h.a2 + off) for h, (x, off) in zip(region.halfspaces, near) if h.a2 > 0]
@@ -225,6 +225,38 @@ def test_contains_on_arrays_equals_each_point(region, points, near):
     assert rg.contains(region, (xs, ys)).tolist() == want
     assert rg.contains(region, (xs[:, None], ys)).tolist() == [[point_contains(region, (x, y)) for y in ys]
                                                                for x in xs]
+
+
+# coordinates whose products with any facet coefficient stay normal floats under a scale of 2**-500
+SCALE_SAFE = st.one_of(st.floats(-0.2, 1.2).map(lambda v: v if abs(v) >= 1e-100 else 0.0),
+                       st.sampled_from([0.0, -0.0, math.nan, -1e-13]))
+NEAR_IN_B = st.lists(st.tuples(SCALE_SAFE.filter(lambda v: 0 <= v <= 1), st.integers(-20, 20)), min_size=8, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(region=REGIONS, k=st.integers(-500, 500), points=st.lists(st.tuples(SCALE_SAFE, SCALE_SAFE), max_size=20),
+       near=NEAR_IN_B)
+@example(region=rg.iid_region(1e-13, 0.5), k=-500, points=[(0.0, 0.9), (0.0, 0.5)], near=[(0.0, 10)] * 8)
+@example(region=rg.iid_region(0.5, 1e-13), k=500, points=[(0.9, 0.0), (0.5, 0.0)], near=[(0.5, -10)] * 8)
+def test_contains_is_unchanged_by_scaling_each_facet(region, k, points, near):
+    # a factor 2**k is exact, so each facet's slack and its tolerance 1e-12 b scale alike and no bit moves; points
+    # lie anywhere and i * 1e-13 b off each facet, i in [-20, 20], so on both sides of the tolerance
+    scaled = rg.RateRegion(region.corners, tuple(rg.HalfSpace(h.a1 * 2.0**k, h.a2 * 2.0**k, h.b * 2.0**k)
+                                                 for h in region.halfspaces))
+    points = points + [(x, (h.b - h.a1 * x + i * 1e-13 * h.b) / h.a2)
+                       for h, (x, i) in zip(region.halfspaces, near) if h.a2 > 0]
+    xs, ys = np.array(points).reshape(-1, 2).T
+    assert rg.contains(scaled, (xs, ys)).tolist() == rg.contains(region, (xs, ys)).tolist()
+    assert rg.contains(scaled, (xs[:, None], ys)).tolist() == rg.contains(region, (xs[:, None], ys)).tolist()
+
+
+def test_every_facet_built_has_b_in_0_1():
+    # so contains' tolerance, 1e-12 b, is never wider than an absolute 1e-12, nor negative
+    ps = np.geomspace(1e-300, 1.0, 60).tolist()
+    regions = [rg.closed_form_region(e) for e in np.linspace(0.0, 0.5, 2501)[1:].tolist()
+               + [5e-324, 1e-300, 1e-12, rg.EPS_CRITICAL, math.nextafter(rg.EPS_CRITICAL, 0.0)]]
+    regions += [region_of(p1, p2) for p1 in ps for p2 in ps for region_of in (rg.iid_region, rg.no_switchover_region)]
+    assert all(0.0 <= h.b <= 1.0 for region in regions for h in region.halfspaces)
 
 
 def test_iid_region():
