@@ -99,7 +99,7 @@ def grid_points(spec: GridSpec) -> list[tuple[float, float]]:
 # sim.run each; below it numpy's per-call cost outweighs the per-cell slot
 # loop.  Crossovers at 20k slots on a 2-vCPU Xeon (table in README): the
 # table-driven kinds, whose slot makes no decision call, cross first.
-_LOCKSTEP_MIN_CELLS = {"fbdc": 16, "fixed_table": 16, "myopic": 20, "exhaustive": 24, "gated": 24}
+_LOCKSTEP_MIN_CELLS = {"fbdc": 16, "fixed_table": 16, "myopic": 16, "exhaustive": 24, "gated": 24}
 
 
 def _run_grid(points, policies, channel, horizon: int, seed: int, warmup: int) -> list[tuple]:

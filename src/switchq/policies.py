@@ -94,7 +94,7 @@ def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
     index 0, any other 1 + fbdc_corner_map's position.  Arrays of queues map
     elementwise to an array of indices, and Python ints give a Python int.
     """
-    if isinstance(q1_frame, np.ndarray):
+    if isinstance(q1_frame, np.ndarray) or isinstance(q2_frame, np.ndarray):
         empty = np.maximum(q1_frame, q2_frame) == 0  # the corner map takes an empty cell as (1, 0), then 0 replaces it
         return np.where(empty, 0, 1 + fbdc_corner_map(epsilon, q1_frame + empty, q2_frame))
     return 0 if q1_frame == q2_frame == 0 else 1 + fbdc_corner_map(epsilon, q1_frame, q2_frame)

@@ -14,6 +14,7 @@ map's queue-ratio cuts come from corner_points alone.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -192,6 +193,13 @@ def _corner_table(epsilon: float) -> tuple[float, ...]:
     return tuple(_fbdc_cuts(*np.array([pt for _, pt in corner_points(epsilon)]).T).tolist())
 
 
+@lru_cache(maxsize=64)
+def _cut_column(epsilon: float, ndim: int) -> tuple[np.ndarray, bool]:
+    """FBDC's cuts at epsilon along a first axis before ndim queue axes, and whether the last, so any, is infinite."""
+    cuts = np.array(_corner_table(epsilon))
+    return cuts.reshape(-1, *[1] * ndim), bool(np.isinf(cuts[-1]))
+
+
 def _myopic_thresholds(e) -> tuple:
     """Ascending queue ratios q2/q1 at which the myopic map moves one corner up from b5.
 
@@ -231,8 +239,9 @@ def fbdc_corner_map(epsilon: float, q1, q2):
     cuts = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
         q1, q2 = _queue_arrays(q1, q2)
-        with np.errstate(invalid="ignore"):  # an infinite cut times q1 = 0
-            return _count_below(cuts, q1, q2)
+        column, infinite = _cut_column(epsilon, max(q1.ndim, q2.ndim))  # every cut in one comparison
+        with np.errstate(invalid="ignore") if infinite else nullcontext():  # an infinite cut times q1 = 0
+            return (q2 > column * q1).sum(axis=0)
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:
         raise ValueError("queue lengths must be finite, nonnegative and not both zero")
     return _count_below(cuts, float(q1), float(q2))  # floats compare as the array path's do

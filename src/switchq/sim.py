@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
-from itertools import pairwise
+from itertools import count, pairwise
 from math import isqrt
 
 import numpy as np
@@ -148,7 +148,7 @@ def _metrics(n_post: int, noted, switches: int, arrivals_pre, arrivals, trace=()
 MAX_BATCH_HORIZON = 2**31 - 1  # no count or sum of run_batch exceeds 2 * H * H, which stays below 2**63
 _CHUNK_SYMBOLS = 2**16  # cells x slots of each stream held at once; past 64 cells the 1,024-slot floor holds more
 _MIN_CHUNK = 1024  # slots per chunk, however many cells
-_BLOCK_SYMBOLS = 2**13  # cells x slots per block of int64 rows, at least a slot: equal types skip ufunc casts
+_BLOCK_SYMBOLS = 2**13  # cells x slots per block of int64 symbol and state history rows; equal types skip casts
 # run's polling skip sums stretches of _SKIP_MIN to _SKIP_MAX certain stays, weighing the j-th of n by the n - 1 - j
 # slots after it (_SKIP_WEIGHTS' last n rows); elsewhere its slot loop tests the gate after _GATE_TEST_FIRST slots,
 # doubling to _GATE_TEST_LAST.  On a 2-vCPU Xeon a sum takes 3.4 us at 64 slots and 6.8 us at 512 (12 kB), the loop
@@ -334,6 +334,8 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     stream, so no cells x horizon array is held.  The stay bits come from
     the cells' rows: myopic_action's comparison of the weighted credit, and
     for gated and exhaustive the server's queue, read through a queue index.
+    A slot writes the state after it to a new row of a block's history, so
+    it needs no add for occupancy: one sum over the block's rows gives it.
     """
     if not configs:
         return []
@@ -350,7 +352,6 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     myopic, polling = kind == "myopic", kind in ("gated", "exhaustive")
     frames = kind == "fbdc" or (myopic and T > 1)
     K, steps, credit = _setup(first, n_cells)
-    credit = np.array(credit, dtype=float)  # nan but for myopic
 
     size = min(H, max(_MIN_CHUNK, _CHUNK_SYMBOLS // n_cells))
     rngs = [np.random.default_rng(config.seed) for config in configs]
@@ -360,26 +361,27 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
     chunks = zip(range(0, H, size), paths, ch.bit_chunks(rngs, rates, H, size))
 
     # state rows: q1, q2, then h and the queue index for gated and exhaustive, then the offset (the entry less
-    # K * (4 * symbol + a1 + 2 * a2)) and the switch count; every server starts at queue 1 with table 0
-    state = np.zeros((6 if polling else 4, n_cells), dtype=np.int64)
-    q, offset = state[:2], state[-2]
-    if polling:
-        h, queue_index, q_flat = state[2], state[3], q.reshape(-1)
-        queue_index += np.arange(n_cells)
+    # K * (4 * symbol + a1 + 2 * a2)) and the switch count; every server starts at queue 1 with table 0.  Slot i of
+    # a block moves the state from history row i to row i + 1; the block's last row starts the next block.
+    block = max(1, _BLOCK_SYMBOLS // n_cells)
+    history = np.zeros((block + 1, 6 if polling else 4, n_cells), dtype=np.int64)
+    history[0, 3] = np.arange(n_cells) if polling else 0  # the queue index, or else the switch count
     step = np.empty((len(steps), n_cells), dtype=np.int64)
-    moves, arrived, keep = step[: len(state)], step[len(state) :], step[-1]  # keep: gated and exhaustive's 1 - switched
+    moves, arrived, keep = step[: history.shape[1]], step[history.shape[1] :], step[-1]  # keep: polling's 1 - switched
     entry, counter = np.empty(n_cells, dtype=np.int64), np.empty(n_cells, dtype=np.int64)
     stay = np.empty(n_cells, dtype=bool)
-    weights = q.copy() if frames else q  # myopic: the frame-start queues, the current ones per slot
-    weighed = np.empty((2, n_cells))
-    weighed1, weighed2 = weighed
-    occupancy = np.zeros((2, n_cells), dtype=np.int64)  # per queue, summed over every slot so far
-    arrivals, arrivals_pre = occupancy.copy(), occupancy.copy()
+    weights = np.zeros((2, n_cells))  # myopic with frames: the frame-start queues, as the floats the rule casts to
+    weighed1, weighed2 = weighed = np.empty((2, n_cells))
+    # per slot of a block: the state before and after it, q, offset, the rows it bounds, q as one row, h, index, weights
+    views = [(now, after, now[:2], now[-2], after[2] if polling else after[:2], now[:2].reshape(-1), now[2], now[3],
+              weights if frames else now[:2]) for now, after in pairwise(history)]
+    occupancy, arrivals, arrivals_pre = np.zeros((3, 2, n_cells), dtype=np.int64)  # per queue; occupancy by block
     marks = iter(_marks(H, warmup))
     mark, frame, noted = next(marks), 0 if frames else H, []  # the next slot that notes a mark, and that starts a frame
     event = min(mark, frame)
+    add, multiply, maximum, greater, greater_equal = np.add, np.multiply, np.maximum, np.greater, np.greater_equal
+    step_take, credit_take = steps.take, np.array(credit, dtype=float).take  # the credit is nan but for myopic
 
-    block = max(1, _BLOCK_SYMBOLS // n_cells)
     for t0, chunk_paths, chunk_arrivals in chunks:  # each indexed [channel or queue, cell, slot]
         arrivals += chunk_arrivals.sum(axis=2)
         arrivals_pre += chunk_arrivals[:, :, : max(0, warmup - t0)].sum(axis=2)
@@ -388,10 +390,10 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
             c, a = chunk_paths[:, :, b0 : b0 + block], chunk_arrivals[:, :, b0 : b0 + block]
             packed = K * (4 * state_index(1, c[0], c[1]) + a[0] + 2 * a[1])  # int8 [cell, slot]
             rows = np.ascontiguousarray(packed.T, dtype=np.int64)
-            for t, symbols in zip(range(t0 + b0, t0 + b0 + len(rows)), rows):
+            for t, symbols, (now, after, q, offset, bounded, queues, h, at, w) in zip(count(t0 + b0), rows, views):
                 if t == event:
                     if t == mark:
-                        noted.append(np.vstack([occupancy.sum(axis=0), q]))
+                        noted.append(np.vstack([(occupancy + history[: t - t0 - b0, :2].sum(axis=0)).sum(axis=0), q]))
                         mark = next(marks, H)
                     if t == frame:
                         if myopic:
@@ -400,26 +402,27 @@ def run_batch(configs: list[SimConfig]) -> list[Metrics]:
                             offset += pol.fbdc_frame_start(epsilon, q[0], q[1]) - offset % K
                         frame += T
                     event = min(mark, frame)
-                np.add(offset, symbols, out=entry)
+                add(offset, symbols, out=entry)
                 if myopic:  # stay iff w1 * u >= w2 * v
-                    credit.take(entry, axis=1, out=weighed, mode="clip")
-                    np.multiply(weighed, weights, out=weighed)  # int64 * float64 gives the scalar rule's int * float
-                    np.greater_equal(weighed1, weighed2, out=stay)
-                    np.add(entry, stay, out=entry)
+                    credit_take(entry, axis=1, out=weighed, mode="clip")
+                    multiply(weighed, w, out=weighed)  # w as float64: the scalar rule's int * float
+                    greater_equal(weighed1, weighed2, out=stay)
+                    add(entry, stay, out=entry)
                 elif polling:  # stay iff the gate, the server's queue less h, holds a packet
-                    q_flat.take(queue_index, out=counter, mode="clip")
-                    np.greater(counter, h, out=stay)
-                    np.add(entry, stay, out=entry)
-                np.add(occupancy, q, out=occupancy)
-                steps.take(entry, axis=1, out=step, mode="clip")  # mode="raise" would buffer out
-                np.add(state, moves, out=state)
+                    queues.take(at, out=counter, mode="clip")
+                    greater(counter, h, out=stay)
+                    add(entry, stay, out=entry)
+                step_take(entry, axis=1, out=step, mode="clip")  # mode="raise" would buffer out
+                add(now, moves, out=after)
                 if polling:  # a switch clears h
-                    np.multiply(h, keep, out=h)
+                    multiply(bounded, keep, out=bounded)
                 else:
-                    np.maximum(q, arrived, out=q)
+                    maximum(bounded, arrived, out=bounded)
+            occupancy += history[: len(rows), :2].sum(axis=0)
+            history[0] = history[len(rows)]
 
-    noted.append(np.vstack([occupancy.sum(axis=0), q]))
-    columns = zip(np.stack(noted).transpose(2, 0, 1).tolist(), state[-1].tolist(),
+    noted.append(np.vstack([occupancy.sum(axis=0), history[0, :2]]))
+    columns = zip(np.stack(noted).transpose(2, 0, 1).tolist(), history[0, -1].tolist(),
                   arrivals_pre.T.tolist(), arrivals.T.tolist())
     return [_metrics(H - warmup, *column) for column in columns]
 

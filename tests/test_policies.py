@@ -93,14 +93,33 @@ def test_empty_frames_play_b3(eps):
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.10, 0.25, 0.29, 0.30, 0.40, 0.45, 0.50,
-                                 EPS_CRITICAL, math.nextafter(EPS_CRITICAL, 0.0)])
+                                 EPS_CRITICAL, math.nextafter(EPS_CRITICAL, 0.0), 1e-9, 1e-300, 5e-324])
 def test_frame_start_ids_equal_the_scalar_tables(eps):
-    # the lock-step engine plays the corner indices of the array path, the per-cell engine those of the scalar
-    # path: on every integer queue pair in [0, 200]^2 they are equal, (0, 0) giving b3
-    q1, q2 = (a.ravel() for a in np.indices((201, 201)))
+    # the lock-step engine plays the corner indices of the array path, which compares every cut at once, the
+    # per-cell engine those of the scalar path: they are equal on every integer queue pair in [0, 200]^2, (0, 0)
+    # giving b3, and on int64 queues up to 2**40, some empty and some beside a cut.  At 1e-300 and 5e-324 the last
+    # cut is infinite and meets q1 = 0 without a warning; EPS_CRITICAL and the float below it have 3 and 5 cuts.
+    rng = np.random.default_rng(32)
+    big1, big2 = rng.integers(0, 2 ** rng.integers(1, 41, (2, 600)), dtype=np.int64)
+    big1[:40], big2[40:80], big1[80:85], big2[85:90] = 0, 0, 2**40, 2**40
+    finite = [cut for cut in rg._corner_table(eps) if cut < math.inf]
+    big1[90:] = rng.integers(1, 2**30, 510)
+    near = np.array(finite)[rng.integers(0, len(finite), 510)] * big1[90:]
+    big2[90:] = np.maximum(0, near + rng.integers(-1, 2, 510))
+    q1, q2 = (np.concatenate([a.ravel(), big]) for a, big in zip(np.indices((201, 201)), (big1, big2)))
     indices = pol.fbdc_frame_start(eps, q1, q2)
     assert pol.frame_tables(eps)[indices[0]] == pol.CORNER_TABLES["b3"]
     assert indices.tolist() == [pol.fbdc_frame_start(eps, a, b) for a, b in zip(q1.tolist(), q2.tolist())]
+
+
+def test_fbdc_frame_start_maps_a_scalar_beside_an_array():
+    # either argument may be the array: the other broadcasts, as in fbdc_corner_map, in both orders
+    column = np.array([0, 5, 0, 2**40])
+    for scalar in (0, 3):
+        assert pol.fbdc_frame_start(0.25, scalar, column).tolist() == [
+            pol.fbdc_frame_start(0.25, scalar, b) for b in column.tolist()]
+        assert pol.fbdc_frame_start(0.25, column, scalar).tolist() == [
+            pol.fbdc_frame_start(0.25, a, scalar) for a in column.tolist()]
 
 
 def test_fbdc_frame_start_matches_weighted_argmax():

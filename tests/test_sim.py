@@ -408,6 +408,42 @@ def test_wide_run_batch_equals_per_cell_runs_for_every_kind(policy, channel, lam
     assert [dataclasses.asdict(m) for m in sim.run_batch(configs)] == [dataclasses.asdict(sim.run(c)) for c in configs]
 
 
+EVERY_KIND = [
+    (pol.PolicyConfig("fbdc", T=25), GE25),
+    (pol.PolicyConfig("myopic", T=1, k=1), GE25),
+    (pol.PolicyConfig("myopic", T=10, k=2), GE25),
+    (pol.PolicyConfig("fixed_table", table=pol.CORNER_TABLES["b2"]), GE25),
+    (pol.PolicyConfig("gated"), IID55),
+    (pol.PolicyConfig("exhaustive"), IID55),
+]
+EVERY_KIND_IDS = ["fbdc_T25", "myopic1_slot", "myopic2_T10", "corner_b2", "gated", "exhaustive"]
+
+
+@pytest.mark.parametrize("policy, channel", EVERY_KIND, ids=EVERY_KIND_IDS)
+@pytest.mark.parametrize("warmup, horizon", [(128, 1153), (127, 642), (1024, 2050)],
+                         ids=["first_slot", "last_slot", "chunk_edge"])
+def test_run_batch_notes_marks_at_the_edges_of_its_history_blocks(policy, channel, warmup, horizon):
+    # 64 cells take chunks of 1024 slots and history blocks of 128: every mark (the warmup's end and four windows
+    # of 256, 128 and 256 slots) falls on the first slot of a block, on its last slot, or on a chunk edge
+    assert sim._BLOCK_SYMBOLS // 64 == 128 and max(sim._MIN_CHUNK, sim._CHUNK_SYMBOLS // 64) == 1024
+    configs = [make_config(lambda1=0.02 + 0.3 * i / 64, lambda2=0.25 - 0.2 * i / 64, channel=channel, policy=policy,
+                           seed=300 + i, horizon=horizon, warmup=warmup) for i in range(64)]
+    assert [dataclasses.asdict(m) for m in sim.run_batch(configs)] == [dataclasses.asdict(sim.run(c)) for c in configs]
+
+
+@pytest.mark.parametrize("policy, channel", EVERY_KIND[::2], ids=EVERY_KIND_IDS[::2])
+def test_run_batch_with_history_blocks_of_one_slot(policy, channel):
+    # from 4097 cells a block is one slot, so each slot sums and carries its history.  Drawing 4097 cells costs
+    # most of the time, so a spread sample of them runs per cell, for fbdc, myopic and gated (the three slot paths)
+    n_cells = sim._BLOCK_SYMBOLS // 2 + 1
+    assert sim._BLOCK_SYMBOLS // n_cells == 1
+    configs = [make_config(lambda1=0.3 * i / n_cells, lambda2=0.3 - 0.3 * i / n_cells, channel=channel, policy=policy,
+                           seed=i, horizon=40, warmup=7) for i in range(n_cells)]
+    sample = [*range(0, n_cells, 512), n_cells - 1]
+    batch = sim.run_batch(configs)
+    assert [dataclasses.asdict(batch[i]) for i in sample] == [dataclasses.asdict(sim.run(configs[i])) for i in sample]
+
+
 def test_run_batch_validation():
     assert sim.run_batch([]) == []
     base = make_config(horizon=100)
