@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="minimize the myopic/optimal weighted-rate ratio")
     p.add_argument("--eps-step", type=float, default=1e-3)
-    p.add_argument("--ratio-points", type=_int_in(1), default=400)
+    p.add_argument("--ratio-points", type=_int_in(1, exp.MAX_GRID_POINTS), default=400)
     p.set_defaults(handler=_cmd_psi)
     _add_common(p, seed=False, check=True)
 

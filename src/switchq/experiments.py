@@ -221,7 +221,8 @@ def verify_psi(epsilon_grid_step: float = 1e-3, ratio_grid_points: int = 400) ->
     ("global", "", PSI_GLOBAL_BOUND, the least minimum, nan, nan).
     """
     width = sum(hi - lo for _, _, (lo, hi), _, _ in PSI_REGIONS)  # about width / step epsilon rows in all
-    if not ratio_grid_points * width <= MAX_GRID_POINTS * epsilon_grid_step:  # false for a step <= 0 or nan
+    # false for a step <= 0 or nan; the points are bounded first: an int too large for a float overflows the product
+    if not (ratio_grid_points <= MAX_GRID_POINTS and ratio_grid_points * width <= MAX_GRID_POINTS * epsilon_grid_step):
         raise ValueError(f"--eps-step must be positive and, with --ratio-points {ratio_grid_points}, sample at most "
                          f"MAX_GRID_POINTS = {MAX_GRID_POINTS:,} points, got {epsilon_grid_step}")
     results = []

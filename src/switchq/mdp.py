@@ -192,9 +192,10 @@ def _variance_table(kernel_bytes: bytes) -> tuple[np.ndarray, dict[int, str]]:
         p, ft = pi[members, rec][..., None], f[members][..., rec]  # [table, state, 1], [table, reward, state]
         ft = ft - ft @ p
         zf = _solve(np.eye(p.shape[1]) - P[members][:, rec, rec] + p.transpose(0, 2, 1), ft.transpose(0, 2, 1))
-        var[members] = ((ft * ft) @ p + 2.0 * (ft * (zf.transpose(0, 2, 1) - ft)) @ p)[..., 0]
+        var[members] = np.maximum((ft * ft) @ p + 2.0 * (ft * (zf.transpose(0, 2, 1) - ft)) @ p, 0.0)[..., 0]
+    var.flags.writeable = False  # cached: a write would change every later standard error of the kernel
     singular = np.flatnonzero(np.isnan(var).any(axis=1)).tolist()
-    return np.maximum(var, 0.0), {i: "fundamental matrix solve failed: singular matrix" for i in singular} | refusals
+    return var, {i: "fundamental matrix solve failed: singular matrix" for i in singular} | refusals
 
 
 def rate_asymptotic_std(kernel: np.ndarray, policy: tuple[int, ...], horizon: int) -> tuple[float, float]:

@@ -3,21 +3,19 @@
 Frame-based dynamic control picks the frontier corner maximizing
 Q1*r1 + Q2*r2 at each frame start (fbdc_frame_start, an index into
 frame_tables) and plays that corner's deterministic action table for the
-whole frame.  The k-lookahead
-myopic policy compares queue-weighted expected service credit over the
-next k slots, read from a signed credit table per state (myopic_action).
-Both rules take Python scalars and numpy arrays alike.  Gated and
-exhaustive are the classic polling disciplines used for the iid-channel
-results: both stay while the gate, the server's queue less h, holds a
-packet, where h counts the arrivals there since the server came for
-gated and stays 0 for exhaustive; the step table of sim keeps h.
+whole frame.  The k-lookahead myopic policy compares queue-weighted
+expected service credit over the next k slots, read from a signed credit
+table per state (myopic_action).  Both rules take Python numbers and
+numpy arrays alike, integers for FBDC.  Gated and exhaustive are the
+classic polling disciplines used for the iid-channel results: both stay
+while the gate, the server's queue less h, holds a packet, where h counts
+the arrivals there since the server came for gated and stays 0 for
+exhaustive; the step table of sim keeps h.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import channels as ch
 from .mdp import STATES, STAY, SWITCH, mirror_policy, policy_tables
@@ -88,16 +86,14 @@ def frame_tables(epsilon: float) -> list[tuple[int, ...]]:
 
 
 def fbdc_frame_start(epsilon: float, q1_frame, q2_frame):
-    """Index in frame_tables(epsilon) of the table for the coming frame, given frame-start queues.
+    """Index in frame_tables(epsilon) of the table for the coming frame, given integer frame-start queues.
 
     An empty frame (the weighted objective is identically zero) plays b3,
-    index 0, any other 1 + fbdc_corner_map's position.  Arrays of queues map
+    index 0, any other 1 + fbdc_corner_map's position.  Integer arrays map
     elementwise to an array of indices, and Python ints give a Python int.
     """
-    if isinstance(q1_frame, np.ndarray) or isinstance(q2_frame, np.ndarray):
-        empty = np.maximum(q1_frame, q2_frame) == 0  # the corner map takes an empty cell as (1, 0), then 0 replaces it
-        return np.where(empty, 0, 1 + fbdc_corner_map(epsilon, q1_frame + empty, q2_frame))
-    return 0 if q1_frame == q2_frame == 0 else 1 + fbdc_corner_map(epsilon, q1_frame, q2_frame)
+    empty = (q1_frame | q2_frame) == 0  # the corner map takes an empty frame as (1, 0), then the factor 0 clears it
+    return (1 + fbdc_corner_map(epsilon, q1_frame + empty, q2_frame)) * (1 - empty)
 
 
 # The deepest myopic lookahead the command line takes.  myopic_table sums k

@@ -131,8 +131,7 @@ def iid_region(p1: float, p2: float) -> RateRegion:
     """Stability region under per-slot independent channels: x/p1 + y/p2 <= 1."""
     if not (0 < p1 <= 1 and 0 < p2 <= 1 and 1 / min(p1, p2) < math.inf):  # false for nan too
         raise ValueError(f"p1, p2 must lie in (0, 1] with a finite 1/p, got p1={p1}, p2={p2}")
-    halfspaces = AXIS_HALFSPACES + (HalfSpace(1 / p1, 1 / p2, 1.0).normalized(),)
-    return RateRegion(((p1, 0.0), (0.0, p2)), halfspaces)
+    return RateRegion(((p1, 0.0), (0.0, p2)), AXIS_HALFSPACES + (HalfSpace(1 / p1, 1 / p2, 1.0).normalized(),))
 
 
 def no_switchover_region(p1: float, p2: float) -> RateRegion:
@@ -142,8 +141,7 @@ def no_switchover_region(p1: float, p2: float) -> RateRegion:
     total = p1 + p2 * (1 - p1)
     corners = _frontier([(p1, 0.0), (p1, p2 * (1 - p1)), (p1 * (1 - p2), p2), (0.0, p2)])
     facets = (HalfSpace(1.0, 0.0, p1), HalfSpace(0.0, 1.0, p2), HalfSpace(1.0, 1.0, total))
-    halfspaces = AXIS_HALFSPACES + tuple(h.normalized() for h in facets)
-    return RateRegion(corners, halfspaces)
+    return RateRegion(corners, AXIS_HALFSPACES + tuple(h.normalized() for h in facets))
 
 
 def contains(region: RateRegion, point):
@@ -188,16 +186,11 @@ def _count_below(cuts, q1, q2):
 
 
 @lru_cache(maxsize=64)
-def _corner_table(epsilon: float) -> tuple[float, ...]:
-    """FBDC's cuts at epsilon as a tuple of floats."""
-    return tuple(_fbdc_cuts(*np.array([pt for _, pt in corner_points(epsilon)]).T).tolist())
-
-
-@lru_cache(maxsize=64)
-def _cut_column(epsilon: float, ndim: int) -> tuple[np.ndarray, bool]:
-    """FBDC's cuts at epsilon along a first axis before ndim queue axes, and whether the last, so any, is infinite."""
-    cuts = np.array(_corner_table(epsilon))
-    return cuts.reshape(-1, *[1] * ndim), bool(np.isinf(cuts[-1]))
+def _corner_table(epsilon: float) -> tuple[tuple[float, ...], np.ndarray, bool]:
+    """FBDC's cuts at epsilon as a tuple of floats and a read-only array, and whether the last, so any, is infinite."""
+    cuts = np.array(_fbdc_cuts(*np.array([pt for _, pt in corner_points(epsilon)]).T))
+    cuts.flags.writeable = False
+    return tuple(cuts.tolist()), cuts, bool(np.isinf(cuts[-1]))
 
 
 def _myopic_thresholds(e) -> tuple:
@@ -236,10 +229,10 @@ def fbdc_corner_map(epsilon: float, q1, q2):
     ratio however the values round: a Python int for scalar queues, an int
     array for arrays of finite queues, which map elementwise.
     """
-    cuts = _corner_table(epsilon)
+    cuts, column, infinite = _corner_table(epsilon)
     if isinstance(q1, np.ndarray) or isinstance(q2, np.ndarray):
         q1, q2 = _queue_arrays(q1, q2)
-        column, infinite = _cut_column(epsilon, max(q1.ndim, q2.ndim))  # every cut in one comparison
+        column = column.reshape(-1, *[1] * max(q1.ndim, q2.ndim))  # every cut in one comparison, on a first axis
         with np.errstate(invalid="ignore") if infinite else nullcontext():  # an infinite cut times q1 = 0
             return (q2 > column * q1).sum(axis=0)
     if not (0 <= q1 < math.inf and 0 <= q2 < math.inf) or q1 == q2 == 0:

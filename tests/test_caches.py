@@ -9,8 +9,13 @@ without end.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
+
+import numpy as np
+
+from switchq import mdp
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "switchq"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -62,13 +67,52 @@ def test_every_cache_is_top_level_and_bounded():
     assert [fault for module, source in _sources().items() for fault in cache_faults(source, module)] == []
 
 
+def _cached() -> list[tuple[str, str]]:
+    """(module, name) of each top-level function a functools cache decorates."""
+    return [(module, node.name) for module, source in _sources().items() for node in ast.parse(source).body
+            if isinstance(node, FUNCTIONS) and any(_cache(d) for d in node.decorator_list)]
+
+
 def test_every_cache_is_cleared_through_its_module():
     # what clear_caches calls: the cache_clear of each cached module attribute
-    cached = [(module, node.name) for module, source in _sources().items() for node in ast.parse(source).body
-              if isinstance(node, FUNCTIONS) and any(_cache(d) for d in node.decorator_list)]
+    cached = _cached()
     assert ("mdp", "_variance_table") in cached and ("cli", "build_parser") in cached
     for module, name in cached:
         assert callable(getattr(importlib.import_module(f"switchq.{module}"), name).cache_clear), (module, name)
+
+
+# One call of each cached function, with arguments of the kind its callers pass
+CACHED_CALLS = {
+    ("cli", "build_parser"): (),
+    ("mdp", "enumerate_vertices"): (0.25,),
+    ("mdp", "_variance_table"): (np.ascontiguousarray(mdp.build_kernel(0.25), dtype=float).tobytes(),),
+    ("region", "_corner_table"): (0.25,),
+}
+
+
+def _arrays(value):
+    """Every ndarray in a value, through tuples, lists, dict values and dataclass fields."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif isinstance(value, dict):
+        yield from _arrays(list(value.values()))
+    elif dataclasses.is_dataclass(value):
+        yield from _arrays([getattr(value, field.name) for field in dataclasses.fields(value)])
+
+
+def test_every_cached_array_is_read_only():
+    # a cache hands one object to every caller: a write into an array it returned would change every later
+    # result of that key, a standard error or a frame start, without a trace
+    assert sorted(CACHED_CALLS) == sorted(_cached())
+    returned = set()
+    for (module, name), args in CACHED_CALLS.items():
+        for array in _arrays(getattr(importlib.import_module(f"switchq.{module}"), name)(*args)):
+            returned.add((module, name))
+            assert not array.flags.writeable, (module, name)
+    assert returned == {("mdp", "_variance_table"), ("region", "_corner_table")}
 
 
 def test_cache_faults_finds_nested_and_unbounded_caches():

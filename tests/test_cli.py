@@ -244,17 +244,36 @@ SMALL_RUNS = (
 EDGE_FLOATS = ("0", "-0.0", "5e-324", "1e-300", "1e-13", "1e-12", "0.5", "1", repr(1 + 2**-52), "inf", "nan", "-1")
 
 
-def test_each_float_flag_at_each_edge_value_exits_cleanly(capsys):
-    # exit 0, 1 or 2 whatever the value; an exit 1 is one "switchq: error:" line that names the flag
+# One small valid run per int flag of each command that takes it; --policy-id, --k and --trace-every need their own
+INT_RUNS = (
+    ["sweep", "--epsilon", "0.25", "--step", "0.5", "--horizon", "40", "--warmup", "4", "--T", "2", "--seed", "1"],
+    ["sweep", "--epsilon", "0.25", "--step", "0.5", "--horizon", "40", "--policy", "myopic", "--k", "2"],
+    ["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--policy", "fbdc", "--T", "2",
+     "--horizon", "20", "--trace-every", "2", "--seed", "1"],
+    ["trace", "--epsilon", "0.25", "--lambda1", "0.1", "--lambda2", "0.1", "--policy", "myopic", "--k", "2"],
+    ["iid", "--p1", "0.5", "--p2", "0.5", "--rho", "0.5", "--horizon", "4000", "--seed", "1"],
+    ["saturated", "--epsilon", "0.25", "--policy-id", "7", "--horizon", "100", "--seed", "1"],
+    ["gap", "--epsilon", "0.25", "--T-list", "2", "--horizon", "10", "--seed", "1"],
+    ["psi", "--eps-step", "0.01", "--ratio-points", "2"],
+)
+EDGE_INTS = ("-1", "0", str(2**63), "1" + "0" * 400)
+
+
+def _flags_of_type(is_type) -> set:
+    """(command, flag) of every option whose argparse type passes is_type."""
     commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    float_flags = {(name, a.option_strings[0]) for name, p in commands.items() for a in p._actions if a.type is float}
+    return {(name, a.option_strings[0]) for name, p in commands.items() for a in p._actions if is_type(a.type)}
+
+
+def _assert_edge_values_exit_cleanly(runs, flags, values, capsys):
+    # exit 0, 1 or 2 whatever the value; an exit 1 is one "switchq: error:" line that names the flag
     varied = set()
-    for run in SMALL_RUNS:
+    for run in runs:
         for i, flag in enumerate(run):
-            if (run[0], flag) not in float_flags:
+            if (run[0], flag) not in flags:
                 continue
             varied.add((run[0], flag))
-            for value in EDGE_FLOATS:
+            for value in values:
                 argv = [*run[:i + 1], value, *run[i + 2:]]
                 code = main(argv)
                 err = capsys.readouterr().err
@@ -262,7 +281,20 @@ def test_each_float_flag_at_each_edge_value_exits_cleanly(capsys):
                 if code == 1:
                     assert err.startswith("switchq: error: ") and err.count("\n") == 1, (argv, err)
                     assert flag.lstrip("-") in err.replace("_", "-"), (argv, err)
-    assert varied == float_flags
+    assert varied == flags
+
+
+def test_each_float_flag_at_each_edge_value_exits_cleanly(capsys):
+    _assert_edge_values_exit_cleanly(SMALL_RUNS, _flags_of_type(lambda t: t is float), EDGE_FLOATS, capsys)
+
+
+def test_each_int_flag_at_each_edge_value_exits_cleanly(capsys):
+    # every int flag is an _int_in range: a value outside it is refused in one line, 400 digits too, before any
+    # product with a float; a huge seed, frame length or trace step runs
+    int_flags = _flags_of_type(lambda t: getattr(t, "__qualname__", "") == "_int_in.<locals>.integer")
+    assert {flag for _, flag in int_flags} == {"--seed", "--T", "--k", "--horizon", "--warmup", "--ratio-points",
+                                               "--trace-every", "--policy-id"}
+    _assert_edge_values_exit_cleanly(INT_RUNS, int_flags, EDGE_INTS, capsys)
 
 
 def _flag_cases(out: str) -> dict:

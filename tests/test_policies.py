@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -102,7 +103,7 @@ def test_frame_start_ids_equal_the_scalar_tables(eps):
     rng = np.random.default_rng(32)
     big1, big2 = rng.integers(0, 2 ** rng.integers(1, 41, (2, 600)), dtype=np.int64)
     big1[:40], big2[40:80], big1[80:85], big2[85:90] = 0, 0, 2**40, 2**40
-    finite = [cut for cut in rg._corner_table(eps) if cut < math.inf]
+    finite = [cut for cut in rg._corner_table(eps)[0] if cut < math.inf]
     big1[90:] = rng.integers(1, 2**30, 510)
     near = np.array(finite)[rng.integers(0, len(finite), 510)] * big1[90:]
     big2[90:] = np.maximum(0, near + rng.integers(-1, 2, 510))
@@ -113,13 +114,23 @@ def test_frame_start_ids_equal_the_scalar_tables(eps):
 
 
 def test_fbdc_frame_start_maps_a_scalar_beside_an_array():
-    # either argument may be the array: the other broadcasts, as in fbdc_corner_map, in both orders
+    # either argument may be the array: the other broadcasts, as in fbdc_corner_map, in both orders; at 5e-324 and
+    # 1e-300 the last cut is infinite and meets q1 = 0
     column = np.array([0, 5, 0, 2**40])
-    for scalar in (0, 3):
-        assert pol.fbdc_frame_start(0.25, scalar, column).tolist() == [
-            pol.fbdc_frame_start(0.25, scalar, b) for b in column.tolist()]
-        assert pol.fbdc_frame_start(0.25, column, scalar).tolist() == [
-            pol.fbdc_frame_start(0.25, a, scalar) for a in column.tolist()]
+    for eps, scalar in itertools.product((5e-324, 1e-300, EPS_CRITICAL, 0.25, 0.5), (0, 3)):
+        assert pol.fbdc_frame_start(eps, scalar, column).tolist() == [
+            pol.fbdc_frame_start(eps, scalar, b) for b in column.tolist()]
+        assert pol.fbdc_frame_start(eps, column, scalar).tolist() == [
+            pol.fbdc_frame_start(eps, a, scalar) for a in column.tolist()]
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-300, EPS_CRITICAL, 0.5])
+def test_fbdc_frame_start_of_python_ints_is_a_python_int(eps):
+    # sim.run adds the index to its Python-int offset, so no numpy scalar may come back, for empty, one-sided or
+    # huge queues; (2**80, 2**79) scales (2, 1) by a power of two, so its floats compare with each cut as (2, 1)'s do
+    for q1, q2 in ((0, 0), (3, 0), (0, 5), (2**80, 2**79)):
+        assert type(pol.fbdc_frame_start(eps, q1, q2)) is int, (q1, q2)
+    assert pol.fbdc_frame_start(eps, 2**80, 2**79) == pol.fbdc_frame_start(eps, 2, 1)
 
 
 def test_fbdc_frame_start_matches_weighted_argmax():
