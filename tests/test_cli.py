@@ -244,7 +244,7 @@ SMALL_RUNS = (
 EDGE_FLOATS = ("0", "-0.0", "5e-324", "1e-300", "1e-13", "1e-12", "0.5", "1", repr(1 + 2**-52), "inf", "nan", "-1")
 
 
-# One small valid run per int flag of each command that takes it; --policy-id, --k and --trace-every need their own
+# Small valid runs that hold every int flag of the seven commands; --k needs myopic, --policy-id no --corner
 INT_RUNS = (
     ["sweep", "--epsilon", "0.25", "--step", "0.5", "--horizon", "40", "--warmup", "4", "--T", "2", "--seed", "1"],
     ["sweep", "--epsilon", "0.25", "--step", "0.5", "--horizon", "40", "--policy", "myopic", "--k", "2"],
